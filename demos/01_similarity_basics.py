@@ -8,7 +8,7 @@ APs at the same strengths; an AP seen by just one side pulls the score
 down through its norm.
 """
 from wifipoi.model import Fingerprint
-from wifipoi.similarity import cosine_similarity, pairwise_similarities, similarity_matrix
+from wifipoi.similarity import cosine_similarity, similarity_matrix
 
 
 def fp(rssi: dict[str, float]) -> Fingerprint:
@@ -37,10 +37,6 @@ rooms = [
     fp({A: -47.0, B: -58.0}),
     fp({C: -50.0}),
 ]
-print("\nall pairs (i, j, score):")
-for i, j, score in pairwise_similarities(rooms):
-    print(f"  ({i}, {j})  {score:.4f}")
-
-print("\ndense matrix of the same scores:")
+print("\nall pairs at once, as a matrix (row i, column j scores rooms i and j):")
 for row in similarity_matrix(rooms):
     print("  " + "  ".join(f"{value:6.4f}" for value in row))

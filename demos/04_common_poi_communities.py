@@ -12,7 +12,7 @@ import collections
 import numpy as np
 
 from wifipoi.clustering import ClusterParams, dbscan, segment_visits
-from wifipoi.community import build_graph, louvain, threshold_sweep
+from wifipoi.community import threshold_sweep
 from wifipoi.registry import SummaryStore, build_fingerprint, upsert_poi
 from wifipoi.simgen import generate_trace, load_scenario
 
@@ -45,14 +45,15 @@ for user in store.users():
         fps.append(record.fingerprint)
 print(f"{len(fps)} POI across {len(store.users())} users")
 
+# every pair is scored once; each threshold keeps the pairs at or above it
 print("\nthreshold sweep:")
-for threshold, q in threshold_sweep(fps, [0.2, 0.3, 0.4, 0.5], names):
-    graph = build_graph(fps, threshold, names)
-    print(f"  threshold {threshold:.1f}: {len(graph.edges):>3} edges, Q = {q:.4f}")
+sweep = threshold_sweep(fps, [0.2, 0.3, 0.4, 0.5], names)
+for threshold, graph, partition in sweep:
+    print(f"  threshold {threshold:.1f}: {len(graph.edges):>3} edges, Q = {partition.q:.4f}")
 
 # at 0.2 the weak backbone-AP overlap between same-zone places still
 # counts, so the communities are the mall's three zones
-partition = louvain(build_graph(fps, 0.2, names))
+_, _, partition = sweep[0]
 sizes = collections.Counter(partition.communities.values())
 print(f"\ncommunities at threshold 0.2: {len(sizes)} (sizes {sorted(sizes.values())})")
 

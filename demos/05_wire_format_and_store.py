@@ -14,7 +14,7 @@ from wifipoi.ingest import (
     plan_uploads,
     store_raw,
 )
-from wifipoi.model import ScanResult, build_log
+from wifipoi.model import ScanLog, ScanResult, build_log
 
 T0 = 1_772_841_600  # 2026-03-07 00:00:00 UTC
 scans = [
@@ -41,7 +41,8 @@ assert decode_log(decompress_batch(packed), user="maria").entries == log.entries
 print("\nupload plan (6-hour periods):")
 for batch in plan_uploads(log, period=21600):
     lo, hi = batch.span
-    print(f"  [{lo}, {hi})  {len(batch.scans)} scans, {len(batch.payload())} bytes")
+    payload = encode_log(ScanLog(log.user, batch.device, batch.scans))
+    print(f"  [{lo}, {hi})  {len(batch.scans)} scans, {len(payload)} bytes")
 
 store = RawStore()  # in-memory; the CLI uses a file
 first = store_raw(store, log)

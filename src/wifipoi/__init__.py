@@ -8,7 +8,7 @@ Louvain communities of the cross-user similarity graph.
 
 from __future__ import annotations
 
-from .clustering import NOISE, VisitInterval, dbscan, find_neighbours, segment_visits
+from .clustering import NOISE, VisitInterval, dbscan, segment_visits
 from .community import (
     Partition,
     PoiGraph,
@@ -45,7 +45,7 @@ from .registry import (
     match_poi,
     upsert_poi,
 )
-from .similarity import cosine_similarity, pairwise_similarities, similarity_matrix
+from .similarity import cosine_similarity, similarity_matrix
 from .simgen import Environment, ItineraryEntry, generate_trace, load_scenario, rss_at
 
 __version__ = "0.1.0"
@@ -78,13 +78,11 @@ __all__ = [
     "decode_log",
     "decompress_batch",
     "encode_log",
-    "find_neighbours",
     "generate_trace",
     "louvain",
     "load_scenario",
     "match_poi",
     "modularity",
-    "pairwise_similarities",
     "parse_mac",
     "plan_uploads",
     "rss_at",

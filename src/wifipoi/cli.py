@@ -28,13 +28,12 @@ import numpy as np
 
 from .clustering import NOISE, VisitInterval, dbscan, segment_visits
 from .community import (
-    build_graph,
-    louvain,
+    threshold_sweep,
     write_communities_csv,
     write_edge_list,
     write_sweep_csv,
 )
-from .errors import InputError, PoiError, TooFewNodes, UnknownUser
+from .errors import InputError, PoiError, UnknownUser
 from .ingest import RawStore, decode_log, decompress_batch, encode_log, compress_batch, store_raw
 from .model import ClusterParams
 from .registry import (
@@ -70,9 +69,12 @@ class PipelineConfig:
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        thresholds = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise InputError(f"bad threshold list {text!r}: {exc}") from exc
+    if not thresholds:
+        raise InputError(f"threshold list {text!r} names no threshold")
+    return thresholds
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -101,6 +103,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             )
         if "store" in section:
             values["store"] = section["store"]
+    if getattr(args, "thresholds", None) is not None:
+        values["community_thresholds"] = _parse_thresholds(args.thresholds)
     store = (
         getattr(args, "store", None)
         or os.environ.get(STORE_ENV_VAR)
@@ -175,9 +179,6 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_communities(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    thresholds = (
-        _parse_thresholds(args.thresholds) if args.thresholds else cfg.community_thresholds
-    )
     nodes = []
     fps = []
     with SummaryStore(cfg.store) as store:
@@ -185,27 +186,19 @@ def cmd_communities(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             for record in store.records(user):
                 nodes.append((user, record.poi_id))
                 fps.append(record.fingerprint)
+    sweep = threshold_sweep(fps, cfg.community_thresholds, names=nodes)
     h = len(fps)
-    if h < 2:
-        raise TooFewNodes(f"need at least 2 registered POI, found {h}")
-    print(f"{h} POI across users; {h * (h - 1) // 2} pairs evaluated per threshold")
-    sweep = []
-    best = None
-    for t in thresholds:
-        graph = build_graph(fps, t, names=nodes)
-        part = louvain(graph)
-        sweep.append((t, part.q))
+    print(f"{h} POI across users; {h * (h - 1) // 2} pairs scored once for all thresholds")
+    for t, graph, part in sweep:
         print(f"threshold {t:.2f}: {len(graph.edges)} edges, Q = {part.q:.4f}")
-        if best is None or part.q > best[1].q:
-            best = (t, part, graph)
-    write_sweep_csv(sweep, args.sweep_out)
-    assert best is not None
-    write_communities_csv(best[1], args.communities_out)
+    write_sweep_csv([(t, part.q) for t, _, part in sweep], args.sweep_out)
+    best_t, best_graph, best = max(sweep, key=lambda row: row[2].q)
+    write_communities_csv(best, args.communities_out)
     if args.edges_out:
-        write_edge_list(best[2], args.edges_out)
-    n_comm = len(set(best[1].communities.values()))
+        write_edge_list(best_graph, args.edges_out)
+    n_comm = len(set(best.communities.values()))
     print(
-        f"best threshold {best[0]:.2f} ({n_comm} communities)"
+        f"best threshold {best_t:.2f} ({n_comm} communities)"
         f" -> {args.communities_out}; sweep -> {args.sweep_out}"
     )
     return 0

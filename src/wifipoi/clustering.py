@@ -13,15 +13,14 @@ those runs from the label sequence.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyLog, LabelLengthMismatch
-from .model import ClusterParams, Fingerprint, ScanLog
-from .similarity import cosine_similarity, similarity_matrix
+from .model import ClusterParams, ScanLog
+from .similarity import _score_blocks
 
 ClusterLabel = int
 
@@ -29,53 +28,46 @@ ClusterLabel = int
 NOISE: ClusterLabel = 0
 
 
-def find_neighbours(point: Fingerprint, fps: Sequence[Fingerprint], eps: float) -> list[int]:
-    """Indices of fingerprints scoring >= eps against `point`.
-
-    When `point` itself is an element of `fps` its own index is always
-    included (self-similarity is 1). Brute force by design; dbscan uses
-    the equivalent matrix rows instead of calling this in a loop.
-    """
-    return [i for i, fp in enumerate(fps) if cosine_similarity(point, fp) >= eps]
-
-
 def dbscan(scans: ScanLog, params: ClusterParams) -> list[ClusterLabel]:
     """Label every scan with a cluster id (>= 1) or NOISE.
 
-    Deterministic: seeds are tried in scan-time order and border points
-    join the first cluster that reaches them. Raises EmptyLog on a log
-    with no entries.
+    Order-free (the definition of Ester et al., KDD 1996): the result
+    depends only on the neighbourhoods, not on the order of the scans.
+    Scan i's neighbours are the scans j with C(i, j) >= epsilon, itself
+    included; a core scan has at least min_pts of them. Clusters are
+    the connected components of the graph of neighbouring core scans,
+    numbered from 1 by their smallest scan index. A non-core scan next
+    to a core scan is a border point and joins the lowest-numbered such
+    cluster; the rest is NOISE. Raises EmptyLog on a log with no
+    entries.
     """
     n = len(scans.entries)
     if n == 0:
         raise EmptyLog(f"no scans to cluster for user {scans.user!r}")
     fps = [scan.fingerprint() for scan in scans.entries]
-    sim = similarity_matrix(fps)
-    # Row i of the thresholded matrix is find_neighbours(fps[i], fps, eps).
-    nbrs = [np.flatnonzero(sim[i] >= params.epsilon) for i in range(n)]
+    near = np.empty((n, n), dtype=bool)
+    for lo, block in _score_blocks(fps):
+        np.greater_equal(block, params.epsilon, out=near[lo : lo + len(block)])
+    core = np.count_nonzero(near, axis=1) >= params.min_pts
 
-    labels: list[ClusterLabel | None] = [None] * n
-    cid = 0
-    for seed in range(n):
-        if labels[seed] is not None:
-            continue
-        if len(nbrs[seed]) < params.min_pts:
-            labels[seed] = NOISE
+    # Readings are whole dBm, so every dot product is exact and the
+    # scores are symmetric: row i of `near` is also its column i.
+    labels = np.full(n, NOISE)
+    cid = NOISE
+    for seed in np.flatnonzero(core):
+        if labels[seed] != NOISE:
             continue
         cid += 1
-        labels[seed] = cid
-        queue = deque(int(j) for j in nbrs[seed] if j != seed)
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cid  # border point, claimed by the first cluster to reach it
-                continue
-            if labels[j] is not None:
-                continue
-            labels[j] = cid
-            if len(nbrs[j]) >= params.min_pts:
-                queue.extend(int(k) for k in nbrs[j] if labels[k] is None or labels[k] == NOISE)
-    return [lab if lab is not None else NOISE for lab in labels]
+        members = np.zeros(n, dtype=bool)
+        frontier = members.copy()
+        frontier[seed] = True
+        while frontier.any():
+            members |= frontier
+            frontier = near[frontier].any(axis=0) & core & ~members
+        # Clusters are numbered in ascending order, so a border point
+        # already taken belongs to a lower-numbered cluster and stays.
+        labels[near[members].any(axis=0) & (labels == NOISE)] = cid
+    return labels.tolist()
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import EmptyGraph, PartitionMismatch, TooFewNodes
 from .model import Fingerprint
-from .similarity import cosine_similarity
+from .similarity import _score_blocks
 
 Node = Hashable
 
@@ -71,11 +73,12 @@ def build_graph(
     threshold: float,
     names: Sequence[Node] | None = None,
 ) -> PoiGraph:
-    """Evaluate all h(h-1)/2 pairs and keep edges with C >= threshold.
+    """Score all h(h-1)/2 pairs and keep edges with C >= threshold.
 
-    `names` labels the nodes (defaults to indices); the CLI passes
-    (user, poi_id) pairs. Raises TooFewNodes for fewer than 2
-    fingerprints.
+    Edges come in row-major (i, j) order, which Louvain's tie-breaks
+    depend on. `names` labels the nodes (defaults to indices); the CLI
+    passes (user, poi_id) pairs. Raises TooFewNodes for fewer than 2
+    fingerprints or a name count that does not match.
     """
     h = len(fps)
     if h < 2:
@@ -84,12 +87,12 @@ def build_graph(
     nodes = tuple(names) if names is not None else tuple(range(h))
     if len(nodes) != h:
         raise TooFewNodes(f"{len(nodes)} names for {h} fingerprints")
-    edges = []
-    for i in range(h):
-        for j in range(i + 1, h):
-            c = cosine_similarity(fps[i], fps[j])
-            if c >= threshold:
-                edges.append((nodes[i], nodes[j], c))
+    edges: list[tuple[Node, Node, float]] = []
+    index = np.arange(h)
+    for lo, block in _score_blocks(fps):
+        i, j = np.nonzero((block >= threshold) & (index > index[lo : lo + len(block), None]))
+        pairs = zip((lo + i).tolist(), j.tolist(), block[i, j].tolist())
+        edges.extend((nodes[a], nodes[b], c) for a, b, c in pairs)
     return PoiGraph(nodes=nodes, edges=tuple(edges))
 
 
@@ -104,17 +107,23 @@ def modularity(graph: PoiGraph, partition: Partition | Mapping[Node, int]) -> fl
     missing = [n for n in graph.nodes if n not in comm]
     if missing:
         raise PartitionMismatch(f"{len(missing)} nodes lack a community")
-    m = graph.total_weight()
-    if m <= 0:
-        raise EmptyGraph("modularity is undefined on a graph with no edge weight")
+    m = 0.0
     sigma_in: dict[int, float] = defaultdict(float)
     sigma_tot: dict[int, float] = defaultdict(float)
+    # m and the sums grow in the same edge order, and an intra-community
+    # edge adds 2w in one step, so one community's sums are exactly 2m
+    # and a single community scores exactly 0.
     for a, b, w in graph.edges:
+        m += w
         ca, cb = comm[a], comm[b]
-        sigma_tot[ca] += w
-        sigma_tot[cb] += w
         if ca == cb:
             sigma_in[ca] += 2.0 * w
+            sigma_tot[ca] += 2.0 * w
+        else:
+            sigma_tot[ca] += w
+            sigma_tot[cb] += w
+    if m <= 0:
+        raise EmptyGraph("modularity is undefined on a graph with no edge weight")
     two_m = 2.0 * m
     return sum(
         sigma_in[c] / two_m - (sigma_tot[c] / two_m) ** 2 for c in sigma_tot
@@ -293,12 +302,21 @@ def threshold_sweep(
     fps: Sequence[Fingerprint],
     thresholds: Sequence[float],
     names: Sequence[Node] | None = None,
-) -> list[tuple[float, float]]:
-    """(threshold, Q) rows: build_graph + louvain at each threshold."""
+) -> list[tuple[float, PoiGraph, Partition]]:
+    """(threshold, graph, partition) rows, one per threshold in order.
+
+    Pairs are scored once, by build_graph at the lowest threshold; each
+    row's graph keeps those edges at or above its threshold, in the
+    same order, and goes through louvain. Raises what build_graph and
+    louvain raise.
+    """
+    if not thresholds:
+        return []
+    scored = build_graph(fps, min(thresholds), names)
     out = []
     for t in thresholds:
-        part = louvain(build_graph(fps, t, names))
-        out.append((t, part.q))
+        graph = PoiGraph(nodes=scored.nodes, edges=tuple(e for e in scored.edges if e[2] >= t))
+        out.append((t, graph, louvain(graph)))
     return out
 
 

@@ -43,10 +43,6 @@ class EmptyFingerprint(DomainError):
 
 # --- similarity / clustering ---------------------------------------------
 
-class TooFewFingerprints(DomainError):
-    pass
-
-
 class LabelLengthMismatch(DomainError):
     pass
 

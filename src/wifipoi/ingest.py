@@ -122,10 +122,6 @@ class RawBatch:
     scans: tuple[ScanResult, ...]
     span: tuple[int, int]
 
-    def payload(self) -> bytes:
-        """The batch's wire bytes (same line format as encode_log)."""
-        return "".join(_encode_line(self.device, s) + "\n" for s in self.scans).encode()
-
 
 def plan_uploads(log: ScanLog, period: int = UPLOAD_PERIOD) -> list[RawBatch]:
     """Partition a log into consecutive period-aligned upload batches.

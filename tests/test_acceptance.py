@@ -27,7 +27,7 @@ from wifipoi.errors import StorageFailure
 from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, store_raw
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
 from wifipoi.registry import SummaryStore, build_fingerprint, upsert_poi
-from wifipoi.similarity import cosine_similarity, pairwise_similarities
+from wifipoi.similarity import cosine_similarity, similarity_matrix
 from wifipoi.simgen import (
     AccessPoint,
     Environment,
@@ -119,9 +119,12 @@ def mall_fingerprints():
 def test_acceptance_2_pairwise_count_over_mall_poi():
     fps = mall_fingerprints()
     assert len(fps) == 41
-    pairs = pairwise_similarities(fps)
-    assert len(pairs) == 820
-    report(2, "11-user mall yields h=41 POI and exactly 820 pairwise similarities")
+    sim = similarity_matrix(fps)
+    above = list(zip(*np.triu_indices(len(fps), k=1)))
+    assert len(above) == 820
+    for i, j in above:
+        assert abs(sim[i, j] - naive_cosine(fps[i].rssi, fps[j].rssi)) <= 1e-12
+    report(2, "11-user mall yields h=41 POI and exactly 820 pairwise similarities, each within 1e-12 of the oracle")
 
 
 def test_acceptance_3_dbscan_brute_force_equivalence():

@@ -201,5 +201,6 @@ class TestConfigPrecedence:
         assert (workdir / "from_flag.db").exists()
         assert not (workdir / "from_env.db").exists()
 
-    def test_bad_threshold_flag_exits_two(self, workdir):
-        assert run("communities", "--store", "poi.db", "--thresholds", "a,b") == 2
+    @pytest.mark.parametrize("flag", ["a,b", ",", "1.5", "0", "-0.3"])
+    def test_bad_threshold_flag_exits_two(self, workdir, flag):
+        assert run("communities", "--store", "poi.db", "--thresholds", flag) == 2

@@ -1,12 +1,14 @@
 """Density clustering over scan fingerprints and visit segmentation."""
 import random
 
+import numpy as np
 import pytest
 
 from oracles import naive_dbscan, random_scan_instance
-from wifipoi.clustering import NOISE, dbscan, find_neighbours, segment_visits
+from wifipoi.clustering import NOISE, dbscan, segment_visits
 from wifipoi.errors import EmptyLog, LabelLengthMismatch
 from wifipoi.model import ClusterParams, ScanLog, ScanResult, build_log
+from wifipoi.similarity import cosine_similarity, similarity_matrix
 
 A = "aa:00:00:00:00:01"
 B = "bb:00:00:00:00:02"
@@ -25,25 +27,28 @@ def desk_scan(jitter=0):
     return {A: -50 + jitter, B: -60 + jitter, C: -70 + jitter}
 
 
+def neighbours(fps, i, eps):
+    """Row i of the thresholded matrix: the neighbourhood dbscan uses."""
+    return np.flatnonzero(similarity_matrix(fps)[i] >= eps).tolist()
+
+
 class TestFindNeighbours:
     def test_identical_entries_all_match(self):
         fps = [make_log([desk_scan()] * 5).entries[i].fingerprint() for i in range(5)]
-        assert find_neighbours(fps[0], fps, 0.5) == list(range(5))
+        assert neighbours(fps, 0, 0.5) == list(range(5))
 
     def test_disjoint_point_only_matches_itself(self):
         dicts = [desk_scan()] * 4 + [{"dd:00:00:00:00:04": -40}]
         fps = [s.fingerprint() for s in make_log(dicts).entries]
-        assert find_neighbours(fps[4], fps, 0.5) == [4]
+        assert neighbours(fps, 4, 0.5) == [4]
 
     def test_random_instance_equals_brute_force(self):
         rnd = random.Random(9)
         dicts = random_scan_instance(rnd, 50)
         fps = [s.fingerprint() for s in make_log(dicts).entries]
-        from wifipoi.similarity import cosine_similarity
-
         for i in (0, 17, 49):
             want = [j for j in range(50) if cosine_similarity(fps[i], fps[j]) >= 0.5]
-            assert find_neighbours(fps[i], fps, 0.5) == want
+            assert neighbours(fps, i, 0.5) == want
 
 
 class TestDbscan:
@@ -54,6 +59,14 @@ class TestDbscan:
     def test_three_scans_cannot_reach_min_pts(self):
         labels = dbscan(make_log([desk_scan()] * 3), ClusterParams())
         assert labels == [NOISE] * 3
+
+    def test_epsilon_one_clusters_proportional_scans(self):
+        # proportional readings score exactly 1.0, which meets eps = 1.0;
+        # the last scan is close but not proportional, so it stays noise
+        dicts = [{A: -20, B: -40}, {A: -30, B: -60}, {A: -40, B: -80}, {A: -20, B: -40},
+                 {A: -21, B: -40}]
+        labels = dbscan(make_log(dicts), ClusterParams(epsilon=1.0))
+        assert labels == [1, 1, 1, 1, NOISE]
 
     def test_empty_log_rejected(self):
         with pytest.raises(EmptyLog):

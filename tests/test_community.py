@@ -39,7 +39,28 @@ def random_graph(rnd, n):
     return PoiGraph(nodes=nodes, edges=tuple(edges))
 
 
+A = "aa:00:00:00:00:01"
+B = "bb:00:00:00:00:02"
+C = "cc:00:00:00:00:03"
+
+
+def worked_example():
+    """Two fingerprints whose score is exactly 0.2 (1600 / 8000)."""
+    return [make({A: -40.0, B: -80.0}), make({A: -40.0, C: -80.0})]
+
+
 class TestBuildGraph:
+    def test_edge_at_exactly_the_threshold_is_kept(self):
+        fps = worked_example()
+        assert build_graph(fps, 0.2).edges == ((0, 1, 0.2),)
+        assert build_graph(fps, 0.2000001).edges == ()
+
+    def test_proportional_fingerprints_snap_to_one(self):
+        # unsnapped, these two score 1.0000000000000002
+        base = {A: -41.3, B: -57.9, C: -66.1}
+        fps = [make(base), make({mac: 1.7 * r for mac, r in base.items()})]
+        assert build_graph(fps, 1.0).edges == ((0, 1, 1.0),)
+
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodes):
             build_graph([make({"aa:00:00:00:00:01": -50.0})], 0.5)
@@ -78,7 +99,11 @@ class TestBuildGraph:
 class TestModularity:
     def test_single_community_is_zero(self):
         g = PoiGraph(nodes=(0, 1, 2), edges=((0, 1, 1.0), (1, 2, 0.5)))
-        assert modularity(g, {0: 0, 1: 0, 2: 0}) == pytest.approx(0.0, abs=1e-15)
+        assert modularity(g, {0: 0, 1: 0, 2: 0}) == 0.0
+        rnd = random.Random(27)
+        for _ in range(200):
+            g = random_graph(rnd, rnd.randint(2, 12))
+            assert modularity(g, {n: 0 for n in g.nodes}) == 0.0
 
     def test_two_disjoint_cliques_split_scores_half(self):
         g = PoiGraph(nodes=tuple(range(6)), edges=tuple(clique([0, 1, 2]) + clique([3, 4, 5])))
@@ -201,7 +226,19 @@ def interior_peak_fingerprints():
 class TestThresholdSweep:
     def test_four_thresholds_four_rows(self):
         table = threshold_sweep(interior_peak_fingerprints(), [0.2, 0.3, 0.4, 0.5])
-        assert [t for t, _ in table] == [0.2, 0.3, 0.4, 0.5]
+        assert [t for t, _, _ in table] == [0.2, 0.3, 0.4, 0.5]
+
+    def test_rows_equal_build_graph_then_louvain(self):
+        fps = interior_peak_fingerprints()
+        names = [("u", k) for k in range(len(fps))]
+        for t, graph, partition in threshold_sweep(fps, [0.5, 0.2, 0.4, 0.3], names):
+            assert graph == build_graph(fps, t, names)
+            assert partition == louvain(graph)
+
+    def test_edge_at_exactly_the_threshold_is_kept(self):
+        ((t, graph, partition),) = threshold_sweep(worked_example(), [0.2])
+        assert graph.edges == ((0, 1, 0.2),)
+        assert partition.communities == {0: 0, 1: 0}
 
     def test_propagates_empty_graph_from_louvain(self):
         rnd = random.Random(25)
@@ -216,7 +253,7 @@ class TestThresholdSweep:
 
     def test_q_peaks_at_interior_threshold(self):
         table = threshold_sweep(interior_peak_fingerprints(), [0.2, 0.3, 0.4, 0.5])
-        qs = [q for _, q in table]
+        qs = [partition.q for _, _, partition in table]
         best = max(range(4), key=lambda k: qs[k])
         assert best not in (0, 3)
         assert qs[best] > qs[0] and qs[best] > qs[3]

@@ -182,7 +182,7 @@ class TestPlanUploads:
 
     def test_batch_payload_decodes(self):
         batch = plan_uploads(small_log())[0]
-        decoded = decode_log(batch.payload(), user="u")
+        decoded = decode_log(encode_log(ScanLog("u", batch.device, batch.scans)), user="u")
         assert decoded.entries == small_log().entries
 
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import naive_cosine, random_fingerprint
-from wifipoi.errors import EmptyFingerprint, TooFewFingerprints
+from wifipoi.community import build_graph
+from wifipoi.errors import EmptyFingerprint
 from wifipoi.model import Fingerprint
 from wifipoi.similarity import (
     common_dot,
     cosine_similarity,
-    pairwise_similarities,
     self_dot,
     similarity_matrix,
 )
@@ -113,23 +113,25 @@ class TestProperties:
 
 
 class TestPairwise:
+    # At threshold 0 every pair is an edge, so the graph lists every
+    # score of the row-blocked route once; 130 fingerprints span three
+    # blocks.
     def test_pair_counts(self):
         rnd = random.Random(3)
-        for h, want in ((2, 1), (5, 10), (41, 820)):
+        for h, want in ((2, 1), (5, 10), (41, 820), (130, 8385)):
             fps = [make(random_fingerprint(rnd)) for _ in range(h)]
-            assert len(pairwise_similarities(fps)) == want
+            assert len(build_graph(fps, 0.0).edges) == want
 
     def test_entries_sorted_and_consistent(self):
         rnd = random.Random(4)
-        fps = [make(random_fingerprint(rnd)) for _ in range(6)]
-        entries = pairwise_similarities(fps)
-        assert [(i, j) for i, j, _ in entries] == [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        for i, j, c in entries:
-            assert c == cosine_similarity(fps[i], fps[j])
-
-    def test_too_few(self):
-        with pytest.raises(TooFewFingerprints):
-            pairwise_similarities([fp(a=-50)])
+        for h in (6, 70):
+            fps = [make(random_fingerprint(rnd)) for _ in range(h)]
+            edges = build_graph(fps, 0.0).edges
+            assert [(i, j) for i, j, _ in edges] == [
+                (i, j) for i in range(h) for j in range(i + 1, h)
+            ]
+            for i, j, c in edges:
+                assert c == cosine_similarity(fps[i], fps[j])
 
 
 class TestMatrix:
@@ -147,3 +149,8 @@ class TestMatrix:
     def test_worked_example_in_matrix_form(self):
         sim = similarity_matrix([fp(a=-40, b=-80), fp(a=-40, c=-80)])
         assert sim[0, 1] == 0.2
+
+    def test_empty_input_and_empty_fingerprint(self):
+        assert similarity_matrix([]).shape == (0, 0)
+        with pytest.raises(EmptyFingerprint):
+            similarity_matrix([fp(a=-50), Fingerprint(rssi={}, counts={})])
