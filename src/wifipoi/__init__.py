@@ -43,6 +43,7 @@ from .registry import (
     build_fingerprint,
     daily_summary,
     match_poi,
+    upsert_day,
     upsert_poi,
 )
 from .similarity import cosine_similarity, similarity_matrix
@@ -90,6 +91,7 @@ __all__ = [
     "similarity_matrix",
     "store_raw",
     "threshold_sweep",
+    "upsert_day",
     "upsert_poi",
     "validate_scan",
 ]

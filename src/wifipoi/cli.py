@@ -41,7 +41,7 @@ from .registry import (
     build_fingerprint,
     daily_summary,
     day_window,
-    upsert_poi,
+    upsert_day,
     write_summary_csv,
 )
 from .simgen import generate_trace, load_scenario, write_ground_truth_csv
@@ -144,7 +144,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     lo, hi = day_window(args.day)
     with RawStore(cfg.store) as raw:
-        if args.user not in raw.users():
+        if not raw.has_user(args.user):
             raise UnknownUser(f"no raw data for user {args.user!r} in {cfg.store}")
         log = raw.load_log(args.user, lo, hi)
     out = Path(args.out) if args.out else Path(f"{args.user}_{args.day}.csv")
@@ -165,11 +165,12 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         write_summary_csv([], out)
         print(f"only noise for {args.user} on {args.day}; wrote empty {out}")
         return 0
+    clusters = []
+    for label in sorted(by_label):
+        member_scans = [s for s, l in zip(log.entries, labels) if l == label]
+        clusters.append((build_fingerprint(member_scans), by_label[label]))
     with SummaryStore(cfg.store) as store:
-        for label in sorted(by_label):
-            member_scans = [s for s, l in zip(log.entries, labels) if l == label]
-            fp = build_fingerprint(member_scans)
-            upsert_poi(store, args.user, fp, by_label[label], cfg.match_threshold)
+        upsert_day(store, args.user, clusters, cfg.match_threshold)
         rows = daily_summary(store, args.user, args.day)
     write_summary_csv(rows, out)
     for poi_id, label, start, end in rows:
@@ -189,8 +190,13 @@ def cmd_communities(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     sweep = threshold_sweep(fps, cfg.community_thresholds, names=nodes)
     h = len(fps)
     print(f"{h} POI across users; {h * (h - 1) // 2} pairs scored once for all thresholds")
-    for t, graph, part in sweep:
-        print(f"threshold {t:.2f}: {len(graph.edges)} edges, Q = {part.q:.4f}")
+    kept = {t: (graph, part) for t, graph, part in sweep}
+    for t in cfg.community_thresholds:
+        if t in kept:
+            graph, part = kept[t]
+            print(f"threshold {t:.2f}: {len(graph.edges)} edges, Q = {part.q:.4f}")
+        else:
+            print(f"threshold {t:.2f}: 0 edges, skipped")
     write_sweep_csv([(t, part.q) for t, _, part in sweep], args.sweep_out)
     best_t, best_graph, best = max(sweep, key=lambda row: row[2].q)
     write_communities_csv(best, args.communities_out)

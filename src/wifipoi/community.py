@@ -303,12 +303,13 @@ def threshold_sweep(
     thresholds: Sequence[float],
     names: Sequence[Node] | None = None,
 ) -> list[tuple[float, PoiGraph, Partition]]:
-    """(threshold, graph, partition) rows, one per threshold in order.
+    """(threshold, graph, partition) rows in threshold order.
 
     Pairs are scored once, by build_graph at the lowest threshold; each
     row's graph keeps those edges at or above its threshold, in the
-    same order, and goes through louvain. Raises what build_graph and
-    louvain raise.
+    same order, and goes through louvain. A threshold that leaves no
+    edge has no partition and gets no row; EmptyGraph is raised when
+    that holds for every threshold. Raises what build_graph raises.
     """
     if not thresholds:
         return []
@@ -316,7 +317,10 @@ def threshold_sweep(
     out = []
     for t in thresholds:
         graph = PoiGraph(nodes=scored.nodes, edges=tuple(e for e in scored.edges if e[2] >= t))
-        out.append((t, graph, louvain(graph)))
+        if graph.edges:
+            out.append((t, graph, louvain(graph)))
+    if not out:
+        raise EmptyGraph(f"no threshold in {list(thresholds)} leaves an edge")
     return out
 
 

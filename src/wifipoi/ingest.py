@@ -185,6 +185,13 @@ class RawStore:
         rows = self.conn.execute("SELECT DISTINCT user FROM raw_observations ORDER BY user")
         return [user for (user,) in rows]
 
+    def has_user(self, user: str) -> bool:
+        """True when any row belongs to `user`; a primary-key prefix lookup."""
+        row = self.conn.execute(
+            "SELECT 1 FROM raw_observations WHERE user = ? LIMIT 1", (user,)
+        ).fetchone()
+        return row is not None
+
     def load_log(self, user: str, lo: int | None = None, hi: int | None = None) -> ScanLog:
         """Rebuild the user's scans, optionally windowed to [lo, hi)."""
         sql = "SELECT t, mac, rssi FROM raw_observations WHERE user = ?"

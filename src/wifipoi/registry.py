@@ -10,13 +10,14 @@ so the same desk keeps the same poi_id across days.
 Persistence is an embedded SQLite file with two tables, poi_properties
 and poi_visits, linked by (user, poi_id). poi_id is scoped per user:
 two users may both own poi_id 1. All writes go through one transaction
-per upsert, so a crash mid-operation leaves the previous state intact.
+per user-day via upsert_day, so a crash mid-day leaves the previous
+state intact.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -146,9 +147,9 @@ def decode_fingerprint(blob: str) -> Fingerprint:
 class SummaryStore:
     """SQLite-backed store for POI properties and visit intervals.
 
-    Single-writer contract: all mutation happens through upsert_poi,
-    one transaction per call. `conn` is deliberately public so tests
-    can inject faults between operations.
+    Single-writer contract: all mutation happens through upsert_day,
+    one transaction per user-day. `conn` is deliberately public so
+    tests can inject faults between operations.
     """
 
     def __init__(self, path: str | Path = ":memory:") -> None:
@@ -174,34 +175,36 @@ class SummaryStore:
         return [user for (user,) in rows]
 
     def records(self, user: str) -> list[PoiRecord]:
-        """All POI registered for one user, visits included, by poi_id."""
+        """All POI registered for one user, visits included, by poi_id.
+
+        Two queries whatever the registry size: properties, then every
+        visit of the user grouped by poi_id here.
+        """
         props = self.conn.execute(
             "SELECT poi_id, fingerprint, created_at, label"
             " FROM poi_properties WHERE user = ? ORDER BY poi_id",
             (user,),
         ).fetchall()
-        out = []
-        for poi_id, blob, created_at, label in props:
-            visit_rows = self.conn.execute(
-                "SELECT start_ts, end_ts, scans, sub_minimal FROM poi_visits"
-                " WHERE user = ? AND poi_id = ? ORDER BY start_ts",
-                (user, poi_id),
-            ).fetchall()
-            visits = tuple(
+        visits: dict[int, list[VisitInterval]] = {}
+        for poi_id, start, end, scans, sub in self.conn.execute(
+            "SELECT poi_id, start_ts, end_ts, scans, sub_minimal FROM poi_visits"
+            " WHERE user = ? ORDER BY poi_id, start_ts, end_ts",
+            (user,),
+        ):
+            visits.setdefault(poi_id, []).append(
                 VisitInterval(poi_id, start, end, scans, bool(sub))
-                for start, end, scans, sub in visit_rows
             )
-            out.append(
-                PoiRecord(
-                    poi_id=poi_id,
-                    user=user,
-                    fingerprint=decode_fingerprint(blob),
-                    created_at=created_at,
-                    visits=visits,
-                    label=label,
-                )
+        return [
+            PoiRecord(
+                poi_id=poi_id,
+                user=user,
+                fingerprint=decode_fingerprint(blob),
+                created_at=created_at,
+                visits=tuple(visits.get(poi_id, ())),
+                label=label,
             )
-        return out
+            for poi_id, blob, created_at, label in props
+        ]
 
     def check_integrity(self) -> bool:
         """True when every visit row points at an existing POI."""
@@ -216,6 +219,64 @@ class SummaryStore:
         ).fetchall()
 
 
+def upsert_day(
+    store: SummaryStore,
+    user: str,
+    clusters: Sequence[tuple[Fingerprint, Sequence[VisitInterval]]],
+    threshold: float = MATCH_THRESHOLD,
+    refresh: bool = True,
+) -> list[int]:
+    """Register one user-day's (fingerprint, visits) clusters; return their poi_ids.
+
+    Each cluster, in order, is matched against the user's POI as the
+    earlier clusters left them: on a match the new visits are appended
+    (exact duplicates are skipped, which makes re-running a day a no-op)
+    and, when `refresh` is set and anything new arrived, the fingerprint
+    becomes the count-weighted merge of old and new; otherwise the next
+    free poi_id is allocated. The registry is read once and the whole
+    day is written in one transaction; on failure the store is left
+    exactly as before and StorageFailure is raised.
+    """
+    try:
+        registry = {r.poi_id: r for r in store.records(user)}
+        ids = []
+        with store.conn:
+            for fp, visits in clusters:
+                matched = match_poi(fp, list(registry.values()), threshold)
+                if matched is None:
+                    poi_id = max(registry, default=0) + 1
+                    created = min((v.start for v in visits), default=0)
+                    store.conn.execute(
+                        "INSERT INTO poi_properties (user, poi_id, fingerprint, created_at)"
+                        " VALUES (?, ?, ?, ?)",
+                        (user, poi_id, encode_fingerprint(fp), created),
+                    )
+                    registry[poi_id] = PoiRecord(poi_id, user, fp, created)
+                else:
+                    poi_id = matched
+                added = 0
+                for v in visits:
+                    cur = store.conn.execute(
+                        "INSERT OR IGNORE INTO poi_visits"
+                        " (user, poi_id, start_ts, end_ts, scans, sub_minimal)"
+                        " VALUES (?, ?, ?, ?, ?, ?)",
+                        (user, poi_id, v.start, v.end, v.scans, int(v.sub_minimal)),
+                    )
+                    added += cur.rowcount
+                if matched is not None and refresh and added > 0:
+                    merged = merge_fingerprints(registry[poi_id].fingerprint, fp)
+                    store.conn.execute(
+                        "UPDATE poi_properties SET fingerprint = ?"
+                        " WHERE user = ? AND poi_id = ?",
+                        (encode_fingerprint(merged), user, poi_id),
+                    )
+                    registry[poi_id] = replace(registry[poi_id], fingerprint=merged)
+                ids.append(poi_id)
+        return ids
+    except sqlite3.Error as exc:
+        raise StorageFailure(f"upsert for user {user!r} failed: {exc}") from exc
+
+
 def upsert_poi(
     store: SummaryStore,
     user: str,
@@ -224,49 +285,11 @@ def upsert_poi(
     threshold: float = MATCH_THRESHOLD,
     refresh: bool = True,
 ) -> int:
-    """Register a cluster for `user` and return its stable poi_id.
+    """Register one cluster for `user` and return its stable poi_id.
 
-    Matches against the user's existing POI first; on a match the new
-    visits are appended (exact duplicates are skipped, which makes
-    re-running a day a no-op) and, when `refresh` is set and anything
-    new arrived, the stored fingerprint becomes the count-weighted
-    merge of old and new. Otherwise the next free poi_id is allocated.
-    The whole write is one transaction; on failure the store is left
-    exactly as before and StorageFailure is raised.
+    A one-cluster upsert_day: same matching, merge and atomicity.
     """
-    try:
-        records = store.records(user)
-        matched = match_poi(fp, records, threshold)
-        with store.conn:
-            if matched is None:
-                poi_id = max((r.poi_id for r in records), default=0) + 1
-                created = min((v.start for v in visits), default=0)
-                store.conn.execute(
-                    "INSERT INTO poi_properties (user, poi_id, fingerprint, created_at)"
-                    " VALUES (?, ?, ?, ?)",
-                    (user, poi_id, encode_fingerprint(fp), created),
-                )
-            else:
-                poi_id = matched
-            added = 0
-            for v in visits:
-                cur = store.conn.execute(
-                    "INSERT OR IGNORE INTO poi_visits"
-                    " (user, poi_id, start_ts, end_ts, scans, sub_minimal)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
-                    (user, poi_id, v.start, v.end, v.scans, int(v.sub_minimal)),
-                )
-                added += cur.rowcount
-            if matched is not None and refresh and added > 0:
-                old = next(r.fingerprint for r in records if r.poi_id == matched)
-                store.conn.execute(
-                    "UPDATE poi_properties SET fingerprint = ?"
-                    " WHERE user = ? AND poi_id = ?",
-                    (encode_fingerprint(merge_fingerprints(old, fp)), user, poi_id),
-                )
-        return poi_id
-    except sqlite3.Error as exc:
-        raise StorageFailure(f"upsert for user {user!r} failed: {exc}") from exc
+    return upsert_day(store, user, [(fp, visits)], threshold, refresh)[0]
 
 
 def _hhmm(ts: int) -> str:

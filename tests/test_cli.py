@@ -88,12 +88,25 @@ class TestExtract:
         assert len({r[0] for r in rows[1:]}) == 4
 
     def test_rerun_is_idempotent(self, workdir):
+        from wifipoi.registry import SummaryStore
+
+        def snapshot():
+            with SummaryStore(workdir / "poi.db") as store:
+                counts = [
+                    store.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                    for table in ("poi_properties", "poi_visits")
+                ]
+                return store.records("alice"), counts
+
         sim = simulate_office(workdir)
         run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
         run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY)
         first = (workdir / f"alice_{DAY}.csv").read_text()
+        stored = snapshot()
+        assert stored[1][0] > 1
         run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY)
         assert (workdir / f"alice_{DAY}.csv").read_text() == first
+        assert snapshot() == stored
 
     def test_empty_day_writes_empty_summary(self, workdir):
         sim = simulate_office(workdir)
@@ -147,6 +160,20 @@ class TestCommunities:
             sizes[cid] = sizes.get(cid, 0) + 1
         assert sorted(sizes.values()) == [13, 14, 14]
         assert (workdir / "edges.txt").read_text().strip()
+
+    def test_threshold_without_edges_is_skipped(self, workdir, capsys):
+        build_mall_store(workdir)
+        capsys.readouterr()
+        assert run("communities", "--store", "poi.db", "--thresholds", "0.2,1.0") == 0
+        assert "threshold 1.00: 0 edges, skipped" in capsys.readouterr().out
+        assert [row[0] for row in read_csv(workdir / "sweep.csv")[1:]] == ["0.2"]
+        assert len(read_csv(workdir / "communities.csv")) == 1 + 41
+
+    def test_no_threshold_with_edges_exits_three(self, workdir, capsys):
+        build_mall_store(workdir)
+        assert run("communities", "--store", "poi.db", "--thresholds", "1.0") == 3
+        assert "1.0" in capsys.readouterr().err
+        assert not (workdir / "sweep.csv").exists()
 
     def test_single_poi_exits_three(self, workdir, capsys):
         from wifipoi.clustering import VisitInterval

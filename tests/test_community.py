@@ -240,6 +240,10 @@ class TestThresholdSweep:
         assert graph.edges == ((0, 1, 0.2),)
         assert partition.communities == {0: 0, 1: 0}
 
+    def test_threshold_without_edges_gets_no_row(self):
+        ((t, graph, partition),) = threshold_sweep(worked_example(), [1.0, 0.2, 0.9])
+        assert t == 0.2 and graph.edges == ((0, 1, 0.2),)
+
     def test_propagates_empty_graph_from_louvain(self):
         rnd = random.Random(25)
         fps = [make(random_fingerprint(rnd)) for _ in range(8)]

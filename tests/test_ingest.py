@@ -204,6 +204,19 @@ class TestRawStore:
             assert report.added == 6
             assert store.users() == ["u", "v"]
 
+    def test_has_user_is_an_indexed_lookup(self):
+        with RawStore() as store:
+            store_raw(store, small_log())
+            store_raw(store, ScanLog(user="uv", device="d", entries=small_log().entries))
+            for name in ("u", "uv", "v", "", "U"):
+                assert store.has_user(name) == (name in store.users())
+            issued = []
+            store.conn.set_trace_callback(issued.append)
+            store.has_user("u")
+            store.conn.set_trace_callback(None)
+            (plan,) = store.conn.execute("EXPLAIN QUERY PLAN " + issued[0]).fetchall()
+            assert plan[3].startswith("SEARCH raw_observations")
+
     def test_random_interleaving_matches_set_union(self):
         rnd = random.Random(27)
         rows: set[tuple[str, int, str, int]] = set()

@@ -17,6 +17,7 @@ from wifipoi.registry import (
     encode_fingerprint,
     match_poi,
     merge_fingerprints,
+    upsert_day,
     upsert_poi,
     write_summary_csv,
 )
@@ -224,6 +225,113 @@ class TestAtomicity:
         assert store.users() == ["u"]
         assert store.check_integrity()
         store.close()
+
+    def test_failure_on_last_cluster_rolls_back_the_day(self):
+        store = SummaryStore()
+        upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)])
+        before = store.records("u")
+        real = store.conn
+        # 2 reads, then per cluster a POI row and one visit: 8 calls;
+        # the last one, the third cluster's visit, fails
+        store.conn = FaultyConn(real, fail_after=7)
+        with pytest.raises(StorageFailure):
+            upsert_day(store, "u", [
+                (fp({B: -60.0}), [visit(60, 80)]),
+                (fp({C: -60.0}), [visit(120, 140)]),
+                (fp({"dd:00:00:00:00:04": -60.0}), [visit(180, 200)]),
+            ])
+        assert store.conn._calls == 8
+        store.conn = real
+        assert store.records("u") == before
+        assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (1,)
+        assert store.check_integrity()
+        store.close()
+
+
+def random_days(rnd, n_days, places):
+    """Days of (fingerprint, visits) clusters: noisy revisits of a few places."""
+    macs = ["%02x:00:00:00:00:%02x" % (k, k) for k in range(3 * places)]
+    days = []
+    for d in range(n_days):
+        clusters = []
+        for k in range(rnd.randint(1, 6)):
+            place = rnd.randrange(places)
+            seen = [m for m in macs[3 * place : 3 * place + 4] if rnd.random() < 0.8] or [macs[0]]
+            levels = {m: float(rnd.randint(-85, -40)) for m in seen}
+            start = 1440 * d + 60 * k
+            clusters.append((
+                fp(levels, {m: rnd.randint(1, 5) for m in seen}),
+                [visit(start, start + 20), visit(start + 30, start + 40, scans=2)],
+            ))
+        days.append(clusters)
+    return days
+
+
+class TestUpsertDay:
+    def test_equals_successive_upsert_poi(self):
+        rnd = random.Random(31)
+        new = revisit = shared = 0
+        for trial in range(40):
+            days = random_days(rnd, n_days=5, places=rnd.randint(2, 8))
+            threshold = rnd.choice([0.5, 0.7, 0.9])
+            with SummaryStore() as batch, SummaryStore() as single:
+                for clusters in days:
+                    known = {r.poi_id for r in batch.records("u")}
+                    got = upsert_day(batch, "u", clusters, threshold)
+                    want = [upsert_poi(single, "u", f, v, threshold) for f, v in clusters]
+                    assert got == want
+                    assert batch.records("u") == single.records("u")
+                    new += len(set(got) - known)
+                    revisit += sum(1 for i in got if i in known)
+                    shared += len(got) - len(set(got))
+        # the seeded days exercise new POI, revisits and same-day matches
+        assert min(new, revisit, shared) > 20
+
+    def test_second_cluster_sees_the_merged_fingerprint(self):
+        # {B, C} shares nothing with POI 1's {A} but scores exactly 0.5
+        # against {A, B}, the fingerprint after the first cluster's merge
+        with SummaryStore() as store:
+            upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)])
+            ids = upsert_day(store, "u", [
+                (fp({A: -50.0, B: -50.0}), [visit(60, 80)]),
+                (fp({B: -50.0, C: -50.0}), [visit(120, 140)]),
+            ])
+            assert ids == [1, 1]
+            (record,) = store.records("u")
+            assert record.fingerprint.rssi == {A: -50.0, B: -50.0, C: -50.0}
+            assert record.fingerprint.counts == {A: 2, B: 2, C: 1}
+            assert len(record.visits) == 3
+
+    def test_ids_are_deterministic(self):
+        days = random_days(random.Random(32), n_days=6, places=5)
+        runs = []
+        for _ in range(2):
+            with SummaryStore() as store:
+                runs.append([upsert_day(store, "u", clusters) for clusters in days])
+        assert runs[0] == runs[1]
+        seen = 0
+        for ids in runs[0]:
+            # a day's new POI take the next free ids in cluster order
+            fresh = [i for i in dict.fromkeys(ids) if i > seen]
+            assert fresh == list(range(seen + 1, seen + 1 + len(fresh)))
+            seen += len(fresh)
+        assert seen > 1
+
+    def test_empty_day_writes_nothing(self):
+        with SummaryStore() as store:
+            assert upsert_day(store, "u", []) == []
+            assert store.users() == []
+
+    def test_one_commit_per_day(self):
+        macs = (A, B, C, "dd:00:00:00:00:04", "ee:00:00:00:00:05")
+        clusters = [(fp({m: -50.0}), [visit(60 * k, 60 * k + 20)]) for k, m in enumerate(macs)]
+        with SummaryStore() as store:
+            upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 10)])
+            issued = []
+            store.conn.set_trace_callback(issued.append)
+            assert upsert_day(store, "u", clusters) == [1, 2, 3, 4, 5]
+            commits = [sql for sql in issued if sql.lstrip().upper().startswith("COMMIT")]
+            assert len(commits) == 1
 
 
 class TestDailySummary:
