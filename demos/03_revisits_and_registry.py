@@ -10,8 +10,8 @@ all week.
 import collections
 import time
 
-from wifipoi.clustering import ClusterParams, dbscan, segment_visits
-from wifipoi.registry import SummaryStore, build_fingerprint, daily_summary, upsert_poi
+from wifipoi.clustering import ClusterParams
+from wifipoi.registry import SummaryStore, daily_summary, extract_day
 from wifipoi.simgen import generate_trace, load_scenario
 
 scenario = load_scenario("office-3day")
@@ -32,14 +32,8 @@ for day_index, day in enumerate(sorted(by_day)):
         noise_sigma=scenario.sigma,
         user=user,
     )
-    labels = dbscan(log, params)
-    visits = segment_visits(log, labels, params)
-    grouped = collections.defaultdict(list)
-    for visit in visits:
-        grouped[visit.label].append(visit)
-    for label in sorted(grouped):
-        members = [s for s, l in zip(log.entries, labels) if l == label]
-        upsert_poi(store, user, build_fingerprint(members), grouped[label])
+    # cluster the day, then match each cluster against the registry
+    extract_day(store, log, params)
 
     print(f"{day}:")
     for poi_id, _, start, end in daily_summary(store, user, day):

@@ -11,9 +11,9 @@ import collections
 
 import numpy as np
 
-from wifipoi.clustering import ClusterParams, dbscan, segment_visits
+from wifipoi.clustering import ClusterParams
 from wifipoi.community import threshold_sweep
-from wifipoi.registry import SummaryStore, build_fingerprint, upsert_poi
+from wifipoi.registry import SummaryStore, extract_day
 from wifipoi.simgen import generate_trace, load_scenario
 
 scenario = load_scenario("mall-11-users")
@@ -30,24 +30,15 @@ for index, user in enumerate(sorted(scenario.itineraries)):
         user=user,
         device=scenario.devices[user],
     )
-    labels = dbscan(log, params)
-    grouped = collections.defaultdict(list)
-    for visit in segment_visits(log, labels, params):
-        grouped[visit.label].append(visit)
-    for label in sorted(grouped):
-        members = [s for s, l in zip(log.entries, labels) if l == label]
-        upsert_poi(store, user, build_fingerprint(members), grouped[label])
+    extract_day(store, log, params)
 
-names, fps = [], []
-for user in store.users():
-    for record in store.records(user):
-        names.append((user, record.poi_id))
-        fps.append(record.fingerprint)
+# one fingerprint per (user, poi_id): the nodes of the cross-user graph
+fps = store.fingerprints()
 print(f"{len(fps)} POI across {len(store.users())} users")
 
 # every pair is scored once; each threshold keeps the pairs at or above it
 print("\nthreshold sweep:")
-sweep = threshold_sweep(fps, [0.2, 0.3, 0.4, 0.5], names)
+sweep = threshold_sweep(list(fps.values()), [0.2, 0.3, 0.4, 0.5], list(fps))
 for threshold, graph, partition in sweep:
     print(f"  threshold {threshold:.1f}: {len(graph.edges):>3} edges, Q = {partition.q:.4f}")
 

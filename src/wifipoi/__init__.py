@@ -42,9 +42,9 @@ from .registry import (
     SummaryStore,
     build_fingerprint,
     daily_summary,
+    extract_day,
     match_poi,
     upsert_day,
-    upsert_poi,
 )
 from .similarity import cosine_similarity, similarity_matrix
 from .simgen import Environment, ItineraryEntry, generate_trace, load_scenario, rss_at
@@ -79,6 +79,7 @@ __all__ = [
     "decode_log",
     "decompress_batch",
     "encode_log",
+    "extract_day",
     "generate_trace",
     "louvain",
     "load_scenario",
@@ -92,6 +93,5 @@ __all__ = [
     "store_raw",
     "threshold_sweep",
     "upsert_day",
-    "upsert_poi",
     "validate_scan",
 ]

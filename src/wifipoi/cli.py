@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import NOISE, VisitInterval, dbscan, segment_visits
 from .community import (
     threshold_sweep,
     write_communities_csv,
@@ -36,14 +35,7 @@ from .community import (
 from .errors import InputError, PoiError, UnknownUser
 from .ingest import RawStore, decode_log, decompress_batch, encode_log, compress_batch, store_raw
 from .model import ClusterParams
-from .registry import (
-    SummaryStore,
-    build_fingerprint,
-    daily_summary,
-    day_window,
-    upsert_day,
-    write_summary_csv,
-)
+from .registry import SummaryStore, daily_summary, day_window, extract_day, write_summary_csv
 from .simgen import generate_trace, load_scenario, write_ground_truth_csv
 
 DEFAULT_STORE = "wifipoi.db"
@@ -142,12 +134,14 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+    out = Path(args.out) if args.out else Path(f"{args.user}_{args.day}.csv")
+    if not out.parent.is_dir():
+        raise InputError(f"output directory {out.parent} does not exist")
     lo, hi = day_window(args.day)
     with RawStore(cfg.store) as raw:
         if not raw.has_user(args.user):
             raise UnknownUser(f"no raw data for user {args.user!r} in {cfg.store}")
         log = raw.load_log(args.user, lo, hi)
-    out = Path(args.out) if args.out else Path(f"{args.user}_{args.day}.csv")
     epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
     params = ClusterParams(
         epsilon=epsilon, min_pts=cfg.min_pts, scan_interval=cfg.scan_interval
@@ -156,38 +150,23 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         write_summary_csv([], out)
         print(f"no scans for {args.user} on {args.day}; wrote empty {out}")
         return 0
-    labels = dbscan(log, params)
-    visits = segment_visits(log, labels, params)
-    by_label: dict[int, list[VisitInterval]] = {}
-    for visit in visits:
-        by_label.setdefault(visit.label, []).append(visit)
-    if not by_label:
-        write_summary_csv([], out)
+    with SummaryStore(cfg.store) as store:
+        ids = extract_day(store, log, params, cfg.match_threshold)
+        rows = daily_summary(store, args.user, args.day) if ids else []
+    write_summary_csv(rows, out)
+    if not ids:
         print(f"only noise for {args.user} on {args.day}; wrote empty {out}")
         return 0
-    clusters = []
-    for label in sorted(by_label):
-        member_scans = [s for s, l in zip(log.entries, labels) if l == label]
-        clusters.append((build_fingerprint(member_scans), by_label[label]))
-    with SummaryStore(cfg.store) as store:
-        upsert_day(store, args.user, clusters, cfg.match_threshold)
-        rows = daily_summary(store, args.user, args.day)
-    write_summary_csv(rows, out)
     for poi_id, label, start, end in rows:
         print(f"POI {poi_id:>3}  {start} - {end}  {label}")
-    print(f"{len(rows)} visits over {len(by_label)} POI -> {out}")
+    print(f"{len(rows)} visits over {len(ids)} POI -> {out}")
     return 0
 
 
 def cmd_communities(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    nodes = []
-    fps = []
     with SummaryStore(cfg.store) as store:
-        for user in store.users():
-            for record in store.records(user):
-                nodes.append((user, record.poi_id))
-                fps.append(record.fingerprint)
-    sweep = threshold_sweep(fps, cfg.community_thresholds, names=nodes)
+        fps = store.fingerprints()
+    sweep = threshold_sweep(list(fps.values()), cfg.community_thresholds, names=list(fps))
     h = len(fps)
     print(f"{h} POI across users; {h * (h - 1) // 2} pairs scored once for all thresholds")
     kept = {t: (graph, part) for t, graph, part in sweep}
@@ -357,10 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PoiError as exc:

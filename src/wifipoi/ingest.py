@@ -131,8 +131,6 @@ def plan_uploads(log: ScanLog, period: int = UPLOAD_PERIOD) -> list[RawBatch]:
     until the next upload tick. Concatenating all batches reproduces
     the log exactly.
     """
-    # A follow-up flag will add a connectivity mask here; for now the
-    # uplink is assumed available at every period boundary.
     if period <= 0:
         raise ValueError(f"upload period must be positive, got {period}")
     buckets: dict[int, list[ScanResult]] = {}

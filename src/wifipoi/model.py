@@ -124,10 +124,6 @@ class Fingerprint:
     def __len__(self) -> int:
         return len(self.rssi)
 
-    def macs(self) -> tuple[str, ...]:
-        """MACs in canonical (byte-lexicographic) order."""
-        return tuple(sorted(self.rssi))
-
 
 @dataclass(frozen=True)
 class ClusterParams:

@@ -11,7 +11,8 @@ Persistence is an embedded SQLite file with two tables, poi_properties
 and poi_visits, linked by (user, poi_id). poi_id is scoped per user:
 two users may both own poi_id 1. All writes go through one transaction
 per user-day via upsert_day, so a crash mid-day leaves the previous
-state intact.
+state intact. extract_day is the whole per-user-day step: cluster,
+segment, fingerprint, register.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .clustering import VisitInterval
+from .clustering import NOISE, VisitInterval, dbscan, segment_visits
 from .errors import EmptyCluster, StorageFailure, UnknownUser
-from .model import Fingerprint, ScanResult
+from .model import ClusterParams, Fingerprint, ScanLog, ScanResult
 from .similarity import cosine_similarity
 
 MATCH_THRESHOLD = 0.5
@@ -206,6 +207,16 @@ class SummaryStore:
             for poi_id, blob, created_at, label in props
         ]
 
+    def fingerprints(self) -> dict[tuple[str, int], Fingerprint]:
+        """Every user's POI fingerprints keyed by (user, poi_id), in that order.
+
+        One query and no visits: the node set of the cross-user graph.
+        """
+        rows = self.conn.execute(
+            "SELECT user, poi_id, fingerprint FROM poi_properties ORDER BY user, poi_id"
+        )
+        return {(user, poi_id): decode_fingerprint(blob) for user, poi_id, blob in rows}
+
     def check_integrity(self) -> bool:
         """True when every visit row points at an existing POI."""
         orphans = self.conn.execute(
@@ -277,19 +288,30 @@ def upsert_day(
         raise StorageFailure(f"upsert for user {user!r} failed: {exc}") from exc
 
 
-def upsert_poi(
+def extract_day(
     store: SummaryStore,
-    user: str,
-    fp: Fingerprint,
-    visits: Sequence[VisitInterval],
+    log: ScanLog,
+    params: ClusterParams,
     threshold: float = MATCH_THRESHOLD,
-    refresh: bool = True,
-) -> int:
-    """Register one cluster for `user` and return its stable poi_id.
+) -> list[int]:
+    """Cluster one user-day's log and register it; return the day's poi_ids.
 
-    A one-cluster upsert_day: same matching, merge and atomicity.
+    dbscan labels the scans and segment_visits cuts them into visits;
+    each cluster label, in ascending order, becomes one (fingerprint
+    of its member scans, its visits) pair, and upsert_day registers
+    the day for log.user in one transaction. An all-noise day writes
+    nothing and returns []. Raises EmptyLog on a log with no entries.
     """
-    return upsert_day(store, user, [(fp, visits)], threshold, refresh)[0]
+    labels = dbscan(log, params)
+    members: dict[int, list[ScanResult]] = {}
+    for scan, label in zip(log.entries, labels):
+        if label != NOISE:
+            members.setdefault(label, []).append(scan)
+    visits: dict[int, list[VisitInterval]] = {}
+    for visit in segment_visits(log, labels, params):
+        visits.setdefault(visit.label, []).append(visit)
+    clusters = [(build_fingerprint(members[label]), visits[label]) for label in sorted(members)]
+    return upsert_day(store, log.user, clusters, threshold)
 
 
 def _hhmm(ts: int) -> str:

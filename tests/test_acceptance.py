@@ -21,12 +21,12 @@ from oracles import (
     random_fingerprint,
     random_scan_instance,
 )
-from wifipoi.clustering import NOISE, VisitInterval, dbscan, segment_visits
+from wifipoi.clustering import NOISE, VisitInterval, dbscan
 from wifipoi.community import PoiGraph, louvain, modularity
 from wifipoi.errors import StorageFailure
 from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, store_raw
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
-from wifipoi.registry import SummaryStore, build_fingerprint, upsert_poi
+from wifipoi.registry import SummaryStore, extract_day, upsert_day
 from wifipoi.similarity import cosine_similarity, similarity_matrix
 from wifipoi.simgen import (
     AccessPoint,
@@ -52,19 +52,6 @@ def as_log(dicts, interval=300, t0=1_700_000_000):
         for i, d in enumerate(dicts)
     ]
     return build_log("u", "d", scans)
-
-
-def run_user_day(store, user, log, params, threshold=0.5):
-    """The extract pipeline: cluster, segment, register. Returns labels."""
-    labels = dbscan(log, params)
-    visits = segment_visits(log, labels, params)
-    by_label: dict[int, list[VisitInterval]] = {}
-    for v in visits:
-        by_label.setdefault(v.label, []).append(v)
-    for label in sorted(by_label):
-        member = [s for s, l in zip(log.entries, labels) if l == label]
-        upsert_poi(store, user, build_fingerprint(member), by_label[label], threshold)
-    return labels
 
 
 def test_acceptance_1_cosine_reference_equivalence():
@@ -97,7 +84,6 @@ def test_acceptance_1_cosine_reference_equivalence():
 def mall_fingerprints():
     scenario = load_scenario("mall-11-users")
     params = ClusterParams()
-    fps = []
     with SummaryStore() as store:
         for idx, user in enumerate(sorted(scenario.itineraries)):
             rng = np.random.default_rng([0, idx])
@@ -110,10 +96,8 @@ def mall_fingerprints():
                 user=user,
                 device=scenario.devices[user],
             )
-            run_user_day(store, user, log, params)
-        for user in store.users():
-            fps.extend(r.fingerprint for r in store.records(user))
-    return fps
+            extract_day(store, log, params)
+        return list(store.fingerprints().values())
 
 
 def test_acceptance_2_pairwise_count_over_mall_poi():
@@ -156,7 +140,7 @@ def test_acceptance_4_office_day_structure():
     )
     params = ClusterParams(epsilon=0.5, min_pts=4, scan_interval=scenario.scan_interval)
     with SummaryStore() as store:
-        labels = run_user_day(store, user, log, params)
+        extract_day(store, log, params)
         records = store.records(user)
     visits = [(v, r.poi_id) for r in records for v in r.visits]
     visits.sort(key=lambda pair: pair[0].start)
@@ -222,7 +206,7 @@ def test_acceptance_6_three_day_revisit_accuracy():
                 scenario.sigma,
                 user=user,
             )
-            run_user_day(store, user, log, params, threshold=0.5)
+            extract_day(store, log, params, threshold=0.5)
             day_visits = [
                 (v, r.poi_id)
                 for r in store.records(user)
@@ -399,12 +383,8 @@ def test_acceptance_9_persistence_integrity_under_crashes(tmp_path):
             else:
                 fp = make_fp(random_fingerprint(rnd))
                 known_fps.append(fp)
-            upsert_poi(
-                summary,
-                rnd.choice(["u1", "u2", "u3"]),
-                fp,
-                [VisitInterval(1, visit_clock, visit_clock + 1200, 4)],
-            )
+            upsert_day(summary, rnd.choice(["u1", "u2", "u3"]),
+                       [(fp, [VisitInterval(1, visit_clock, visit_clock + 1200, 4)])])
         elif roll < 0.65:
             # crash injected somewhere inside the write transaction;
             # a fresh fingerprint makes 3 writes (poi row + 2 visits)
@@ -413,15 +393,10 @@ def test_acceptance_9_persistence_integrity_under_crashes(tmp_path):
             summary.conn = _FlakyConn(real, fail_on_write=rnd.randint(1, 3))
             try:
                 with pytest.raises(StorageFailure):
-                    upsert_poi(
-                        summary,
-                        "u1",
-                        make_fp(random_fingerprint(rnd)),
-                        [
-                            VisitInterval(1, visit_clock, visit_clock + 1200, 4),
-                            VisitInterval(1, visit_clock + 2000, visit_clock + 3000, 4),
-                        ],
-                    )
+                    upsert_day(summary, "u1", [(make_fp(random_fingerprint(rnd)), [
+                        VisitInterval(1, visit_clock, visit_clock + 1200, 4),
+                        VisitInterval(1, visit_clock + 2000, visit_clock + 3000, 4),
+                    ])])
             finally:
                 summary.conn = real
             assert {u: summary.records(u) for u in summary.users()} == before

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from wifipoi.cli import main
+from wifipoi.registry import SummaryStore
 
 DAY = "2026-03-02"
 
@@ -88,8 +89,6 @@ class TestExtract:
         assert len({r[0] for r in rows[1:]}) == 4
 
     def test_rerun_is_idempotent(self, workdir):
-        from wifipoi.registry import SummaryStore
-
         def snapshot():
             with SummaryStore(workdir / "poi.db") as store:
                 counts = [
@@ -120,6 +119,26 @@ class TestExtract:
         run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
         assert run("extract", "--store", "poi.db", "--user", "bob", "--day", DAY) == 3
         assert "bob" in capsys.readouterr().err
+
+    def test_only_noise_writes_empty_summary(self, workdir, capsys):
+        sim = simulate_office(workdir)
+        run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
+        capsys.readouterr()
+        assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY,
+                   "--epsilon", "1.0") == 0
+        assert "only noise" in capsys.readouterr().out
+        assert read_csv(workdir / f"alice_{DAY}.csv") == [["poi_id", "label", "start", "end"]]
+        with SummaryStore(workdir / "poi.db") as store:
+            assert store.users() == []
+
+    def test_missing_out_directory_writes_nothing(self, workdir, capsys):
+        sim = simulate_office(workdir)
+        run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
+        assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY,
+                   "--out", "missing/alice.csv") == 2
+        assert "missing" in capsys.readouterr().err
+        with SummaryStore(workdir / "poi.db") as store:
+            assert store.users() == []
 
     def test_epsilon_override_accepted(self, workdir):
         sim = simulate_office(workdir)
@@ -178,11 +197,11 @@ class TestCommunities:
     def test_single_poi_exits_three(self, workdir, capsys):
         from wifipoi.clustering import VisitInterval
         from wifipoi.model import Fingerprint
-        from wifipoi.registry import SummaryStore, upsert_poi
+        from wifipoi.registry import upsert_day
 
         with SummaryStore(workdir / "one.db") as store:
             fp = Fingerprint(rssi={"aa:00:00:00:00:01": -50.0}, counts={"aa:00:00:00:00:01": 4})
-            upsert_poi(store, "u", fp, [VisitInterval(1, 0, 1200, 4)])
+            upsert_day(store, "u", [(fp, [VisitInterval(1, 0, 1200, 4)])])
         assert run("communities", "--store", workdir / "one.db") == 3
         assert "2" in capsys.readouterr().err
 

@@ -1,12 +1,15 @@
 """POI registry: fingerprint build/merge, matching, store persistence."""
+import collections
 import random
 import sqlite3
+import time
 
+import numpy as np
 import pytest
 
-from wifipoi.clustering import VisitInterval
-from wifipoi.errors import EmptyCluster, StorageFailure, UnknownUser
-from wifipoi.model import Fingerprint, ScanResult
+from wifipoi.clustering import VisitInterval, dbscan, segment_visits
+from wifipoi.errors import EmptyCluster, EmptyLog, StorageFailure, UnknownUser
+from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
 from wifipoi.registry import (
     PoiRecord,
     SummaryStore,
@@ -15,12 +18,13 @@ from wifipoi.registry import (
     day_window,
     decode_fingerprint,
     encode_fingerprint,
+    extract_day,
     match_poi,
     merge_fingerprints,
     upsert_day,
-    upsert_poi,
     write_summary_csv,
 )
+from wifipoi.simgen import generate_trace, load_scenario
 
 A = "aa:00:00:00:00:01"
 B = "bb:00:00:00:00:02"
@@ -130,45 +134,45 @@ class TestFingerprintCodec:
 class TestUpsert:
     def test_first_cluster_gets_id_one(self):
         with SummaryStore() as store:
-            assert upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)]) == 1
+            assert upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])[0] == 1
 
     def test_same_fingerprint_twice_reuses_id(self):
         with SummaryStore() as store:
-            one = upsert_poi(store, "u", fp({A: -50.0, B: -60.0}), [visit(0, 20)])
-            two = upsert_poi(store, "u", fp({A: -50.0, B: -60.0}), [visit(60, 80)])
+            one = upsert_day(store, "u", [(fp({A: -50.0, B: -60.0}), [visit(0, 20)])])[0]
+            two = upsert_day(store, "u", [(fp({A: -50.0, B: -60.0}), [visit(60, 80)])])[0]
             assert one == two
             assert len(store.records("u")[0].visits) == 2
 
     def test_rerunning_a_day_is_a_noop(self):
         with SummaryStore() as store:
             fp1 = fp({A: -50.0, B: -60.0})
-            upsert_poi(store, "u", fp1, [visit(0, 20)])
+            upsert_day(store, "u", [(fp1, [visit(0, 20)])])
             before = store.records("u")
-            upsert_poi(store, "u", fp1, [visit(0, 20)])
+            upsert_day(store, "u", [(fp1, [visit(0, 20)])])
             assert store.records("u") == before
 
     def test_two_rooms_get_distinct_ids(self):
         with SummaryStore() as store:
-            first = upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)])
-            second = upsert_poi(store, "u", fp({B: -60.0}), [visit(60, 80)])
+            first = upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])[0]
+            second = upsert_day(store, "u", [(fp({B: -60.0}), [visit(60, 80)])])[0]
             assert (first, second) == (1, 2)
 
     def test_ids_are_scoped_per_user(self):
         with SummaryStore() as store:
-            assert upsert_poi(store, "u1", fp({A: -50.0}), [visit(0, 20)]) == 1
-            assert upsert_poi(store, "u2", fp({B: -60.0}), [visit(0, 20)]) == 1
+            assert upsert_day(store, "u1", [(fp({A: -50.0}), [visit(0, 20)])])[0] == 1
+            assert upsert_day(store, "u2", [(fp({B: -60.0}), [visit(0, 20)])])[0] == 1
 
     def test_refresh_takes_count_weighted_mean(self):
         with SummaryStore() as store:
-            upsert_poi(store, "u", fp({A: -50.0}, {A: 4}), [visit(0, 20)])
-            upsert_poi(store, "u", fp({A: -60.0}, {A: 4}), [visit(60, 80)])
+            upsert_day(store, "u", [(fp({A: -50.0}, {A: 4}), [visit(0, 20)])])
+            upsert_day(store, "u", [(fp({A: -60.0}, {A: 4}), [visit(60, 80)])])
             assert store.records("u")[0].fingerprint.rssi == {A: -55.0}
             assert store.records("u")[0].fingerprint.counts == {A: 8}
 
     def test_refresh_can_be_disabled(self):
         with SummaryStore() as store:
-            upsert_poi(store, "u", fp({A: -50.0}, {A: 4}), [visit(0, 20)])
-            upsert_poi(store, "u", fp({A: -60.0}, {A: 4}), [visit(60, 80)], refresh=False)
+            upsert_day(store, "u", [(fp({A: -50.0}, {A: 4}), [visit(0, 20)])])
+            upsert_day(store, "u", [(fp({A: -60.0}, {A: 4}), [visit(60, 80)])], refresh=False)
             assert store.records("u")[0].fingerprint.rssi == {A: -50.0}
 
     def test_refresh_stays_in_observation_range(self):
@@ -177,8 +181,8 @@ class TestUpsert:
             lo, hi = -70.0, -45.0
             for k in range(10):
                 level = rnd.uniform(lo, hi)
-                upsert_poi(store, "u", fp({A: level}, {A: rnd.randint(1, 6)}),
-                           [visit(30 * k, 30 * k + 20)])
+                upsert_day(store, "u", [(fp({A: level}, {A: rnd.randint(1, 6)}),
+                                         [visit(30 * k, 30 * k + 20)])])
             merged = store.records("u")[0].fingerprint.rssi[A]
             assert lo <= merged <= hi
 
@@ -210,7 +214,7 @@ class FaultyConn:
 class TestAtomicity:
     def test_injected_failure_rolls_back_whole_upsert(self):
         store = SummaryStore()
-        upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)])
+        upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
         # calls 1-2 read the registry, 3 inserts the new POI row, 4 adds
@@ -218,8 +222,8 @@ class TestAtomicity:
         # that the transaction must roll back in full
         store.conn = FaultyConn(real, fail_after=4)
         with pytest.raises(StorageFailure):
-            upsert_poi(store, "u", fp({B: -60.0}),
-                       [visit(60, 80), visit(120, 140), visit(180, 200)])
+            upsert_day(store, "u", [(fp({B: -60.0}),
+                                     [visit(60, 80), visit(120, 140), visit(180, 200)])])
         store.conn = real
         assert store.records("u") == before
         assert store.users() == ["u"]
@@ -228,7 +232,7 @@ class TestAtomicity:
 
     def test_failure_on_last_cluster_rolls_back_the_day(self):
         store = SummaryStore()
-        upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)])
+        upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
         # 2 reads, then per cluster a POI row and one visit: 8 calls;
@@ -268,7 +272,7 @@ def random_days(rnd, n_days, places):
 
 
 class TestUpsertDay:
-    def test_equals_successive_upsert_poi(self):
+    def test_equals_successive_one_cluster_days(self):
         rnd = random.Random(31)
         new = revisit = shared = 0
         for trial in range(40):
@@ -278,7 +282,7 @@ class TestUpsertDay:
                 for clusters in days:
                     known = {r.poi_id for r in batch.records("u")}
                     got = upsert_day(batch, "u", clusters, threshold)
-                    want = [upsert_poi(single, "u", f, v, threshold) for f, v in clusters]
+                    want = [upsert_day(single, "u", [(f, v)], threshold)[0] for f, v in clusters]
                     assert got == want
                     assert batch.records("u") == single.records("u")
                     new += len(set(got) - known)
@@ -291,7 +295,7 @@ class TestUpsertDay:
         # {B, C} shares nothing with POI 1's {A} but scores exactly 0.5
         # against {A, B}, the fingerprint after the first cluster's merge
         with SummaryStore() as store:
-            upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)])
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
             ids = upsert_day(store, "u", [
                 (fp({A: -50.0, B: -50.0}), [visit(60, 80)]),
                 (fp({B: -50.0, C: -50.0}), [visit(120, 140)]),
@@ -326,12 +330,79 @@ class TestUpsertDay:
         macs = (A, B, C, "dd:00:00:00:00:04", "ee:00:00:00:00:05")
         clusters = [(fp({m: -50.0}), [visit(60 * k, 60 * k + 20)]) for k, m in enumerate(macs)]
         with SummaryStore() as store:
-            upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 10)])
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 10)])])
             issued = []
             store.conn.set_trace_callback(issued.append)
             assert upsert_day(store, "u", clusters) == [1, 2, 3, 4, 5]
             commits = [sql for sql in issued if sql.lstrip().upper().startswith("COMMIT")]
             assert len(commits) == 1
+
+
+def office_days():
+    """The office-3day scenario's days as simulated scan logs, in order."""
+    scenario = load_scenario("office-3day")
+    (user,) = scenario.itineraries
+    by_day = collections.defaultdict(list)
+    for entry in scenario.itineraries[user]:
+        by_day[time.strftime("%Y-%m-%d", time.gmtime(entry.arrival))].append(entry)
+    return [
+        generate_trace(scenario.env, tuple(by_day[day]), scenario.scan_interval,
+                       np.random.default_rng([11, k]), scenario.sigma, user=user)[0]
+        for k, day in enumerate(sorted(by_day))
+    ], ClusterParams(scan_interval=scenario.scan_interval)
+
+
+def reference_extract(store, log, params):
+    """dbscan -> segment_visits -> build_fingerprint per label -> upsert_day."""
+    labels = dbscan(log, params)
+    by_label = collections.defaultdict(list)
+    for v in segment_visits(log, labels, params):
+        by_label[v.label].append(v)
+    clusters = [
+        (build_fingerprint([s for s, l in zip(log.entries, labels) if l == label]), by_label[label])
+        for label in sorted(by_label)
+    ]
+    return upsert_day(store, log.user, clusters)
+
+
+class TestExtractDay:
+    def test_equals_the_step_by_step_pipeline(self):
+        logs, params = office_days()
+        with SummaryStore() as got, SummaryStore() as want:
+            for log in logs:
+                ids = extract_day(got, log, params)
+                assert ids == reference_extract(want, log, params)
+                assert len(ids) > 1
+                assert got.records(log.user) == want.records(log.user)
+
+    def test_all_noise_day_writes_nothing(self):
+        # three scans with nothing in common: no scan has min_pts neighbours
+        log = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
+        with SummaryStore() as store:
+            assert extract_day(store, log, ClusterParams()) == []
+            assert store.users() == []
+            assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (0,)
+
+    def test_empty_log_raises(self):
+        with SummaryStore() as store:
+            with pytest.raises(EmptyLog):
+                extract_day(store, build_log("u", "d", []), ClusterParams())
+
+
+class TestFingerprints:
+    def test_order_equals_users_then_records(self):
+        rnd = random.Random(33)
+        with SummaryStore() as store:
+            for user in ("u2", "u10", "U1", "u1"):
+                for clusters in random_days(rnd, n_days=3, places=4):
+                    upsert_day(store, user, clusters)
+            want = [
+                ((user, record.poi_id), record.fingerprint)
+                for user in store.users()
+                for record in store.records(user)
+            ]
+            assert list(store.fingerprints().items()) == want
+            assert len({user for (user, _), _ in want}) == 4
 
 
 class TestDailySummary:
@@ -342,13 +413,13 @@ class TestDailySummary:
 
     def test_empty_day(self):
         with SummaryStore() as store:
-            upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)])
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
             assert daily_summary(store, "u", "2026-03-03") == []
 
     def test_rows_ordered_with_hhmm_rendering(self):
         with SummaryStore() as store:
-            upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20), visit(9 * 60, 9 * 60 + 30)])
-            upsert_poi(store, "u", fp({B: -60.0}), [visit(120, 150)])
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20), visit(9 * 60, 9 * 60 + 30)])])
+            upsert_day(store, "u", [(fp({B: -60.0}), [visit(120, 150)])])
             rows = daily_summary(store, "u", DAY)
             assert rows == [
                 (1, "", "00:00", "00:20"),
@@ -361,11 +432,11 @@ class TestDailySummary:
         with SummaryStore() as store:
             macs = ["%02x:00:00:00:00:0%d" % (k, k % 10) for k in range(12)]
             for k, mac in enumerate(macs):
-                upsert_poi(store, "u", fp({mac: -50.0}), [visit(40 * k, 40 * k + 20)])
+                upsert_day(store, "u", [(fp({mac: -50.0}), [visit(40 * k, 40 * k + 20)])])
             repeats = {1: [(600, 620), (700, 720)], 9: [(640, 660)], 12: [(680, 699), (730, 750)]}
             for poi_id, windows in repeats.items():
                 for start, end in windows:
-                    upsert_poi(store, "u", fp({macs[poi_id - 1]: -50.0}), [visit(start, end)])
+                    upsert_day(store, "u", [(fp({macs[poi_id - 1]: -50.0}), [visit(start, end)])])
             rows = daily_summary(store, "u", DAY)
             by_id = [r[0] for r in rows]
             assert len(by_id) == 12 + 5
@@ -374,7 +445,7 @@ class TestDailySummary:
 
     def test_csv_export_shape(self, tmp_path):
         with SummaryStore() as store:
-            upsert_poi(store, "u", fp({A: -50.0}), [visit(0, 20)])
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
             out = tmp_path / "u_day.csv"
             write_summary_csv(daily_summary(store, "u", DAY), out)
             lines = out.read_text().splitlines()
