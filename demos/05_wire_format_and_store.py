@@ -45,8 +45,8 @@ for batch in plan_uploads(log, period=21600):
     print(f"  [{lo}, {hi})  {len(batch.scans)} scans, {len(payload)} bytes")
 
 store = RawStore()  # in-memory; the CLI uses a file
-first = store_raw(store, log)
-again = store_raw(store, log)
+first = store_raw(store, [log])[0]
+again = store_raw(store, [log])[0]
 print(f"\ningest: {first.added} added; retry: {again.added} added, {again.skipped} skipped")
 print(f"stored users: {store.users()}")
 window = store.load_log("maria", T0, T0 + 3600)

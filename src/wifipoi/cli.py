@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    ingest FILE...                  decode .scan/.scan.gz files into the raw store
+    ingest FILE...                  land .scan/.scan.gz files in the raw store, all or none
     extract --user U --day D        cluster one user-day and update the POI registry
     communities [--thresholds ...]  cross-user common-POI report + threshold sweep
     simulate --scenario S --seed N  generate synthetic scan files + ground truth
@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .community import (
 )
 from .errors import InputError, PoiError, UnknownUser
 from .ingest import RawStore, decode_log, decompress_batch, encode_log, compress_batch, store_raw
-from .model import ClusterParams
+from .model import ClusterParams, ScanLog
 from .registry import SummaryStore, daily_summary, day_window, extract_day, write_summary_csv
 from .simgen import generate_trace, load_scenario, write_ground_truth_csv
 
@@ -117,18 +117,26 @@ def _user_from_filename(path: Path) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    total_added = total_skipped = 0
+    """Land every file in one raw-store transaction; a bad file rejects them all."""
+    paths = [Path(name) for name in args.files]
+
+    def logs() -> Iterator[ScanLog]:
+        for path in paths:
+            try:
+                data = path.read_bytes()
+                if path.name.endswith(".gz"):
+                    data = decompress_batch(data)
+                log = decode_log(data, user=_user_from_filename(path))
+            except InputError as exc:
+                raise InputError(f"{path}: {exc}") from exc
+            yield log
+
     with RawStore(cfg.store) as store:
-        for name in args.files:
-            path = Path(name)
-            data = path.read_bytes()
-            if path.name.endswith(".gz"):
-                data = decompress_batch(data)
-            log = decode_log(data, user=_user_from_filename(path))
-            report = store_raw(store, log)
-            total_added += report.added
-            total_skipped += report.skipped
-            print(f"{path}: {report.added} rows added, {report.skipped} skipped")
+        reports = store_raw(store, logs())
+    for path, report in zip(paths, reports):
+        print(f"{path}: {report.added} rows added, {report.skipped} skipped")
+    total_added = sum(report.added for report in reports)
+    total_skipped = sum(report.skipped for report in reports)
     print(f"total: {total_added} added, {total_skipped} skipped")
     return 0
 

@@ -307,18 +307,25 @@ def threshold_sweep(
 
     Pairs are scored once, by build_graph at the lowest threshold; each
     row's graph keeps those edges at or above its threshold, in the
-    same order, and goes through louvain. A threshold that leaves no
-    edge has no partition and gets no row; EmptyGraph is raised when
-    that holds for every threshold. Raises what build_graph raises.
+    same order, and goes through louvain. The kept edge sets are nested,
+    so thresholds that keep as many edges keep the same graph and share
+    one louvain run. A threshold that leaves no edge has no partition
+    and gets no row; EmptyGraph is raised when that holds for every
+    threshold. Raises what build_graph raises.
     """
     if not thresholds:
         return []
     scored = build_graph(fps, min(thresholds), names)
+    by_size: dict[int, tuple[PoiGraph, Partition]] = {}
     out = []
     for t in thresholds:
-        graph = PoiGraph(nodes=scored.nodes, edges=tuple(e for e in scored.edges if e[2] >= t))
-        if graph.edges:
-            out.append((t, graph, louvain(graph)))
+        edges = tuple(e for e in scored.edges if e[2] >= t)
+        if not edges:
+            continue
+        if len(edges) not in by_size:
+            graph = PoiGraph(nodes=scored.nodes, edges=edges)
+            by_size[len(edges)] = (graph, louvain(graph))
+        out.append((t, *by_size[len(edges)]))
     if not out:
         raise EmptyGraph(f"no threshold in {list(thresholds)} leaves an edge")
     return out

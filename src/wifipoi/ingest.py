@@ -9,6 +9,9 @@ byte-reproducible and a partial upload fails at line granularity.
 Batches gzip-compress very well because MAC strings repeat in nearly
 every line. The raw store keeps one row per (user, t, mac) observation
 and silently skips duplicates, which makes re-ingestion a no-op.
+store_raw lands any number of logs in one transaction, so a caller that
+feeds it several uploads (the CLI's ingest call) keeps all or none of
+them; since duplicates are skipped, a rejected call can simply be re-run.
 
 The user never appears on the wire; it is carried out of band (the CLI
 takes it from the file name) and supplied to decode_log explicitly.
@@ -22,8 +25,9 @@ import sqlite3
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
-from .errors import CorruptStream, MalformedLine, RssiOutOfRange, StorageFailure
+from .errors import CorruptStream, MalformedLine, MalformedMac, RssiOutOfRange, StorageFailure
 from .model import ScanLog, ScanResult, parse_mac, rssi_in_range
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
@@ -41,7 +45,8 @@ def encode_log(log: ScanLog) -> bytes:
     return "".join(_encode_line(log.device, s) + "\n" for s in log.entries).encode()
 
 
-def _decode_line(line_no: int, line: str) -> tuple[int, str, ScanResult]:
+def _decode_line(line_no: int, line: str, macs: dict[str, str]) -> tuple[int, str, ScanResult]:
+    """Parse one wire line; `macs` memoises parse_mac by raw MAC string."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -63,7 +68,12 @@ def _decode_line(line_no: int, line: str) -> tuple[int, str, ScanResult]:
         raw_mac, rssi = entry
         if not isinstance(raw_mac, str):
             raise MalformedLine(line_no, "mac must be a string")
-        mac = parse_mac(raw_mac)
+        mac = macs.get(raw_mac)
+        if mac is None:
+            try:
+                mac = macs[raw_mac] = parse_mac(raw_mac)
+            except MalformedMac as exc:
+                raise MalformedMac(f"line {line_no}: {exc}") from exc
         if not isinstance(rssi, int) or isinstance(rssi, bool):
             raise MalformedLine(line_no, "rssi must be an integer")
         if not rssi_in_range(rssi):
@@ -84,10 +94,11 @@ def decode_log(data: bytes, user: str = "") -> ScanLog:
     """
     device = ""
     by_time: dict[int, ScanResult] = {}
+    macs: dict[str, str] = {}  # an upload repeats a few hundred MAC strings
     for line_no, line in enumerate(data.decode("utf-8", errors="replace").split("\n"), 1):
         if not line.strip():
             continue
-        t, dev, scan = _decode_line(line_no, line)
+        t, dev, scan = _decode_line(line_no, line, macs)
         if device and dev != device:
             raise MalformedLine(line_no, f"device {dev!r} conflicts with {device!r}")
         device = dev
@@ -218,24 +229,32 @@ class RawStore:
         return len(rows)
 
 
-def store_raw(store: RawStore, log: ScanLog) -> IngestReport:
-    """Append a log's observations; duplicates are skipped and counted.
+def _rows(log: ScanLog) -> Iterator[tuple[str, int, str, int]]:
+    for scan in log.entries:
+        for mac, rssi in scan.observations:
+            yield log.user, scan.timestamp, mac, rssi
 
-    Atomic: either every new row lands or none does.
+
+def store_raw(store: RawStore, logs: Iterable[ScanLog]) -> list[IngestReport]:
+    """Append each log's observations; one report per log, in order.
+
+    Duplicate rows are skipped and counted. All logs land in one
+    transaction: if any log fails to store, or `logs` itself raises
+    (say, an upload that does not decode), nothing is kept.
     """
-    added = 0
-    total = 0
+    reports = []
+    user = None
     try:
         with store.conn:
-            for scan in log.entries:
-                for mac, rssi in scan.observations:
-                    cur = store.conn.execute(
-                        "INSERT OR IGNORE INTO raw_observations (user, t, mac, rssi)"
-                        " VALUES (?, ?, ?, ?)",
-                        (log.user, scan.timestamp, mac, rssi),
-                    )
-                    added += cur.rowcount
-                    total += 1
+            for log in logs:
+                user = log.user
+                cur = store.conn.executemany(
+                    "INSERT OR IGNORE INTO raw_observations (user, t, mac, rssi)"
+                    " VALUES (?, ?, ?, ?)",
+                    _rows(log),
+                )
+                total = sum(len(scan.observations) for scan in log.entries)
+                reports.append(IngestReport(added=cur.rowcount, skipped=total - cur.rowcount))
     except sqlite3.Error as exc:
-        raise StorageFailure(f"raw ingest for user {log.user!r} failed: {exc}") from exc
-    return IngestReport(added=added, skipped=total - added)
+        raise StorageFailure(f"raw ingest for user {user!r} failed: {exc}") from exc
+    return reports

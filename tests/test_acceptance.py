@@ -409,13 +409,13 @@ def test_acceptance_9_persistence_integrity_under_crashes(tmp_path):
                 for i in range(rnd.randint(1, 4))
             ]
             log = build_log(rnd.choice(["u1", "u2"]), "dev", scans)
-            store_raw(raw, log)
+            store_raw(raw, [log])
             ingested.append(log)
         assert summary.check_integrity()
 
     # ingest idempotence: replaying every batch adds nothing new
     for log in ingested:
-        replay = store_raw(raw, log)
+        replay = store_raw(raw, [log])[0]
         assert replay.added == 0
     assert summary.check_integrity()
     summary.close()

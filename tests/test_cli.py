@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from wifipoi import cli
 from wifipoi.cli import main
+from wifipoi.ingest import RawStore
 from wifipoi.registry import SummaryStore
 
 DAY = "2026-03-02"
@@ -76,6 +78,45 @@ class TestIngest:
 
     def test_missing_file_exits_two(self, workdir):
         assert run("ingest", "--store", "poi.db", "ghost.scan.gz") == 2
+
+    def test_bad_second_file_rejects_the_call(self, workdir, capsys):
+        sim = simulate_office(workdir)
+        bad = workdir / "bob.scan"
+        bad.write_bytes(
+            b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
+            b'{"t":400,"dev":"d","aps":[["zz:00:00:00:00:01",-50]]}\n'
+        )
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz", bad) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: line 2: not a 48-bit MAC address" in captured.err
+        assert "rows added" not in captured.out
+        with RawStore(workdir / "poi.db") as store:
+            assert rows_in(store) == 0
+
+    def test_one_call_is_one_commit(self, workdir, capsys, monkeypatch, commit_counter):
+        class CountingRawStore(RawStore):
+            def __init__(self, path):
+                super().__init__(path)
+                commit_counter.attach(self.conn)
+
+        sim = simulate_office(workdir)
+        (workdir / "copy.scan.gz").write_bytes((sim / "alice.scan.gz").read_bytes())
+        monkeypatch.setattr(cli, "RawStore", CountingRawStore)
+        capsys.readouterr()
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz", "copy.scan.gz") == 0
+        assert commit_counter.commits == 1
+        out = capsys.readouterr().out.splitlines()
+        with RawStore(workdir / "poi.db") as store:
+            rows = rows_in(store)
+        assert out == [
+            f"{sim / 'alice.scan.gz'}: {rows // 2} rows added, 0 skipped",
+            f"copy.scan.gz: {rows // 2} rows added, 0 skipped",
+            f"total: {rows} added, 0 skipped",
+        ]
+
+
+def rows_in(store):
+    return store.conn.execute("SELECT COUNT(*) FROM raw_observations").fetchone()[0]
 
 
 class TestExtract:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import best_partition_q, naive_cosine, naive_modularity, random_fingerprint
+from wifipoi import community
 from wifipoi.community import (
     PoiGraph,
     build_graph,
@@ -234,6 +235,24 @@ class TestThresholdSweep:
         for t, graph, partition in threshold_sweep(fps, [0.5, 0.2, 0.4, 0.3], names):
             assert graph == build_graph(fps, t, names)
             assert partition == louvain(graph)
+
+    def test_one_louvain_run_per_distinct_graph(self, monkeypatch):
+        calls = []
+
+        def counting_louvain(graph, *args, **kwargs):
+            calls.append(len(graph.edges))
+            return louvain(graph, *args, **kwargs)
+
+        monkeypatch.setattr(community, "louvain", counting_louvain)
+        threshold_sweep(interior_peak_fingerprints(), [0.3, 0.3])
+        assert len(calls) == 1
+        calls.clear()
+        rows = threshold_sweep(worked_example(), [0.1, 0.2, 0.15])
+        assert calls == [1]
+        assert len({(id(graph), id(partition)) for _, graph, partition in rows}) == 1
+        calls.clear()
+        table = threshold_sweep(interior_peak_fingerprints(), [0.2, 0.3, 0.4, 0.5, 0.45])
+        assert sorted(calls) == sorted({len(graph.edges) for _, graph, _ in table})
 
     def test_edge_at_exactly_the_threshold_is_kept(self):
         ((t, graph, partition),) = threshold_sweep(worked_example(), [0.2])

@@ -1,13 +1,21 @@
 """Wire codec, gzip batching, upload planning, raw persistence."""
 import gzip
 import random
+import sqlite3
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wifipoi.errors import CorruptStream, MalformedLine, MalformedMac, RssiOutOfRange
+from wifipoi.errors import (
+    CorruptStream,
+    MalformedLine,
+    MalformedMac,
+    RssiOutOfRange,
+    StorageFailure,
+)
 from wifipoi.ingest import (
+    IngestReport,
     RawStore,
     compress_batch,
     decode_log,
@@ -83,6 +91,26 @@ class TestDecodeErrors:
     def test_malformed_mac(self):
         with pytest.raises(MalformedMac):
             decode_log(b'{"t":100,"dev":"d","aps":[["zz:zz",-50]]}\n')
+
+    def test_malformed_mac_names_the_line(self):
+        data = self.good_line() + b'{"t":400,"dev":"d","aps":[["zz:00:00:00:00:01",-50]]}\n'
+        with pytest.raises(MalformedMac, match="line 2"):
+            decode_log(data)
+
+    def test_mac_spelled_two_ways_is_a_duplicate(self):
+        line = b'{"t":100,"dev":"d","aps":[["AA-00-00-00-00-01",-50],["aa:00:00:00:00:01",-60]]}'
+        with pytest.raises(MalformedLine, match="duplicate mac aa:00:00:00:00:01"):
+            decode_log(line + b"\n")
+
+    def test_each_spelling_decodes_to_the_canonical_mac(self):
+        data = (
+            b'{"t":100,"dev":"d","aps":[["AA-00-00-00-00-01",-50]]}\n'
+            b'{"t":400,"dev":"d","aps":[["aa:00:00:00:00:01",-51]]}\n'
+            b'{"t":700,"dev":"d","aps":[["AA-00-00-00-00-01",-52]]}\n'
+        )
+        assert [s.observations for s in decode_log(data).entries] == [
+            ((A, -50),), ((A, -51),), ((A, -52),),
+        ]
 
     @pytest.mark.parametrize(
         "line",
@@ -190,8 +218,8 @@ class TestRawStore:
     def test_reingest_is_all_skipped(self):
         with RawStore() as store:
             log = small_log()
-            first = store_raw(store, log)
-            again = store_raw(store, log)
+            first = store_raw(store, [log])[0]
+            again = store_raw(store, [log])[0]
             assert first.added == 6 and first.skipped == 0
             assert again.added == 0 and again.skipped == 6
 
@@ -199,15 +227,15 @@ class TestRawStore:
         with RawStore() as store:
             log_u = small_log()
             log_v = ScanLog(user="v", device="dev2", entries=log_u.entries)
-            store_raw(store, log_u)
-            report = store_raw(store, log_v)
+            store_raw(store, [log_u])
+            report = store_raw(store, [log_v])[0]
             assert report.added == 6
             assert store.users() == ["u", "v"]
 
     def test_has_user_is_an_indexed_lookup(self):
         with RawStore() as store:
-            store_raw(store, small_log())
-            store_raw(store, ScanLog(user="uv", device="d", entries=small_log().entries))
+            store_raw(store, [small_log()])
+            store_raw(store, [ScanLog(user="uv", device="d", entries=small_log().entries)])
             for name in ("u", "uv", "v", "", "U"):
                 assert store.has_user(name) == (name in store.users())
             issued = []
@@ -230,7 +258,7 @@ class TestRawStore:
             batches.append((user, build_log(user, "d", scans)))
         with RawStore() as store:
             for user, log in batches:
-                store_raw(store, log)
+                store_raw(store, [log])
                 for entry in log.entries:
                     for mac, rssi in entry.observations:
                         # first write of a (user,t,mac) key wins
@@ -240,10 +268,18 @@ class TestRawStore:
                 store.conn.execute("SELECT user, t, mac, rssi FROM raw_observations")
             )
             assert stored == rows
+        # the same batches fed to one call land the same rows
+        with RawStore() as store:
+            reports = store_raw(store, (log for _, log in batches))
+            assert rows_of(store) == rows
+            assert sum(r.added for r in reports) == len(rows)
+            assert [r.added + r.skipped for r in reports] == [
+                sum(len(s.observations) for s in log.entries) for _, log in batches
+            ]
 
     def test_load_log_window(self):
         with RawStore() as store:
-            store_raw(store, small_log())
+            store_raw(store, [small_log()])
             full = store.load_log("u")
             assert len(full) == 3
             window = store.load_log("u", lo=1_700_000_300, hi=1_700_000_600)
@@ -251,9 +287,69 @@ class TestRawStore:
 
     def test_export_csv(self, tmp_path):
         with RawStore() as store:
-            store_raw(store, small_log(n=2))
+            store_raw(store, [small_log(n=2)])
             out = tmp_path / "raw.csv"
             count = store.export_csv(out)
             lines = out.read_text().splitlines()
             assert lines[0] == "user,t,mac,rssi"
             assert count == 4 and len(lines) == 5
+
+    def test_one_call_is_one_commit(self, commit_counter):
+        a = small_log()
+        b = ScanLog(user="v", device="dev2", entries=a.entries)
+        with RawStore() as store:
+            commit_counter.attach(store.conn)
+            reports = store_raw(store, [a, b, a])
+            assert commit_counter.commits == 1
+        assert reports == [IngestReport(6, 0), IngestReport(6, 0), IngestReport(0, 6)]
+
+    def test_storage_failure_on_second_log_keeps_nothing(self):
+        with RawStore() as store:
+            store_raw(store, [small_log()])
+            before = rows_of(store)
+            real = store.conn
+            store.conn = FailingExecutemany(real, fail_on=2)
+            with pytest.raises(StorageFailure, match="'v'"):
+                store_raw(store, [small_log(t0=1_800_000_000),
+                                  ScanLog(user="v", device="d", entries=small_log().entries)])
+            store.conn = real
+            assert rows_of(store) == before
+
+    def test_input_error_from_the_logs_keeps_nothing(self):
+        def logs():
+            yield small_log()
+            decode_log(b"not json\n")
+            yield small_log(t0=1_800_000_000)  # never reached
+
+        with RawStore() as store:
+            with pytest.raises(MalformedLine, match="line 1"):
+                store_raw(store, logs())
+            assert rows_of(store) == set()
+
+
+def rows_of(store):
+    return set(store.conn.execute("SELECT user, t, mac, rssi FROM raw_observations"))
+
+
+class FailingExecutemany:
+    """Forwards to a real connection; the nth executemany fails."""
+
+    def __init__(self, conn, fail_on):
+        self._conn = conn
+        self._calls = 0
+        self._fail_on = fail_on
+
+    def executemany(self, *args, **kwargs):
+        self._calls += 1
+        if self._calls == self._fail_on:
+            raise sqlite3.OperationalError("disk I/O error (injected)")
+        return self._conn.executemany(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def __enter__(self):
+        return self._conn.__enter__()
+
+    def __exit__(self, *exc):
+        return self._conn.__exit__(*exc)

@@ -326,16 +326,14 @@ class TestUpsertDay:
             assert upsert_day(store, "u", []) == []
             assert store.users() == []
 
-    def test_one_commit_per_day(self):
+    def test_one_commit_per_day(self, commit_counter):
         macs = (A, B, C, "dd:00:00:00:00:04", "ee:00:00:00:00:05")
         clusters = [(fp({m: -50.0}), [visit(60 * k, 60 * k + 20)]) for k, m in enumerate(macs)]
         with SummaryStore() as store:
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 10)])])
-            issued = []
-            store.conn.set_trace_callback(issued.append)
+            commit_counter.attach(store.conn)
             assert upsert_day(store, "u", clusters) == [1, 2, 3, 4, 5]
-            commits = [sql for sql in issued if sql.lstrip().upper().startswith("COMMIT")]
-            assert len(commits) == 1
+            assert commit_counter.commits == 1
 
 
 def office_days():
