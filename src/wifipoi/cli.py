@@ -35,7 +35,9 @@ from .community import (
 from .errors import InputError, PoiError, UnknownUser
 from .ingest import RawStore, decode_log, decompress_batch, encode_log, compress_batch, store_raw
 from .model import ClusterParams, ScanLog
-from .registry import SummaryStore, daily_summary, day_window, extract_day, write_summary_csv
+from .registry import (
+    MATCH_THRESHOLD, SummaryStore, daily_summary, day_window, extract_day, write_summary_csv,
+)
 from .simgen import generate_trace, load_scenario, write_ground_truth_csv
 
 DEFAULT_STORE = "wifipoi.db"
@@ -46,10 +48,10 @@ STORE_ENV_VAR = "WIFIPOI_STORE"
 class PipelineConfig:
     """Tunable knobs shared by the subcommands."""
 
-    epsilon: float = 0.5
-    min_pts: int = 4
-    scan_interval: int = 300
-    match_threshold: float = 0.5
+    epsilon: float = ClusterParams.epsilon
+    min_pts: int = ClusterParams.min_pts
+    scan_interval: int = ClusterParams.scan_interval
+    match_threshold: float = MATCH_THRESHOLD
     community_thresholds: tuple[float, ...] = (0.2, 0.3, 0.4, 0.5)
     store: str = DEFAULT_STORE
 
@@ -81,20 +83,14 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         except (OSError, configparser.Error) as exc:
             raise InputError(f"cannot read config {config_path}: {exc}") from exc
         section = parser["pipeline"] if parser.has_section("pipeline") else {}
-        if "epsilon" in section:
-            values["epsilon"] = float(section["epsilon"])
-        if "min_pts" in section:
-            values["min_pts"] = int(section["min_pts"])
-        if "scan_interval" in section:
-            values["scan_interval"] = int(section["scan_interval"])
-        if "match_threshold" in section:
-            values["match_threshold"] = float(section["match_threshold"])
+        for name, kind in (("epsilon", float), ("min_pts", int), ("scan_interval", int),
+                           ("match_threshold", float), ("store", str)):
+            if name in section:
+                values[name] = kind(section[name])
         if "community_thresholds" in section:
             values["community_thresholds"] = _parse_thresholds(
                 section["community_thresholds"].replace(" ", ",")
             )
-        if "store" in section:
-            values["store"] = section["store"]
     if getattr(args, "thresholds", None) is not None:
         values["community_thresholds"] = _parse_thresholds(args.thresholds)
     store = (

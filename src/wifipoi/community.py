@@ -15,11 +15,9 @@ moves to the neighbouring community with the largest positive gain,
 then aggregation of communities into super-nodes, repeated until no
 move helps. After each climb the move phase reruns on the original
 graph so nodes locked inside a super-node can still escape. Because
-the greedy is order-dependent, several independent starts run (the
-first visits nodes in sorted order, the rest in seeded shuffles) and
-the best-scoring partition wins; the default is fully deterministic,
-and the seed parameter switches every start to the classic randomized
-order while staying reproducible for a given value.
+the greedy is order-dependent, _STARTS independent starts run (the
+first visits nodes in sorted order, the rest in fixed-seed shuffles)
+and the best-scoring partition wins, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -41,6 +39,10 @@ Node = Hashable
 # A move is accepted only when it beats staying put by more than this,
 # so accepted per-move gains are strictly positive and ties stay put.
 _GAIN_EPS = 1e-12
+
+# Greedy starts per louvain call; one start misses the optimum on
+# planted graphs that eight reach.
+_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -249,24 +251,21 @@ def _search(
     return assign, all_gains
 
 
-def louvain(graph: PoiGraph, seed: int | None = None, starts: int = 8) -> Partition:
-    """Two-phase modularity maximization; deterministic by default.
+def louvain(graph: PoiGraph) -> Partition:
+    """Two-phase modularity maximization; deterministic.
 
     Every accepted move strictly increases Q, climbs alternate with
     node-level refinement on the original graph, and the greedy runs
-    `starts` times under different visit orders with the best final Q
-    winning (ties keep the earliest start). With seed=None the first
-    start is the sorted order and the rest use fixed shuffles, so
-    repeated calls agree; passing a seed makes every start's order
-    pseudo-random but still reproducible. The returned partition maps
+    _STARTS times under different visit orders with the best final Q
+    winning (ties keep the earliest start). The first start is the
+    sorted order and the rest use fixed-seed shuffles, so repeated
+    calls agree. The returned partition maps
     the original nodes, with community ids renumbered 0..k-1 in order
     of first appearance, and q evaluated on the original graph. Raises
     EmptyGraph when the graph has no edges.
     """
     if not graph.edges:
         raise EmptyGraph("louvain needs at least one edge")
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
     nodes = list(graph.nodes)
     index = {node: i for i, node in enumerate(nodes)}
     base: list[dict[int, float]] = [defaultdict(float) for _ in nodes]
@@ -279,11 +278,8 @@ def louvain(graph: PoiGraph, seed: int | None = None, starts: int = 8) -> Partit
     m = graph.total_weight()
 
     best: Partition | None = None
-    for s in range(starts):
-        if seed is None:
-            rng = None if s == 0 else random.Random(1_000_003 * s)
-        else:
-            rng = random.Random(1_000_003 * s + seed)
+    for s in range(_STARTS):
+        rng = None if s == 0 else random.Random(1_000_003 * s)
         assign, all_gains = _search(base, no_loops, m, rng)
         renumber: dict[int, int] = {}
         communities: dict[Node, int] = {}

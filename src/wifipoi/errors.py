@@ -29,6 +29,10 @@ class RssiOutOfRange(InputError):
     pass
 
 
+class DuplicateMac(InputError):
+    pass
+
+
 class EmptyScan(DomainError):
     pass
 

@@ -27,8 +27,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import CorruptStream, MalformedLine, MalformedMac, RssiOutOfRange, StorageFailure
-from .model import ScanLog, ScanResult, parse_mac, rssi_in_range
+from .errors import (
+    CorruptStream, DuplicateMac, EmptyScan, MalformedLine, MalformedMac, RssiOutOfRange,
+    StorageFailure,
+)
+from .model import ScanLog, ScanResult, parse_mac, validate_scan
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
 
@@ -46,7 +49,11 @@ def encode_log(log: ScanLog) -> bytes:
 
 
 def _decode_line(line_no: int, line: str, macs: dict[str, str]) -> tuple[int, str, ScanResult]:
-    """Parse one wire line; `macs` memoises parse_mac by raw MAC string."""
+    """Parse one wire line; `macs` memoises parse_mac by raw MAC string.
+
+    Only the wire shape is checked here; the readings go through
+    validate_scan, whose errors are re-raised naming the line.
+    """
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -58,10 +65,9 @@ def _decode_line(line_no: int, line: str, macs: dict[str, str]) -> tuple[int, st
         raise MalformedLine(line_no, "t must be an integer timestamp")
     if not isinstance(dev, str):
         raise MalformedLine(line_no, "dev must be a string")
-    if not isinstance(aps, list) or not aps:
+    if not isinstance(aps, list):
         raise MalformedLine(line_no, "aps must be a non-empty list")
     observations = []
-    seen = set()
     for entry in aps:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise MalformedLine(line_no, "each ap must be a [mac, rssi] pair")
@@ -76,13 +82,15 @@ def _decode_line(line_no: int, line: str, macs: dict[str, str]) -> tuple[int, st
                 raise MalformedMac(f"line {line_no}: {exc}") from exc
         if not isinstance(rssi, int) or isinstance(rssi, bool):
             raise MalformedLine(line_no, "rssi must be an integer")
-        if not rssi_in_range(rssi):
-            raise RssiOutOfRange(f"line {line_no}: rssi {rssi} outside [-100, -1]")
-        if mac in seen:
-            raise MalformedLine(line_no, f"duplicate mac {mac}")
-        seen.add(mac)
         observations.append((mac, rssi))
-    return t, dev, ScanResult(t, tuple(sorted(observations)))
+    try:
+        return t, dev, validate_scan(ScanResult(t, tuple(observations)))
+    except RssiOutOfRange as exc:
+        raise RssiOutOfRange(f"line {line_no}: {exc}") from exc
+    except DuplicateMac as exc:
+        raise MalformedLine(line_no, str(exc)) from exc
+    except EmptyScan as exc:
+        raise MalformedLine(line_no, "aps must be a non-empty list") from exc
 
 
 def decode_log(data: bytes, user: str = "") -> ScanLog:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import EmptyScan, MalformedMac
+from .errors import DuplicateMac, EmptyScan, MalformedMac, RssiOutOfRange
 
 # Valid RSS readings are in [-100, 0) dBm, i.e. [-100, -1] as integers.
 RSSI_MIN = -100
@@ -56,34 +56,32 @@ class ScanResult:
         )
 
 
-def validate_scan(raw: ScanResult) -> tuple[ScanResult, int]:
-    """Clean one scan and report how many readings were dropped.
+def validate_scan(scan: ScanResult) -> ScanResult:
+    """The input policy for every scan; returns it sorted by MAC.
 
-    Duplicate MACs collapse to the strongest (largest) RSS, out-of-range
-    readings are dropped and counted, and the surviving observations are
-    sorted by MAC so equal scans have one canonical form. Idempotent: a
-    cleaned scan passes through unchanged with 0 drops. Raises EmptyScan
-    when nothing valid survives.
+    Strict, and the same in decode_log and build_log: in the order
+    given, a reading outside [RSSI_MIN, RSSI_MAX] raises RssiOutOfRange
+    and a MAC seen twice raises DuplicateMac; no readings raises
+    EmptyScan. Nothing is repaired or dropped.
     """
-    best: dict[str, int] = {}
-    dropped = 0
-    for mac, rssi in raw.observations:
+    if not scan.observations:
+        raise EmptyScan(f"scan at t={scan.timestamp} has no readings")
+    seen = set()
+    for mac, rssi in scan.observations:
         if not rssi_in_range(rssi):
-            dropped += 1
-            continue
-        if mac not in best or rssi > best[mac]:
-            best[mac] = rssi
-    if not best:
-        raise EmptyScan(f"scan at t={raw.timestamp} has no valid observations")
-    return ScanResult(raw.timestamp, tuple(sorted(best.items()))), dropped
+            raise RssiOutOfRange(f"rssi {rssi} outside [{RSSI_MIN}, {RSSI_MAX}]")
+        if mac in seen:
+            raise DuplicateMac(f"duplicate mac {mac}")
+        seen.add(mac)
+    return ScanResult(scan.timestamp, tuple(sorted(scan.observations)))
 
 
 @dataclass(frozen=True)
 class ScanLog:
     """Time-ordered scans for one user/device.
 
-    Entries carry strictly increasing timestamps; build through
-    build_log to get that guarantee from arbitrary input.
+    Entries carry strictly increasing timestamps and each passed
+    validate_scan; build_log and decode_log guarantee both.
     """
 
     user: str
@@ -97,14 +95,12 @@ class ScanLog:
 def build_log(user: str, device: str, scans: Iterable[ScanResult]) -> ScanLog:
     """Assemble a validated, time-ordered log.
 
-    Every scan is cleaned via validate_scan; when two scans carry the
-    same timestamp the first one wins.
+    Every scan goes through validate_scan, and a bad one raises what
+    that raises; when two scans carry the same timestamp the first wins.
     """
     by_time: dict[int, ScanResult] = {}
     for scan in scans:
-        clean, _ = validate_scan(scan)
-        if clean.timestamp not in by_time:
-            by_time[clean.timestamp] = clean
+        by_time.setdefault(scan.timestamp, validate_scan(scan))
     entries = tuple(by_time[t] for t in sorted(by_time))
     return ScanLog(user=user, device=device, entries=entries)
 

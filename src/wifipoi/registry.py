@@ -36,7 +36,6 @@ CREATE TABLE IF NOT EXISTS poi_properties (
     poi_id      INTEGER NOT NULL,
     fingerprint TEXT    NOT NULL,
     created_at  INTEGER NOT NULL,
-    label       TEXT,
     PRIMARY KEY (user, poi_id)
 );
 CREATE TABLE IF NOT EXISTS poi_visits (
@@ -100,7 +99,6 @@ class PoiRecord:
     fingerprint: Fingerprint
     created_at: int
     visits: tuple[VisitInterval, ...] = ()
-    label: str | None = None
 
 
 def match_poi(
@@ -148,8 +146,8 @@ def decode_fingerprint(blob: str) -> Fingerprint:
 class SummaryStore:
     """SQLite-backed store for POI properties and visit intervals.
 
-    Single-writer contract: all mutation happens through upsert_day,
-    one transaction per user-day. `conn` is deliberately public so
+    All mutation happens through upsert_day, one write transaction per
+    user-day, so concurrent writers take turns. `conn` is public so
     tests can inject faults between operations.
     """
 
@@ -182,7 +180,7 @@ class SummaryStore:
         visit of the user grouped by poi_id here.
         """
         props = self.conn.execute(
-            "SELECT poi_id, fingerprint, created_at, label"
+            "SELECT poi_id, fingerprint, created_at"
             " FROM poi_properties WHERE user = ? ORDER BY poi_id",
             (user,),
         ).fetchall()
@@ -202,9 +200,8 @@ class SummaryStore:
                 fingerprint=decode_fingerprint(blob),
                 created_at=created_at,
                 visits=tuple(visits.get(poi_id, ())),
-                label=label,
             )
-            for poi_id, blob, created_at, label in props
+            for poi_id, blob, created_at in props
         ]
 
     def fingerprints(self) -> dict[tuple[str, int], Fingerprint]:
@@ -235,23 +232,24 @@ def upsert_day(
     user: str,
     clusters: Sequence[tuple[Fingerprint, Sequence[VisitInterval]]],
     threshold: float = MATCH_THRESHOLD,
-    refresh: bool = True,
 ) -> list[int]:
     """Register one user-day's (fingerprint, visits) clusters; return their poi_ids.
 
     Each cluster, in order, is matched against the user's POI as the
     earlier clusters left them: on a match the new visits are appended
     (exact duplicates are skipped, which makes re-running a day a no-op)
-    and, when `refresh` is set and anything new arrived, the fingerprint
-    becomes the count-weighted merge of old and new; otherwise the next
-    free poi_id is allocated. The registry is read once and the whole
-    day is written in one transaction; on failure the store is left
-    exactly as before and StorageFailure is raised.
+    and, when anything new arrived, the fingerprint becomes the
+    count-weighted merge of old and new; otherwise the next free poi_id
+    is allocated. The write transaction opens (BEGIN IMMEDIATE) before
+    the registry is read, so concurrent writers queue on the busy
+    timeout instead of merging into a stale read. On failure the store
+    is left exactly as before and StorageFailure is raised.
     """
     try:
-        registry = {r.poi_id: r for r in store.records(user)}
         ids = []
         with store.conn:
+            store.conn.execute("BEGIN IMMEDIATE")
+            registry = {r.poi_id: r for r in store.records(user)}
             for fp, visits in clusters:
                 matched = match_poi(fp, list(registry.values()), threshold)
                 if matched is None:
@@ -274,7 +272,7 @@ def upsert_day(
                         (user, poi_id, v.start, v.end, v.scans, int(v.sub_minimal)),
                     )
                     added += cur.rowcount
-                if matched is not None and refresh and added > 0:
+                if matched is not None and added > 0:
                     merged = merge_fingerprints(registry[poi_id].fingerprint, fp)
                     store.conn.execute(
                         "UPDATE poi_properties SET fingerprint = ?"
@@ -331,7 +329,8 @@ def daily_summary(
     """Visit table for one user-day: (poi_id, label, start, end) rows.
 
     Times render as HH:mm and rows are ordered by start, the shape the
-    per-day timelines are reported in. A known user with no visits
+    per-day timelines are reported in. POI carry no label, so the label
+    is always "", kept for the summary CSV's column. A known user with no visits
     that day yields an empty table; an unknown user raises UnknownUser.
     """
     known = store.conn.execute(
@@ -341,14 +340,12 @@ def daily_summary(
         raise UnknownUser(f"no POI registered for user {user!r}")
     lo, hi = day_window(day)
     rows = store.conn.execute(
-        "SELECT v.poi_id, COALESCE(p.label, ''), v.start_ts, v.end_ts"
-        " FROM poi_visits v JOIN poi_properties p"
-        " ON v.user = p.user AND v.poi_id = p.poi_id"
-        " WHERE v.user = ? AND v.start_ts >= ? AND v.start_ts < ?"
-        " ORDER BY v.start_ts",
+        "SELECT poi_id, start_ts, end_ts FROM poi_visits"
+        " WHERE user = ? AND start_ts >= ? AND start_ts < ?"
+        " ORDER BY start_ts",
         (user, lo, hi),
     ).fetchall()
-    return [(poi_id, label, _hhmm(start), _hhmm(end)) for poi_id, label, start, end in rows]
+    return [(poi_id, "", _hhmm(start), _hhmm(end)) for poi_id, start, end in rows]
 
 
 def write_summary_csv(rows: Iterable[tuple[int, str, str, str]], path: str | Path) -> None:

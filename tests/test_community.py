@@ -1,4 +1,5 @@
 """Cross-user POI graph, modularity, Louvain, and the threshold sweep."""
+import collections
 import itertools
 import random
 
@@ -194,13 +195,48 @@ class TestLouvain:
             )
             assert louvain(g).communities == louvain(scaled).communities
 
-    def test_deterministic_and_seed_accepted(self):
+    def test_deterministic(self):
         rnd = random.Random(24)
         g = random_graph(rnd, 9)
         assert louvain(g) == louvain(g)
-        seeded = louvain(g, seed=5)
-        assert set(seeded.communities) == set(g.nodes)
-        assert seeded.q == pytest.approx(modularity(g, seeded.communities), abs=1e-12)
+
+    def test_every_community_is_connected(self):
+        # Louvain can in principle leave a community whose parts touch
+        # only through a node that moved away (Traag et al. 2019)
+        def gnp(rnd):
+            n, p = rnd.randint(4, 30), rnd.uniform(0.05, 0.5)
+            return [(a, b, round(rnd.uniform(0.05, 1.0), 3))
+                    for a, b in itertools.combinations(range(n), 2) if rnd.random() < p], n
+
+        def planted(rnd):
+            sizes = [rnd.randint(2, 7) for _ in range(rnd.randint(2, 5))]
+            member = [g for g, size in enumerate(sizes) for _ in range(size)]
+            edges = [(a, b, round(rnd.uniform(0.5, 1.0), 3) if member[a] == member[b]
+                      else round(rnd.uniform(0.05, 0.4), 3))
+                     for a, b in itertools.combinations(range(len(member)), 2)
+                     if rnd.random() < (0.9 if member[a] == member[b] else 0.1)]
+            return edges, len(member)
+
+        rnd = random.Random(4)
+        for k in range(300):
+            edges, n = (gnp if k % 2 else planted)(rnd)
+            if not edges:
+                continue
+            g = PoiGraph(nodes=tuple(range(n)), edges=tuple(edges))
+            adj = {node: set() for node in g.nodes}
+            for a, b, _ in g.edges:
+                adj[a].add(b)
+                adj[b].add(a)
+            groups = collections.defaultdict(set)
+            for node, c in louvain(g).communities.items():
+                groups[c].add(node)
+            for group in groups.values():
+                reached, frontier = set(), [min(group)]
+                while frontier:
+                    node = frontier.pop()
+                    reached.add(node)
+                    frontier.extend((adj[node] & group) - reached)
+                assert reached == group, (k, sorted(group))
 
 
 def interior_peak_fingerprints():

@@ -1,5 +1,6 @@
 """Wire codec, gzip batching, upload planning, raw persistence."""
 import gzip
+import json
 import random
 import sqlite3
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from wifipoi.errors import (
     CorruptStream,
+    DuplicateMac,
+    EmptyScan,
     MalformedLine,
     MalformedMac,
     RssiOutOfRange,
@@ -142,6 +145,50 @@ class TestDecodeErrors:
     def test_blank_lines_skipped(self):
         data = b"\n" + self.good_line() + b"\n\n"
         assert len(decode_log(data)) == 1
+
+
+def build_reason(scan):
+    """None if build_log accepts the scan, else why it rejects it."""
+    try:
+        build_log("u", "d", [scan])
+    except RssiOutOfRange:
+        return "range"
+    except DuplicateMac:
+        return "duplicate"
+    except EmptyScan:
+        return "empty"
+    return None
+
+
+def decode_reason(line):
+    """None if decode_log accepts the wire line, else why it rejects it."""
+    try:
+        decode_log(line.encode())
+    except RssiOutOfRange as exc:
+        assert str(exc).startswith("line 1: ")
+        return "range"
+    except MalformedLine as exc:
+        assert exc.line_no == 1
+        if exc.reason.startswith("duplicate mac "):
+            return "duplicate"
+        if exc.reason == "aps must be a non-empty list":
+            return "empty"
+        raise
+    return None
+
+
+class TestOnePolicy:
+    @given(st.lists(st.tuples(mac_st, st.integers(-103, 2), st.booleans()), max_size=5))
+    def test_build_log_and_decode_log_reject_alike(self, readings):
+        # the wire may spell a MAC in upper case with hyphens; both
+        # sides must see the canonical MAC, so a respelled MAC is a duplicate
+        scan_ = ScanResult(100, tuple((mac, rssi) for mac, rssi, _ in readings))
+        aps = [[mac.upper().replace(":", "-") if loud else mac, rssi] for mac, rssi, loud in readings]
+        line = json.dumps({"t": 100, "dev": "d", "aps": aps}) + "\n"
+        reason = build_reason(scan_)
+        assert decode_reason(line) == reason
+        if reason is None:
+            assert decode_log(line.encode()).entries == build_log("u", "d", [scan_]).entries
 
 
 class TestGzip:

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from wifipoi.errors import EmptyScan, MalformedMac
+from wifipoi.errors import DuplicateMac, EmptyScan, MalformedMac, RssiOutOfRange
 from wifipoi.model import (
     RSSI_MAX,
     RSSI_MIN,
@@ -43,37 +43,34 @@ class TestParseMac:
 
 
 class TestValidateScan:
-    def test_duplicate_mac_keeps_strongest(self):
-        clean, dropped = validate_scan(scan(0, [("aa:bb:cc:00:11:22", -50), ("aa:bb:cc:00:11:22", -70)]))
-        assert clean.observations == (("aa:bb:cc:00:11:22", -50),)
-        assert dropped == 0
+    def test_duplicate_mac_raises(self):
+        with pytest.raises(DuplicateMac, match="duplicate mac aa:bb:cc:00:11:22"):
+            validate_scan(scan(0, [("aa:bb:cc:00:11:22", -50), ("aa:bb:cc:00:11:22", -70)]))
 
-    def test_out_of_range_dropped_and_counted(self):
-        clean, dropped = validate_scan(scan(0, [("aa:bb:cc:00:11:22", -50), ("aa:bb:cc:00:11:23", 5)]))
-        assert clean.observations == (("aa:bb:cc:00:11:22", -50),)
-        assert dropped == 1
+    def test_out_of_range_raises(self):
+        for rssi in (RSSI_MIN - 1, RSSI_MAX + 1, 5):
+            with pytest.raises(RssiOutOfRange, match=f"rssi {rssi} outside"):
+                validate_scan(scan(0, [("aa:bb:cc:00:11:22", -50), ("aa:bb:cc:00:11:23", rssi)]))
 
-    def test_nothing_survives_is_an_error(self):
+    def test_empty_scan_raises(self):
         with pytest.raises(EmptyScan):
-            validate_scan(scan(0, [("aa:bb:cc:00:11:22", 20)]))
+            validate_scan(scan(0, []))
 
     def test_observations_sorted_by_mac(self):
-        clean, _ = validate_scan(scan(0, [("cc:00:00:00:00:01", -60), ("aa:00:00:00:00:01", -50)]))
-        assert [m for m, _ in clean.observations] == sorted(m for m, _ in clean.observations)
+        clean = validate_scan(scan(0, [("cc:00:00:00:00:01", -60), ("aa:00:00:00:00:01", -50)]))
+        assert clean.observations == (("aa:00:00:00:00:01", -50), ("cc:00:00:00:00:01", -60))
 
     @given(
-        st.lists(
-            st.tuples(st.sampled_from(["aa:00:00:00:00:01", "bb:00:00:00:00:02", "cc:00:00:00:00:03"]),
-                      st.integers(RSSI_MIN, RSSI_MAX)),
+        st.dictionaries(
+            st.sampled_from(["aa:00:00:00:00:01", "bb:00:00:00:00:02", "cc:00:00:00:00:03"]),
+            st.integers(RSSI_MIN, RSSI_MAX),
             min_size=1,
-            max_size=8,
         )
     )
-    def test_idempotent(self, obs):
-        once, _ = validate_scan(scan(0, obs))
-        twice, dropped = validate_scan(once)
-        assert twice == once
-        assert dropped == 0
+    def test_idempotent(self, readings):
+        once = validate_scan(scan(0, readings.items()))
+        assert validate_scan(once) == once
+        assert sorted(once.observations) == sorted(readings.items())
 
 
 class TestRssiRange:

@@ -1,8 +1,12 @@
 """POI registry: fingerprint build/merge, matching, store persistence."""
 import collections
+import os
 import random
 import sqlite3
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,12 +173,6 @@ class TestUpsert:
             assert store.records("u")[0].fingerprint.rssi == {A: -55.0}
             assert store.records("u")[0].fingerprint.counts == {A: 8}
 
-    def test_refresh_can_be_disabled(self):
-        with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}, {A: 4}), [visit(0, 20)])])
-            upsert_day(store, "u", [(fp({A: -60.0}, {A: 4}), [visit(60, 80)])], refresh=False)
-            assert store.records("u")[0].fingerprint.rssi == {A: -50.0}
-
     def test_refresh_stays_in_observation_range(self):
         rnd = random.Random(8)
         with SummaryStore() as store:
@@ -217,10 +215,10 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # calls 1-2 read the registry, 3 inserts the new POI row, 4 adds
-        # the first visit; failing on call 5 leaves a half-done upsert
-        # that the transaction must roll back in full
-        store.conn = FaultyConn(real, fail_after=4)
+        # call 1 opens the transaction, 2-3 read the registry, 4 inserts
+        # the new POI row, 5 adds the first visit; failing on call 6
+        # leaves a half-done upsert that the transaction must roll back
+        store.conn = FaultyConn(real, fail_after=5)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [(fp({B: -60.0}),
                                      [visit(60, 80), visit(120, 140), visit(180, 200)])])
@@ -235,21 +233,87 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # 2 reads, then per cluster a POI row and one visit: 8 calls;
-        # the last one, the third cluster's visit, fails
-        store.conn = FaultyConn(real, fail_after=7)
+        # BEGIN and 2 reads, then per cluster a POI row and one visit:
+        # 9 calls; the last one, the third cluster's visit, fails
+        store.conn = FaultyConn(real, fail_after=8)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [
                 (fp({B: -60.0}), [visit(60, 80)]),
                 (fp({C: -60.0}), [visit(120, 140)]),
                 (fp({"dd:00:00:00:00:04": -60.0}), [visit(180, 200)]),
             ])
-        assert store.conn._calls == 8
+        assert store.conn._calls == 9
         store.conn = real
         assert store.records("u") == before
         assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (1,)
         assert store.check_integrity()
         store.close()
+
+
+# One writer process: upserts the same place on every other day from `first`.
+_WRITER = """
+import sys
+from wifipoi.clustering import VisitInterval
+from wifipoi.model import Fingerprint
+from wifipoi.registry import SummaryStore, upsert_day
+
+path, first = sys.argv[1], int(sys.argv[2])
+fp = Fingerprint(rssi={"aa:00:00:00:00:01": -50.0, "bb:00:00:00:00:02": -60.0},
+                 counts={"aa:00:00:00:00:01": 4, "bb:00:00:00:00:02": 4})
+with SummaryStore(path) as store:
+    for day in range(first, 8, 2):
+        start = 1_700_000_000 + 86400 * day
+        upsert_day(store, "u", [(fp, [VisitInterval(1, start, start + 1200, 4)])])
+"""
+
+
+class TestConcurrentWriters:
+    def test_writer_waits_for_a_day_in_flight(self, tmp_path):
+        place = fp({A: -50.0, B: -60.0}, {A: 4, B: 4})
+        with SummaryStore(tmp_path / "reg.db") as setup:
+            upsert_day(setup, "u", [(place, [visit(0, 20)])])
+        a = SummaryStore(tmp_path / "reg.db")
+        b = SummaryStore(tmp_path / "reg.db")
+        a.conn.execute("PRAGMA busy_timeout = 0")
+        day_a = [(place, [visit(1440, 1460)])]
+        read_registry = b.records
+        raced = []
+
+        def read_then_race(user):
+            # B has read the registry; A must not land a day under it
+            records = read_registry(user)
+            with pytest.raises(StorageFailure, match="database is locked"):
+                upsert_day(a, "u", day_a)
+            raced.append(user)
+            return records
+
+        b.records = read_then_race
+        assert upsert_day(b, "u", [(place, [visit(2880, 2900)])]) == [1]
+        assert raced == ["u"]
+        assert upsert_day(a, "u", day_a) == [1]
+        [record] = a.records("u")
+        assert len(record.visits) == 3
+        assert record.fingerprint.counts == {A: 12, B: 12}
+        a.close()
+        b.close()
+
+    def test_two_processes_land_every_day(self, tmp_path):
+        path = tmp_path / "reg.db"
+        SummaryStore(path).close()
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", _WRITER, str(path), str(first)],
+                             env=env, stderr=subprocess.PIPE, text=True)
+            for first in (0, 1)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+        with SummaryStore(path) as store:
+            [record] = store.records("u")
+            assert len(record.visits) == 8
+            assert record.fingerprint.counts == {A: 32, B: 32}
 
 
 def random_days(rnd, n_days, places):
@@ -424,6 +488,20 @@ class TestDailySummary:
                 (2, "", "02:00", "02:30"),
                 (1, "", "09:00", "09:30"),
             ]
+
+    def test_store_with_the_old_label_column_still_works(self, tmp_path):
+        with sqlite3.connect(tmp_path / "old.db") as conn:
+            conn.execute(
+                "CREATE TABLE poi_properties (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
+                " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL, label TEXT,"
+                " PRIMARY KEY (user, poi_id))"
+            )
+        conn.close()
+        with SummaryStore(tmp_path / "old.db") as store:
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(60, 80)])])
+            assert daily_summary(store, "u", DAY) == [(1, "", "00:00", "00:20"), (1, "", "01:00", "01:20")]
+            assert len(store.records("u")[0].visits) == 2
 
     def test_repeat_visit_structure(self):
         # a 12-POI day where ids 1, 9 and 12 recur: 8 rows total
