@@ -225,18 +225,21 @@ def _parse_hhmm(text: str) -> int:
 
 
 def _read_csv_rows(path: Path, header: str) -> list[list[str]]:
+    """The rows after `header`; each must have as many fields as it."""
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != header:
         raise InputError(f"{path}: expected header {header!r}")
-    return [line.split(",") for line in lines[1:] if line.strip()]
+    rows = [line.split(",") for line in lines[1:] if line.strip()]
+    for row in rows:
+        if len(row) != header.count(",") + 1:
+            raise InputError(f"{path}: bad row {row}")
+    return rows
 
 
 def cmd_score(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     truth_by_key: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
-    for row in _read_csv_rows(Path(args.truth), "user,day,place,start,end"):
-        if len(row) != 5:
-            raise InputError(f"{args.truth}: bad row {row}")
-        user, day, place, start, end = row
+    truth = _read_csv_rows(Path(args.truth), "user,day,place,start,end")
+    for user, day, place, start, end in truth:
         truth_by_key.setdefault((user, day), []).append(
             (place, _parse_hhmm(start), _parse_hhmm(end))
         )

@@ -1,7 +1,7 @@
 """Density clustering of scan logs and derivation of visit intervals.
 
 Canonical DBSCAN with one twist: the neighbourhood predicate is cosine
-similarity of single-scan fingerprints, so the epsilon test is
+similarity of two scans' readings, so the epsilon test is
 C >= eps (similarity is a proximity, higher means closer). A point
 whose neighbourhood reaches min_pts is a core point; clusters are the
 maximal sets reachable through core points; everything else is noise.
@@ -44,9 +44,8 @@ def dbscan(scans: ScanLog, params: ClusterParams) -> list[ClusterLabel]:
     n = len(scans.entries)
     if n == 0:
         raise EmptyLog(f"no scans to cluster for user {scans.user!r}")
-    fps = [scan.fingerprint() for scan in scans.entries]
     near = np.empty((n, n), dtype=bool)
-    for lo, block in _score_blocks(fps):
+    for lo, block in _score_blocks([scan.observations for scan in scans.entries]):
         np.greater_equal(block, params.epsilon, out=near[lo : lo + len(block)])
     core = np.count_nonzero(near, axis=1) >= params.min_pts
 

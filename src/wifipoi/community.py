@@ -91,7 +91,7 @@ def build_graph(
         raise TooFewNodes(f"{len(nodes)} names for {h} fingerprints")
     edges: list[tuple[Node, Node, float]] = []
     index = np.arange(h)
-    for lo, block in _score_blocks(fps):
+    for lo, block in _score_blocks([fp.rssi.items() for fp in fps]):
         i, j = np.nonzero((block >= threshold) & (index > index[lo : lo + len(block), None]))
         pairs = zip((lo + i).tolist(), j.tolist(), block[i, j].tolist())
         edges.extend((nodes[a], nodes[b], c) for a, b, c in pairs)

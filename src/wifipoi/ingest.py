@@ -24,8 +24,10 @@ import json
 import sqlite3
 import zlib
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import (
     CorruptStream, DuplicateMac, EmptyScan, MalformedLine, MalformedMac, RssiOutOfRange,
@@ -96,14 +98,19 @@ def _decode_line(line_no: int, line: str, macs: dict[str, str]) -> tuple[int, st
 def decode_log(data: bytes, user: str = "") -> ScanLog:
     """Parse wire bytes back into a ScanLog for `user`.
 
-    Blank lines are skipped; anything else malformed raises with its
-    line number. All lines must name the same device and timestamps
-    must be unique. Inverse of encode_log on validated logs.
+    Blank lines are skipped; anything else malformed, bytes that are
+    not UTF-8 included, raises with its line number. All lines must
+    name the same device and timestamps must be unique. Inverse of
+    encode_log on validated logs.
     """
     device = ""
     by_time: dict[int, ScanResult] = {}
     macs: dict[str, str] = {}  # an upload repeats a few hundred MAC strings
-    for line_no, line in enumerate(data.decode("utf-8", errors="replace").split("\n"), 1):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from exc
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         t, dev, scan = _decode_line(line_no, line, macs)
@@ -171,32 +178,54 @@ class IngestReport:
     skipped: int
 
 
-class RawStore:
-    """Append-only observation rows keyed by (user, t, mac).
+_Store = TypeVar("_Store", bound="SqliteStore")
 
-    Shares a SQLite file happily with the summary store; the table
-    namespaces are disjoint. `conn` is public for fault injection.
+
+class SqliteStore:
+    """A SQLite file that holds the subclass's SCHEMA script.
+
+    A file that cannot be opened or is not a database raises
+    StorageFailure, and the connection is closed. `conn` is public for
+    fault injection.
     """
+
+    SCHEMA: str
 
     def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
-        self.conn = sqlite3.connect(self.path)
-        self.conn.execute(
-            "CREATE TABLE IF NOT EXISTS raw_observations ("
-            " user TEXT NOT NULL, t INTEGER NOT NULL,"
-            " mac TEXT NOT NULL, rssi INTEGER NOT NULL,"
-            " PRIMARY KEY (user, t, mac))"
-        )
-        self.conn.commit()
+        conn = None
+        try:
+            conn = sqlite3.connect(self.path)
+            conn.executescript(self.SCHEMA)
+        except sqlite3.Error as exc:
+            if conn is not None:
+                conn.close()
+            raise StorageFailure(f"cannot open store {self.path}: {exc}") from exc
+        self.conn = conn
 
     def close(self) -> None:
         self.conn.close()
 
-    def __enter__(self) -> RawStore:
+    def __enter__(self: _Store) -> _Store:
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+class RawStore(SqliteStore):
+    """Append-only observation rows keyed by (user, t, mac).
+
+    Shares a SQLite file happily with the summary store; the table
+    namespaces are disjoint.
+    """
+
+    SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS raw_observations ("
+        " user TEXT NOT NULL, t INTEGER NOT NULL,"
+        " mac TEXT NOT NULL, rssi INTEGER NOT NULL,"
+        " PRIMARY KEY (user, t, mac))"
+    )
 
     def users(self) -> list[str]:
         rows = self.conn.execute("SELECT DISTINCT user FROM raw_observations ORDER BY user")
@@ -220,10 +249,8 @@ class RawStore:
             sql += " AND t < ?"
             params.append(hi)
         sql += " ORDER BY t, mac"
-        by_time: dict[int, list[tuple[str, int]]] = {}
-        for t, mac, rssi in self.conn.execute(sql, params):
-            by_time.setdefault(t, []).append((mac, rssi))
-        entries = tuple(ScanResult(t, tuple(obs)) for t, obs in sorted(by_time.items()))
+        rows = groupby(self.conn.execute(sql, params), key=itemgetter(0))
+        entries = tuple(ScanResult(t, tuple(row[1:] for row in group)) for t, group in rows)
         return ScanLog(user=user, device="", entries=entries)
 
     def export_csv(self, path: str | Path) -> int:

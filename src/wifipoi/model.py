@@ -48,13 +48,6 @@ class ScanResult:
     timestamp: int
     observations: tuple[tuple[str, int], ...]
 
-    def fingerprint(self) -> Fingerprint:
-        """This scan viewed as a single-observation fingerprint."""
-        return Fingerprint(
-            rssi={mac: float(rssi) for mac, rssi in self.observations},
-            counts={mac: 1 for mac, _ in self.observations},
-        )
-
 
 def validate_scan(scan: ScanResult) -> ScanResult:
     """The input policy for every scan; returns it sorted by MAC.

@@ -8,16 +8,17 @@ exactly the behaviour wanted when deciding whether two observations
 came from the same place. Because RSS readings are all negative, every
 product in the numerator is positive and the score lands in [0, 1].
 
-That definition coincides with the ordinary cosine of two vectors once
-absent MACs are imputed as 0, so all-pairs scores come from dense
-matrix products, which _score_blocks yields a fixed number of rows at
+cosine_similarity scores one pair, for revisit matching. The score is
+the ordinary cosine of two vectors once absent MACs are imputed as 0,
+so all-pairs scores come from dense matrix products: _score_blocks
+builds them from (mac, rssi) rows and yields a fixed number of rows at
 a time so that no caller holds an n x n float matrix.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -67,38 +68,38 @@ def cosine_similarity(a: Fingerprint, b: Fingerprint) -> SimilarityScore:
     return c
 
 
-def _score_blocks(fps: Sequence[Fingerprint]) -> Iterator[tuple[int, np.ndarray]]:
+def _score_blocks(rows: Sequence[Collection[tuple[str, float]]]) -> Iterator[tuple[int, np.ndarray]]:
     """All-pairs scores as (first row, block) pairs of _BLOCK rows each.
 
-    Fingerprints become rows of a dense matrix over the union of MACs
-    (absent MACs are 0, so they add nothing to numerators or self dot
-    products, matching common_dot/self_dot). Each element is the common
-    dot over sqrt(d_i * d_j) like cosine_similarity, snapped to 1 the
-    same way, and the diagonal is 1. Raises EmptyFingerprint when any
-    fingerprint has no observations.
+    A row is one scan's observations or one fingerprint's rssi.items():
+    (mac, rssi) pairs, no MAC twice. Rows span a dense matrix over the
+    sorted union of MACs, absent MACs 0. Each element is the row dot
+    over sqrt(d_i * d_j), d the self dot products, like
+    cosine_similarity, snapped to 1 the same way, and the diagonal is 1.
+    Raises EmptyFingerprint when any row is empty.
     """
-    for fp in fps:
-        if len(fp.rssi) == 0:
-            raise EmptyFingerprint("cannot compare an empty fingerprint")
-    macs = sorted(set().union(*(fp.rssi.keys() for fp in fps)))
+    if not all(rows):
+        raise EmptyFingerprint("cannot compare an empty fingerprint")
+    macs = sorted({mac for row in rows for mac, _ in row})
     index = {mac: k for k, mac in enumerate(macs)}
-    x = np.zeros((len(fps), len(macs)))
-    for i, fp in enumerate(fps):
-        for mac, r in fp.rssi.items():
-            x[i, index[mac]] = r
+    lengths = [len(row) for row in rows]
+    cols = np.fromiter((index[mac] for row in rows for mac, _ in row), np.intp, sum(lengths))
+    rssi = np.fromiter((r for row in rows for _, r in row), float, sum(lengths))
+    x = np.zeros((len(rows), len(macs)))
+    x[np.repeat(np.arange(len(rows)), lengths), cols] = rssi
     d = np.einsum("ij,ij->i", x, x)
-    for lo in range(0, len(fps), _BLOCK):
+    for lo in range(0, len(rows), _BLOCK):
         block = x[lo : lo + _BLOCK] @ x.T
-        rows = np.arange(len(block))
+        diag = np.arange(len(block))
         den = np.multiply.outer(d[lo : lo + _BLOCK], d)
         np.sqrt(den, out=den)
         np.divide(block, den, out=block)
         block[block >= 1.0 - _ONE_EPS] = 1.0
-        block[rows, lo + rows] = 1.0
+        block[diag, lo + diag] = 1.0
         yield lo, block
 
 
 def similarity_matrix(fps: Sequence[Fingerprint]) -> np.ndarray:
     """All-pairs scores as one dense n x n array: the stacked blocks."""
-    blocks = [block for _, block in _score_blocks(fps)]
+    blocks = [block for _, block in _score_blocks([fp.rssi.items() for fp in fps])]
     return np.concatenate(blocks) if blocks else np.zeros((0, 0))

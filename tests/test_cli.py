@@ -259,12 +259,39 @@ class TestScore:
         assert "splits: 0" in out and "merges: 0" in out
         assert "matched 6/6" in out
 
+    @pytest.mark.parametrize("short", ["truth", "summary"])
+    def test_short_row_exits_two(self, workdir, capsys, short):
+        truth = workdir / "truth.csv"
+        truth.write_text("user,day,place,start,end\nalice,2026-03-02,desk,09:00,10:00\n")
+        summary = workdir / "alice_2026-03-02.csv"
+        summary.write_text("poi_id,label,start,end\n1,,09:00,10:00\n")
+        bad = truth if short == "truth" else summary
+        bad.write_text(bad.read_text().replace(",10:00", ""))
+        assert run("score", "--truth", truth, summary) == 2
+        assert f"{bad}: bad row" in capsys.readouterr().err
+
     def test_header_mismatch_exits_two(self, workdir):
         truth = workdir / "truth.csv"
         truth.write_text("user,day,place,start,end\n")
         bad = workdir / "alice_2026-03-02.csv"
         bad.write_text("wrong,header\n1,2\n")
         assert run("score", "--truth", truth, bad) == 2
+
+
+class TestStoreOpen:
+    @pytest.mark.parametrize("command", ["ingest", "communities"])
+    @pytest.mark.parametrize("cause", ["missing directory", "not a database"])
+    def test_unopenable_store_exits_three(self, workdir, capsys, command, cause):
+        scan = workdir / "u.scan"
+        scan.write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')
+        store = workdir / "missing" / "x.db"
+        if cause == "not a database":
+            store = workdir / "notadb.db"
+            store.write_bytes(b"plain text, not SQLite" * 100)
+        args = [scan] if command == "ingest" else []
+        assert run(command, "--store", store, *args) == 3
+        assert "cannot open" in capsys.readouterr().err
+        assert not (workdir / "missing").exists()
 
 
 class TestConfigPrecedence:

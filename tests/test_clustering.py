@@ -8,6 +8,7 @@ from oracles import naive_dbscan, random_scan_instance
 from wifipoi.clustering import NOISE, dbscan, segment_visits
 from wifipoi.errors import EmptyLog, LabelLengthMismatch
 from wifipoi.model import ClusterParams, ScanLog, ScanResult, build_log
+from wifipoi.registry import build_fingerprint
 from wifipoi.similarity import cosine_similarity, similarity_matrix
 
 A = "aa:00:00:00:00:01"
@@ -27,6 +28,11 @@ def desk_scan(jitter=0):
     return {A: -50 + jitter, B: -60 + jitter, C: -70 + jitter}
 
 
+def scan_fps(log):
+    """Each scan of the log as its own one-scan fingerprint."""
+    return [build_fingerprint([scan]) for scan in log.entries]
+
+
 def neighbours(fps, i, eps):
     """Row i of the thresholded matrix: the neighbourhood dbscan uses."""
     return np.flatnonzero(similarity_matrix(fps)[i] >= eps).tolist()
@@ -34,18 +40,18 @@ def neighbours(fps, i, eps):
 
 class TestFindNeighbours:
     def test_identical_entries_all_match(self):
-        fps = [make_log([desk_scan()] * 5).entries[i].fingerprint() for i in range(5)]
+        fps = scan_fps(make_log([desk_scan()] * 5))
         assert neighbours(fps, 0, 0.5) == list(range(5))
 
     def test_disjoint_point_only_matches_itself(self):
         dicts = [desk_scan()] * 4 + [{"dd:00:00:00:00:04": -40}]
-        fps = [s.fingerprint() for s in make_log(dicts).entries]
+        fps = scan_fps(make_log(dicts))
         assert neighbours(fps, 4, 0.5) == [4]
 
     def test_random_instance_equals_brute_force(self):
         rnd = random.Random(9)
         dicts = random_scan_instance(rnd, 50)
-        fps = [s.fingerprint() for s in make_log(dicts).entries]
+        fps = scan_fps(make_log(dicts))
         for i in (0, 17, 49):
             want = [j for j in range(50) if cosine_similarity(fps[i], fps[j]) >= 0.5]
             assert neighbours(fps, i, 0.5) == want

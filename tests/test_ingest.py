@@ -86,6 +86,17 @@ class TestDecodeErrors:
         with pytest.raises(RssiOutOfRange, match="line 2"):
             decode_log(data)
 
+    def test_bytes_that_are_not_utf8_name_the_line(self):
+        # with bad bytes replaced, both devices would read 'ph\ufffdone' and agree
+        data = (
+            b'{"t":100,"dev":"ph\xffone","aps":[["aa:00:00:00:00:01",-50]]}\n'
+            b'{"t":400,"dev":"ph\xfeone","aps":[["aa:00:00:00:00:01",-50]]}\n'
+        )
+        with pytest.raises(MalformedLine, match="line 1: not UTF-8"):
+            decode_log(data)
+        with pytest.raises(MalformedLine, match="line 2: not UTF-8"):
+            decode_log(self.good_line() + b"\xff\n")
+
     def test_truncated_final_line(self):
         data = self.good_line() + b'{"t":400,"dev":"d","aps":[["aa:'
         with pytest.raises(MalformedLine, match="line 2"):
@@ -299,7 +310,7 @@ class TestRawStore:
         for _ in range(12):
             user = rnd.choice(["u", "v"])
             scans = [
-                scan(300 * rnd.randint(0, 40), [(A, rnd.randint(-90, -40))])
+                scan(300 * rnd.randint(0, 40), [(rnd.choice([A, B]), rnd.randint(-90, -40))])
                 for _ in range(rnd.randint(1, 6))
             ]
             batches.append((user, build_log(user, "d", scans)))
@@ -315,6 +326,14 @@ class TestRawStore:
                 store.conn.execute("SELECT user, t, mac, rssi FROM raw_observations")
             )
             assert stored == rows
+            # one scan per t, however many uploads carried its readings
+            for user in ("u", "v"):
+                by_time: dict[int, list[tuple[str, int]]] = {}
+                for u, t, mac, rssi in sorted(rows):
+                    if u == user:
+                        by_time.setdefault(t, []).append((mac, rssi))
+                want = tuple(ScanResult(t, tuple(obs)) for t, obs in by_time.items())
+                assert store.load_log(user).entries == want
         # the same batches fed to one call land the same rows
         with RawStore() as store:
             reports = store_raw(store, (log for _, log in batches))

@@ -92,11 +92,6 @@ class TestBuildLog:
         assert log.entries[1].observations[0][0] == "aa:00:00:00:00:01"
         assert len(log) == 2
 
-    def test_single_scan_fingerprint(self):
-        fp = scan(0, [("aa:00:00:00:00:01", -50), ("bb:00:00:00:00:02", -70)]).fingerprint()
-        assert fp.rssi == {"aa:00:00:00:00:01": -50.0, "bb:00:00:00:00:02": -70.0}
-        assert fp.counts == {"aa:00:00:00:00:01": 1, "bb:00:00:00:00:02": 1}
-
 
 class TestClusterParams:
     def test_defaults(self):

@@ -4,6 +4,7 @@ import pytest
 
 from wifipoi.errors import ScenarioError, UnknownPlace, ZeroDistance
 from wifipoi.model import RSSI_MIN
+from wifipoi.registry import build_fingerprint
 from wifipoi.similarity import cosine_similarity
 from wifipoi.simgen import (
     AccessPoint,
@@ -101,7 +102,7 @@ class TestGenerateTrace:
             ItineraryEntry("right", T0 + 3600, T0 + 7200),
         ]
         log, truth = generate_trace(env, itinerary, 300, rng_seed=3)
-        fps = [s.fingerprint() for s in log.entries]
+        fps = [build_fingerprint([s]) for s in log.entries]
         left = [f for s, f in zip(log.entries, fps) if s.timestamp < T0 + 3600]
         right = [f for s, f in zip(log.entries, fps) if s.timestamp >= T0 + 3600]
         within = sorted(

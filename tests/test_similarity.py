@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_cosine, random_fingerprint
+from oracles import naive_cosine, random_fingerprint, random_scan_instance
 from wifipoi.community import build_graph
 from wifipoi.errors import EmptyFingerprint
-from wifipoi.model import Fingerprint
+from wifipoi.model import Fingerprint, ScanResult, build_log
 from wifipoi.similarity import (
+    _score_blocks,
     common_dot,
     cosine_similarity,
     self_dot,
@@ -145,6 +146,20 @@ class TestMatrix:
             for j in range(i + 1, 25):
                 assert abs(sim[i, j] - cosine_similarity(fps[i], fps[j])) <= 1e-12
                 assert sim[i, j] == sim[j, i]
+
+    # dbscan reads row i of its thresholded matrix as column i, which
+    # holds because whole-dBm dot products are exact in any order.
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_whole_dbm_scans_are_exact_and_symmetric(self, n):
+        dicts = random_scan_instance(random.Random(n), n)
+        scans = [ScanResult(300 * i, tuple(sorted(d.items()))) for i, d in enumerate(dicts)]
+        log = build_log("u", "d", scans)
+        sim = np.concatenate([block for _, block in _score_blocks(
+            [scan.observations for scan in log.entries]
+        )])
+        assert sim.shape == (n, n)
+        assert np.array_equal(sim, sim.T)
+        assert sim.tolist() == [[naive_cosine(a, b) for b in dicts] for a in dicts]
 
     def test_worked_example_in_matrix_form(self):
         sim = similarity_matrix([fp(a=-40, b=-80), fp(a=-40, c=-80)])
