@@ -36,7 +36,7 @@ for day_index, day in enumerate(sorted(by_day)):
     extract_day(store, log, params)
 
     print(f"{day}:")
-    for poi_id, _, start, end in daily_summary(store, user, day):
+    for poi_id, start, end in daily_summary(store, user, day):
         print(f"  POI {poi_id}  {start} - {end}")
 
 print("\nregistered POI:")

@@ -32,7 +32,7 @@ from .community import (
     write_edge_list,
     write_sweep_csv,
 )
-from .errors import InputError, PoiError, UnknownUser
+from .errors import InputError, PoiError, StorageFailure, UnknownUser
 from .ingest import RawStore, decode_log, decompress_batch, encode_log, compress_batch, store_raw
 from .model import ClusterParams, ScanLog
 from .registry import (
@@ -46,17 +46,15 @@ STORE_ENV_VAR = "WIFIPOI_STORE"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunable knobs shared by the subcommands."""
+    """Tunable knobs shared by the subcommands; ClusterParams checks its own."""
 
-    epsilon: float = ClusterParams.epsilon
-    min_pts: int = ClusterParams.min_pts
-    scan_interval: int = ClusterParams.scan_interval
+    cluster: ClusterParams = ClusterParams()
     match_threshold: float = MATCH_THRESHOLD
     community_thresholds: tuple[float, ...] = (0.2, 0.3, 0.4, 0.5)
     store: str = DEFAULT_STORE
 
     def __post_init__(self) -> None:
-        for value in (self.epsilon, self.match_threshold, *self.community_thresholds):
+        for value in (self.match_threshold, *self.community_thresholds):
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"threshold {value} outside (0, 1]")
 
@@ -91,6 +89,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             values["community_thresholds"] = _parse_thresholds(
                 section["community_thresholds"].replace(" ", ",")
             )
+    if getattr(args, "epsilon", None) is not None:
+        values["epsilon"] = args.epsilon
     if getattr(args, "thresholds", None) is not None:
         values["community_thresholds"] = _parse_thresholds(args.thresholds)
     store = (
@@ -100,7 +100,14 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         or DEFAULT_STORE
     )
     values["store"] = str(store)
-    return PipelineConfig(**values)  # type: ignore[arg-type]
+    cluster = {k: values.pop(k) for k in ("epsilon", "min_pts", "scan_interval") if k in values}
+    return PipelineConfig(ClusterParams(**cluster), **values)  # type: ignore[arg-type]
+
+
+def _existing_store(path: str) -> str:
+    if not Path(path).exists():  # a read must not leave a new, empty store behind
+        raise StorageFailure(f"cannot open store: no store at {path}")
+    return path
 
 
 def _user_from_filename(path: Path) -> str:
@@ -142,33 +149,29 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     if not out.parent.is_dir():
         raise InputError(f"output directory {out.parent} does not exist")
     lo, hi = day_window(args.day)
-    with RawStore(cfg.store) as raw:
+    with RawStore(_existing_store(cfg.store)) as raw:
         if not raw.has_user(args.user):
             raise UnknownUser(f"no raw data for user {args.user!r} in {cfg.store}")
         log = raw.load_log(args.user, lo, hi)
-    epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
-    params = ClusterParams(
-        epsilon=epsilon, min_pts=cfg.min_pts, scan_interval=cfg.scan_interval
-    )
     if not log.entries:
         write_summary_csv([], out)
         print(f"no scans for {args.user} on {args.day}; wrote empty {out}")
         return 0
     with SummaryStore(cfg.store) as store:
-        ids = extract_day(store, log, params, cfg.match_threshold)
+        ids = extract_day(store, log, cfg.cluster, cfg.match_threshold)
         rows = daily_summary(store, args.user, args.day) if ids else []
     write_summary_csv(rows, out)
     if not ids:
         print(f"only noise for {args.user} on {args.day}; wrote empty {out}")
         return 0
-    for poi_id, label, start, end in rows:
-        print(f"POI {poi_id:>3}  {start} - {end}  {label}")
+    for poi_id, start, end in rows:
+        print(f"POI {poi_id:>3}  {start} - {end}")
     print(f"{len(rows)} visits over {len(ids)} POI -> {out}")
     return 0
 
 
 def cmd_communities(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    with SummaryStore(cfg.store) as store:
+    with SummaryStore(_existing_store(cfg.store)) as store:
         fps = store.fingerprints()
     sweep = threshold_sweep(list(fps.values()), cfg.community_thresholds, names=list(fps))
     h = len(fps)
@@ -219,9 +222,12 @@ def cmd_simulate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _parse_hhmm(text: str) -> int:
+def _parse_hhmm(path: Path, text: str) -> int:
     hh, _, mm = text.partition(":")
-    return int(hh) * 60 + int(mm)
+    try:
+        return int(hh) * 60 + int(mm)
+    except ValueError:
+        raise InputError(f"{path}: bad time {text!r}, expected HH:MM") from None
 
 
 def _read_csv_rows(path: Path, header: str) -> list[list[str]]:
@@ -238,10 +244,10 @@ def _read_csv_rows(path: Path, header: str) -> list[list[str]]:
 
 def cmd_score(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     truth_by_key: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
-    truth = _read_csv_rows(Path(args.truth), "user,day,place,start,end")
-    for user, day, place, start, end in truth:
+    truth_path = Path(args.truth)
+    for user, day, place, start, end in _read_csv_rows(truth_path, "user,day,place,start,end"):
         truth_by_key.setdefault((user, day), []).append(
-            (place, _parse_hhmm(start), _parse_hhmm(end))
+            (place, _parse_hhmm(truth_path, start), _parse_hhmm(truth_path, end))
         )
 
     matched: list[tuple[str, str, int, float]] = []  # (user, place, poi_id, boundary err)
@@ -253,7 +259,7 @@ def cmd_score(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         if not sep:
             raise InputError(f"{path}: cannot infer user/day from file name")
         rows = [
-            (int(r[0]), _parse_hhmm(r[2]), _parse_hhmm(r[3]))
+            (int(r[0]), _parse_hhmm(path, r[2]), _parse_hhmm(path, r[3]))
             for r in _read_csv_rows(path, "poi_id,label,start,end")
         ]
         for place, t_start, t_end in truth_by_key.get((user, day), []):
@@ -353,3 +359,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -33,6 +33,10 @@ class DuplicateMac(InputError):
     pass
 
 
+class DuplicateTimestamp(InputError):
+    pass
+
+
 class EmptyScan(DomainError):
     pass
 

@@ -8,7 +8,8 @@ Field order is fixed and MACs are canonical, so encoding is
 byte-reproducible and a partial upload fails at line granularity.
 Batches gzip-compress very well because MAC strings repeat in nearly
 every line. The raw store keeps one row per (user, t, mac) observation
-and silently skips duplicates, which makes re-ingestion a no-op.
+and silently skips duplicates, which makes re-ingestion a no-op;
+load_log reads one user's scans back in a [lo, hi) time window.
 store_raw lands any number of logs in one transaction, so a caller that
 feeds it several uploads (the CLI's ingest call) keeps all or none of
 them; since duplicates are skipped, a rejected call can simply be re-run.
@@ -238,30 +239,16 @@ class RawStore(SqliteStore):
         ).fetchone()
         return row is not None
 
-    def load_log(self, user: str, lo: int | None = None, hi: int | None = None) -> ScanLog:
-        """Rebuild the user's scans, optionally windowed to [lo, hi)."""
-        sql = "SELECT t, mac, rssi FROM raw_observations WHERE user = ?"
-        params: list[object] = [user]
-        if lo is not None:
-            sql += " AND t >= ?"
-            params.append(lo)
-        if hi is not None:
-            sql += " AND t < ?"
-            params.append(hi)
-        sql += " ORDER BY t, mac"
-        rows = groupby(self.conn.execute(sql, params), key=itemgetter(0))
+    def load_log(self, user: str, lo: int, hi: int) -> ScanLog:
+        """Rebuild the user's scans with lo <= t < hi."""
+        cur = self.conn.execute(
+            "SELECT t, mac, rssi FROM raw_observations"
+            " WHERE user = ? AND t >= ? AND t < ? ORDER BY t, mac",
+            (user, lo, hi),
+        )
+        rows = groupby(cur, key=itemgetter(0))
         entries = tuple(ScanResult(t, tuple(row[1:] for row in group)) for t, group in rows)
         return ScanLog(user=user, device="", entries=entries)
-
-    def export_csv(self, path: str | Path) -> int:
-        """Dump all rows as `user,t,mac,rssi`; returns the row count."""
-        rows = self.conn.execute(
-            "SELECT user, t, mac, rssi FROM raw_observations ORDER BY user, t, mac"
-        ).fetchall()
-        lines = ["user,t,mac,rssi"]
-        lines += [f"{user},{t},{mac},{rssi}" for user, t, mac, rssi in rows]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return len(rows)
 
 
 def _rows(log: ScanLog) -> Iterator[tuple[str, int, str, int]]:

@@ -16,11 +16,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DuplicateMac, EmptyScan, MalformedMac, RssiOutOfRange
+from .errors import DuplicateMac, DuplicateTimestamp, EmptyScan, MalformedMac, RssiOutOfRange
 
 # Valid RSS readings are in [-100, 0) dBm, i.e. [-100, -1] as integers.
 RSSI_MIN = -100
 RSSI_MAX = -1
+_RSSI_VALUES = frozenset(range(RSSI_MIN, RSSI_MAX + 1))  # whole dBm only: -50.5 is no reading
 
 _MAC_RE = re.compile(r"^[0-9a-f]{2}(?::[0-9a-f]{2}){5}$")
 
@@ -38,7 +39,7 @@ def parse_mac(text: str) -> str:
 
 
 def rssi_in_range(rssi: int) -> bool:
-    return RSSI_MIN <= rssi <= RSSI_MAX
+    return rssi in _RSSI_VALUES
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,9 @@ def validate_scan(scan: ScanResult) -> ScanResult:
     """The input policy for every scan; returns it sorted by MAC.
 
     Strict, and the same in decode_log and build_log: in the order
-    given, a reading outside [RSSI_MIN, RSSI_MAX] raises RssiOutOfRange
-    and a MAC seen twice raises DuplicateMac; no readings raises
-    EmptyScan. Nothing is repaired or dropped.
+    given, a reading that is not a whole dBm in [RSSI_MIN, RSSI_MAX]
+    raises RssiOutOfRange and a MAC seen twice raises DuplicateMac; no
+    readings raises EmptyScan. Nothing is repaired or dropped.
     """
     if not scan.observations:
         raise EmptyScan(f"scan at t={scan.timestamp} has no readings")
@@ -89,11 +90,13 @@ def build_log(user: str, device: str, scans: Iterable[ScanResult]) -> ScanLog:
     """Assemble a validated, time-ordered log.
 
     Every scan goes through validate_scan, and a bad one raises what
-    that raises; when two scans carry the same timestamp the first wins.
+    that raises; a repeated timestamp raises DuplicateTimestamp.
     """
     by_time: dict[int, ScanResult] = {}
     for scan in scans:
-        by_time.setdefault(scan.timestamp, validate_scan(scan))
+        if scan.timestamp in by_time:
+            raise DuplicateTimestamp(f"duplicate timestamp {scan.timestamp}")
+        by_time[scan.timestamp] = validate_scan(scan)
     entries = tuple(by_time[t] for t in sorted(by_time))
     return ScanLog(user=user, device=device, entries=entries)
 

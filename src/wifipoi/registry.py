@@ -11,17 +11,18 @@ Persistence is an embedded SQLite file with two tables, poi_properties
 and poi_visits, linked by (user, poi_id). poi_id is scoped per user:
 two users may both own poi_id 1. All writes go through one transaction
 per user-day via upsert_day, so a crash mid-day leaves the previous
-state intact. extract_day is the whole per-user-day step: cluster,
-segment, fingerprint, register.
+state intact; it reads the user's fingerprints, not the visit history
+(records() and PoiRecord expose that for inspection). extract_day is
+the whole per-user-day step: cluster, segment, fingerprint, register.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .clustering import NOISE, VisitInterval, dbscan, segment_visits
 from .errors import EmptyCluster, StorageFailure, UnknownUser
@@ -83,11 +84,11 @@ class PoiRecord:
 
 
 def match_poi(
-    fp: Fingerprint, registry: Sequence[PoiRecord], threshold: float = MATCH_THRESHOLD
+    fp: Fingerprint, registry: Mapping[int, Fingerprint], threshold: float = MATCH_THRESHOLD
 ) -> int | None:
-    """Best-matching registered poi_id, or None for a new POI.
+    """Best-matching poi_id of `registry` (poi_id -> fingerprint), or None.
 
-    Returns the record with maximal cosine similarity when that maximum
+    Returns the id with maximal cosine similarity when that maximum
     reaches the threshold; ties break to the lowest poi_id. At
     threshold 1.0 only an exactly proportional fingerprint over the
     identical MAC set can match.
@@ -97,11 +98,11 @@ def match_poi(
     # long-history extract_p95_ms rose from 11.1-12.3 to 14.5-15.2 ms.
     best_id: int | None = None
     best_c = -1.0
-    for record in sorted(registry, key=lambda r: r.poi_id):
-        c = cosine_similarity(fp, record.fingerprint)
+    for poi_id in sorted(registry):
+        c = cosine_similarity(fp, registry[poi_id])
         if c > best_c:
             best_c = c
-            best_id = record.poi_id
+            best_id = poi_id
     if best_id is not None and best_c >= threshold:
         return best_id
     return None
@@ -192,13 +193,12 @@ class SummaryStore(SqliteStore):
             for poi_id, blob, created_at in props
         ]
 
-    def fingerprints(self) -> dict[tuple[str, int], Fingerprint]:
-        """Every user's POI fingerprints keyed by (user, poi_id), in that order.
-
-        One query and no visits: the node set of the cross-user graph.
-        """
+    def fingerprints(self, user: str | None = None) -> dict[tuple[str, int], Fingerprint]:
+        """POI fingerprints by (user, poi_id) in that order, of all users or one; no visits."""
+        where, params = ("", ()) if user is None else ("WHERE user = ?", (user,))
         rows = self.conn.execute(
-            "SELECT user, poi_id, fingerprint FROM poi_properties ORDER BY user, poi_id"
+            f"SELECT user, poi_id, fingerprint FROM poi_properties {where} ORDER BY user, poi_id",
+            params,
         )
         return {(user, poi_id): decode_fingerprint(blob) for user, poi_id, blob in rows}
 
@@ -228,18 +228,19 @@ def upsert_day(
     (exact duplicates are skipped, which makes re-running a day a no-op)
     and, when anything new arrived, the fingerprint becomes the
     count-weighted merge of old and new; otherwise the next free poi_id
-    is allocated. The write transaction opens (BEGIN IMMEDIATE) before
-    the registry is read, so concurrent writers queue on the busy
-    timeout instead of merging into a stale read. On failure the store
-    is left exactly as before and StorageFailure is raised.
+    is allocated. The registry read is the user's fingerprints, no visit
+    rows, and the write transaction opens (BEGIN IMMEDIATE) before it,
+    so concurrent writers queue on the busy timeout instead of merging
+    into a stale read. On failure the store is left exactly as before
+    and StorageFailure is raised.
     """
     try:
         ids = []
         with store.conn:
             store.conn.execute("BEGIN IMMEDIATE")
-            registry = {r.poi_id: r for r in store.records(user)}
+            registry = {poi_id: f for (_, poi_id), f in store.fingerprints(user).items()}
             for fp, visits in clusters:
-                matched = match_poi(fp, list(registry.values()), threshold)
+                matched = match_poi(fp, registry, threshold)
                 if matched is None:
                     poi_id = max(registry, default=0) + 1
                     created = min((v.start for v in visits), default=0)
@@ -248,7 +249,7 @@ def upsert_day(
                         " VALUES (?, ?, ?, ?)",
                         (user, poi_id, encode_fingerprint(fp), created),
                     )
-                    registry[poi_id] = PoiRecord(poi_id, user, fp, created)
+                    registry[poi_id] = fp
                 else:
                     poi_id = matched
                 added = 0
@@ -261,13 +262,12 @@ def upsert_day(
                     )
                     added += cur.rowcount
                 if matched is not None and added > 0:
-                    merged = merge_fingerprints(registry[poi_id].fingerprint, fp)
+                    registry[poi_id] = merge_fingerprints(registry[poi_id], fp)
                     store.conn.execute(
                         "UPDATE poi_properties SET fingerprint = ?"
                         " WHERE user = ? AND poi_id = ?",
-                        (encode_fingerprint(merged), user, poi_id),
+                        (encode_fingerprint(registry[poi_id]), user, poi_id),
                     )
-                    registry[poi_id] = replace(registry[poi_id], fingerprint=merged)
                 ids.append(poi_id)
         return ids
     except sqlite3.Error as exc:
@@ -311,15 +311,12 @@ def day_window(day: str) -> tuple[int, int]:
     return int(start.timestamp()), int(start.timestamp()) + 86400
 
 
-def daily_summary(
-    store: SummaryStore, user: str, day: str
-) -> list[tuple[int, str, str, str]]:
-    """Visit table for one user-day: (poi_id, label, start, end) rows.
+def daily_summary(store: SummaryStore, user: str, day: str) -> list[tuple[int, str, str]]:
+    """Visit table for one user-day: (poi_id, start, end) rows.
 
     Times render as HH:mm and rows are ordered by start, the shape the
-    per-day timelines are reported in. POI carry no label, so the label
-    is always "", kept for the summary CSV's column. A known user with no visits
-    that day yields an empty table; an unknown user raises UnknownUser.
+    per-day timelines are reported in. A known user with no visits that
+    day yields an empty table; an unknown user raises UnknownUser.
     """
     known = store.conn.execute(
         "SELECT 1 FROM poi_properties WHERE user = ? LIMIT 1", (user,)
@@ -333,11 +330,11 @@ def daily_summary(
         " ORDER BY start_ts",
         (user, lo, hi),
     ).fetchall()
-    return [(poi_id, "", _hhmm(start), _hhmm(end)) for poi_id, start, end in rows]
+    return [(poi_id, _hhmm(start), _hhmm(end)) for poi_id, start, end in rows]
 
 
-def write_summary_csv(rows: Iterable[tuple[int, str, str, str]], path: str | Path) -> None:
-    """Write summary rows with the `poi_id,label,start,end` header."""
+def write_summary_csv(rows: Iterable[tuple[int, str, str]], path: str | Path) -> None:
+    """Write summary rows under `poi_id,label,start,end`; POI carry no label."""
     lines = ["poi_id,label,start,end"]
-    lines += [f"{poi_id},{label},{start},{end}" for poi_id, label, start, end in rows]
+    lines += [f"{poi_id},,{start},{end}" for poi_id, start, end in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

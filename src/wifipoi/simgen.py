@@ -52,12 +52,11 @@ class AccessPoint:
 
 @dataclass(frozen=True)
 class Place:
-    """A named dwell spot; radius documents its rough physical extent."""
+    """A named dwell spot: every scan taken there is taken at (x, y)."""
 
     label: str
     x: float
     y: float
-    radius: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -238,8 +237,7 @@ def parse_scenario(text: str) -> Scenario:
                 px, py = (float(v) for v in body.get("position", "0 0").split())
             except ValueError as exc:
                 raise ScenarioError(f"bad position in [place {name}]: {exc}") from exc
-            radius = float(body.get("radius", 2.0))
-            places.append(Place(label=name, x=px, y=py, radius=radius))
+            places.append(Place(label=name, x=px, y=py))
             ap_lines = [ln for ln in body.get("aps", "").splitlines() if ln.strip()]
             if not ap_lines:
                 raise ScenarioError(f"[place {name}] declares no aps")

@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line pipeline in temp directories."""
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +273,17 @@ class TestScore:
         assert run("score", "--truth", truth, summary) == 2
         assert f"{bad}: bad row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["truth", "summary"])
+    def test_bad_time_names_the_file(self, workdir, capsys, bad):
+        truth = workdir / "truth.csv"
+        truth.write_text("user,day,place,start,end\nalice,2026-03-02,desk,09:00,10:00\n")
+        summary = workdir / "alice_2026-03-02.csv"
+        summary.write_text("poi_id,label,start,end\n1,,09:00,10:00\n")
+        path = truth if bad == "truth" else summary
+        path.write_text(path.read_text().replace("09:00", ""))
+        assert run("score", "--truth", truth, summary) == 2
+        assert f"{path}: bad time ''" in capsys.readouterr().err
+
     def test_header_mismatch_exits_two(self, workdir):
         truth = workdir / "truth.csv"
         truth.write_text("user,day,place,start,end\n")
@@ -292,6 +306,27 @@ class TestStoreOpen:
         assert run(command, "--store", store, *args) == 3
         assert "cannot open" in capsys.readouterr().err
         assert not (workdir / "missing").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--user", "nobody", "--day", "2026-03-07"],
+        ["communities"],
+    ])
+    def test_read_of_a_missing_store_creates_none(self, workdir, capsys, argv):
+        assert run(*argv, "--store", "typo.db") == 3
+        assert "no store at typo.db" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+
+def test_module_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["score", "--truth", "missing.csv", "u_2026-03-02.csv"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wifipoi.cli", *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "missing.csv" in proc.stderr
 
 
 class TestConfigPrecedence:

@@ -2,7 +2,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from wifipoi.errors import DuplicateMac, EmptyScan, MalformedMac, RssiOutOfRange
+from wifipoi.errors import (
+    DuplicateMac, DuplicateTimestamp, EmptyScan, MalformedMac, RssiOutOfRange,
+)
 from wifipoi.model import (
     RSSI_MAX,
     RSSI_MIN,
@@ -79,18 +81,27 @@ class TestRssiRange:
         assert rssi_in_range(RSSI_MAX)
         assert not rssi_in_range(RSSI_MIN - 1)
         assert not rssi_in_range(0)
+        assert not rssi_in_range(-50.5)
 
 
 class TestBuildLog:
-    def test_sorted_and_first_timestamp_wins(self):
+    def test_entries_sorted_by_timestamp(self):
         log = build_log("u", "d", [
             scan(600, [("aa:00:00:00:00:01", -60)]),
             scan(300, [("aa:00:00:00:00:01", -50)]),
-            scan(600, [("bb:00:00:00:00:02", -70)]),
+            scan(900, [("bb:00:00:00:00:02", -70)]),
         ])
-        assert [e.timestamp for e in log.entries] == [300, 600]
-        assert log.entries[1].observations[0][0] == "aa:00:00:00:00:01"
-        assert len(log) == 2
+        assert [e.timestamp for e in log.entries] == [300, 600, 900]
+        assert log.entries[1].observations == (("aa:00:00:00:00:01", -60),)
+        assert len(log) == 3
+
+    def test_repeated_timestamp_rejected(self):
+        with pytest.raises(DuplicateTimestamp, match="duplicate timestamp 600"):
+            build_log("u", "d", [
+                scan(600, [("aa:00:00:00:00:01", -60)]),
+                scan(300, [("aa:00:00:00:00:01", -50)]),
+                scan(600, [("bb:00:00:00:00:02", -70)]),
+            ])
 
 
 class TestClusterParams:

@@ -15,7 +15,6 @@ from wifipoi.clustering import VisitInterval, dbscan, segment_visits
 from wifipoi.errors import EmptyCluster, EmptyLog, StorageFailure, UnknownUser
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
 from wifipoi.registry import (
-    PoiRecord,
     SummaryStore,
     build_fingerprint,
     daily_summary,
@@ -96,10 +95,7 @@ class TestMergeFingerprints:
 
 class TestMatchPoi:
     def registry(self):
-        return [
-            PoiRecord(9, "u", fp({A: -40.0, B: -80.0}), 0),
-            PoiRecord(3, "u", fp({C: -55.0}), 0),
-        ]
+        return {9: fp({A: -40.0, B: -80.0}), 3: fp({C: -55.0})}
 
     def test_identical_fingerprint_matches(self):
         assert match_poi(fp({A: -40.0, B: -80.0}), self.registry()) == 9
@@ -109,11 +105,10 @@ class TestMatchPoi:
 
     def test_tie_breaks_to_lowest_id(self):
         same = fp({A: -50.0})
-        records = [PoiRecord(7, "u", same, 0), PoiRecord(2, "u", same, 0)]
-        assert match_poi(fp({A: -50.0}), records) == 2
+        assert match_poi(fp({A: -50.0}), {7: same, 2: same}) == 2
 
     def test_threshold_one_requires_exact_proportionality(self):
-        record = [PoiRecord(1, "u", fp({A: -50.0, B: -60.0}), 0)]
+        record = {1: fp({A: -50.0, B: -60.0})}
         assert match_poi(fp({A: -25.0, B: -30.0}), record, threshold=1.0) == 1
         assert match_poi(fp({A: -50.0, B: -61.0}), record, threshold=1.0) is None
         assert match_poi(fp({A: -50.0}), record, threshold=1.0) is None
@@ -184,6 +179,17 @@ class TestUpsert:
             merged = store.records("u")[0].fingerprint.rssi[A]
             assert lo <= merged <= hi
 
+    def test_reads_no_visit_rows(self):
+        with SummaryStore() as store:
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
+            issued = []
+            store.conn.set_trace_callback(issued.append)
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(60, 80)]),
+                                    (fp({B: -60.0}), [visit(120, 140)])])
+            store.conn.set_trace_callback(None)
+            reads = [sql for sql in issued if sql.lstrip().upper().startswith("SELECT")]
+            assert reads and not any("poi_visits" in sql for sql in reads)
+
 
 class FaultyConn:
     """Forwards to a real connection, failing on the nth execute."""
@@ -215,10 +221,10 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # call 1 opens the transaction, 2-3 read the registry, 4 inserts
-        # the new POI row, 5 adds the first visit; failing on call 6
+        # call 1 opens the transaction, 2 reads the registry, 3 inserts
+        # the new POI row, 4 adds the first visit; failing on call 5
         # leaves a half-done upsert that the transaction must roll back
-        store.conn = FaultyConn(real, fail_after=5)
+        store.conn = FaultyConn(real, fail_after=4)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [(fp({B: -60.0}),
                                      [visit(60, 80), visit(120, 140), visit(180, 200)])])
@@ -233,16 +239,16 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # BEGIN and 2 reads, then per cluster a POI row and one visit:
-        # 9 calls; the last one, the third cluster's visit, fails
-        store.conn = FaultyConn(real, fail_after=8)
+        # BEGIN and 1 read, then per cluster a POI row and one visit:
+        # 8 calls; the last one, the third cluster's visit, fails
+        store.conn = FaultyConn(real, fail_after=7)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [
                 (fp({B: -60.0}), [visit(60, 80)]),
                 (fp({C: -60.0}), [visit(120, 140)]),
                 (fp({"dd:00:00:00:00:04": -60.0}), [visit(180, 200)]),
             ])
-        assert store.conn._calls == 9
+        assert store.conn._calls == 8
         store.conn = real
         assert store.records("u") == before
         assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (1,)
@@ -276,18 +282,18 @@ class TestConcurrentWriters:
         b = SummaryStore(tmp_path / "reg.db")
         a.conn.execute("PRAGMA busy_timeout = 0")
         day_a = [(place, [visit(1440, 1460)])]
-        read_registry = b.records
+        read_registry = b.fingerprints
         raced = []
 
         def read_then_race(user):
             # B has read the registry; A must not land a day under it
-            records = read_registry(user)
+            fingerprints = read_registry(user)
             with pytest.raises(StorageFailure, match="database is locked"):
                 upsert_day(a, "u", day_a)
             raced.append(user)
-            return records
+            return fingerprints
 
-        b.records = read_then_race
+        b.fingerprints = read_then_race
         assert upsert_day(b, "u", [(place, [visit(2880, 2900)])]) == [1]
         assert raced == ["u"]
         assert upsert_day(a, "u", day_a) == [1]
@@ -466,6 +472,18 @@ class TestFingerprints:
             assert list(store.fingerprints().items()) == want
             assert len({user for (user, _), _ in want}) == 4
 
+    def test_user_filter_is_that_users_slice(self):
+        rnd = random.Random(34)
+        with SummaryStore() as store:
+            for user in ("u2", "u10", "u1"):
+                for clusters in random_days(rnd, n_days=3, places=4):
+                    upsert_day(store, user, clusters)
+            every = store.fingerprints()
+            for user in ("u1", "u10", "u2", "ghost"):
+                got = store.fingerprints(user)
+                assert list(got.items()) == [(k, f) for k, f in every.items() if k[0] == user]
+                assert list(got) == sorted(got)  # one user, so in poi_id order
+
 
 class TestDailySummary:
     def test_unknown_user(self):
@@ -484,9 +502,9 @@ class TestDailySummary:
             upsert_day(store, "u", [(fp({B: -60.0}), [visit(120, 150)])])
             rows = daily_summary(store, "u", DAY)
             assert rows == [
-                (1, "", "00:00", "00:20"),
-                (2, "", "02:00", "02:30"),
-                (1, "", "09:00", "09:30"),
+                (1, "00:00", "00:20"),
+                (2, "02:00", "02:30"),
+                (1, "09:00", "09:30"),
             ]
 
     def test_store_with_the_old_label_column_still_works(self, tmp_path):
@@ -500,7 +518,7 @@ class TestDailySummary:
         with SummaryStore(tmp_path / "old.db") as store:
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(60, 80)])])
-            assert daily_summary(store, "u", DAY) == [(1, "", "00:00", "00:20"), (1, "", "01:00", "01:20")]
+            assert daily_summary(store, "u", DAY) == [(1, "00:00", "00:20"), (1, "01:00", "01:20")]
             assert len(store.records("u")[0].visits) == 2
 
     def test_repeat_visit_structure(self):
