@@ -4,14 +4,14 @@ Runs three simulated days through the extraction pipeline into one
 summary store. Each day's clusters are matched against the user's
 existing POI by fingerprint similarity (threshold 0.5); a hit reuses
 the stable poi_id and appends the visits, a miss allocates the next
-id. The daily summaries then show home and office keeping their ids
-all week.
+id. Each day's summary, the visits that day registered, shows home
+and office keeping their ids all week.
 """
 import collections
 import time
 
 from wifipoi.clustering import ClusterParams
-from wifipoi.registry import SummaryStore, daily_summary, extract_day
+from wifipoi.registry import SummaryStore, extract_day, summary_rows
 from wifipoi.simgen import generate_trace, load_scenario
 
 scenario = load_scenario("office-3day")
@@ -32,11 +32,10 @@ for day_index, day in enumerate(sorted(by_day)):
         noise_sigma=scenario.sigma,
         user=user,
     )
-    # cluster the day, then match each cluster against the registry
-    extract_day(store, log, params)
-
+    # cluster the day, match each cluster against the registry, and
+    # render the (poi_id, visits) pairs it registered
     print(f"{day}:")
-    for poi_id, start, end in daily_summary(store, user, day):
+    for poi_id, start, end in summary_rows(extract_day(store, log, params)):
         print(f"  POI {poi_id}  {start} - {end}")
 
 print("\nregistered POI:")

@@ -41,9 +41,9 @@ from .registry import (
     PoiRecord,
     SummaryStore,
     build_fingerprint,
-    daily_summary,
     extract_day,
     match_poi,
+    summary_rows,
     upsert_day,
 )
 from .similarity import cosine_similarity, similarity_matrix
@@ -74,7 +74,6 @@ __all__ = [
     "build_log",
     "compress_batch",
     "cosine_similarity",
-    "daily_summary",
     "dbscan",
     "decode_log",
     "decompress_batch",
@@ -91,6 +90,7 @@ __all__ = [
     "segment_visits",
     "similarity_matrix",
     "store_raw",
+    "summary_rows",
     "threshold_sweep",
     "upsert_day",
     "validate_scan",

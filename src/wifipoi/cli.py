@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import sqlite3
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +37,7 @@ from .errors import InputError, PoiError, StorageFailure, UnknownUser
 from .ingest import RawStore, decode_log, decompress_batch, encode_log, compress_batch, store_raw
 from .model import ClusterParams, ScanLog
 from .registry import (
-    MATCH_THRESHOLD, SummaryStore, daily_summary, day_window, extract_day, write_summary_csv,
+    MATCH_THRESHOLD, SummaryStore, day_window, extract_day, summary_rows, write_summary_csv,
 )
 from .simgen import generate_trace, load_scenario, write_ground_truth_csv
 
@@ -158,15 +159,15 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         print(f"no scans for {args.user} on {args.day}; wrote empty {out}")
         return 0
     with SummaryStore(cfg.store) as store:
-        ids = extract_day(store, log, cfg.cluster, cfg.match_threshold)
-        rows = daily_summary(store, args.user, args.day) if ids else []
+        registered = extract_day(store, log, cfg.cluster, cfg.match_threshold)
+    rows = summary_rows(registered)
     write_summary_csv(rows, out)
-    if not ids:
+    if not rows:
         print(f"only noise for {args.user} on {args.day}; wrote empty {out}")
         return 0
     for poi_id, start, end in rows:
         print(f"POI {poi_id:>3}  {start} - {end}")
-    print(f"{len(rows)} visits over {len(ids)} POI -> {out}")
+    print(f"{len(rows)} visits over {len({poi_id for poi_id, _ in registered})} POI -> {out}")
     return 0
 
 
@@ -230,6 +231,13 @@ def _parse_hhmm(path: Path, text: str) -> int:
         raise InputError(f"{path}: bad time {text!r}, expected HH:MM") from None
 
 
+def _parse_poi_id(path: Path, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{path}: bad poi_id {text!r}, expected an integer") from None
+
+
 def _read_csv_rows(path: Path, header: str) -> list[list[str]]:
     """The rows after `header`; each must have as many fields as it."""
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -259,7 +267,7 @@ def cmd_score(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         if not sep:
             raise InputError(f"{path}: cannot infer user/day from file name")
         rows = [
-            (int(r[0]), _parse_hhmm(path, r[2]), _parse_hhmm(path, r[3]))
+            (_parse_poi_id(path, r[0]), _parse_hhmm(path, r[2]), _parse_hhmm(path, r[3]))
             for r in _read_csv_rows(path, "poi_id,label,start,end")
         ]
         for place, t_start, t_end in truth_by_key.get((user, day), []):
@@ -352,6 +360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except sqlite3.Error as exc:  # only a command reaches SQLite, so cfg is set
+        print(f"error: cannot read store {cfg.store}: {exc}", file=sys.stderr)
+        return 3
     except PoiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

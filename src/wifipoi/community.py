@@ -98,14 +98,12 @@ def build_graph(
     return PoiGraph(nodes=nodes, edges=tuple(edges))
 
 
-def modularity(graph: PoiGraph, partition: Partition | Mapping[Node, int]) -> float:
-    """Weighted modularity Q of a partition over the graph's nodes.
+def modularity(graph: PoiGraph, comm: Mapping[Node, int]) -> float:
+    """Weighted modularity Q of a node -> community map over the graph.
 
-    Accepts a Partition or a bare node -> community mapping. Raises
-    PartitionMismatch when any node is unassigned and EmptyGraph when
-    there is no edge weight to normalize by.
+    Raises PartitionMismatch when any node is unassigned and EmptyGraph
+    when there is no edge weight to normalize by.
     """
-    comm = partition.communities if isinstance(partition, Partition) else partition
     missing = [n for n in graph.nodes if n not in comm]
     if missing:
         raise PartitionMismatch(f"{len(missing)} nodes lack a community")

@@ -113,9 +113,6 @@ class Fingerprint:
     rssi: Mapping[str, float]
     counts: Mapping[str, int]
 
-    def __len__(self) -> int:
-        return len(self.rssi)
-
 
 @dataclass(frozen=True)
 class ClusterParams:

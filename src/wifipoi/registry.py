@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .clustering import NOISE, VisitInterval, dbscan, segment_visits
-from .errors import EmptyCluster, StorageFailure, UnknownUser
+from .errors import EmptyCluster, StorageFailure
 from .ingest import SqliteStore
 from .model import ClusterParams, Fingerprint, ScanLog, ScanResult
 from .similarity import cosine_similarity
@@ -279,8 +279,8 @@ def extract_day(
     log: ScanLog,
     params: ClusterParams,
     threshold: float = MATCH_THRESHOLD,
-) -> list[int]:
-    """Cluster one user-day's log and register it; return the day's poi_ids.
+) -> list[tuple[int, list[VisitInterval]]]:
+    """Cluster and register one user-day; return one (poi_id, visits) per cluster.
 
     dbscan labels the scans and segment_visits cuts them into visits;
     each cluster label, in ascending order, becomes one (fingerprint
@@ -297,7 +297,8 @@ def extract_day(
     for visit in segment_visits(log, labels, params):
         visits.setdefault(visit.label, []).append(visit)
     clusters = [(build_fingerprint(members[label]), visits[label]) for label in sorted(members)]
-    return upsert_day(store, log.user, clusters, threshold)
+    ids = upsert_day(store, log.user, clusters, threshold)
+    return [(poi_id, day_visits) for poi_id, (_, day_visits) in zip(ids, clusters)]
 
 
 def _hhmm(ts: int) -> str:
@@ -311,26 +312,16 @@ def day_window(day: str) -> tuple[int, int]:
     return int(start.timestamp()), int(start.timestamp()) + 86400
 
 
-def daily_summary(store: SummaryStore, user: str, day: str) -> list[tuple[int, str, str]]:
-    """Visit table for one user-day: (poi_id, start, end) rows.
+def summary_rows(
+    registered: Iterable[tuple[int, Iterable[VisitInterval]]],
+) -> list[tuple[int, str, str]]:
+    """Render (poi_id, visits) pairs as (poi_id, start, end) visit rows.
 
     Times render as HH:mm and rows are ordered by start, the shape the
-    per-day timelines are reported in. A known user with no visits that
-    day yields an empty table; an unknown user raises UnknownUser.
+    per-day timelines are reported in.
     """
-    known = store.conn.execute(
-        "SELECT 1 FROM poi_properties WHERE user = ? LIMIT 1", (user,)
-    ).fetchone()
-    if known is None:
-        raise UnknownUser(f"no POI registered for user {user!r}")
-    lo, hi = day_window(day)
-    rows = store.conn.execute(
-        "SELECT poi_id, start_ts, end_ts FROM poi_visits"
-        " WHERE user = ? AND start_ts >= ? AND start_ts < ?"
-        " ORDER BY start_ts",
-        (user, lo, hi),
-    ).fetchall()
-    return [(poi_id, _hhmm(start), _hhmm(end)) for poi_id, start, end in rows]
+    rows = sorted((v.start, v.end, poi_id) for poi_id, visits in registered for v in visits)
+    return [(poi_id, _hhmm(start), _hhmm(end)) for start, end, poi_id in rows]
 
 
 def write_summary_csv(rows: Iterable[tuple[int, str, str]], path: str | Path) -> None:

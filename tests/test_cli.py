@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line pipeline in temp directories."""
 import csv
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,49 @@ class TestExtract:
         with SummaryStore(workdir / "poi.db") as store:
             assert store.users() == []
 
+    def test_poi_count_is_the_distinct_ids_written(self, workdir, capsys):
+        sim = simulate_office(workdir, seed=0)
+        run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
+        capsys.readouterr()
+        assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY,
+                   "--epsilon", "0.95") == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        visits, _, rest = last.partition(" visits over ")
+        rows = read_csv(workdir / f"alice_{DAY}.csv")[1:]
+        assert int(visits) == len(rows)
+        assert int(rest.partition(" POI")[0]) == len({r[0] for r in rows}) < len(rows)
+
+    def test_rerun_at_another_epsilon_writes_only_its_visits(self, workdir):
+        sim = simulate_office(workdir, seed=0)
+        for store in ("poi.db", "fresh.db"):
+            run("ingest", "--store", store, sim / "alice.scan.gz")
+        args = ["--user", "alice", "--day", DAY, "--epsilon"]
+        assert run("extract", "--store", "poi.db", *args, "0.5", "--out", "first.csv") == 0
+        assert run("extract", "--store", "poi.db", *args, "0.95", "--out", "rerun.csv") == 0
+        assert run("extract", "--store", "fresh.db", *args, "0.95", "--out", "fresh.csv") == 0
+        assert len(read_csv(workdir / "first.csv")) == 1 + 6
+        assert len(read_csv(workdir / "rerun.csv")) == 1 + 157
+        assert (workdir / "rerun.csv").read_text() == (workdir / "fresh.csv").read_text()
+
+    def test_reads_no_visit_rows(self, workdir, monkeypatch):
+        issued = []
+
+        def traced(store_class):
+            class Traced(store_class):
+                def __init__(self, path):
+                    super().__init__(path)
+                    self.conn.set_trace_callback(issued.append)
+            return Traced
+
+        sim = simulate_office(workdir)
+        run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
+        monkeypatch.setattr(cli, "RawStore", traced(RawStore))
+        monkeypatch.setattr(cli, "SummaryStore", traced(SummaryStore))
+        assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY) == 0
+        reads = [sql for sql in issued if sql.lstrip().upper().startswith("SELECT")]
+        assert any("poi_properties" in sql for sql in reads)
+        assert not any("poi_visits" in sql for sql in reads)
+
     def test_epsilon_override_accepted(self, workdir):
         sim = simulate_office(workdir)
         run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
@@ -284,6 +328,30 @@ class TestScore:
         assert run("score", "--truth", truth, summary) == 2
         assert f"{path}: bad time ''" in capsys.readouterr().err
 
+    def test_bad_poi_id_names_the_file(self, workdir, capsys):
+        truth = workdir / "truth.csv"
+        truth.write_text("user,day,place,start,end\nalice,2026-03-02,desk,09:00,10:00\n")
+        summary = workdir / "alice_2026-03-02.csv"
+        summary.write_text("poi_id,label,start,end\nx,,09:00,10:00\n")
+        assert run("score", "--truth", truth, summary) == 2
+        assert f"{summary}: bad poi_id 'x'" in capsys.readouterr().err
+
+    def test_summary_name_without_user_and_day_exits_two(self, workdir, capsys):
+        truth = workdir / "truth.csv"
+        truth.write_text("user,day,place,start,end\nalice,2026-03-02,desk,09:00,10:00\n")
+        summary = workdir / "summary.csv"
+        summary.write_text("poi_id,label,start,end\n1,,09:00,10:00\n")
+        assert run("score", "--truth", truth, summary) == 2
+        assert f"{summary}: cannot infer user/day" in capsys.readouterr().err
+
+    def test_truth_without_visits_for_the_summaries_exits_two(self, workdir, capsys):
+        truth = workdir / "truth.csv"
+        truth.write_text("user,day,place,start,end\nbob,2026-03-02,desk,09:00,10:00\n")
+        summary = workdir / "alice_2026-03-02.csv"
+        summary.write_text("poi_id,label,start,end\n1,,09:00,10:00\n")
+        assert run("score", "--truth", truth, summary) == 2
+        assert "ground truth contains no visits" in capsys.readouterr().err
+
     def test_header_mismatch_exits_two(self, workdir):
         truth = workdir / "truth.csv"
         truth.write_text("user,day,place,start,end\n")
@@ -315,6 +383,14 @@ class TestStoreOpen:
         assert run(*argv, "--store", "typo.db") == 3
         assert "no store at typo.db" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
+
+    def test_store_with_another_table_layout_exits_three(self, workdir, capsys):
+        with sqlite3.connect(workdir / "other.db") as conn:
+            conn.execute("CREATE TABLE poi_properties (user TEXT)")
+        conn.close()
+        assert run("communities", "--store", "other.db") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read store other.db:") and "poi_id" in err
 
 
 def test_module_runs_the_cli(tmp_path):
@@ -349,6 +425,25 @@ class TestConfigPrecedence:
         run("ingest", "--store", "from_flag.db", sim / "alice.scan.gz")
         assert (workdir / "from_flag.db").exists()
         assert not (workdir / "from_env.db").exists()
+
+    def test_unreadable_config_exits_two(self, workdir, capsys):
+        assert run("communities", "--config", "missing.ini") == 2
+        assert "cannot read config missing.ini" in capsys.readouterr().err
+
+    def test_config_file_sets_community_thresholds(self, workdir):
+        from wifipoi.clustering import VisitInterval
+        from wifipoi.model import Fingerprint
+        from wifipoi.registry import upsert_day
+
+        with SummaryStore(workdir / "poi.db") as store:
+            for user, rssi in (("u", -50.0), ("v", -52.0), ("w", -60.0)):
+                fp = Fingerprint(rssi={"aa:00:00:00:00:01": rssi, "bb:00:00:00:00:02": -70.0},
+                                 counts={"aa:00:00:00:00:01": 4, "bb:00:00:00:00:02": 4})
+                upsert_day(store, user, [(fp, [VisitInterval(1, 0, 1200, 4)])])
+        cfg = workdir / "pipeline.ini"
+        cfg.write_text("[pipeline]\ncommunity_thresholds = 0.25 0.75\n")
+        assert run("communities", "--store", "poi.db", "--config", cfg) == 0
+        assert [row[0] for row in read_csv(workdir / "sweep.csv")[1:]] == ["0.25", "0.75"]
 
     @pytest.mark.parametrize("flag", ["a,b", ",", "1.5", "0", "-0.3"])
     def test_bad_threshold_flag_exits_two(self, workdir, flag):

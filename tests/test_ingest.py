@@ -138,6 +138,9 @@ class TestDecodeErrors:
             b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50.5]]}',
             b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50],["aa:00:00:00:00:01",-60]]}',
             b"[1,2,3]",
+            b'{"t":100,"dev":"d","aps":5}',
+            b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01"]]}',
+            b'{"t":100,"dev":"d","aps":[[7,-50]]}',
         ],
     )
     def test_rejected_lines(self, line):

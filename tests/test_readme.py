@@ -1,4 +1,4 @@
-"""The README's CLI walkthrough prints what the README says it prints."""
+"""The README's CLI walkthrough prints what it says, and its Library code runs."""
 from pathlib import Path
 
 from wifipoi.cli import main
@@ -48,3 +48,11 @@ def test_walkthrough_output_is_current(tmp_path, monkeypatch, capsys):
     expected = walkthrough_outputs()
     assert len(expected) > 10
     assert [line for line in expected if not shown(line, printed)] == []
+
+
+def test_library_block_runs(capsys):
+    text = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, f"{README}:Library", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and all(line.startswith("POI ") for line in printed)

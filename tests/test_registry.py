@@ -12,18 +12,18 @@ import numpy as np
 import pytest
 
 from wifipoi.clustering import VisitInterval, dbscan, segment_visits
-from wifipoi.errors import EmptyCluster, EmptyLog, StorageFailure, UnknownUser
+from wifipoi.errors import EmptyCluster, EmptyLog, StorageFailure
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
 from wifipoi.registry import (
     SummaryStore,
     build_fingerprint,
-    daily_summary,
     day_window,
     decode_fingerprint,
     encode_fingerprint,
     extract_day,
     match_poi,
     merge_fingerprints,
+    summary_rows,
     upsert_day,
     write_summary_csv,
 )
@@ -430,7 +430,8 @@ def reference_extract(store, log, params):
         (build_fingerprint([s for s, l in zip(log.entries, labels) if l == label]), by_label[label])
         for label in sorted(by_label)
     ]
-    return upsert_day(store, log.user, clusters)
+    ids = upsert_day(store, log.user, clusters)
+    return [(poi_id, visits) for poi_id, (_, visits) in zip(ids, clusters)]
 
 
 class TestExtractDay:
@@ -438,9 +439,9 @@ class TestExtractDay:
         logs, params = office_days()
         with SummaryStore() as got, SummaryStore() as want:
             for log in logs:
-                ids = extract_day(got, log, params)
-                assert ids == reference_extract(want, log, params)
-                assert len(ids) > 1
+                registered = extract_day(got, log, params)
+                assert registered == reference_extract(want, log, params)
+                assert len(registered) > 1
                 assert got.records(log.user) == want.records(log.user)
 
     def test_all_noise_day_writes_nothing(self):
@@ -486,26 +487,22 @@ class TestFingerprints:
 
 
 class TestDailySummary:
-    def test_unknown_user(self):
-        with SummaryStore() as store:
-            with pytest.raises(UnknownUser):
-                daily_summary(store, "ghost", DAY)
+    """summary_rows renders (poi_id, visits) pairs as one day's visit table."""
 
     def test_empty_day(self):
+        # the store holds a visit on DAY, but an all-noise run registers none
+        noise = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
         with SummaryStore() as store:
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-            assert daily_summary(store, "u", "2026-03-03") == []
+            assert summary_rows(extract_day(store, noise, ClusterParams())) == []
 
     def test_rows_ordered_with_hhmm_rendering(self):
-        with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20), visit(9 * 60, 9 * 60 + 30)])])
-            upsert_day(store, "u", [(fp({B: -60.0}), [visit(120, 150)])])
-            rows = daily_summary(store, "u", DAY)
-            assert rows == [
-                (1, "00:00", "00:20"),
-                (2, "02:00", "02:30"),
-                (1, "09:00", "09:30"),
-            ]
+        rows = summary_rows([(1, [visit(0, 20), visit(9 * 60, 9 * 60 + 30)]), (2, [visit(120, 150)])])
+        assert rows == [
+            (1, "00:00", "00:20"),
+            (2, "02:00", "02:30"),
+            (1, "09:00", "09:30"),
+        ]
 
     def test_store_with_the_old_label_column_still_works(self, tmp_path):
         with sqlite3.connect(tmp_path / "old.db") as conn:
@@ -518,11 +515,11 @@ class TestDailySummary:
         with SummaryStore(tmp_path / "old.db") as store:
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(60, 80)])])
-            assert daily_summary(store, "u", DAY) == [(1, "00:00", "00:20"), (1, "01:00", "01:20")]
-            assert len(store.records("u")[0].visits) == 2
+            stored = [(record.poi_id, record.visits) for record in store.records("u")]
+            assert summary_rows(stored) == [(1, "00:00", "00:20"), (1, "01:00", "01:20")]
 
     def test_repeat_visit_structure(self):
-        # a 12-POI day where ids 1, 9 and 12 recur: 8 rows total
+        # a 12-POI day where ids 1, 9 and 12 recur: 17 rows total
         with SummaryStore() as store:
             macs = ["%02x:00:00:00:00:0%d" % (k, k % 10) for k in range(12)]
             for k, mac in enumerate(macs):
@@ -531,17 +528,15 @@ class TestDailySummary:
             for poi_id, windows in repeats.items():
                 for start, end in windows:
                     upsert_day(store, "u", [(fp({macs[poi_id - 1]: -50.0}), [visit(start, end)])])
-            rows = daily_summary(store, "u", DAY)
+            rows = summary_rows((record.poi_id, record.visits) for record in store.records("u"))
             by_id = [r[0] for r in rows]
             assert len(by_id) == 12 + 5
             for poi_id in (1, 9, 12):
                 assert by_id.count(poi_id) > 1
 
     def test_csv_export_shape(self, tmp_path):
-        with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-            out = tmp_path / "u_day.csv"
-            write_summary_csv(daily_summary(store, "u", DAY), out)
-            lines = out.read_text().splitlines()
-            assert lines[0] == "poi_id,label,start,end"
-            assert lines[1] == "1,,00:00,00:20"
+        out = tmp_path / "u_day.csv"
+        write_summary_csv(summary_rows([(1, [visit(0, 20)])]), out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "poi_id,label,start,end"
+        assert lines[1] == "1,,00:00,00:20"

@@ -190,6 +190,33 @@ class TestParseScenario:
         with pytest.raises(ScenarioError):
             parse_scenario(mangle(MINIMAL))
 
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            pytest.param(lambda t: "tx = -45\n" + t, "bad scenario syntax", id="syntax"),
+            pytest.param(lambda t: t.replace("sigma = 1.5", "sigma = loud"),
+                         r"bad \[world\] value", id="world-value"),
+            pytest.param(lambda t: t.replace("[place desk]", "[place]"),
+                         "place section needs a name", id="unnamed-place"),
+            pytest.param(lambda t: t.replace("[user sam]", "[user]"),
+                         "user section needs a name", id="unnamed-user"),
+            pytest.param(lambda t: t.replace("desk 09:00 10:00", "desk 09:00"),
+                         "itinerary line needs", id="itinerary-fields"),
+            pytest.param(lambda t: t.replace("desk 09:00", "desk 9h"),
+                         "bad itinerary time", id="itinerary-time"),
+            pytest.param(lambda t: t.replace("    2026-03-02 desk 09:00 10:00\n", ""),
+                         "empty itinerary", id="empty-itinerary"),
+            pytest.param(lambda t: t[: t.index("[place desk]")] + t[t.index("[user sam]"):],
+                         "defines no places", id="no-places"),
+            pytest.param(lambda t: t[: t.index("[user sam]")], "defines no users", id="no-users"),
+            pytest.param(lambda t: t.replace("    1.0 0\n", "    1.0 0 -45 3.0 9\n"),
+                         "ap line needs", id="ap-fields"),
+        ],
+    )
+    def test_each_defect_is_named(self, mangle, message):
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(mangle(MINIMAL))
+
     def test_place_without_aps_rejected(self):
         broken = MINIMAL.replace("aps =\n    1.0 0\n    0 1.5 -60\n    -1.0 0 -50 4.0\n", "aps =\n")
         with pytest.raises(ScenarioError):
