@@ -82,14 +82,16 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         except (OSError, configparser.Error) as exc:
             raise InputError(f"cannot read config {config_path}: {exc}") from exc
         section = parser["pipeline"] if parser.has_section("pipeline") else {}
-        for name, kind in (("epsilon", float), ("min_pts", int), ("scan_interval", int),
-                           ("match_threshold", float), ("store", str)):
-            if name in section:
-                values[name] = kind(section[name])
-        if "community_thresholds" in section:
-            values["community_thresholds"] = _parse_thresholds(
-                section["community_thresholds"].replace(" ", ",")
-            )
+        kinds = {"epsilon": float, "min_pts": int, "scan_interval": int, "store": str,
+                 "match_threshold": float,
+                 "community_thresholds": lambda text: _parse_thresholds(text.replace(" ", ","))}
+        for name, text in section.items():
+            if name not in kinds:
+                raise InputError(f"{config_path}: unknown key {name!r} in [pipeline]")
+            try:
+                values[name] = kinds[name](text)
+            except (ValueError, InputError) as exc:
+                raise InputError(f"{config_path}: bad [pipeline] {name}: {exc}") from exc
     if getattr(args, "epsilon", None) is not None:
         values["epsilon"] = args.epsilon
     if getattr(args, "thresholds", None) is not None:
@@ -146,10 +148,10 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+    lo, hi = day_window(args.day)
     out = Path(args.out) if args.out else Path(f"{args.user}_{args.day}.csv")
     if not out.parent.is_dir():
         raise InputError(f"output directory {out.parent} does not exist")
-    lo, hi = day_window(args.day)
     with RawStore(_existing_store(cfg.store)) as raw:
         if not raw.has_user(args.user):
             raise UnknownUser(f"no raw data for user {args.user!r} in {cfg.store}")

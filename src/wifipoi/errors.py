@@ -25,6 +25,10 @@ class MalformedMac(InputError):
     pass
 
 
+class MalformedTimestamp(InputError):
+    pass
+
+
 class RssiOutOfRange(InputError):
     pass
 

@@ -6,6 +6,8 @@ Scan logs travel as line-delimited JSON, one scan per line:
 
 Field order is fixed and MACs are canonical, so encoding is
 byte-reproducible and a partial upload fails at line granularity.
+Decoding checks only a line's JSON shape; the scan goes through
+validate_scan, as in build_log, and any fault is one MalformedLine.
 Batches gzip-compress very well because MAC strings repeat in nearly
 every line. The raw store keeps one row per (user, t, mac) observation
 and silently skips duplicates, which makes re-ingestion a no-op;
@@ -30,11 +32,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TypeVar
 
-from .errors import (
-    CorruptStream, DuplicateMac, EmptyScan, MalformedLine, MalformedMac, RssiOutOfRange,
-    StorageFailure,
-)
-from .model import ScanLog, ScanResult, parse_mac, validate_scan
+from .errors import CorruptStream, MalformedLine, PoiError, StorageFailure
+from .model import ScanLog, ScanResult, validate_scan
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
 
@@ -51,11 +50,12 @@ def encode_log(log: ScanLog) -> bytes:
     return "".join(_encode_line(log.device, s) + "\n" for s in log.entries).encode()
 
 
-def _decode_line(line_no: int, line: str, macs: dict[str, str]) -> tuple[int, str, ScanResult]:
-    """Parse one wire line; `macs` memoises parse_mac by raw MAC string.
+def _decode_line(line_no: int, line: str) -> tuple[str, ScanResult]:
+    """Parse one wire line into its device and validated scan.
 
-    Only the wire shape is checked here; the readings go through
-    validate_scan, whose errors are re-raised naming the line.
+    Only the JSON shape is checked here; the readings go through
+    validate_scan. Any fault raises MalformedLine naming the line, with
+    the policy's reason for a bad reading.
     """
     try:
         record = json.loads(line)
@@ -63,50 +63,27 @@ def _decode_line(line_no: int, line: str, macs: dict[str, str]) -> tuple[int, st
         raise MalformedLine(line_no, f"invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict) or sorted(record) != sorted(_FIELDS):
         raise MalformedLine(line_no, f"expected exactly the fields {list(_FIELDS)}")
-    t, dev, aps = record["t"], record["dev"], record["aps"]
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise MalformedLine(line_no, "t must be an integer timestamp")
+    dev, aps = record["dev"], record["aps"]
     if not isinstance(dev, str):
         raise MalformedLine(line_no, "dev must be a string")
-    if not isinstance(aps, list):
-        raise MalformedLine(line_no, "aps must be a non-empty list")
-    observations = []
-    for entry in aps:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise MalformedLine(line_no, "each ap must be a [mac, rssi] pair")
-        raw_mac, rssi = entry
-        if not isinstance(raw_mac, str):
-            raise MalformedLine(line_no, "mac must be a string")
-        mac = macs.get(raw_mac)
-        if mac is None:
-            try:
-                mac = macs[raw_mac] = parse_mac(raw_mac)
-            except MalformedMac as exc:
-                raise MalformedMac(f"line {line_no}: {exc}") from exc
-        if not isinstance(rssi, int) or isinstance(rssi, bool):
-            raise MalformedLine(line_no, "rssi must be an integer")
-        observations.append((mac, rssi))
-    try:
-        return t, dev, validate_scan(ScanResult(t, tuple(observations)))
-    except RssiOutOfRange as exc:
-        raise RssiOutOfRange(f"line {line_no}: {exc}") from exc
-    except DuplicateMac as exc:
+    if not (isinstance(aps, list) and all(isinstance(ap, list) and len(ap) == 2 for ap in aps)):
+        raise MalformedLine(line_no, "aps must be a list of [mac, rssi] pairs")
+    try:  # validate_scan returns fresh (mac, rssi) tuples, so the pairs go in as lists
+        return dev, validate_scan(ScanResult(record["t"], tuple(aps)))
+    except PoiError as exc:
         raise MalformedLine(line_no, str(exc)) from exc
-    except EmptyScan as exc:
-        raise MalformedLine(line_no, "aps must be a non-empty list") from exc
 
 
 def decode_log(data: bytes, user: str = "") -> ScanLog:
     """Parse wire bytes back into a ScanLog for `user`.
 
     Blank lines are skipped; anything else malformed, bytes that are
-    not UTF-8 included, raises with its line number. All lines must
-    name the same device and timestamps must be unique. Inverse of
-    encode_log on validated logs.
+    not UTF-8 included, raises MalformedLine with its line number. All
+    lines must name the same device and timestamps must be unique.
+    Inverse of encode_log on validated logs.
     """
     device = ""
     by_time: dict[int, ScanResult] = {}
-    macs: dict[str, str] = {}  # an upload repeats a few hundred MAC strings
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -114,13 +91,13 @@ def decode_log(data: bytes, user: str = "") -> ScanLog:
     for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
-        t, dev, scan = _decode_line(line_no, line, macs)
+        dev, scan = _decode_line(line_no, line)
         if device and dev != device:
             raise MalformedLine(line_no, f"device {dev!r} conflicts with {device!r}")
         device = dev
-        if t in by_time:
-            raise MalformedLine(line_no, f"duplicate timestamp {t}")
-        by_time[t] = scan
+        if scan.timestamp in by_time:
+            raise MalformedLine(line_no, f"duplicate timestamp {scan.timestamp}")
+        by_time[scan.timestamp] = scan
     entries = tuple(by_time[t] for t in sorted(by_time))
     return ScanLog(user=user, device=device, entries=entries)
 

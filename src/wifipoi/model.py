@@ -12,20 +12,22 @@ a presentation concern and lives in the registry/CLI layers.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DuplicateMac, DuplicateTimestamp, EmptyScan, MalformedMac, RssiOutOfRange
+from .errors import DuplicateMac, DuplicateTimestamp, EmptyScan, MalformedMac, MalformedTimestamp
+from .errors import RssiOutOfRange
 
 # Valid RSS readings are in [-100, 0) dBm, i.e. [-100, -1] as integers.
 RSSI_MIN = -100
 RSSI_MAX = -1
-_RSSI_VALUES = frozenset(range(RSSI_MIN, RSSI_MAX + 1))  # whole dBm only: -50.5 is no reading
 
 _MAC_RE = re.compile(r"^[0-9a-f]{2}(?::[0-9a-f]{2}){5}$")
 
 
+@functools.lru_cache(maxsize=4096)  # an upload repeats a few hundred MAC spellings
 def parse_mac(text: str) -> str:
     """Canonicalise a MAC address to lowercase colon-separated hex.
 
@@ -38,8 +40,9 @@ def parse_mac(text: str) -> str:
     return mac
 
 
-def rssi_in_range(rssi: int) -> bool:
-    return rssi in _RSSI_VALUES
+def rssi_in_range(rssi: object) -> bool:
+    """True for a whole dBm reading: a plain int (no bool) in [RSSI_MIN, RSSI_MAX]."""
+    return type(rssi) is int and RSSI_MIN <= rssi <= RSSI_MAX
 
 
 @dataclass(frozen=True)
@@ -51,23 +54,29 @@ class ScanResult:
 
 
 def validate_scan(scan: ScanResult) -> ScanResult:
-    """The input policy for every scan; returns it sorted by MAC.
+    """The one input policy, for decode_log and build_log alike.
 
-    Strict, and the same in decode_log and build_log: in the order
-    given, a reading that is not a whole dBm in [RSSI_MIN, RSSI_MAX]
-    raises RssiOutOfRange and a MAC seen twice raises DuplicateMac; no
-    readings raises EmptyScan. Nothing is repaired or dropped.
+    A timestamp that is not a plain int raises MalformedTimestamp, no
+    readings EmptyScan; then, in the order given, a MAC that is not a
+    string parse_mac accepts raises MalformedMac, an RSS rssi_in_range
+    refuses RssiOutOfRange and a MAC seen twice once canonical
+    DuplicateMac. Returns the canonical readings sorted by MAC.
     """
+    if type(scan.timestamp) is not int:
+        raise MalformedTimestamp(f"timestamp {scan.timestamp!r} is not an integer")
     if not scan.observations:
         raise EmptyScan(f"scan at t={scan.timestamp} has no readings")
-    seen = set()
+    readings: dict[str, int] = {}
     for mac, rssi in scan.observations:
+        if not isinstance(mac, str):
+            raise MalformedMac(f"mac {mac!r} is not a string")
+        mac = parse_mac(mac)
         if not rssi_in_range(rssi):
-            raise RssiOutOfRange(f"rssi {rssi} outside [{RSSI_MIN}, {RSSI_MAX}]")
-        if mac in seen:
+            raise RssiOutOfRange(f"rssi {rssi!r} outside [{RSSI_MIN}, {RSSI_MAX}]")
+        if mac in readings:
             raise DuplicateMac(f"duplicate mac {mac}")
-        seen.add(mac)
-    return ScanResult(scan.timestamp, tuple(sorted(scan.observations)))
+        readings[mac] = rssi
+    return ScanResult(scan.timestamp, tuple(sorted(readings.items())))
 
 
 @dataclass(frozen=True)
@@ -93,10 +102,10 @@ def build_log(user: str, device: str, scans: Iterable[ScanResult]) -> ScanLog:
     that raises; a repeated timestamp raises DuplicateTimestamp.
     """
     by_time: dict[int, ScanResult] = {}
-    for scan in scans:
+    for scan in map(validate_scan, scans):
         if scan.timestamp in by_time:
             raise DuplicateTimestamp(f"duplicate timestamp {scan.timestamp}")
-        by_time[scan.timestamp] = validate_scan(scan)
+        by_time[scan.timestamp] = scan
     entries = tuple(by_time[t] for t in sorted(by_time))
     return ScanLog(user=user, device=device, entries=entries)
 

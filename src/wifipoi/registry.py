@@ -307,8 +307,14 @@ def _hhmm(ts: int) -> str:
 
 
 def day_window(day: str) -> tuple[int, int]:
-    """UTC epoch range [start, end) covering a YYYY-MM-DD day."""
+    """UTC epoch range [start, end) covering a YYYY-MM-DD day.
+
+    Raises ValueError for any other form, 2026-3-2 included: the files
+    named after it would not pair with those of 2026-03-02.
+    """
     start = datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+    if f"{start:%Y-%m-%d}" != day:
+        raise ValueError(f"time data {day!r} does not match format '%Y-%m-%d'")
     return int(start.timestamp()), int(start.timestamp()) + 86400
 
 

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ScenarioError, UnknownPlace, ZeroDistance
-from .model import RSSI_MAX, RSSI_MIN, ScanLog, ScanResult
+from .model import RSSI_MAX, RSSI_MIN, ScanLog, ScanResult, build_log
 
 VISIBILITY_FLOOR = -95  # dBm; weaker APs do not appear in a scan
 
@@ -153,8 +153,8 @@ def generate_trace(
                 if rss >= VISIBILITY_FLOOR:
                     observations.append((ap.mac, rss))
             if observations:  # a dead spot yields no scan record at all
-                scans.append(ScanResult(t, tuple(sorted(observations))))
-    return ScanLog(user=user, device=device, entries=tuple(scans)), truth
+                scans.append(ScanResult(t, tuple(observations)))
+    return build_log(user, device, scans), truth
 
 
 def write_ground_truth_csv(

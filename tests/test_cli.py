@@ -176,6 +176,20 @@ class TestExtract:
         with SummaryStore(workdir / "poi.db") as store:
             assert store.users() == []
 
+    @pytest.mark.parametrize("day", ["2026-3-2", "2026-03-2", "02/03/2026"])
+    def test_day_must_be_yyyy_mm_dd(self, workdir, capsys, day):
+        # 2026-3-2 would write alice_2026-3-2.csv, which score cannot
+        # pair with the ground truth's 2026-03-02
+        sim = simulate_office(workdir)
+        run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
+        capsys.readouterr()
+        assert run("extract", "--store", "poi.db", "--user", "alice", "--day", day) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: time data {day!r} does not match format '%Y-%m-%d'\n"
+        assert list(workdir.glob("alice_*")) == []
+        with SummaryStore(workdir / "poi.db") as store:
+            assert store.users() == []
+
     def test_missing_out_directory_writes_nothing(self, workdir, capsys):
         sim = simulate_office(workdir)
         run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
@@ -444,6 +458,17 @@ class TestConfigPrecedence:
         cfg.write_text("[pipeline]\ncommunity_thresholds = 0.25 0.75\n")
         assert run("communities", "--store", "poi.db", "--config", cfg) == 0
         assert [row[0] for row in read_csv(workdir / "sweep.csv")[1:]] == ["0.25", "0.75"]
+
+    @pytest.mark.parametrize("body, error", [
+        ("min_pts = four", "bad [pipeline] min_pts: invalid literal for int()"),
+        ("epsilon = high", "bad [pipeline] epsilon: could not convert string to float"),
+        ("community_thresholds = 0.2 x", "bad [pipeline] community_thresholds: bad threshold"),
+        ("epsilom = 0.9", "unknown key 'epsilom' in [pipeline]"),
+    ])
+    def test_bad_config_key_names_the_file_and_key(self, workdir, capsys, body, error):
+        (workdir / "pipeline.ini").write_text(f"[pipeline]\n{body}\n")
+        assert run("communities", "--config", "pipeline.ini") == 2
+        assert capsys.readouterr().err.startswith(f"error: pipeline.ini: {error}")
 
     @pytest.mark.parametrize("flag", ["a,b", ",", "1.5", "0", "-0.3"])
     def test_bad_threshold_flag_exits_two(self, workdir, flag):

@@ -41,6 +41,28 @@ def random_graph(rnd, n):
     return PoiGraph(nodes=nodes, edges=tuple(edges))
 
 
+def mixed_graphs(rnd, count):
+    """`count` draws alternating planted groups and G(n, p), edgeless ones skipped."""
+    def gnp():
+        n, p = rnd.randint(4, 30), rnd.uniform(0.05, 0.5)
+        return [(a, b, round(rnd.uniform(0.05, 1.0), 3))
+                for a, b in itertools.combinations(range(n), 2) if rnd.random() < p], n
+
+    def planted():
+        sizes = [rnd.randint(2, 7) for _ in range(rnd.randint(2, 5))]
+        member = [g for g, size in enumerate(sizes) for _ in range(size)]
+        edges = [(a, b, round(rnd.uniform(0.5, 1.0), 3) if member[a] == member[b]
+                  else round(rnd.uniform(0.05, 0.4), 3))
+                 for a, b in itertools.combinations(range(len(member)), 2)
+                 if rnd.random() < (0.9 if member[a] == member[b] else 0.1)]
+        return edges, len(member)
+
+    for k in range(count):
+        edges, n = (gnp if k % 2 else planted)()
+        if edges:
+            yield PoiGraph(nodes=tuple(range(n)), edges=tuple(edges))
+
+
 A = "aa:00:00:00:00:01"
 B = "bb:00:00:00:00:02"
 C = "cc:00:00:00:00:03"
@@ -203,26 +225,7 @@ class TestLouvain:
     def test_every_community_is_connected(self):
         # Louvain can in principle leave a community whose parts touch
         # only through a node that moved away (Traag et al. 2019)
-        def gnp(rnd):
-            n, p = rnd.randint(4, 30), rnd.uniform(0.05, 0.5)
-            return [(a, b, round(rnd.uniform(0.05, 1.0), 3))
-                    for a, b in itertools.combinations(range(n), 2) if rnd.random() < p], n
-
-        def planted(rnd):
-            sizes = [rnd.randint(2, 7) for _ in range(rnd.randint(2, 5))]
-            member = [g for g, size in enumerate(sizes) for _ in range(size)]
-            edges = [(a, b, round(rnd.uniform(0.5, 1.0), 3) if member[a] == member[b]
-                      else round(rnd.uniform(0.05, 0.4), 3))
-                     for a, b in itertools.combinations(range(len(member)), 2)
-                     if rnd.random() < (0.9 if member[a] == member[b] else 0.1)]
-            return edges, len(member)
-
-        rnd = random.Random(4)
-        for k in range(300):
-            edges, n = (gnp if k % 2 else planted)(rnd)
-            if not edges:
-                continue
-            g = PoiGraph(nodes=tuple(range(n)), edges=tuple(edges))
+        for k, g in enumerate(mixed_graphs(random.Random(4), 300)):
             adj = {node: set() for node in g.nodes}
             for a, b, _ in g.edges:
                 adj[a].add(b)
@@ -237,6 +240,20 @@ class TestLouvain:
                     reached.add(node)
                     frontier.extend((adj[node] & group) - reached)
                 assert reached == group, (k, sorted(group))
+
+    def test_no_single_node_move_raises_q(self):
+        # climbs on aggregated graphs lock nodes inside super-nodes; the
+        # node-level phase on the original graph frees them
+        for k, g in enumerate(mixed_graphs(random.Random(4), 300)):
+            part = louvain(g)
+            neighbours = collections.defaultdict(set)
+            for a, b, _ in g.edges:
+                neighbours[a].add(part.communities[b])
+                neighbours[b].add(part.communities[a])
+            for node in g.nodes:
+                for c in neighbours[node] - {part.communities[node]}:
+                    moved = {**part.communities, node: c}
+                    assert modularity(g, moved) <= part.q + 1e-9, (k, node, c)
 
 
 def interior_peak_fingerprints():

@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wifipoi.errors import (
-    CorruptStream,
-    DuplicateMac,
-    EmptyScan,
-    MalformedLine,
-    MalformedMac,
-    RssiOutOfRange,
-    StorageFailure,
-)
+from wifipoi.errors import CorruptStream, MalformedLine, PoiError, StorageFailure
 from wifipoi.ingest import (
     IngestReport,
     RawStore,
@@ -28,6 +20,7 @@ from wifipoi.ingest import (
     store_raw,
 )
 from wifipoi.model import ScanLog, ScanResult, build_log
+from wifipoi.similarity import _score_blocks
 from wifipoi.simgen import AccessPoint, Environment, ItineraryEntry, Place, generate_trace
 
 A = "aa:00:00:00:00:01"
@@ -77,14 +70,38 @@ class TestEncode:
             assert decoded.device == log.device
 
 
+FIELDS = "expected exactly the fields ['t', 'dev', 'aps']"
+PAIRS = "aps must be a list of [mac, rssi] pairs"
+# Each malformed line with the reason decode_log gives: the JSON shape's
+# own, or the reason validate_scan gives for the scan.
+REJECTED_LINES = {
+    b'{"t":100,"dev":"d"}': FIELDS,
+    b'{"t":100,"dev":"d","aps":[],"x":1}': FIELDS,
+    b'{"t":"100","dev":"d","aps":[["aa:00:00:00:00:01",-50]]}': "timestamp '100' is not an integer",
+    b'{"t":true,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}': "timestamp True is not an integer",
+    b'{"t":100,"dev":7,"aps":[["aa:00:00:00:00:01",-50]]}': "dev must be a string",
+    b'{"t":100,"dev":"d","aps":[]}': "scan at t=100 has no readings",
+    b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50.5]]}': "rssi -50.5 outside [-100, -1]",
+    b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50],["aa:00:00:00:00:01",-60]]}':
+        "duplicate mac aa:00:00:00:00:01",
+    b"[1,2,3]": FIELDS,
+    b'{"t":100,"dev":"d","aps":5}': PAIRS,
+    b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01"]]}': PAIRS,
+    b'{"t":100,"dev":"d","aps":[[7,-50]]}': "mac 7 is not a string",
+    b'{"t":100,"dev":"d","aps":[[["aa:00:00:00:00:01"],-50]]}':
+        "mac ['aa:00:00:00:00:01'] is not a string",
+}
+
+
 class TestDecodeErrors:
     def good_line(self):
         return b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
 
     def test_rssi_out_of_range_names_the_line(self):
         data = self.good_line() + b'{"t":400,"dev":"d","aps":[["aa:00:00:00:00:01",5]]}\n'
-        with pytest.raises(RssiOutOfRange, match="line 2"):
+        with pytest.raises(MalformedLine) as info:
             decode_log(data)
+        assert (info.value.line_no, info.value.reason) == (2, "rssi 5 outside [-100, -1]")
 
     def test_bytes_that_are_not_utf8_name_the_line(self):
         # with bad bytes replaced, both devices would read 'ph\ufffdone' and agree
@@ -103,13 +120,19 @@ class TestDecodeErrors:
             decode_log(data)
 
     def test_malformed_mac(self):
-        with pytest.raises(MalformedMac):
+        with pytest.raises(MalformedLine) as info:
             decode_log(b'{"t":100,"dev":"d","aps":[["zz:zz",-50]]}\n')
+        assert (info.value.line_no, info.value.reason) == (
+            1, "not a 48-bit MAC address: 'zz:zz'",
+        )
 
     def test_malformed_mac_names_the_line(self):
         data = self.good_line() + b'{"t":400,"dev":"d","aps":[["zz:00:00:00:00:01",-50]]}\n'
-        with pytest.raises(MalformedMac, match="line 2"):
+        with pytest.raises(MalformedLine) as info:
             decode_log(data)
+        assert (info.value.line_no, info.value.reason) == (
+            2, "not a 48-bit MAC address: 'zz:00:00:00:00:01'",
+        )
 
     def test_mac_spelled_two_ways_is_a_duplicate(self):
         line = b'{"t":100,"dev":"d","aps":[["AA-00-00-00-00-01",-50],["aa:00:00:00:00:01",-60]]}'
@@ -126,26 +149,11 @@ class TestDecodeErrors:
             ((A, -50),), ((A, -51),), ((A, -52),),
         ]
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            b'{"t":100,"dev":"d"}',
-            b'{"t":100,"dev":"d","aps":[],"x":1}',
-            b'{"t":"100","dev":"d","aps":[["aa:00:00:00:00:01",-50]]}',
-            b'{"t":true,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}',
-            b'{"t":100,"dev":7,"aps":[["aa:00:00:00:00:01",-50]]}',
-            b'{"t":100,"dev":"d","aps":[]}',
-            b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50.5]]}',
-            b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50],["aa:00:00:00:00:01",-60]]}',
-            b"[1,2,3]",
-            b'{"t":100,"dev":"d","aps":5}',
-            b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01"]]}',
-            b'{"t":100,"dev":"d","aps":[[7,-50]]}',
-        ],
-    )
+    @pytest.mark.parametrize("line", list(REJECTED_LINES))
     def test_rejected_lines(self, line):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(MalformedLine) as info:
             decode_log(line + b"\n")
+        assert (info.value.line_no, info.value.reason) == (1, REJECTED_LINES[line])
 
     def test_duplicate_timestamp_rejected(self):
         with pytest.raises(MalformedLine, match="line 2"):
@@ -161,48 +169,88 @@ class TestDecodeErrors:
         assert len(decode_log(data)) == 1
 
 
+def mostly(valid, odd):
+    """Draws from `valid` three times in four, else from `odd`."""
+    return st.integers(0, 3).flatmap(lambda k: odd if k == 3 else valid)
+
+
+# What either door may be handed: JSON's types, and what code may build.
+mac_value_st = mostly(
+    st.one_of(mac_st, mac_st.map(lambda mac: mac.upper().replace(":", "-"))),
+    st.sampled_from(["zz:00:00:00:00:01", "aa:00", 7, None]),
+)
+rssi_value_st = mostly(
+    st.integers(-100, -1),
+    st.one_of(
+        st.integers(-103, 2),
+        st.integers(-103, 2).map(float),
+        st.sampled_from([-50.5, True, False]),
+        st.integers(-103, 2).map(np.int64),
+    ),
+)
+time_value_st = mostly(
+    st.integers(0, 2_000_000_000),
+    st.sampled_from([100.0, 1.5, True, "100", np.int64(100)]),
+)
+scan_value_st = st.builds(
+    ScanResult, time_value_st,
+    st.lists(st.tuples(mac_value_st, rssi_value_st), max_size=3).map(tuple),
+)
+
+
 def build_reason(scan):
-    """None if build_log accepts the scan, else why it rejects it."""
+    """None if build_log accepts the scan, else the policy error it raises."""
     try:
         build_log("u", "d", [scan])
-    except RssiOutOfRange:
-        return "range"
-    except DuplicateMac:
-        return "duplicate"
-    except EmptyScan:
-        return "empty"
+    except PoiError as exc:
+        return type(exc)
     return None
 
 
 def decode_reason(line):
-    """None if decode_log accepts the wire line, else why it rejects it."""
+    """None if decode_log accepts the wire line, else the policy error behind it."""
     try:
         decode_log(line.encode())
-    except RssiOutOfRange as exc:
-        assert str(exc).startswith("line 1: ")
-        return "range"
     except MalformedLine as exc:
         assert exc.line_no == 1
-        if exc.reason.startswith("duplicate mac "):
-            return "duplicate"
-        if exc.reason == "aps must be a non-empty list":
-            return "empty"
-        raise
+        assert exc.reason == str(exc.__cause__)
+        return type(exc.__cause__)
     return None
 
 
+def wire_line(scan):
+    # JSON has no numpy integer, so one goes over as its text, which is
+    # no integer either
+    record = {"t": scan.timestamp, "dev": "d", "aps": [list(ap) for ap in scan.observations]}
+    return json.dumps(record, default=str) + "\n"
+
+
 class TestOnePolicy:
-    @given(st.lists(st.tuples(mac_st, st.integers(-103, 2), st.booleans()), max_size=5))
-    def test_build_log_and_decode_log_reject_alike(self, readings):
-        # the wire may spell a MAC in upper case with hyphens; both
-        # sides must see the canonical MAC, so a respelled MAC is a duplicate
-        scan_ = ScanResult(100, tuple((mac, rssi) for mac, rssi, _ in readings))
-        aps = [[mac.upper().replace(":", "-") if loud else mac, rssi] for mac, rssi, loud in readings]
-        line = json.dumps({"t": 100, "dev": "d", "aps": aps}) + "\n"
+    @given(scan_value_st)
+    def test_build_log_and_decode_log_reject_alike(self, scan_):
+        line = wire_line(scan_)
         reason = build_reason(scan_)
         assert decode_reason(line) == reason
         if reason is None:
             assert decode_log(line.encode()).entries == build_log("u", "d", [scan_]).entries
+
+    @given(st.lists(scan_value_st, max_size=2))
+    @settings(max_examples=300)
+    def test_every_log_build_log_accepts_round_trips(self, scans):
+        try:
+            log = build_log("u", "d", scans)
+        except PoiError:
+            return
+        assert decode_log(encode_log(log), user="u").entries == log.entries
+
+    def test_a_respelled_ap_scores_as_the_same_ap(self):
+        built = build_log("u", "d", [scan(100, [("AA-00-00-00-00-01", -50), (B, -70)])])
+        decoded = decode_log(
+            b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50],["BB-00-00-00-00-02",-70]]}\n'
+        )
+        ((_, block),) = _score_blocks([built.entries[0].observations,
+                                       decoded.entries[0].observations])
+        assert block[0, 1] == 1.0
 
 
 class TestGzip:

@@ -1,9 +1,10 @@
 """Core value types: MAC parsing, scan validation, log assembly."""
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from wifipoi.errors import (
-    DuplicateMac, DuplicateTimestamp, EmptyScan, MalformedMac, RssiOutOfRange,
+    DuplicateMac, DuplicateTimestamp, EmptyScan, MalformedMac, MalformedTimestamp, RssiOutOfRange,
 )
 from wifipoi.model import (
     RSSI_MAX,
@@ -58,6 +59,22 @@ class TestValidateScan:
         with pytest.raises(EmptyScan):
             validate_scan(scan(0, []))
 
+    @pytest.mark.parametrize("t", [1.5, 100.0, True, "100", np.int64(100)])
+    def test_timestamp_must_be_an_int(self, t):
+        with pytest.raises(MalformedTimestamp, match="is not an integer"):
+            validate_scan(scan(t, [("aa:bb:cc:00:11:22", -50)]))
+
+    @pytest.mark.parametrize("mac", [7, None, b"aa:bb:cc:00:11:22"])
+    def test_mac_must_be_a_string(self, mac):
+        with pytest.raises(MalformedMac, match="is not a string"):
+            validate_scan(scan(0, [(mac, -50)]))
+
+    def test_macs_canonicalised_before_the_duplicate_check(self):
+        clean = validate_scan(scan(0, [("CC-00-00-00-00-01", -60), ("aa:00:00:00:00:01", -50)]))
+        assert clean.observations == (("aa:00:00:00:00:01", -50), ("cc:00:00:00:00:01", -60))
+        with pytest.raises(DuplicateMac, match="duplicate mac aa:00:00:00:00:01"):
+            validate_scan(scan(0, [("AA-00-00-00-00-01", -60), ("aa:00:00:00:00:01", -50)]))
+
     def test_observations_sorted_by_mac(self):
         clean = validate_scan(scan(0, [("cc:00:00:00:00:01", -60), ("aa:00:00:00:00:01", -50)]))
         assert clean.observations == (("aa:00:00:00:00:01", -50), ("cc:00:00:00:00:01", -60))
@@ -82,6 +99,9 @@ class TestRssiRange:
         assert not rssi_in_range(RSSI_MIN - 1)
         assert not rssi_in_range(0)
         assert not rssi_in_range(-50.5)
+        assert not rssi_in_range(-50.0)
+        assert not rssi_in_range(np.int64(-50))
+        assert not rssi_in_range(True)
 
 
 class TestBuildLog:

@@ -1,7 +1,9 @@
 """The README's CLI walkthrough prints what it says, and its Library code runs."""
+import argparse
 from pathlib import Path
 
-from wifipoi.cli import main
+from wifipoi.cli import _load_config, main
+from wifipoi.model import ClusterParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 USERS = ["u%02d" % k for k in range(1, 12)]
@@ -56,3 +58,16 @@ def test_library_block_runs(capsys):
     exec(compile(block, f"{README}:Library", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert printed and all(line.startswith("POI ") for line in printed)
+
+
+def test_config_block_loads(tmp_path, monkeypatch):
+    monkeypatch.delenv("WIFIPOI_STORE", raising=False)
+    text = README.read_text(encoding="utf-8").split("## CLI walkthrough", 1)[1]
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(block, encoding="utf-8")
+    cfg = _load_config(argparse.Namespace(config=str(path)))
+    assert cfg.cluster == ClusterParams(epsilon=0.5, min_pts=4, scan_interval=300)
+    assert (cfg.match_threshold, cfg.community_thresholds, cfg.store) == (
+        0.5, (0.2, 0.3, 0.4, 0.5), "wifipoi.db",
+    )
