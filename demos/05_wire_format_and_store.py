@@ -2,8 +2,8 @@
 
 A device serializes each scan as one JSON line, holds scans until the
 next upload tick, gzips the batch, and ships it. The server side
-decodes and lands rows in the raw store, where re-sent batches are
-skipped by the primary key, so uploads are safe to retry.
+decodes and lands scans in the raw store, where a re-sent scan with the
+same readings is skipped, so uploads are safe to retry.
 """
 from wifipoi.ingest import (
     RawStore,

@@ -70,9 +70,17 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     return thresholds
 
 
+_CLUSTER_KEYS = ("epsilon", "min_pts", "scan_interval")
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    """Merge defaults, config file, environment, and flags; flags win."""
+    """Merge defaults, config file, environment, and flags; flags win.
+
+    An out-of-range value raises InputError naming where it came from:
+    its flag, or the config file and key.
+    """
     values: dict[str, object] = {}
+    sources: dict[str, str] = {}
     config_path = getattr(args, "config", None)
     if config_path:
         parser = configparser.ConfigParser(interpolation=None)
@@ -92,10 +100,20 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
                 values[name] = kinds[name](text)
             except (ValueError, InputError) as exc:
                 raise InputError(f"{config_path}: bad [pipeline] {name}: {exc}") from exc
+            sources[name] = f"{config_path}: [pipeline] {name}"
     if getattr(args, "epsilon", None) is not None:
-        values["epsilon"] = args.epsilon
+        values["epsilon"], sources["epsilon"] = args.epsilon, "--epsilon"
     if getattr(args, "thresholds", None) is not None:
         values["community_thresholds"] = _parse_thresholds(args.thresholds)
+        sources["community_thresholds"] = "--thresholds"
+    for name, source in sources.items():
+        try:  # each field checks its own range, so one at a time finds the culprit
+            if name in _CLUSTER_KEYS:
+                ClusterParams(**{name: values[name]})  # type: ignore[arg-type]
+            else:
+                PipelineConfig(**{name: values[name]})  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise InputError(f"{source}: {exc}") from exc
     store = (
         getattr(args, "store", None)
         or os.environ.get(STORE_ENV_VAR)
@@ -103,7 +121,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         or DEFAULT_STORE
     )
     values["store"] = str(store)
-    cluster = {k: values.pop(k) for k in ("epsilon", "min_pts", "scan_interval") if k in values}
+    cluster = {k: values.pop(k) for k in _CLUSTER_KEYS if k in values}
     return PipelineConfig(ClusterParams(**cluster), **values)  # type: ignore[arg-type]
 
 
@@ -125,20 +143,21 @@ def _user_from_filename(path: Path) -> str:
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     """Land every file in one raw-store transaction; a bad file rejects them all."""
     paths = [Path(name) for name in args.files]
+    path = paths[0]
 
     def logs() -> Iterator[ScanLog]:
+        nonlocal path
         for path in paths:
-            try:
-                data = path.read_bytes()
-                if path.name.endswith(".gz"):
-                    data = decompress_batch(data)
-                log = decode_log(data, user=_user_from_filename(path))
-            except InputError as exc:
-                raise InputError(f"{path}: {exc}") from exc
-            yield log
+            data = path.read_bytes()
+            if path.name.endswith(".gz"):
+                data = decompress_batch(data)
+            yield decode_log(data, user=_user_from_filename(path))
 
     with RawStore(cfg.store) as store:
-        reports = store_raw(store, logs())
+        try:
+            reports = store_raw(store, logs())
+        except InputError as exc:  # the file being decoded or stored when it failed
+            raise InputError(f"{path}: {exc}") from exc
     for path, report in zip(paths, reports):
         print(f"{path}: {report.added} rows added, {report.skipped} skipped")
     total_added = sum(report.added for report in reports)
@@ -148,7 +167,10 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    lo, hi = day_window(args.day)
+    try:
+        lo, hi = day_window(args.day)
+    except ValueError as exc:
+        raise InputError(f"--day {args.day!r}: expected a real YYYY-MM-DD date ({exc})") from exc
     out = Path(args.out) if args.out else Path(f"{args.user}_{args.day}.csv")
     if not out.parent.is_dir():
         raise InputError(f"output directory {out.parent} does not exist")

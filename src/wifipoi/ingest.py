@@ -9,12 +9,15 @@ byte-reproducible and a partial upload fails at line granularity.
 Decoding checks only a line's JSON shape; the scan goes through
 validate_scan, as in build_log, and any fault is one MalformedLine.
 Batches gzip-compress very well because MAC strings repeat in nearly
-every line. The raw store keeps one row per (user, t, mac) observation
-and silently skips duplicates, which makes re-ingestion a no-op;
-load_log reads one user's scans back in a [lo, hi) time window.
+every line. The raw store keeps one row per (user, t) scan, its MACs as
+ids into a dictionary of MACs and its readings packed beside them. A
+scan whose (user, t) is stored already is skipped when its readings are
+identical, which makes re-ingestion a no-op, and refused when they
+differ; load_log reads one user's scans back in a [lo, hi) time window.
 store_raw lands any number of logs in one transaction, so a caller that
 feeds it several uploads (the CLI's ingest call) keeps all or none of
-them; since duplicates are skipped, a rejected call can simply be re-run.
+them; since identical scans are skipped, a rejected call can simply be
+re-run once the bad upload is taken out.
 
 The user never appears on the wire; it is carried out of band (the CLI
 takes it from the file name) and supplied to decode_log explicitly.
@@ -25,14 +28,13 @@ from __future__ import annotations
 import gzip
 import json
 import sqlite3
+import struct
 import zlib
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Mapping, TypeVar
 
-from .errors import CorruptStream, MalformedLine, PoiError, StorageFailure
+from .errors import CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure
 from .model import ScanLog, ScanResult, validate_scan
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
@@ -162,9 +164,9 @@ _Store = TypeVar("_Store", bound="SqliteStore")
 class SqliteStore:
     """A SQLite file that holds the subclass's SCHEMA script.
 
-    A file that cannot be opened or is not a database raises
-    StorageFailure, and the connection is closed. `conn` is public for
-    fault injection.
+    A file that cannot be opened, is not a database or has a layout
+    the subclass refuses raises StorageFailure, and the connection is
+    closed. `conn` is public for fault injection.
     """
 
     SCHEMA: str
@@ -174,12 +176,15 @@ class SqliteStore:
         conn = None
         try:
             conn = sqlite3.connect(self.path)
-            conn.executescript(self.SCHEMA)
-        except sqlite3.Error as exc:
+            self._prepare(conn)
+        except (sqlite3.Error, StorageFailure) as exc:
             if conn is not None:
                 conn.close()
             raise StorageFailure(f"cannot open store {self.path}: {exc}") from exc
         self.conn = conn
+
+    def _prepare(self, conn: sqlite3.Connection) -> None:
+        conn.executescript(self.SCHEMA)
 
     def close(self) -> None:
         self.conn.close()
@@ -192,68 +197,141 @@ class SqliteStore:
 
 
 class RawStore(SqliteStore):
-    """Append-only observation rows keyed by (user, t, mac).
+    """One row per scan, keyed by (user, t), plus a dictionary of MACs.
 
-    Shares a SQLite file happily with the summary store; the table
-    namespaces are disjoint.
+    A raw_scans row packs the scan's MAC ids (little-endian uint32) and
+    RSS readings (int8) in validate_scan's sorted-by-MAC order, so
+    load_log rebuilds the scan exactly; `mac` holds each canonical MAC
+    once. The layout is user_version 1. A file that still holds the
+    per-reading raw_observations table of the earlier layout is refused
+    and left untouched. Shares a SQLite file happily with the summary
+    store; the table namespaces are disjoint.
     """
 
-    SCHEMA = (
-        "CREATE TABLE IF NOT EXISTS raw_observations ("
-        " user TEXT NOT NULL, t INTEGER NOT NULL,"
-        " mac TEXT NOT NULL, rssi INTEGER NOT NULL,"
-        " PRIMARY KEY (user, t, mac))"
-    )
+    SCHEMA = """
+    BEGIN IMMEDIATE;
+    CREATE TABLE IF NOT EXISTS mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE);
+    CREATE TABLE IF NOT EXISTS raw_scans (
+        user TEXT    NOT NULL,
+        t    INTEGER NOT NULL,
+        macs BLOB    NOT NULL,
+        rssi BLOB    NOT NULL,
+        PRIMARY KEY (user, t)
+    ) WITHOUT ROWID;
+    PRAGMA user_version = 1;
+    COMMIT;
+    """
+
+    def _prepare(self, conn: sqlite3.Connection) -> None:
+        # only a new file runs SCHEMA: setting user_version is a write
+        tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
+        if "raw_observations" in tables:
+            raise StorageFailure(
+                "it holds the old one-row-per-reading raw_observations layout;"
+                " re-ingest its uploads into a new store"
+            )
+        if "raw_scans" not in tables:
+            super()._prepare(conn)
 
     def users(self) -> list[str]:
-        rows = self.conn.execute("SELECT DISTINCT user FROM raw_observations ORDER BY user")
+        rows = self.conn.execute("SELECT DISTINCT user FROM raw_scans ORDER BY user")
         return [user for (user,) in rows]
 
     def has_user(self, user: str) -> bool:
-        """True when any row belongs to `user`; a primary-key prefix lookup."""
+        """True when any scan belongs to `user`; a primary-key prefix lookup."""
         row = self.conn.execute(
-            "SELECT 1 FROM raw_observations WHERE user = ? LIMIT 1", (user,)
+            "SELECT 1 FROM raw_scans WHERE user = ? LIMIT 1", (user,)
         ).fetchone()
         return row is not None
 
     def load_log(self, user: str, lo: int, hi: int) -> ScanLog:
-        """Rebuild the user's scans with lo <= t < hi."""
-        cur = self.conn.execute(
-            "SELECT t, mac, rssi FROM raw_observations"
-            " WHERE user = ? AND t >= ? AND t < ? ORDER BY t, mac",
-            (user, lo, hi),
+        """Rebuild the user's scans with lo <= t < hi.
+
+        Only the MACs those scans name are read from the dictionary;
+        reading all of it costs about a microsecond a MAC on every call.
+        """
+        scans = [
+            (t, *_unpack(macs, rssi))
+            for t, macs, rssi in self.conn.execute(
+                "SELECT t, macs, rssi FROM raw_scans WHERE user = ? AND t >= ? AND t < ?"
+                " ORDER BY t",
+                (user, lo, hi),
+            )
+        ]
+        used = set().union(*(ids for _, ids, _ in scans))
+        names = dict(self.conn.execute(
+            "SELECT id, mac FROM mac WHERE id IN (SELECT value FROM json_each(?))",
+            (json.dumps(list(used)),),
+        ))
+        entries = tuple(
+            ScanResult(t, tuple(zip(map(names.__getitem__, ids), rssi))) for t, ids, rssi in scans
         )
-        rows = groupby(cur, key=itemgetter(0))
-        entries = tuple(ScanResult(t, tuple(row[1:] for row in group)) for t, group in rows)
         return ScanLog(user=user, device="", entries=entries)
 
 
-def _rows(log: ScanLog) -> Iterator[tuple[str, int, str, int]]:
+def _pack(scan: ScanResult, mac_ids: Mapping[str, int]) -> tuple[bytes, bytes]:
+    """A scan's (MAC ids, RSS) blobs, in its sorted-by-MAC order."""
+    n = len(scan.observations)
+    macs, rssi = zip(*scan.observations)
+    return struct.pack(f"<{n}I", *map(mac_ids.__getitem__, macs)), struct.pack(f"{n}b", *rssi)
+
+
+def _unpack(macs: bytes, rssi: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Inverse of _pack: the MAC ids and the RSS readings."""
+    n = len(rssi)
+    return struct.unpack(f"<{n}I", macs), struct.unpack(f"{n}b", rssi)
+
+
+def _store_log(conn: sqlite3.Connection, log: ScanLog, mac_ids: dict[str, int]) -> IngestReport:
+    if not log.entries:
+        return IngestReport(added=0, skipped=0)
+    for mac in sorted({mac for scan in log.entries for mac, _ in scan.observations} - mac_ids.keys()):
+        mac_ids[mac] = conn.execute("INSERT INTO mac (mac) VALUES (?)", (mac,)).lastrowid
+    stored = {
+        t: (macs, rssi)
+        for t, macs, rssi in conn.execute(
+            "SELECT t, macs, rssi FROM raw_scans WHERE user = ? AND t BETWEEN ? AND ?",
+            (log.user, log.entries[0].timestamp, log.entries[-1].timestamp),
+        )
+    }
+    rows = []
+    added = skipped = 0
     for scan in log.entries:
-        for mac, rssi in scan.observations:
-            yield log.user, scan.timestamp, mac, rssi
+        blobs = _pack(scan, mac_ids)
+        old = stored.get(scan.timestamp)
+        if old is None:
+            rows.append((log.user, scan.timestamp, *blobs))
+            added += len(scan.observations)
+        elif old == blobs:
+            skipped += len(scan.observations)
+        else:
+            raise DuplicateTimestamp(
+                f"user {log.user!r}: the scan at t={scan.timestamp} differs from the stored one"
+            )
+    conn.executemany("INSERT INTO raw_scans (user, t, macs, rssi) VALUES (?, ?, ?, ?)", rows)
+    return IngestReport(added=added, skipped=skipped)
 
 
 def store_raw(store: RawStore, logs: Iterable[ScanLog]) -> list[IngestReport]:
-    """Append each log's observations; one report per log, in order.
+    """Store each log's scans; one report per log, in order, counting readings.
 
-    Duplicate rows are skipped and counted. All logs land in one
-    transaction: if any log fails to store, or `logs` itself raises
-    (say, an upload that does not decode), nothing is kept.
+    A scan whose (user, t) is stored already is skipped, and its
+    readings counted as skipped, when its readings are identical; with
+    other readings it raises DuplicateTimestamp naming the user and t.
+    All logs land in one transaction, opened with BEGIN IMMEDIATE so
+    concurrent calls take turns: if any log conflicts or fails to
+    store, or `logs` itself raises (say, an upload that does not
+    decode), nothing is kept.
     """
     reports = []
     user = None
     try:
         with store.conn:
+            store.conn.execute("BEGIN IMMEDIATE")
+            mac_ids = dict(store.conn.execute("SELECT mac, id FROM mac"))
             for log in logs:
                 user = log.user
-                cur = store.conn.executemany(
-                    "INSERT OR IGNORE INTO raw_observations (user, t, mac, rssi)"
-                    " VALUES (?, ?, ?, ?)",
-                    _rows(log),
-                )
-                total = sum(len(scan.observations) for scan in log.entries)
-                reports.append(IngestReport(added=cur.rowcount, skipped=total - cur.rowcount))
+                reports.append(_store_log(store.conn, log, mac_ids))
     except sqlite3.Error as exc:
         raise StorageFailure(f"raw ingest for user {user!r} failed: {exc}") from exc
     return reports

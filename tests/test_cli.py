@@ -97,6 +97,26 @@ class TestIngest:
         with RawStore(workdir / "poi.db") as store:
             assert rows_in(store) == 0
 
+    def test_differing_resend_rejects_the_call(self, workdir, capsys):
+        first = b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
+        (workdir / "a").mkdir()
+        (workdir / "b").mkdir()
+        (workdir / "a" / "bob.scan").write_bytes(first)
+        (workdir / "b" / "bob.scan").write_bytes(first.replace(b"-50", b"-51"))
+        (workdir / "carol.scan").write_bytes(first)
+        assert run("ingest", "--store", "poi.db", "a/bob.scan") == 0
+        with RawStore(workdir / "poi.db") as store:
+            before = store.load_log("bob", 0, 1000)
+        capsys.readouterr()
+        assert run("ingest", "--store", "poi.db", "carol.scan", "a/bob.scan", "b/bob.scan") == 2
+        assert capsys.readouterr().err == (
+            f"error: {Path('b/bob.scan')}: user 'bob': the scan at t=100 differs"
+            " from the stored one\n"
+        )
+        with RawStore(workdir / "poi.db") as store:
+            assert store.users() == ["bob"]
+            assert store.load_log("bob", 0, 1000) == before
+
     def test_one_call_is_one_commit(self, workdir, capsys, monkeypatch, commit_counter):
         class CountingRawStore(RawStore):
             def __init__(self, path):
@@ -120,7 +140,19 @@ class TestIngest:
 
 
 def rows_in(store):
-    return store.conn.execute("SELECT COUNT(*) FROM raw_observations").fetchone()[0]
+    """The readings stored for every user, counted through load_log."""
+    return sum(
+        len(scan.observations)
+        for user in store.users()
+        for scan in store.load_log(user, -(2**63), 2**63 - 1).entries
+    )
+
+
+# YYYY-MM-DD in form, but no date, with the reason strptime gives
+BAD_DATES = {
+    "2026-03-02x": "unconverted data remains: x",
+    "2026-02-30": "day is out of range for month",
+}
 
 
 class TestExtract:
@@ -176,7 +208,7 @@ class TestExtract:
         with SummaryStore(workdir / "poi.db") as store:
             assert store.users() == []
 
-    @pytest.mark.parametrize("day", ["2026-3-2", "2026-03-2", "02/03/2026"])
+    @pytest.mark.parametrize("day", ["2026-3-2", "2026-03-2", "02/03/2026", *BAD_DATES])
     def test_day_must_be_yyyy_mm_dd(self, workdir, capsys, day):
         # 2026-3-2 would write alice_2026-3-2.csv, which score cannot
         # pair with the ground truth's 2026-03-02
@@ -185,7 +217,8 @@ class TestExtract:
         capsys.readouterr()
         assert run("extract", "--store", "poi.db", "--user", "alice", "--day", day) == 2
         err = capsys.readouterr().err
-        assert err == f"error: time data {day!r} does not match format '%Y-%m-%d'\n"
+        reason = BAD_DATES.get(day, f"time data {day!r} does not match format '%Y-%m-%d'")
+        assert err == f"error: --day {day!r}: expected a real YYYY-MM-DD date ({reason})\n"
         assert list(workdir.glob("alice_*")) == []
         with SummaryStore(workdir / "poi.db") as store:
             assert store.users() == []
@@ -407,6 +440,28 @@ class TestStoreOpen:
         assert err.startswith("error: cannot read store other.db:") and "poi_id" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "u.scan"],
+        ["extract", "--user", "u", "--day", DAY],
+    ], ids=["ingest", "extract"])
+    def test_store_with_the_old_raw_layout_exits_three(self, workdir, capsys, argv):
+        (workdir / "u.scan").write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')
+        with sqlite3.connect(workdir / "old.db") as conn:
+            conn.execute(
+                "CREATE TABLE raw_observations (user TEXT NOT NULL, t INTEGER NOT NULL,"
+                " mac TEXT NOT NULL, rssi INTEGER NOT NULL, PRIMARY KEY (user, t, mac))"
+            )
+            conn.execute("INSERT INTO raw_observations VALUES ('u', 100, 'aa:00:00:00:00:01', -50)")
+        conn.close()
+        before = (workdir / "old.db").read_bytes()
+        assert run(*argv, "--store", "old.db") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open store old.db: it holds the old")
+        assert "re-ingest its uploads into a new store" in err
+        assert (workdir / "old.db").read_bytes() == before
+        assert sorted(p.name for p in workdir.iterdir()) == ["old.db", "u.scan"]
+
+
 def test_module_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     argv = ["score", "--truth", "missing.csv", "u_2026-03-02.csv"]
@@ -469,6 +524,26 @@ class TestConfigPrecedence:
         (workdir / "pipeline.ini").write_text(f"[pipeline]\n{body}\n")
         assert run("communities", "--config", "pipeline.ini") == 2
         assert capsys.readouterr().err.startswith(f"error: pipeline.ini: {error}")
+
+    @pytest.mark.parametrize("body, error", [
+        ("epsilon = 1.5", "pipeline.ini: [pipeline] epsilon: epsilon must be in (0, 1], got 1.5"),
+        ("min_pts = 1", "pipeline.ini: [pipeline] min_pts: min_pts must be >= 2, got 1"),
+        ("match_threshold = 0", "pipeline.ini: [pipeline] match_threshold: threshold 0.0 outside"),
+        ("community_thresholds = 0.3 2", "pipeline.ini: [pipeline] community_thresholds:"
+                                         " threshold 2.0 outside"),
+    ])
+    def test_out_of_range_config_value_names_the_file_and_key(self, workdir, capsys, body, error):
+        (workdir / "pipeline.ini").write_text(f"[pipeline]\n{body}\n")
+        assert run("communities", "--config", "pipeline.ini") == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    def test_out_of_range_flag_is_named_over_the_file(self, workdir, capsys):
+        (workdir / "pipeline.ini").write_text("[pipeline]\nepsilon = 0.5\nmin_pts = 3\n")
+        argv = ["extract", "--config", "pipeline.ini", "--user", "u", "--day", DAY]
+        assert run(*argv, "--epsilon", "0") == 2
+        assert capsys.readouterr().err == "error: --epsilon: epsilon must be in (0, 1], got 0.0\n"
+        assert run("communities", "--thresholds", "0.3,1.5") == 2
+        assert capsys.readouterr().err == "error: --thresholds: threshold 1.5 outside (0, 1]\n"
 
     @pytest.mark.parametrize("flag", ["a,b", ",", "1.5", "0", "-0.3"])
     def test_bad_threshold_flag_exits_two(self, workdir, flag):

@@ -1,14 +1,20 @@
 """Wire codec, gzip batching, upload planning, raw persistence."""
 import gzip
 import json
+import os
 import random
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wifipoi.errors import CorruptStream, MalformedLine, PoiError, StorageFailure
+from wifipoi.errors import (
+    CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure,
+)
 from wifipoi.ingest import (
     IngestReport,
     RawStore,
@@ -21,7 +27,9 @@ from wifipoi.ingest import (
 )
 from wifipoi.model import ScanLog, ScanResult, build_log
 from wifipoi.similarity import _score_blocks
-from wifipoi.simgen import AccessPoint, Environment, ItineraryEntry, Place, generate_trace
+from wifipoi.simgen import (
+    AccessPoint, Environment, ItineraryEntry, Place, generate_trace, load_scenario,
+)
 
 A = "aa:00:00:00:00:01"
 B = "bb:00:00:00:00:02"
@@ -43,10 +51,8 @@ scan_st = st.builds(
         lambda d: list(d.items())
     ),
 )
-log_st = st.builds(
-    lambda scans: build_log("u", "dev1", scans),
-    st.lists(scan_st, min_size=0, max_size=12, unique_by=lambda s: s.timestamp),
-)
+scans_st = st.lists(scan_st, min_size=0, max_size=12, unique_by=lambda s: s.timestamp)
+log_st = st.builds(lambda scans: build_log("u", "dev1", scans), scans_st)
 
 
 class TestEncode:
@@ -352,48 +358,62 @@ class TestRawStore:
             store.has_user("u")
             store.conn.set_trace_callback(None)
             (plan,) = store.conn.execute("EXPLAIN QUERY PLAN " + issued[0]).fetchall()
-            assert plan[3].startswith("SEARCH raw_observations")
+            assert plan[3].startswith("SEARCH raw_scans")
 
     def test_random_interleaving_matches_set_union(self):
+        # The store holds the union of the distinct scans: the first scan
+        # of a (user, t) is kept, an identical resend is skipped, and a
+        # differing one refuses its call and leaves the store unchanged.
         rnd = random.Random(27)
-        rows: set[tuple[str, int, str, int]] = set()
         batches = []
-        for _ in range(12):
+        for _ in range(16):
             user = rnd.choice(["u", "v"])
             first: dict[int, ScanResult] = {}
             for _ in range(rnd.randint(1, 6)):
                 t = 300 * rnd.randint(0, 40)
+                readings = {A: -40 - t // 300}
+                if t // 300 % 3 == 0:
+                    readings[B] = -70
+                if rnd.random() < 0.1:
+                    readings[A] -= 1  # differs from the usual scan of this (user, t)
                 # build_log rejects a repeated timestamp; keep the first draw
-                first.setdefault(t, scan(t, [(rnd.choice([A, B]), rnd.randint(-90, -40))]))
-            batches.append((user, build_log(user, "d", first.values())))
+                first.setdefault(t, scan(t, list(readings.items())))
+            batches.append(build_log(user, "d", first.values()))
+        kept: dict[tuple[str, int], ScanResult] = {}
+        accepted = []
+        refused = 0
         with RawStore() as store:
-            for user, log in batches:
-                store_raw(store, [log])
-                for entry in log.entries:
-                    for mac, rssi in entry.observations:
-                        # first write of a (user,t,mac) key wins
-                        if not any(r[:3] == (user, entry.timestamp, mac) for r in rows):
-                            rows.add((user, entry.timestamp, mac, rssi))
-            stored = set(
-                store.conn.execute("SELECT user, t, mac, rssi FROM raw_observations")
-            )
-            assert stored == rows
-            # one scan per t, however many uploads carried its readings
+            for log in batches:
+                keyed = [((log.user, s.timestamp), s) for s in log.entries]
+                if any(kept.get(key, s) != s for key, s in keyed):
+                    before = rows_of(store)
+                    with pytest.raises(DuplicateTimestamp, match=f"user '{log.user}'"):
+                        store_raw(store, [log])
+                    assert rows_of(store) == before
+                    refused += 1
+                    continue
+                want = IngestReport(
+                    added=sum(len(s.observations) for key, s in keyed if key not in kept),
+                    skipped=sum(len(s.observations) for key, s in keyed if key in kept),
+                )
+                assert store_raw(store, [log]) == [want]
+                kept.update(keyed)
+                accepted.append((log, want))
             for user in ("u", "v"):
-                by_time: dict[int, list[tuple[str, int]]] = {}
-                for u, t, mac, rssi in sorted(rows):
-                    if u == user:
-                        by_time.setdefault(t, []).append((mac, rssi))
-                want = tuple(ScanResult(t, tuple(obs)) for t, obs in by_time.items())
-                assert store.load_log(user, 0, 300 * 41).entries == want
-        # the same batches fed to one call land the same rows
+                want_entries = tuple(s for (u, _), s in sorted(kept.items()) if u == user)
+                assert store.load_log(user, 0, 300 * 41).entries == want_entries
+            rows = rows_of(store)
+        assert refused > 0 and sum(report.skipped for _, report in accepted) > 0
+        # the accepted batches fed to one call land the same scans and reports
         with RawStore() as store:
-            reports = store_raw(store, (log for _, log in batches))
+            reports = store_raw(store, (log for log, _ in accepted))
+            assert reports == [report for _, report in accepted]
             assert rows_of(store) == rows
-            assert sum(r.added for r in reports) == len(rows)
-            assert [r.added + r.skipped for r in reports] == [
-                sum(len(s.observations) for s in log.entries) for _, log in batches
-            ]
+        # with the refused ones among them, the one call keeps nothing
+        with RawStore() as store:
+            with pytest.raises(DuplicateTimestamp):
+                store_raw(store, batches)
+            assert rows_of(store) == set()
 
     def test_load_log_window(self):
         with RawStore() as store:
@@ -436,8 +456,119 @@ class TestRawStore:
             assert rows_of(store) == set()
 
 
+ALL_TIME = (-(2**63), 2**63 - 1)
+
+
 def rows_of(store):
-    return set(store.conn.execute("SELECT user, t, mac, rssi FROM raw_observations"))
+    """Every stored reading as (user, t, mac, rssi), read back through load_log."""
+    return {
+        (user, s.timestamp, mac, rssi)
+        for user in store.users()
+        for s in store.load_log(user, *ALL_TIME).entries
+        for mac, rssi in s.observations
+    }
+
+
+def readings(scans):
+    return sum(len(s.observations) for s in scans)
+
+
+class TestRoundTrip:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_and_resent_uploads_load_back_exactly(self, data):
+        users = data.draw(st.lists(st.sampled_from(["u", "v", "w"]), min_size=1, max_size=3,
+                                   unique=True))
+        logs = {user: build_log(user, "d", data.draw(scans_st)) for user in users}
+        uploads, resent = [], 0
+        for log in logs.values():
+            n = len(log.entries)
+            cuts = sorted(data.draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)))
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                upload = ScanLog(log.user, "d", log.entries[lo:hi])
+                uploads.append(upload)
+                if data.draw(st.booleans()):
+                    uploads.append(upload)
+                    resent += readings(upload.entries)
+        uploads = data.draw(st.permutations(uploads))
+        with RawStore() as store:
+            if data.draw(st.booleans()):
+                reports = store_raw(store, uploads)
+            else:
+                reports = [report for upload in uploads for report in store_raw(store, [upload])]
+            assert sum(r.added for r in reports) == sum(readings(log.entries) for log in logs.values())
+            assert sum(r.skipped for r in reports) == resent
+            for user, log in logs.items():
+                edges = sorted({0, 2_000_000_001} | {s.timestamp + d for s in log.entries
+                                                      for d in (0, 1)})
+                lo = data.draw(st.sampled_from(edges))
+                hi = data.draw(st.sampled_from(edges))
+                want = tuple(s for s in log.entries if lo <= s.timestamp < hi)
+                assert store.load_log(user, lo, hi).entries == want
+
+    def test_office_day_takes_at_most_16_bytes_a_reading(self, tmp_path):
+        # one row per reading took about 78 bytes a reading on disk; the
+        # bound is on what the day adds to an empty store, whose own few
+        # pages would dominate a day this small
+        scenario = load_scenario("office-day")
+        user = sorted(scenario.itineraries)[0]
+        log, _ = generate_trace(scenario.env, scenario.itineraries[user], scenario.scan_interval,
+                                np.random.default_rng([7, 0]), scenario.sigma, user=user)
+        path = tmp_path / "raw.db"
+        RawStore(path).close()
+        empty = path.stat().st_size
+        with RawStore(path) as store:
+            (report,) = store_raw(store, [log])
+            assert store.conn.execute("PRAGMA user_version").fetchone() == (1,)
+        assert report == IngestReport(added=readings(log.entries), skipped=0)
+        assert path.stat().st_size - empty <= 16 * report.added
+
+
+# One process's uploads: store_raw once per upload k, in the given order.
+# Upload k holds the scans at t = 300 * (4k .. 4k+7), so neighbours overlap
+# by four scans, and each scan sees five of 40 MACs.
+_INGESTER = """
+import json
+import sys
+from wifipoi.ingest import RawStore, store_raw
+from wifipoi.model import ScanResult, build_log
+
+path, order = sys.argv[1], json.loads(sys.argv[2])
+macs = ["%02x:00:00:00:00:%02x" % (k, k) for k in range(40)]
+reports = []
+with RawStore(path) as store:
+    for k in order:
+        scans = [ScanResult(300 * i, tuple((macs[(i + j) % 40], -40 - (i + j) % 50)
+                                           for j in range(5)))
+                 for i in range(4 * k, 4 * k + 8)]
+        reports += store_raw(store, [build_log("u", "d", scans)])
+print(json.dumps([[r.added, r.skipped] for r in reports]))
+"""
+
+
+def test_concurrent_ingest_stores_each_scan_once(tmp_path):
+    path = tmp_path / "raw.db"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    orders = [list(range(10)), list(range(9, -1, -1))]
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _INGESTER, str(path), json.dumps(order)],
+                         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for order in orders
+    ]
+    reports = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        reports += json.loads(out)
+    assert sum(added for added, _ in reports) == 44 * 5  # scans t = 0 .. 300 * 43
+    assert sum(added + skipped for added, skipped in reports) == 2 * 10 * 8 * 5
+    with RawStore(path) as store:
+        ids = store.conn.execute("SELECT COUNT(*), COUNT(DISTINCT mac) FROM mac").fetchone()
+        assert ids == (40, 40)
+        log = store.load_log("u", *ALL_TIME)
+    assert [s.timestamp for s in log.entries] == [300 * i for i in range(44)]
+    assert all(len(s.observations) == 5 for s in log.entries)
 
 
 class FailingExecutemany:
