@@ -8,7 +8,7 @@ they resemble too few neighbours.
 """
 import time
 
-from wifipoi.clustering import ClusterParams, dbscan, segment_visits
+from wifipoi.clustering import ClusterParams, dbscan, scan_day, segment_visits
 from wifipoi.simgen import generate_trace, load_scenario
 
 
@@ -29,13 +29,14 @@ log, truth = generate_trace(
 print(f"simulated {len(log)} scans for {user!r}")
 
 params = ClusterParams(epsilon=0.5, min_pts=4, scan_interval=scenario.scan_interval)
-labels = dbscan(log, params)
+day = scan_day(log)  # the scans as one matrix: a row per scan, a column per AP
+labels = dbscan(day, params)
 clusters = sorted(set(labels) - {0})
 noise = sum(1 for l in labels if l == 0)
 print(f"clusters {clusters}, {noise} noise scans at epsilon={params.epsilon}")
 
 print("\nextracted visits:")
-for visit in segment_visits(log, labels, params):
+for visit in segment_visits(day, labels, params):
     flag = "  (short)" if visit.sub_minimal else ""
     print(f"  cluster {visit.label}  {hhmm(visit.start)} - {hhmm(visit.end)}  {visit.scans} scans{flag}")
 

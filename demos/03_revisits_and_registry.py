@@ -10,7 +10,7 @@ and office keeping their ids all week.
 import collections
 import time
 
-from wifipoi.clustering import ClusterParams
+from wifipoi.clustering import ClusterParams, scan_day
 from wifipoi.registry import SummaryStore, extract_day, summary_rows
 from wifipoi.simgen import generate_trace, load_scenario
 
@@ -35,7 +35,7 @@ for day_index, day in enumerate(sorted(by_day)):
     # cluster the day, match each cluster against the registry, and
     # render the (poi_id, visits) pairs it registered
     print(f"{day}:")
-    for poi_id, start, end in summary_rows(extract_day(store, log, params)):
+    for poi_id, start, end in summary_rows(extract_day(store, scan_day(log), params)):
         print(f"  POI {poi_id}  {start} - {end}")
 
 print("\nregistered POI:")

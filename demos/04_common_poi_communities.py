@@ -11,7 +11,7 @@ import collections
 
 import numpy as np
 
-from wifipoi.clustering import ClusterParams
+from wifipoi.clustering import ClusterParams, scan_day
 from wifipoi.community import threshold_sweep
 from wifipoi.registry import SummaryStore, extract_day
 from wifipoi.simgen import generate_trace, load_scenario
@@ -30,7 +30,7 @@ for index, user in enumerate(sorted(scenario.itineraries)):
         user=user,
         device=scenario.devices[user],
     )
-    extract_day(store, log, params)
+    extract_day(store, scan_day(log), params)
 
 # one fingerprint per (user, poi_id): the nodes of the cross-user graph
 fps = store.fingerprints()

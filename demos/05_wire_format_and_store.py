@@ -49,6 +49,6 @@ first = store_raw(store, [log])[0]
 again = store_raw(store, [log])[0]
 print(f"\ningest: {first.added} added; retry: {again.added} added, {again.skipped} skipped")
 print(f"stored users: {store.users()}")
-window = store.load_log("maria", T0, T0 + 3600)
-print(f"first hour holds {len(window)} scans")
+window = store.load_day("maria", T0, T0 + 3600)  # the matrix that clustering reads
+print(f"first hour holds {len(window.times)} scans over {len(window.macs)} APs")
 store.close()

@@ -8,7 +8,7 @@ Louvain communities of the cross-user similarity graph.
 
 from __future__ import annotations
 
-from .clustering import NOISE, VisitInterval, dbscan, segment_visits
+from .clustering import NOISE, VisitInterval, dbscan, scan_day, segment_visits
 from .community import (
     Partition,
     PoiGraph,
@@ -31,6 +31,7 @@ from .ingest import (
 from .model import (
     ClusterParams,
     Fingerprint,
+    ScanDay,
     ScanLog,
     ScanResult,
     build_log,
@@ -65,6 +66,7 @@ __all__ = [
     "PoiRecord",
     "RawBatch",
     "RawStore",
+    "ScanDay",
     "ScanLog",
     "ScanResult",
     "SummaryStore",
@@ -87,6 +89,7 @@ __all__ = [
     "parse_mac",
     "plan_uploads",
     "rss_at",
+    "scan_day",
     "segment_visits",
     "similarity_matrix",
     "store_raw",

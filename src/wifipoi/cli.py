@@ -8,16 +8,18 @@ Subcommands:
     simulate --scenario S --seed N  generate synthetic scan files + ground truth
     score --truth CSV SUMMARY...    compare extraction output against ground truth
 
-Exit codes: 0 on success, 2 on malformed input, 3 on a domain error
-(unknown user, too few POI, storage failure). The store path comes
-from --store, the WIFIPOI_STORE environment variable, the config file,
-or the default wifipoi.db, in that order of precedence.
+Exit codes: 0 on success, 2 on malformed input or a file path that
+cannot be read or written, 3 on a domain error (unknown user, too few
+POI, storage failure). The store path comes from --store, the
+WIFIPOI_STORE environment variable, the config file, or the default
+wifipoi.db, in that order of precedence.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sqlite3
 import sys
@@ -104,7 +106,10 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "epsilon", None) is not None:
         values["epsilon"], sources["epsilon"] = args.epsilon, "--epsilon"
     if getattr(args, "thresholds", None) is not None:
-        values["community_thresholds"] = _parse_thresholds(args.thresholds)
+        try:
+            values["community_thresholds"] = _parse_thresholds(args.thresholds)
+        except InputError as exc:
+            raise InputError(f"--thresholds: {exc}") from exc
         sources["community_thresholds"] = "--thresholds"
     for name, source in sources.items():
         try:  # each field checks its own range, so one at a time finds the culprit
@@ -172,18 +177,18 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     except ValueError as exc:
         raise InputError(f"--day {args.day!r}: expected a real YYYY-MM-DD date ({exc})") from exc
     out = Path(args.out) if args.out else Path(f"{args.user}_{args.day}.csv")
-    if not out.parent.is_dir():
-        raise InputError(f"output directory {out.parent} does not exist")
+    if out.is_dir() or not out.parent.is_dir():
+        raise InputError(f"output {out}: not a file in an existing directory")
     with RawStore(_existing_store(cfg.store)) as raw:
         if not raw.has_user(args.user):
             raise UnknownUser(f"no raw data for user {args.user!r} in {cfg.store}")
-        log = raw.load_log(args.user, lo, hi)
-    if not log.entries:
+        day = raw.load_day(args.user, lo, hi)
+    if len(day.times) == 0:
         write_summary_csv([], out)
         print(f"no scans for {args.user} on {args.day}; wrote empty {out}")
         return 0
     with SummaryStore(cfg.store) as store:
-        registered = extract_day(store, log, cfg.cluster, cfg.match_threshold)
+        registered = extract_day(store, day, cfg.cluster, cfg.match_threshold)
     rows = summary_rows(registered)
     write_summary_csv(rows, out)
     if not rows:
@@ -333,6 +338,7 @@ def cmd_score(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return 0
 
 
+@functools.cache  # a build costs about 17 parses; parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--store", help=f"store path (or ${STORE_ENV_VAR})")
@@ -381,7 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except sqlite3.Error as exc:  # only a command reaches SQLite, so cfg is set

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyLog, LabelLengthMismatch
-from .model import ClusterParams, ScanLog
-from .similarity import _score_blocks
+from .model import ClusterParams, ScanDay, ScanLog
+from .similarity import _score_blocks, mac_matrix
 
 ClusterLabel = int
 
@@ -28,7 +28,13 @@ ClusterLabel = int
 NOISE: ClusterLabel = 0
 
 
-def dbscan(scans: ScanLog, params: ClusterParams) -> list[ClusterLabel]:
+def scan_day(log: ScanLog) -> ScanDay:
+    """The log's scans as a ScanDay, its columns the sorted MACs."""
+    times = np.array([scan.timestamp for scan in log.entries], dtype=np.int64)
+    return ScanDay(log.user, times, *mac_matrix([scan.observations for scan in log.entries]))
+
+
+def dbscan(day: ScanDay, params: ClusterParams) -> list[ClusterLabel]:
     """Label every scan with a cluster id (>= 1) or NOISE.
 
     Order-free (the definition of Ester et al., KDD 1996): the result
@@ -38,14 +44,13 @@ def dbscan(scans: ScanLog, params: ClusterParams) -> list[ClusterLabel]:
     the connected components of the graph of neighbouring core scans,
     numbered from 1 by their smallest scan index. A non-core scan next
     to a core scan is a border point and joins the lowest-numbered such
-    cluster; the rest is NOISE. Raises EmptyLog on a log with no
-    entries.
+    cluster; the rest is NOISE. Raises EmptyLog on a day with no scans.
     """
-    n = len(scans.entries)
+    n = len(day.times)
     if n == 0:
-        raise EmptyLog(f"no scans to cluster for user {scans.user!r}")
+        raise EmptyLog(f"no scans to cluster for user {day.user!r}")
     near = np.empty((n, n), dtype=bool)
-    for lo, block in _score_blocks([scan.observations for scan in scans.entries]):
+    for lo, block in _score_blocks(day.rssi):
         np.greater_equal(block, params.epsilon, out=near[lo : lo + len(block)])
     core = np.count_nonzero(near, axis=1) >= params.min_pts
 
@@ -86,7 +91,7 @@ class VisitInterval:
 
 
 def segment_visits(
-    scans: ScanLog, labels: Sequence[ClusterLabel], params: ClusterParams
+    day: ScanDay, labels: Sequence[ClusterLabel], params: ClusterParams
 ) -> list[VisitInterval]:
     """Split each cluster's scans into maximal contiguous visit runs.
 
@@ -94,36 +99,20 @@ def segment_visits(
     non-noise label and are at most 2 * scan_interval apart; noise
     scans break runs and produce no interval. Output is ordered by
     start time and never overlaps. Raises LabelLengthMismatch when the
-    label list does not align with the log.
+    label list does not align with the day.
     """
-    if len(labels) != len(scans.entries):
-        raise LabelLengthMismatch(
-            f"{len(labels)} labels for {len(scans.entries)} scans"
-        )
+    times = day.times.tolist()
+    n = len(times)
+    if len(labels) != n:
+        raise LabelLengthMismatch(f"{len(labels)} labels for {n} scans")
     max_gap = 2 * params.scan_interval
-    out: list[VisitInterval] = []
-    run_label: ClusterLabel = NOISE
-    run_start = run_end = run_count = 0
-
-    def flush() -> None:
-        if run_label != NOISE and run_count > 0:
-            out.append(
-                VisitInterval(
-                    label=run_label,
-                    start=run_start,
-                    end=run_end,
-                    scans=run_count,
-                    sub_minimal=run_count < params.min_pts,
-                )
-            )
-
-    for scan, label in zip(scans.entries, labels):
-        t = scan.timestamp
-        if label == run_label and run_count > 0 and t - run_end <= max_gap:
-            run_end = t
-            run_count += 1
-            continue
-        flush()
-        run_label, run_start, run_end, run_count = label, t, t, 1
-    flush()
-    return out
+    # cut points: each run is [cuts[k], cuts[k + 1])
+    cuts = [
+        i for i in range(n + 1)
+        if i in (0, n) or labels[i] != labels[i - 1] or times[i] - times[i - 1] > max_gap
+    ]
+    return [
+        VisitInterval(labels[a], times[a], times[b - 1], b - a, sub_minimal=b - a < params.min_pts)
+        for a, b in zip(cuts, cuts[1:])
+        if labels[a] != NOISE
+    ]

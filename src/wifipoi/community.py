@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import EmptyGraph, PartitionMismatch, TooFewNodes
 from .model import Fingerprint
-from .similarity import _score_blocks
+from .similarity import _score_blocks, mac_matrix
 
 Node = Hashable
 
@@ -91,7 +91,7 @@ def build_graph(
         raise TooFewNodes(f"{len(nodes)} names for {h} fingerprints")
     edges: list[tuple[Node, Node, float]] = []
     index = np.arange(h)
-    for lo, block in _score_blocks([fp.rssi.items() for fp in fps]):
+    for lo, block in _score_blocks(mac_matrix([fp.rssi.items() for fp in fps])[1]):
         i, j = np.nonzero((block >= threshold) & (index > index[lo : lo + len(block), None]))
         pairs = zip((lo + i).tolist(), j.tolist(), block[i, j].tolist())
         edges.extend((nodes[a], nodes[b], c) for a, b, c in pairs)

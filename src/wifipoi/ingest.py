@@ -13,7 +13,7 @@ every line. The raw store keeps one row per (user, t) scan, its MACs as
 ids into a dictionary of MACs and its readings packed beside them. A
 scan whose (user, t) is stored already is skipped when its readings are
 identical, which makes re-ingestion a no-op, and refused when they
-differ; load_log reads one user's scans back in a [lo, hi) time window.
+differ; load_day reads one user's scans in a [lo, hi) window as a ScanDay.
 store_raw lands any number of logs in one transaction, so a caller that
 feeds it several uploads (the CLI's ingest call) keeps all or none of
 them; since identical scans are skipped, a rejected call can simply be
@@ -34,8 +34,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, TypeVar
 
+import numpy as np
+
 from .errors import CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure
-from .model import ScanLog, ScanResult, validate_scan
+from .model import ScanDay, ScanLog, ScanResult, validate_scan
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
 
@@ -201,10 +203,10 @@ class RawStore(SqliteStore):
 
     A raw_scans row packs the scan's MAC ids (little-endian uint32) and
     RSS readings (int8) in validate_scan's sorted-by-MAC order, so
-    load_log rebuilds the scan exactly; `mac` holds each canonical MAC
-    once. The layout is user_version 1. A file that still holds the
-    per-reading raw_observations table of the earlier layout is refused
-    and left untouched. Shares a SQLite file happily with the summary
+    load_day reads the blobs straight into a day matrix; `mac` holds
+    each canonical MAC once. The layout is user_version 1. A file that
+    still holds the per-reading raw_observations table of the earlier
+    layout is refused and left untouched. Shares a SQLite file happily with the summary
     store; the table namespaces are disjoint.
     """
 
@@ -244,29 +246,27 @@ class RawStore(SqliteStore):
         ).fetchone()
         return row is not None
 
-    def load_log(self, user: str, lo: int, hi: int) -> ScanLog:
-        """Rebuild the user's scans with lo <= t < hi.
+    def load_day(self, user: str, lo: int, hi: int) -> ScanDay:
+        """The user's scans with lo <= t < hi, as a ScanDay in MAC-id column order.
 
         Only the MACs those scans name are read from the dictionary;
         reading all of it costs about a microsecond a MAC on every call.
         """
-        scans = [
-            (t, *_unpack(macs, rssi))
-            for t, macs, rssi in self.conn.execute(
-                "SELECT t, macs, rssi FROM raw_scans WHERE user = ? AND t >= ? AND t < ?"
-                " ORDER BY t",
-                (user, lo, hi),
-            )
-        ]
-        used = set().union(*(ids for _, ids, _ in scans))
+        rows = self.conn.execute(
+            "SELECT t, macs, rssi FROM raw_scans WHERE user = ? AND t >= ? AND t < ? ORDER BY t",
+            (user, lo, hi),
+        ).fetchall()
+        ids = np.frombuffer(b"".join(macs for _, macs, _ in rows), "<u4")
+        rssi = np.frombuffer(b"".join(rssi for *_, rssi in rows), np.int8)
+        used, cols = np.unique(ids, return_inverse=True)
         names = dict(self.conn.execute(
             "SELECT id, mac FROM mac WHERE id IN (SELECT value FROM json_each(?))",
-            (json.dumps(list(used)),),
+            (json.dumps(used.tolist()),),
         ))
-        entries = tuple(
-            ScanResult(t, tuple(zip(map(names.__getitem__, ids), rssi))) for t, ids, rssi in scans
-        )
-        return ScanLog(user=user, device="", entries=entries)
+        x = np.zeros((len(rows), len(used)))
+        x[np.repeat(np.arange(len(rows)), [len(r) for *_, r in rows]), cols] = rssi
+        times = np.array([t for t, _, _ in rows], dtype=np.int64)
+        return ScanDay(user, times, tuple(map(names.__getitem__, used.tolist())), x)
 
 
 def _pack(scan: ScanResult, mac_ids: Mapping[str, int]) -> tuple[bytes, bytes]:
@@ -274,12 +274,6 @@ def _pack(scan: ScanResult, mac_ids: Mapping[str, int]) -> tuple[bytes, bytes]:
     n = len(scan.observations)
     macs, rssi = zip(*scan.observations)
     return struct.pack(f"<{n}I", *map(mac_ids.__getitem__, macs)), struct.pack(f"{n}b", *rssi)
-
-
-def _unpack(macs: bytes, rssi: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse of _pack: the MAC ids and the RSS readings."""
-    n = len(rssi)
-    return struct.unpack(f"<{n}I", macs), struct.unpack(f"{n}b", rssi)
 
 
 def _store_log(conn: sqlite3.Connection, log: ScanLog, mac_ids: dict[str, int]) -> IngestReport:

@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import DuplicateMac, DuplicateTimestamp, EmptyScan, MalformedMac, MalformedTimestamp
 from .errors import RssiOutOfRange
 
@@ -108,6 +110,20 @@ def build_log(user: str, device: str, scans: Iterable[ScanResult]) -> ScanLog:
         by_time[scan.timestamp] = scan
     entries = tuple(by_time[t] for t in sorted(by_time))
     return ScanLog(user=user, device=device, entries=entries)
+
+
+@dataclass(frozen=True, eq=False)
+class ScanDay:
+    """A user's scans, the extract input: row i of `rssi` is the scan at times[i].
+
+    `rssi` holds whole-dBm readings as floats, one column per MAC of
+    `macs` (in any order), 0 where the scan did not see the MAC.
+    """
+
+    user: str
+    times: np.ndarray
+    macs: tuple[str, ...]
+    rssi: np.ndarray
 
 
 @dataclass(frozen=True)

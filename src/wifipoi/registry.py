@@ -24,34 +24,31 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .clustering import NOISE, VisitInterval, dbscan, segment_visits
+import numpy as np
+
+from .clustering import VisitInterval, dbscan, segment_visits
 from .errors import EmptyCluster, StorageFailure
 from .ingest import SqliteStore
-from .model import ClusterParams, Fingerprint, ScanLog, ScanResult
+from .model import ClusterParams, Fingerprint, ScanDay
 from .similarity import cosine_similarity
 
 MATCH_THRESHOLD = 0.5
 
 
-def build_fingerprint(cluster_scans: Sequence[ScanResult]) -> Fingerprint:
-    """Average the member scans into one fingerprint.
+def build_fingerprint(macs: Sequence[str], rows: np.ndarray) -> Fingerprint:
+    """Average member scans, rows of a day matrix over `macs`, into one fingerprint.
 
-    Each MAC's mean runs over the scans that observed it, not over the
-    whole cluster, so an AP flickering in and out keeps its true level.
-    Raises EmptyCluster on an empty input.
+    Each MAC's mean runs over its nonzero cells, the scans that saw it,
+    so an AP flickering in and out keeps its true level. Raises
+    EmptyCluster on zero rows.
     """
-    if not cluster_scans:
+    if len(rows) == 0:
         raise EmptyCluster("cannot build a fingerprint from zero scans")
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for scan in cluster_scans:
-        for mac, rssi in scan.observations:
-            totals[mac] = totals.get(mac, 0.0) + rssi
-            counts[mac] = counts.get(mac, 0) + 1
-    return Fingerprint(
-        rssi={mac: totals[mac] / counts[mac] for mac in totals},
-        counts=counts,
-    )
+    counts = np.count_nonzero(rows, axis=0)
+    seen = np.flatnonzero(counts)
+    names = [macs[k] for k in seen.tolist()]
+    means = rows.sum(axis=0)[seen] / counts[seen]  # .tolist() below: floats, not np.float64
+    return Fingerprint(dict(zip(names, means.tolist())), dict(zip(names, counts[seen].tolist())))
 
 
 def merge_fingerprints(old: Fingerprint, new: Fingerprint) -> Fingerprint:
@@ -276,7 +273,7 @@ def upsert_day(
 
 def extract_day(
     store: SummaryStore,
-    log: ScanLog,
+    day: ScanDay,
     params: ClusterParams,
     threshold: float = MATCH_THRESHOLD,
 ) -> list[tuple[int, list[VisitInterval]]]:
@@ -284,20 +281,20 @@ def extract_day(
 
     dbscan labels the scans and segment_visits cuts them into visits;
     each cluster label, in ascending order, becomes one (fingerprint
-    of its member scans, its visits) pair, and upsert_day registers
-    the day for log.user in one transaction. An all-noise day writes
-    nothing and returns []. Raises EmptyLog on a log with no entries.
+    of its member rows, its visits) pair, and upsert_day registers
+    the day for day.user in one transaction. An all-noise day writes
+    nothing and returns []. Raises EmptyLog on a day with no scans.
     """
-    labels = dbscan(log, params)
-    members: dict[int, list[ScanResult]] = {}
-    for scan, label in zip(log.entries, labels):
-        if label != NOISE:
-            members.setdefault(label, []).append(scan)
+    labels = dbscan(day, params)
     visits: dict[int, list[VisitInterval]] = {}
-    for visit in segment_visits(log, labels, params):
+    for visit in segment_visits(day, labels, params):
         visits.setdefault(visit.label, []).append(visit)
-    clusters = [(build_fingerprint(members[label]), visits[label]) for label in sorted(members)]
-    ids = upsert_day(store, log.user, clusters, threshold)
+    members = np.array(labels)
+    clusters = [
+        (build_fingerprint(day.macs, day.rssi[members == label]), visits[label])
+        for label in sorted(visits)
+    ]
+    ids = upsert_day(store, day.user, clusters, threshold)
     return [(poi_id, day_visits) for poi_id, (_, day_visits) in zip(ids, clusters)]
 
 

@@ -11,8 +11,8 @@ product in the numerator is positive and the score lands in [0, 1].
 cosine_similarity scores one pair, for revisit matching. The score is
 the ordinary cosine of two vectors once absent MACs are imputed as 0,
 so all-pairs scores come from dense matrix products: _score_blocks
-builds them from (mac, rssi) rows and yields a fixed number of rows at
-a time so that no caller holds an n x n float matrix.
+takes a MAC-indexed matrix, a ScanDay's or mac_matrix's, and yields
+_BLOCK rows at a time so that no caller holds an n x n float matrix.
 """
 
 from __future__ import annotations
@@ -68,27 +68,30 @@ def cosine_similarity(a: Fingerprint, b: Fingerprint) -> SimilarityScore:
     return c
 
 
-def _score_blocks(rows: Sequence[Collection[tuple[str, float]]]) -> Iterator[tuple[int, np.ndarray]]:
-    """All-pairs scores as (first row, block) pairs of _BLOCK rows each.
-
-    A row is one scan's observations or one fingerprint's rssi.items():
-    (mac, rssi) pairs, no MAC twice. Rows span a dense matrix over the
-    sorted union of MACs, absent MACs 0. Each element is the row dot
-    over sqrt(d_i * d_j), d the self dot products, like
-    cosine_similarity, snapped to 1 the same way, and the diagonal is 1.
-    Raises EmptyFingerprint when any row is empty.
-    """
-    if not all(rows):
-        raise EmptyFingerprint("cannot compare an empty fingerprint")
+def mac_matrix(rows: Sequence[Collection[tuple[str, float]]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """(macs, x): x[i] holds rows[i]'s (mac, value) pairs over the sorted MACs, absent 0."""
     macs = sorted({mac for row in rows for mac, _ in row})
     index = {mac: k for k, mac in enumerate(macs)}
     lengths = [len(row) for row in rows]
     cols = np.fromiter((index[mac] for row in rows for mac, _ in row), np.intp, sum(lengths))
-    rssi = np.fromiter((r for row in rows for _, r in row), float, sum(lengths))
+    values = np.fromiter((r for row in rows for _, r in row), float, sum(lengths))
     x = np.zeros((len(rows), len(macs)))
-    x[np.repeat(np.arange(len(rows)), lengths), cols] = rssi
+    x[np.repeat(np.arange(len(rows)), lengths), cols] = values
+    return tuple(macs), x
+
+
+def _score_blocks(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """All-pairs scores of the rows of x as (first row, block) pairs of _BLOCK rows each.
+
+    x is a float matrix, one column per MAC and absent MACs 0. Each
+    element is the row dot over sqrt(d_i * d_j), d the self dot
+    products, like cosine_similarity, snapped to 1 the same way, and
+    the diagonal is 1. Raises EmptyFingerprint when any row is all 0.
+    """
     d = np.einsum("ij,ij->i", x, x)
-    for lo in range(0, len(rows), _BLOCK):
+    if not d.all():
+        raise EmptyFingerprint("cannot compare an empty fingerprint")
+    for lo in range(0, len(x), _BLOCK):
         block = x[lo : lo + _BLOCK] @ x.T
         diag = np.arange(len(block))
         den = np.multiply.outer(d[lo : lo + _BLOCK], d)
@@ -101,5 +104,6 @@ def _score_blocks(rows: Sequence[Collection[tuple[str, float]]]) -> Iterator[tup
 
 def similarity_matrix(fps: Sequence[Fingerprint]) -> np.ndarray:
     """All-pairs scores as one dense n x n array: the stacked blocks."""
-    blocks = [block for _, block in _score_blocks([fp.rssi.items() for fp in fps])]
+    _, x = mac_matrix([fp.rssi.items() for fp in fps])
+    blocks = [block for _, block in _score_blocks(x)]
     return np.concatenate(blocks) if blocks else np.zeros((0, 0))

@@ -90,6 +90,56 @@ def naive_dbscan(points: list[Fp], eps: float, min_pts: int) -> list[int]:
     return labels
 
 
+def naive_fingerprint(scans: Iterable[Iterable[tuple[str, int]]]) -> tuple[Fp, dict[str, int]]:
+    """Per-MAC mean RSS and count over the scans that saw each MAC.
+
+    `scans` holds each scan's (mac, rssi) readings; a dict loop that
+    sums in float, reading by reading.
+    """
+    totals: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for scan in scans:
+        for mac, rssi in scan:
+            totals[mac] = totals.get(mac, 0.0) + rssi
+            counts[mac] = counts.get(mac, 0) + 1
+    return {mac: totals[mac] / counts[mac] for mac in totals}, counts
+
+
+def naive_visits(
+    times: list[int], labels: list[int], scan_interval: int, min_pts: int
+) -> list[tuple[int, int, int, int, bool]]:
+    """Visit runs as (label, start, end, scans, sub_minimal), by a run-state loop.
+
+    A scan extends the open run when it has the run's label and comes
+    at most 2 * scan_interval after the run's last scan; noise (label
+    0) runs are dropped.
+    """
+    out: list[tuple[int, int, int, int, bool]] = []
+    run: list = []  # [label, start, end, scans] of the open run
+
+    def flush() -> None:
+        if run and run[0] != 0:
+            out.append((run[0], run[1], run[2], run[3], run[3] < min_pts))
+
+    for t, label in zip(times, labels):
+        if run and label == run[0] and t - run[2] <= 2 * scan_interval:
+            run[2] = t
+            run[3] += 1
+            continue
+        flush()
+        run = [label, t, t, 1]
+    flush()
+    return out
+
+
+def day_rows(day) -> list[tuple[int, dict[str, int]]]:
+    """A ScanDay's scans back as (t, {mac: rssi}) rows, its 0 cells dropped."""
+    return [
+        (int(t), {mac: int(v) for mac, v in zip(day.macs, row) if v != 0})
+        for t, row in zip(day.times, day.rssi)
+    ]
+
+
 def naive_modularity(edges: Iterable[tuple], comm: dict) -> float:
     """Weighted modularity via the pairwise A_ij formula.
 

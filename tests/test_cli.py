@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import day_rows
 from wifipoi import cli
 from wifipoi.cli import main
 from wifipoi.ingest import RawStore
+from wifipoi.model import ClusterParams
 from wifipoi.registry import SummaryStore
 
 DAY = "2026-03-02"
@@ -106,7 +108,7 @@ class TestIngest:
         (workdir / "carol.scan").write_bytes(first)
         assert run("ingest", "--store", "poi.db", "a/bob.scan") == 0
         with RawStore(workdir / "poi.db") as store:
-            before = store.load_log("bob", 0, 1000)
+            before = day_rows(store.load_day("bob", 0, 1000))
         capsys.readouterr()
         assert run("ingest", "--store", "poi.db", "carol.scan", "a/bob.scan", "b/bob.scan") == 2
         assert capsys.readouterr().err == (
@@ -115,7 +117,7 @@ class TestIngest:
         )
         with RawStore(workdir / "poi.db") as store:
             assert store.users() == ["bob"]
-            assert store.load_log("bob", 0, 1000) == before
+            assert day_rows(store.load_day("bob", 0, 1000)) == before
 
     def test_one_call_is_one_commit(self, workdir, capsys, monkeypatch, commit_counter):
         class CountingRawStore(RawStore):
@@ -140,11 +142,11 @@ class TestIngest:
 
 
 def rows_in(store):
-    """The readings stored for every user, counted through load_log."""
+    """The readings stored for every user, counted through load_day."""
     return sum(
-        len(scan.observations)
+        len(row)
         for user in store.users()
-        for scan in store.load_log(user, -(2**63), 2**63 - 1).entries
+        for _, row in day_rows(store.load_day(user, -(2**63), 2**63 - 1))
     )
 
 
@@ -462,6 +464,47 @@ class TestStoreOpen:
         assert sorted(p.name for p in workdir.iterdir()) == ["old.db", "u.scan"]
 
 
+class TestBadPath:
+    """A path that cannot be read or written exits 2, not with a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "sim"],
+        ["score", "--truth", "sim", f"alice_{DAY}.csv"],
+        ["simulate", "--scenario", "office-day", "--out", "sim/alice.scan.gz"],
+        ["communities", "--communities-out", "sim"],
+        ["extract", "--user", "alice", "--day", DAY, "--out", "sim"],
+    ], ids=["ingest", "score", "simulate", "communities", "extract"])
+    def test_directory_or_file_in_the_wrong_place_exits_two(self, workdir, capsys, argv):
+        from wifipoi.clustering import VisitInterval
+        from wifipoi.model import Fingerprint
+        from wifipoi.registry import upsert_day
+
+        sim = simulate_office(workdir, seed=1)
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz") == 0
+        if argv[0] == "communities":  # two alike POI of two users: one edge
+            fp = Fingerprint(rssi={"aa:00:00:00:00:01": -50.0}, counts={"aa:00:00:00:00:01": 4})
+            with SummaryStore(workdir / "poi.db") as store:
+                for user in ("u", "v"):
+                    upsert_day(store, user, [(fp, [VisitInterval(1, 0, 1200, 4)])])
+        capsys.readouterr()
+        assert run(*argv, "--store", "poi.db") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sim" in err
+        if argv[0] == "extract":  # refused before the day is registered
+            with SummaryStore(workdir / "poi.db") as store:
+                assert store.conn.execute("SELECT COUNT(*) FROM poi_properties").fetchone() == (0,)
+
+
+def test_main_calls_share_no_parsed_state(workdir, monkeypatch):
+    loaded = []
+    real = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda args: loaded.append(real(args)) or loaded[-1])
+    assert run("extract", "--store", "typo.db", "--user", "u", "--day", DAY, "--epsilon", "0.9") == 3
+    assert run("extract", "--store", "typo.db", "--user", "u", "--day", DAY) == 3
+    assert [cfg.cluster.epsilon for cfg in loaded] == [0.9, ClusterParams().epsilon]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_module_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     argv = ["score", "--truth", "missing.csv", "u_2026-03-02.csv"]
@@ -546,5 +589,12 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err == "error: --thresholds: threshold 1.5 outside (0, 1]\n"
 
     @pytest.mark.parametrize("flag", ["a,b", ",", "1.5", "0", "-0.3"])
-    def test_bad_threshold_flag_exits_two(self, workdir, flag):
+    def test_bad_threshold_flag_exits_two(self, workdir, capsys, flag):
         assert run("communities", "--store", "poi.db", "--thresholds", flag) == 2
+        assert capsys.readouterr().err == "error: --thresholds: " + {
+            "a,b": "bad threshold list 'a,b': could not convert string to float: 'a'",
+            ",": "threshold list ',' names no threshold",
+            "1.5": "threshold 1.5 outside (0, 1]",
+            "0": "threshold 0.0 outside (0, 1]",
+            "-0.3": "threshold -0.3 outside (0, 1]",
+        }[flag] + "\n"

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import naive_dbscan, random_scan_instance
-from wifipoi.clustering import NOISE, dbscan, segment_visits
+from oracles import naive_dbscan, naive_visits, random_scan_instance
+from wifipoi.clustering import NOISE, dbscan, scan_day, segment_visits
 from wifipoi.errors import EmptyLog, LabelLengthMismatch
 from wifipoi.model import ClusterParams, ScanLog, ScanResult, build_log
 from wifipoi.registry import build_fingerprint
@@ -30,7 +30,8 @@ def desk_scan(jitter=0):
 
 def scan_fps(log):
     """Each scan of the log as its own one-scan fingerprint."""
-    return [build_fingerprint([scan]) for scan in log.entries]
+    day = scan_day(log)
+    return [build_fingerprint(day.macs, day.rssi[i : i + 1]) for i in range(len(log))]
 
 
 def neighbours(fps, i, eps):
@@ -59,11 +60,11 @@ class TestFindNeighbours:
 
 class TestDbscan:
     def test_single_desk_is_one_cluster(self):
-        labels = dbscan(make_log([desk_scan(j % 3) for j in range(12)]), ClusterParams())
+        labels = dbscan(scan_day(make_log([desk_scan(j % 3) for j in range(12)])), ClusterParams())
         assert set(labels) == {1}
 
     def test_three_scans_cannot_reach_min_pts(self):
-        labels = dbscan(make_log([desk_scan()] * 3), ClusterParams())
+        labels = dbscan(scan_day(make_log([desk_scan()] * 3)), ClusterParams())
         assert labels == [NOISE] * 3
 
     def test_epsilon_one_clusters_proportional_scans(self):
@@ -71,25 +72,25 @@ class TestDbscan:
         # the last scan is close but not proportional, so it stays noise
         dicts = [{A: -20, B: -40}, {A: -30, B: -60}, {A: -40, B: -80}, {A: -20, B: -40},
                  {A: -21, B: -40}]
-        labels = dbscan(make_log(dicts), ClusterParams(epsilon=1.0))
+        labels = dbscan(scan_day(make_log(dicts)), ClusterParams(epsilon=1.0))
         assert labels == [1, 1, 1, 1, NOISE]
 
     def test_empty_log_rejected(self):
         with pytest.raises(EmptyLog):
-            dbscan(ScanLog(user="u", device="d", entries=()), ClusterParams())
+            dbscan(scan_day(ScanLog(user="u", device="d", entries=())), ClusterParams())
 
     def test_labels_are_deterministic(self):
         rnd = random.Random(11)
         log = make_log(random_scan_instance(rnd, 80))
         params = ClusterParams(epsilon=0.6)
-        assert dbscan(log, params) == dbscan(log, params)
+        assert dbscan(scan_day(log), params) == dbscan(scan_day(log), params)
 
     def test_matches_reference_on_random_instances(self):
         rnd = random.Random(2)
         for _ in range(20):
             dicts = random_scan_instance(rnd, rnd.randint(30, 120))
             eps = rnd.choice([0.4, 0.5, 0.6, 0.7])
-            got = dbscan(make_log(dicts), ClusterParams(epsilon=eps))
+            got = dbscan(scan_day(make_log(dicts)), ClusterParams(epsilon=eps))
             want = naive_dbscan([{m: float(v) for m, v in d.items()} for d in dicts], eps, 4)
             assert got == want
 
@@ -99,14 +100,14 @@ class TestDbscan:
             log = make_log(random_scan_instance(rnd, 90))
             noisy_at = {}
             for eps in (0.4, 0.5, 0.6, 0.75):
-                labels = dbscan(log, ClusterParams(epsilon=eps))
+                labels = dbscan(scan_day(log), ClusterParams(epsilon=eps))
                 noisy_at[eps] = {i for i, l in enumerate(labels) if l == NOISE}
             assert noisy_at[0.4] <= noisy_at[0.5] <= noisy_at[0.6] <= noisy_at[0.75]
 
     def test_twenty_minute_rule(self):
         # 3 scans at one place never reach minPts=4 within a 15-min stay
         dicts = [{A: -50, B: -60}] * 3 + [{"dd:00:00:00:00:04": -55, "ee:00:00:00:00:05": -65}] * 12
-        labels = dbscan(make_log(dicts), ClusterParams())
+        labels = dbscan(scan_day(make_log(dicts)), ClusterParams())
         assert labels[:3] == [NOISE] * 3
         assert set(labels[3:]) == {1}
 
@@ -116,7 +117,7 @@ class TestSegmentVisits:
         dicts = [desk_scan()] * 12
         log = make_log(dicts)
         labels = [1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1]
-        visits = segment_visits(log, labels, ClusterParams())
+        visits = segment_visits(scan_day(log), labels, ClusterParams())
         assert [(v.label, v.scans) for v in visits] == [(1, 4), (2, 4), (1, 4)]
         assert [v.start for v in visits] == sorted(v.start for v in visits)
         assert visits[0].end == log.entries[3].timestamp
@@ -124,19 +125,19 @@ class TestSegmentVisits:
 
     def test_all_noise_gives_no_intervals(self):
         log = make_log([desk_scan()] * 3)
-        assert segment_visits(log, [NOISE] * 3, ClusterParams()) == []
+        assert segment_visits(scan_day(log), [NOISE] * 3, ClusterParams()) == []
 
     def test_label_length_mismatch(self):
         log = make_log([desk_scan()] * 3)
         with pytest.raises(LabelLengthMismatch):
-            segment_visits(log, [1, 1], ClusterParams())
+            segment_visits(scan_day(log), [1, 1], ClusterParams())
 
     def test_gap_beyond_twice_interval_splits_run(self):
         t0 = 1_700_000_000
         scans = [ScanResult(timestamp=t, observations=tuple(sorted(desk_scan().items())))
                  for t in (t0, t0 + 300, t0 + 300 + 601, t0 + 300 + 901)]
         log = build_log("u", "d", scans)
-        visits = segment_visits(log, [1, 1, 1, 1], ClusterParams())
+        visits = segment_visits(scan_day(log), [1, 1, 1, 1], ClusterParams())
         assert len(visits) == 2
         assert visits[0].scans == 2 and visits[1].scans == 2
 
@@ -145,15 +146,34 @@ class TestSegmentVisits:
         scans = [ScanResult(timestamp=t, observations=tuple(sorted(desk_scan().items())))
                  for t in (t0, t0 + 600, t0 + 1200, t0 + 1800)]
         log = build_log("u", "d", scans)
-        visits = segment_visits(log, [1, 1, 1, 1], ClusterParams())
+        visits = segment_visits(scan_day(log), [1, 1, 1, 1], ClusterParams())
         assert len(visits) == 1 and visits[0].scans == 4
 
     def test_short_runs_flagged_sub_minimal(self):
         log = make_log([desk_scan()] * 7)
-        visits = segment_visits(log, [1, 1, 1, 1, 2, 2, 2], ClusterParams())
+        visits = segment_visits(scan_day(log), [1, 1, 1, 1, 2, 2, 2], ClusterParams())
         assert [v.sub_minimal for v in visits] == [False, True]
 
     def test_noise_breaks_runs(self):
         log = make_log([desk_scan()] * 9)
-        visits = segment_visits(log, [1, 1, 1, 1, NOISE, 1, 1, 1, 1], ClusterParams())
+        visits = segment_visits(scan_day(log), [1, 1, 1, 1, NOISE, 1, 1, 1, 1], ClusterParams())
         assert [(v.label, v.scans) for v in visits] == [(1, 4), (1, 4)]
+
+    def test_matches_run_state_oracle_on_random_days(self):
+        rnd = random.Random(21)
+        params = ClusterParams(min_pts=3, scan_interval=300)
+        exact_gaps = 0
+        for n in [0, 1, 2] + [rnd.randint(3, 40) for _ in range(200)]:
+            t, times, labels = 1_700_000_000, [], []
+            for _ in range(n):
+                step = rnd.choice([1, 300, 599, 600, 601, 1200])  # 600 = 2 * scan_interval
+                exact_gaps += step == 600 and bool(times)
+                t += step
+                times.append(t)
+                keep = labels and rnd.random() < 0.7
+                labels.append(labels[-1] if keep else rnd.choice([NOISE, 1, 2, 3]))
+            log = build_log("u", "d", [ScanResult(t, ((A, -50),)) for t in times])
+            got = segment_visits(scan_day(log), labels, params)
+            want = naive_visits(times, labels, params.scan_interval, params.min_pts)
+            assert [(v.label, v.start, v.end, v.scans, v.sub_minimal) for v in got] == want
+        assert exact_gaps > 0

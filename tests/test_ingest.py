@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import day_rows
 from wifipoi.errors import (
     CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure,
 )
@@ -26,7 +27,7 @@ from wifipoi.ingest import (
     store_raw,
 )
 from wifipoi.model import ScanLog, ScanResult, build_log
-from wifipoi.similarity import _score_blocks
+from wifipoi.similarity import _score_blocks, mac_matrix
 from wifipoi.simgen import (
     AccessPoint, Environment, ItineraryEntry, Place, generate_trace, load_scenario,
 )
@@ -254,8 +255,8 @@ class TestOnePolicy:
         decoded = decode_log(
             b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50],["BB-00-00-00-00-02",-70]]}\n'
         )
-        ((_, block),) = _score_blocks([built.entries[0].observations,
-                                       decoded.entries[0].observations])
+        _, x = mac_matrix([built.entries[0].observations, decoded.entries[0].observations])
+        ((_, block),) = _score_blocks(x)
         assert block[0, 1] == 1.0
 
 
@@ -401,7 +402,7 @@ class TestRawStore:
                 accepted.append((log, want))
             for user in ("u", "v"):
                 want_entries = tuple(s for (u, _), s in sorted(kept.items()) if u == user)
-                assert store.load_log(user, 0, 300 * 41).entries == want_entries
+                assert day_rows(store.load_day(user, 0, 300 * 41)) == entry_rows(want_entries)
             rows = rows_of(store)
         assert refused > 0 and sum(report.skipped for _, report in accepted) > 0
         # the accepted batches fed to one call land the same scans and reports
@@ -415,13 +416,13 @@ class TestRawStore:
                 store_raw(store, batches)
             assert rows_of(store) == set()
 
-    def test_load_log_window(self):
+    def test_load_day_window(self):
         with RawStore() as store:
             store_raw(store, [small_log()])
-            full = store.load_log("u", 1_700_000_000, 1_700_000_900)
-            assert len(full) == 3
-            window = store.load_log("u", lo=1_700_000_300, hi=1_700_000_600)
-            assert [s.timestamp for s in window.entries] == [1_700_000_300]
+            full = store.load_day("u", 1_700_000_000, 1_700_000_900)
+            assert len(day_rows(full)) == 3
+            window = store.load_day("u", lo=1_700_000_300, hi=1_700_000_600)
+            assert [t for t, _ in day_rows(window)] == [1_700_000_300]
 
     def test_one_call_is_one_commit(self, commit_counter):
         a = small_log()
@@ -460,13 +461,18 @@ ALL_TIME = (-(2**63), 2**63 - 1)
 
 
 def rows_of(store):
-    """Every stored reading as (user, t, mac, rssi), read back through load_log."""
+    """Every stored reading as (user, t, mac, rssi), read back through load_day."""
     return {
-        (user, s.timestamp, mac, rssi)
+        (user, t, mac, rssi)
         for user in store.users()
-        for s in store.load_log(user, *ALL_TIME).entries
-        for mac, rssi in s.observations
+        for t, row in day_rows(store.load_day(user, *ALL_TIME))
+        for mac, rssi in row.items()
     }
+
+
+def entry_rows(entries):
+    """Scans as the (t, {mac: rssi}) rows that day_rows reads back."""
+    return [(s.timestamp, dict(s.observations)) for s in entries]
 
 
 def readings(scans):
@@ -504,7 +510,7 @@ class TestRoundTrip:
                 lo = data.draw(st.sampled_from(edges))
                 hi = data.draw(st.sampled_from(edges))
                 want = tuple(s for s in log.entries if lo <= s.timestamp < hi)
-                assert store.load_log(user, lo, hi).entries == want
+                assert day_rows(store.load_day(user, lo, hi)) == entry_rows(want)
 
     def test_office_day_takes_at_most_16_bytes_a_reading(self, tmp_path):
         # one row per reading took about 78 bytes a reading on disk; the
@@ -566,9 +572,9 @@ def test_concurrent_ingest_stores_each_scan_once(tmp_path):
     with RawStore(path) as store:
         ids = store.conn.execute("SELECT COUNT(*), COUNT(DISTINCT mac) FROM mac").fetchone()
         assert ids == (40, 40)
-        log = store.load_log("u", *ALL_TIME)
-    assert [s.timestamp for s in log.entries] == [300 * i for i in range(44)]
-    assert all(len(s.observations) == 5 for s in log.entries)
+        rows = day_rows(store.load_day("u", *ALL_TIME))
+    assert [t for t, _ in rows] == [300 * i for i in range(44)]
+    assert all(len(row) == 5 for _, row in rows)
 
 
 class FailingExecutemany:

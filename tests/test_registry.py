@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wifipoi.clustering import VisitInterval, dbscan, segment_visits
+from oracles import MAC_POOL, naive_fingerprint
+from wifipoi.clustering import VisitInterval, dbscan, scan_day, segment_visits
 from wifipoi.errors import EmptyCluster, EmptyLog, StorageFailure
+from wifipoi.ingest import RawStore, store_raw
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
 from wifipoi.registry import (
     SummaryStore,
@@ -45,24 +47,30 @@ def fp(mapping, counts=None):
     return Fingerprint(rssi=dict(mapping), counts=counts or {m: 1 for m in mapping})
 
 
+def matrix_fp(scans):
+    """build_fingerprint over the day matrix of the scans."""
+    day = scan_day(build_log("u", "d", scans))
+    return build_fingerprint(day.macs, day.rssi)
+
+
 def visit(start_min, end_min, label=1, scans=4):
     return VisitInterval(label, DAY_START + 60 * start_min, DAY_START + 60 * end_min, scans)
 
 
 class TestBuildFingerprint:
     def test_two_point_mean(self):
-        got = build_fingerprint([scan(0, [(A, -50)]), scan(300, [(A, -60)])])
+        got = matrix_fp([scan(0, [(A, -50)]), scan(300, [(A, -60)])])
         assert got.rssi == {A: -55.0}
         assert got.counts == {A: 2}
 
     def test_partial_mac_mean_over_observers_only(self):
-        got = build_fingerprint([scan(0, [(A, -50), (B, -70)]), scan(300, [(A, -60)])])
+        got = matrix_fp([scan(0, [(A, -50), (B, -70)]), scan(300, [(A, -60)])])
         assert got.rssi == {A: -55.0, B: -70.0}
         assert got.counts == {A: 2, B: 1}
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(EmptyCluster):
-            build_fingerprint([])
+            build_fingerprint((), np.zeros((0, 0)))
 
     def test_means_stay_within_observation_range(self):
         rnd = random.Random(6)
@@ -77,9 +85,44 @@ class TestBuildFingerprint:
                     seen.setdefault(mac, []).append(r)
             if obs:
                 scans.append(scan(300 * i, obs))
-        got = build_fingerprint(scans)
+        got = matrix_fp(scans)
         for mac, mean in got.rssi.items():
             assert min(seen[mac]) <= mean <= max(seen[mac])
+
+    def test_matches_dict_loop_oracle_on_random_clusters(self):
+        # flickering APs; the store's columns come in MAC-id order, not sorted
+        rnd = random.Random(41)
+        for _ in range(100):
+            pool = rnd.sample(MAC_POOL, rnd.randint(1, 12))
+            scans = []
+            for k in range(rnd.randint(1, 60)):
+                obs = [(mac, rnd.randint(-100, -1)) for mac in pool if rnd.random() < 0.6]
+                scans.append(scan(300 * k, obs or [(pool[0], -60)]))
+            with RawStore() as store:
+                store_raw(store, [build_log("x", "d", [scan(0, [(max(pool), -50)])]),
+                                  build_log("u", "d", scans)])
+                stored = store.load_day("u", 0, 300 * 60)
+            members = sorted(rnd.sample(range(len(scans)), rnd.randint(1, len(scans))))
+            want = Fingerprint(*naive_fingerprint(scans[i].observations for i in members))
+            for day in (scan_day(build_log("u", "d", scans)), stored):
+                got = build_fingerprint(day.macs, day.rssi[members])
+                assert got == want
+                assert {type(v) for v in got.rssi.values()} == {float}
+                assert {type(c) for c in got.counts.values()} == {int}
+
+    def test_long_cluster_at_the_floor_does_not_overflow(self):
+        # 400 readings of -100 sum to -40000, beyond an int8 or int16 accumulator
+        scans = [scan(300 * k, [(A, -100)] + ([(B, -100)] if k % 2 else [])) for k in range(400)]
+        got = matrix_fp(scans)
+        assert got == Fingerprint(*naive_fingerprint(s.observations for s in scans))
+        assert got.rssi == {A: -100.0, B: -100.0} and got.counts == {A: 400, B: 200}
+
+    def test_matrix_fingerprint_round_trips_through_encoding(self):
+        rnd = random.Random(42)
+        scans = [scan(300 * k, [(mac, rnd.randint(-90, -40)) for mac in (A, B, C)
+                                if rnd.random() < 0.7] or [(A, -50)]) for k in range(30)]
+        got = matrix_fp(scans)
+        assert decode_fingerprint(encode_fingerprint(got)) == got
 
 
 class TestMergeFingerprints:
@@ -421,13 +464,15 @@ def office_days():
 
 
 def reference_extract(store, log, params):
-    """dbscan -> segment_visits -> build_fingerprint per label -> upsert_day."""
-    labels = dbscan(log, params)
+    """dbscan -> segment_visits -> naive_fingerprint per label -> upsert_day."""
+    day = scan_day(log)
+    labels = dbscan(day, params)
     by_label = collections.defaultdict(list)
-    for v in segment_visits(log, labels, params):
+    for v in segment_visits(day, labels, params):
         by_label[v.label].append(v)
     clusters = [
-        (build_fingerprint([s for s, l in zip(log.entries, labels) if l == label]), by_label[label])
+        (Fingerprint(*naive_fingerprint(
+            s.observations for s, l in zip(log.entries, labels) if l == label)), by_label[label])
         for label in sorted(by_label)
     ]
     ids = upsert_day(store, log.user, clusters)
@@ -439,7 +484,7 @@ class TestExtractDay:
         logs, params = office_days()
         with SummaryStore() as got, SummaryStore() as want:
             for log in logs:
-                registered = extract_day(got, log, params)
+                registered = extract_day(got, scan_day(log), params)
                 assert registered == reference_extract(want, log, params)
                 assert len(registered) > 1
                 assert got.records(log.user) == want.records(log.user)
@@ -448,14 +493,14 @@ class TestExtractDay:
         # three scans with nothing in common: no scan has min_pts neighbours
         log = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
         with SummaryStore() as store:
-            assert extract_day(store, log, ClusterParams()) == []
+            assert extract_day(store, scan_day(log), ClusterParams()) == []
             assert store.users() == []
             assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (0,)
 
     def test_empty_log_raises(self):
         with SummaryStore() as store:
             with pytest.raises(EmptyLog):
-                extract_day(store, build_log("u", "d", []), ClusterParams())
+                extract_day(store, scan_day(build_log("u", "d", [])), ClusterParams())
 
 
 class TestFingerprints:
@@ -494,7 +539,7 @@ class TestDailySummary:
         noise = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
         with SummaryStore() as store:
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-            assert summary_rows(extract_day(store, noise, ClusterParams())) == []
+            assert summary_rows(extract_day(store, scan_day(noise), ClusterParams())) == []
 
     def test_rows_ordered_with_hhmm_rendering(self):
         rows = summary_rows([(1, [visit(0, 20), visit(9 * 60, 9 * 60 + 30)]), (2, [visit(120, 150)])])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from wifipoi.clustering import scan_day
 from wifipoi.errors import ScenarioError, UnknownPlace, ZeroDistance
 from wifipoi.model import RSSI_MIN
 from wifipoi.registry import build_fingerprint
@@ -102,7 +103,8 @@ class TestGenerateTrace:
             ItineraryEntry("right", T0 + 3600, T0 + 7200),
         ]
         log, truth = generate_trace(env, itinerary, 300, rng_seed=3)
-        fps = [build_fingerprint([s]) for s in log.entries]
+        day = scan_day(log)
+        fps = [build_fingerprint(day.macs, day.rssi[i : i + 1]) for i in range(len(log))]
         left = [f for s, f in zip(log.entries, fps) if s.timestamp < T0 + 3600]
         right = [f for s, f in zip(log.entries, fps) if s.timestamp >= T0 + 3600]
         within = sorted(

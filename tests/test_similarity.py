@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import naive_cosine, random_fingerprint, random_scan_instance
+from wifipoi.clustering import scan_day
 from wifipoi.community import build_graph
 from wifipoi.errors import EmptyFingerprint
 from wifipoi.model import Fingerprint, ScanResult, build_log
@@ -154,9 +155,7 @@ class TestMatrix:
         dicts = random_scan_instance(random.Random(n), n)
         scans = [ScanResult(300 * i, tuple(sorted(d.items()))) for i, d in enumerate(dicts)]
         log = build_log("u", "d", scans)
-        sim = np.concatenate([block for _, block in _score_blocks(
-            [scan.observations for scan in log.entries]
-        )])
+        sim = np.concatenate([block for _, block in _score_blocks(scan_day(log).rssi)])
         assert sim.shape == (n, n)
         assert np.array_equal(sim, sim.T)
         assert sim.tolist() == [[naive_cosine(a, b) for b in dicts] for a in dicts]
