@@ -136,27 +136,38 @@ def _existing_store(path: str) -> str:
     return path
 
 
+def _output_path(name: str) -> Path:
+    """Check an output path before any work: not a directory, parent exists."""
+    out = Path(name)
+    if out.is_dir() or not out.parent.is_dir():
+        raise InputError(f"output {out}: not a file in an existing directory")
+    return out
+
+
 def _user_from_filename(path: Path) -> str:
     """`alice.scan.gz` and `alice.scan` both name user `alice`."""
     name = path.name
     for suffix in (".gz", ".scan"):
         if name.endswith(suffix):
             name = name[: -len(suffix)]
+    if not name:
+        raise InputError(f"{path}: file name has an empty stem, so it names no user")
     return name
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     """Land every file in one raw-store transaction; a bad file rejects them all."""
     paths = [Path(name) for name in args.files]
+    users = [_user_from_filename(path) for path in paths]
     path = paths[0]
 
     def logs() -> Iterator[ScanLog]:
         nonlocal path
-        for path in paths:
+        for path, user in zip(paths, users):
             data = path.read_bytes()
             if path.name.endswith(".gz"):
                 data = decompress_batch(data)
-            yield decode_log(data, user=_user_from_filename(path))
+            yield decode_log(data, user=user)
 
     with RawStore(cfg.store) as store:
         try:
@@ -176,9 +187,7 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         lo, hi = day_window(args.day)
     except ValueError as exc:
         raise InputError(f"--day {args.day!r}: expected a real YYYY-MM-DD date ({exc})") from exc
-    out = Path(args.out) if args.out else Path(f"{args.user}_{args.day}.csv")
-    if out.is_dir() or not out.parent.is_dir():
-        raise InputError(f"output {out}: not a file in an existing directory")
+    out = _output_path(args.out or f"{args.user}_{args.day}.csv")
     with RawStore(_existing_store(cfg.store)) as raw:
         if not raw.has_user(args.user):
             raise UnknownUser(f"no raw data for user {args.user!r} in {cfg.store}")
@@ -201,6 +210,9 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_communities(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+    for name in (args.communities_out, args.sweep_out, args.edges_out):
+        if name:
+            _output_path(name)
     with SummaryStore(_existing_store(cfg.store)) as store:
         fps = store.fingerprints()
     sweep = threshold_sweep(list(fps.values()), cfg.community_thresholds, names=list(fps))

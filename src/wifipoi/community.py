@@ -10,14 +10,16 @@ where m is the total edge weight, S_in the within-community weight
 counted in both directions and S_tot the summed degrees. Communities
 of POI belonging to different users mark places those users share.
 
-The implementation is the classic two-phase scheme: greedy single-node
-moves to the neighbouring community with the largest positive gain,
-then aggregation of communities into super-nodes, repeated until no
-move helps. After each climb the move phase reruns on the original
-graph so nodes locked inside a super-node can still escape. Because
-the greedy is order-dependent, _STARTS independent starts run (the
-first visits nodes in sorted order, the rest in fixed-seed shuffles)
-and the best-scoring partition wins, so results are deterministic.
+The implementation is the classic two-phase scheme (Blondel et al.
+2008): _one_level moves single nodes to the neighbouring community with
+the largest positive gain, over plain lists indexed by the level's node
+ids, and _aggregate collapses communities into super-nodes. A run
+refines on the original graph, climbs while a level moves, and ends
+when a refinement moves nothing, so nodes locked inside a super-node
+can still escape. Because the greedy is order-dependent, _STARTS starts
+run (the first visits nodes in sorted order, the rest in fixed-seed
+shuffles) and the best-scoring partition wins, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -135,91 +137,88 @@ def _one_level(
     loops: list[float],
     m: float,
     order: list[int],
-    init: Sequence[int] | None = None,
-) -> tuple[list[int], list[float], bool]:
+    comm: list[int],
+) -> list[float]:
     """Greedy move phase on one (possibly aggregated) graph.
 
+    `comm` gives each node a community id below len(adj) and is moved
+    in place, node by node in `order`, until a pass moves nothing.
     Self-loop weight w counts 2w toward a node's degree and w toward m,
     which keeps the aggregated graph's Q equal to the projected
-    partition's Q on the original graph. `init` warm-starts from an
-    existing assignment instead of singletons; each reported gain is
-    the exact Q delta of its move either way.
+    partition's Q on the original graph. Returns the exact Q delta of
+    every accepted move; empty when nothing moved.
     """
-    n = len(adj)
-    comm = list(init) if init is not None else list(range(n))
-    k = [sum(adj[i].values()) + 2.0 * loops[i] for i in range(n)]
-    sigma_tot: defaultdict[int, float] = defaultdict(float)
-    for i in range(n):
-        sigma_tot[comm[i]] += k[i]
+    k = [sum(links.values()) + 2.0 * loop for links, loop in zip(adj, loops)]
+    sigma_tot = [0.0] * len(adj)
+    for c, k_i in zip(comm, k):
+        sigma_tot[c] += k_i
+    two_mm = 2.0 * m * m
     gains: list[float] = []
-    improved = False
     while True:
-        moved = False
+        before = len(gains)
         for i in order:
-            ci = comm[i]
-            sigma_tot[ci] -= k[i]
-            links: dict[int, float] = defaultdict(float)
-            links[ci] += 0.0
+            ci, k_i = comm[i], k[i]
+            sigma_tot[ci] -= k_i
+            links = {ci: 0.0}
             for j, w in adj[i].items():
-                links[comm[j]] += w
-            # Gain of placing the (removed) node into community c.
-            stay = links[ci] / m - sigma_tot[ci] * k[i] / (2.0 * m * m)
+                links[comm[j]] = links.get(comm[j], 0.0) + w
+            # Gain of placing the (removed) node into community c; c == ci
+            # scores exactly `stay`, which never beats itself.
+            stay = links[ci] / m - sigma_tot[ci] * k_i / two_mm
             best_c, best_gain = ci, stay
             for c in sorted(links):
-                if c == ci:
-                    continue
-                g = links[c] / m - sigma_tot[c] * k[i] / (2.0 * m * m)
+                g = links[c] / m - sigma_tot[c] * k_i / two_mm
                 if g > best_gain + _GAIN_EPS:
                     best_c, best_gain = c, g
             comm[i] = best_c
-            sigma_tot[best_c] += k[i]
+            sigma_tot[best_c] += k_i
             if best_c != ci:
                 gains.append(best_gain - stay)
-                moved = True
-                improved = True
-        if not moved:
-            break
-    return comm, gains, improved
+        if len(gains) == before:
+            return gains
 
 
 def _aggregate(
     adj: list[dict[int, float]],
     loops: list[float],
     comm: list[int],
-) -> tuple[list[dict[int, float]], list[float], dict[int, int]]:
-    """Collapse communities into super-nodes; intra weight becomes loops."""
+) -> tuple[list[dict[int, float]], list[float], list[int]]:
+    """Collapse communities into super-nodes; intra weight becomes loops.
+
+    Also returns each node's super-node, numbered in community order.
+    """
     remap = {c: i for i, c in enumerate(sorted(set(comm)))}
-    new_n = len(remap)
-    new_adj: list[dict[int, float]] = [defaultdict(float) for _ in range(new_n)]
-    new_loops = [0.0] * new_n
-    for i in range(len(adj)):
-        ci = remap[comm[i]]
+    up = [remap[c] for c in comm]
+    new_adj: list[dict[int, float]] = [{} for _ in remap]
+    new_loops = [0.0] * len(remap)
+    for i, links in enumerate(adj):
+        ci = up[i]
         new_loops[ci] += loops[i]
-        for j, w in adj[i].items():
+        for j, w in links.items():
             if j < i:
                 continue
-            cj = remap[comm[j]]
+            cj = up[j]
             if ci == cj:
                 new_loops[ci] += w
             else:
-                new_adj[ci][cj] += w
-                new_adj[cj][ci] += w
-    return [dict(d) for d in new_adj], new_loops, remap
+                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
+    return new_adj, new_loops, up
 
 
 def _search(
     base: list[dict[int, float]],
-    no_loops: list[float],
     m: float,
     rng: random.Random | None,
 ) -> tuple[list[int], list[float]]:
-    """One full greedy run: move phases, climbs, node-level refinement.
+    """One full greedy run: refine on the original graph, then climb.
 
-    Returns the community per original node and the gain of every
-    accepted move; the gains telescope from the singleton partition's
-    Q to the final Q.
+    Returns the community per original node once a refinement moves
+    nothing, and the gain of every accepted move; the gains telescope
+    from the singleton partition's Q to the final Q.
     """
     n = len(base)
+    no_loops = [0.0] * n
 
     def visit_order(count: int) -> list[int]:
         order = list(range(count))
@@ -228,25 +227,17 @@ def _search(
         return order
 
     assign = list(range(n))
-    all_gains: list[float] = []
-    while True:
-        # node-level phase on the original graph (first round: singletons)
-        comm, gains, improved = _one_level(
-            base, no_loops, m, visit_order(n), init=assign
-        )
-        all_gains.extend(gains)
-        if not improved:
-            break
-        adj, loops, remap = _aggregate(base, no_loops, comm)
-        assign = [remap[c] for c in comm]
-        while len(adj) > 1:
-            comm2, gains2, improved2 = _one_level(adj, loops, m, visit_order(len(adj)))
-            all_gains.extend(gains2)
-            if not improved2:
-                break
-            adj, loops, remap2 = _aggregate(adj, loops, comm2)
-            assign = [remap2[comm2[c]] for c in assign]
-    return assign, all_gains
+    gains: list[float] = []
+    while refined := _one_level(base, no_loops, m, visit_order(n), assign):
+        gains += refined
+        adj, loops, assign = _aggregate(base, no_loops, assign)
+        comm = list(range(len(adj)))
+        while climbed := _one_level(adj, loops, m, visit_order(len(adj)), comm):
+            gains += climbed
+            adj, loops, up = _aggregate(adj, loops, comm)
+            assign = [up[c] for c in assign]
+            comm = list(range(len(adj)))
+    return assign, gains
 
 
 def louvain(graph: PoiGraph) -> Partition:
@@ -257,38 +248,31 @@ def louvain(graph: PoiGraph) -> Partition:
     _STARTS times under different visit orders with the best final Q
     winning (ties keep the earliest start). The first start is the
     sorted order and the rest use fixed-seed shuffles, so repeated
-    calls agree. The returned partition maps
-    the original nodes, with community ids renumbered 0..k-1 in order
-    of first appearance, and q evaluated on the original graph. Raises
-    EmptyGraph when the graph has no edges.
+    calls agree. The returned partition maps the original nodes, with
+    community ids renumbered 0..k-1 in order of first appearance, and q
+    evaluated on the original graph. Raises EmptyGraph when the graph
+    has no edges.
     """
     if not graph.edges:
         raise EmptyGraph("louvain needs at least one edge")
-    nodes = list(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    base: list[dict[int, float]] = [defaultdict(float) for _ in nodes]
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    base: list[dict[int, float]] = [{} for _ in graph.nodes]
     for a, b, w in graph.edges:
         ia, ib = index[a], index[b]
-        base[ia][ib] += w
-        base[ib][ia] += w
-    base = [dict(d) for d in base]
-    no_loops = [0.0] * len(nodes)
+        base[ia][ib] = base[ia].get(ib, 0.0) + w
+        base[ib][ia] = base[ib].get(ia, 0.0) + w
     m = graph.total_weight()
 
     best: Partition | None = None
     for s in range(_STARTS):
-        rng = None if s == 0 else random.Random(1_000_003 * s)
-        assign, all_gains = _search(base, no_loops, m, rng)
+        assign, gains = _search(base, m, None if s == 0 else random.Random(1_000_003 * s))
         renumber: dict[int, int] = {}
-        communities: dict[Node, int] = {}
-        for node in nodes:
-            c = assign[index[node]]
-            if c not in renumber:
-                renumber[c] = len(renumber)
-            communities[node] = renumber[c]
+        communities = {
+            node: renumber.setdefault(c, len(renumber)) for node, c in zip(graph.nodes, assign)
+        }
         q = modularity(graph, communities)
         if best is None or q > best.q:
-            best = Partition(communities=communities, q=q, move_gains=tuple(all_gains))
+            best = Partition(communities=communities, q=q, move_gains=tuple(gains))
     return best
 
 

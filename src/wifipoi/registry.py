@@ -249,15 +249,13 @@ def upsert_day(
                     registry[poi_id] = fp
                 else:
                     poi_id = matched
-                added = 0
-                for v in visits:
-                    cur = store.conn.execute(
-                        "INSERT OR IGNORE INTO poi_visits"
-                        " (user, poi_id, start_ts, end_ts, scans, sub_minimal)"
-                        " VALUES (?, ?, ?, ?, ?, ?)",
-                        (user, poi_id, v.start, v.end, v.scans, int(v.sub_minimal)),
-                    )
-                    added += cur.rowcount
+                # rowcount sums the rows inserted; an ignored duplicate adds 0
+                added = store.conn.executemany(
+                    "INSERT OR IGNORE INTO poi_visits"
+                    " (user, poi_id, start_ts, end_ts, scans, sub_minimal)"
+                    " VALUES (?, ?, ?, ?, ?, ?)",
+                    [(user, poi_id, v.start, v.end, v.scans, int(v.sub_minimal)) for v in visits],
+                ).rowcount
                 if matched is not None and added > 0:
                     registry[poi_id] = merge_fingerprints(registry[poi_id], fp)
                     store.conn.execute(

@@ -191,6 +191,27 @@ def best_partition_q(nodes: list, edges: list[tuple]) -> float:
     return best
 
 
+def planted_edges(r: random.Random) -> tuple[int, list[tuple[int, int, float]]]:
+    """A small thresholded similarity graph with planted groups.
+
+    3-8 nodes in up to 3 groups: strong intra-group edges, sparse weak
+    cross edges, and at least one edge. Returns (node count, edges).
+    """
+    n = r.randint(3, 8)
+    groups = r.randint(1, min(3, n))
+    member = [r.randrange(groups) for _ in range(n)]
+    edges: list[tuple[int, int, float]] = []
+    while not edges:
+        for a in range(n):
+            for b in range(a + 1, n):
+                if member[a] == member[b]:
+                    if r.random() < 0.9:
+                        edges.append((a, b, round(r.uniform(0.6, 1.0), 3)))
+                elif r.random() < 0.25:
+                    edges.append((a, b, round(r.uniform(0.05, 0.35), 3)))
+    return n, edges
+
+
 MAC_POOL = tuple("02:00:00:00:00:%02x" % k for k in range(40))
 
 

@@ -18,6 +18,7 @@ from oracles import (
     best_partition_q,
     naive_cosine,
     naive_dbscan,
+    planted_edges,
     random_fingerprint,
     random_scan_instance,
 )
@@ -260,25 +261,10 @@ def test_acceptance_7_louvain_correctness():
     # Instances are drawn to resemble the graphs this library feeds the
     # algorithm: thresholded similarity graphs with planted groups,
     # strong intra-group edges and sparse weak cross edges.
-    def planted_graph(r):
-        n = r.randint(3, 8)
-        groups = r.randint(1, min(3, n))
-        member = [r.randrange(groups) for _ in range(n)]
-        edges = []
-        while not edges:
-            edges = []
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if member[a] == member[b]:
-                        if r.random() < 0.9:
-                            edges.append((a, b, round(r.uniform(0.6, 1.0), 3)))
-                    elif r.random() < 0.25:
-                        edges.append((a, b, round(r.uniform(0.05, 0.35), 3)))
-        return PoiGraph(nodes=tuple(range(n)), edges=tuple(edges))
-
     rnd_b = random.Random(0)
     for _ in range(50):
-        g = planted_graph(rnd_b)
+        n, edges = planted_edges(rnd_b)
+        g = PoiGraph(nodes=tuple(range(n)), edges=tuple(edges))
         p = louvain(g)
         best = best_partition_q(list(g.nodes), list(g.edges))
         assert p.q >= 0.95 * best - 1e-12
@@ -340,7 +326,11 @@ def test_acceptance_8_codec_roundtrips_and_compression():
 
 
 class _FlakyConn:
-    """Connection proxy that raises on the k-th data-modifying statement."""
+    """Connection proxy that raises on the k-th data-modifying row.
+
+    Each executemany row counts as one write; a crash on one of them
+    leaves the rows before it written, as a crash mid-statement would.
+    """
 
     def __init__(self, conn, fail_on_write):
         self._conn = conn
@@ -353,6 +343,15 @@ class _FlakyConn:
             if self._writes == self._fail_on_write:
                 raise sqlite3.OperationalError("injected crash")
         return self._conn.execute(sql, *args, **kwargs)
+
+    def executemany(self, sql, rows):
+        rows = list(rows)
+        crash = self._fail_on_write - self._writes - 1
+        self._writes += len(rows)
+        if 0 <= crash < len(rows):
+            self._conn.executemany(sql, rows[:crash])
+            raise sqlite3.OperationalError("injected crash")
+        return self._conn.executemany(sql, rows)
 
     def __getattr__(self, name):
         return getattr(self._conn, name)

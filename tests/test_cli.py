@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line pipeline in temp directories."""
 import csv
+import gzip
 import os
 import sqlite3
 import subprocess
@@ -84,6 +85,18 @@ class TestIngest:
 
     def test_missing_file_exits_two(self, workdir):
         assert run("ingest", "--store", "poi.db", "ghost.scan.gz") == 2
+
+    @pytest.mark.parametrize("name", [".scan.gz", ".scan", ".gz"])
+    def test_empty_file_stem_rejects_the_call(self, workdir, capsys, name):
+        sim = simulate_office(workdir, seed=1)
+        data = (sim / "alice.scan.gz").read_bytes()
+        (workdir / name).write_bytes(data if name.endswith(".gz") else gzip.decompress(data))
+        capsys.readouterr()
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz", name) == 2
+        assert capsys.readouterr().err == (
+            f"error: {name}: file name has an empty stem, so it names no user\n"
+        )
+        assert not (workdir / "poi.db").exists()
 
     def test_bad_second_file_rejects_the_call(self, workdir, capsys):
         sim = simulate_office(workdir)
@@ -472,8 +485,12 @@ class TestBadPath:
         ["score", "--truth", "sim", f"alice_{DAY}.csv"],
         ["simulate", "--scenario", "office-day", "--out", "sim/alice.scan.gz"],
         ["communities", "--communities-out", "sim"],
+        ["communities", "--sweep-out", "sim"],
+        ["communities", "--edges-out", "sim"],
+        ["communities", "--communities-out", "sim/no/communities.csv"],
         ["extract", "--user", "alice", "--day", DAY, "--out", "sim"],
-    ], ids=["ingest", "score", "simulate", "communities", "extract"])
+    ], ids=["ingest", "score", "simulate", "communities", "communities-sweep",
+            "communities-edges", "communities-no-parent", "extract"])
     def test_directory_or_file_in_the_wrong_place_exits_two(self, workdir, capsys, argv):
         from wifipoi.clustering import VisitInterval
         from wifipoi.model import Fingerprint
@@ -486,10 +503,12 @@ class TestBadPath:
             with SummaryStore(workdir / "poi.db") as store:
                 for user in ("u", "v"):
                     upsert_day(store, user, [(fp, [VisitInterval(1, 0, 1200, 4)])])
+        files = sorted(workdir.rglob("*"))
         capsys.readouterr()
         assert run(*argv, "--store", "poi.db") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sim" in err
+        assert sorted(workdir.rglob("*")) == files  # a refused call writes no file
         if argv[0] == "extract":  # refused before the day is registered
             with SummaryStore(workdir / "poi.db") as store:
                 assert store.conn.execute("SELECT COUNT(*) FROM poi_properties").fetchone() == (0,)

@@ -1,11 +1,14 @@
 """Cross-user POI graph, modularity, Louvain, and the threshold sweep."""
 import collections
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from oracles import best_partition_q, naive_cosine, naive_modularity, random_fingerprint
+from oracles import (
+    best_partition_q, naive_cosine, naive_modularity, planted_edges, random_fingerprint,
+)
 from wifipoi import community
 from wifipoi.community import (
     PoiGraph,
@@ -59,6 +62,27 @@ def mixed_graphs(rnd, count):
 
     for k in range(count):
         edges, n = (gnp if k % 2 else planted)()
+        if edges:
+            yield PoiGraph(nodes=tuple(range(n)), edges=tuple(edges))
+
+
+# sha256 of louvain's output on the graphs of test_exact_output_is_pinned
+PINNED_LOUVAIN = "31d9f8c41bca4189a8edf9284bb34f9aab39f9de8ad3f231fcdf31f8d6e7fa6e"
+PINNED_GRAPHS = 246
+
+
+def tie_prone_graphs(rnd, count):
+    """`count` G(n, p) graphs of 3-60 nodes, weights 1.0, 0.5 or a raw float.
+
+    Every other graph lists its edges shuffled, so adjacency order is
+    not ascending node order.
+    """
+    for k in range(count):
+        n, p = rnd.randint(3, 60), rnd.uniform(0.03, 0.5)
+        edges = [(a, b, rnd.choice((1.0, 0.5, rnd.random())))
+                 for a, b in itertools.combinations(range(n), 2) if rnd.random() < p]
+        if k % 2:
+            rnd.shuffle(edges)
         if edges:
             yield PoiGraph(nodes=tuple(range(n)), edges=tuple(edges))
 
@@ -240,6 +264,23 @@ class TestLouvain:
                     reached.add(node)
                     frontier.extend((adj[node] & group) - reached)
                 assert reached == group, (k, sorted(group))
+
+    def test_exact_output_is_pinned(self):
+        # communities, q and every move gain to the last bit: a rewrite
+        # of the move phase must keep each float operation and RNG draw
+        rnd = random.Random(1313)
+        planted = random.Random(0)
+        graphs = [*tie_prone_graphs(rnd, 200)]
+        for _ in range(50):
+            n, edges = planted_edges(planted)
+            graphs.append(PoiGraph(nodes=tuple(range(n)), edges=tuple(edges)))
+        digest = hashlib.sha256()
+        for g in graphs:
+            p = louvain(g)
+            digest.update(repr(sorted(p.communities.items())).encode())
+            digest.update(f"|{p.q.hex()}|{','.join(x.hex() for x in p.move_gains)}\n".encode())
+        assert len(graphs) == PINNED_GRAPHS
+        assert digest.hexdigest() == PINNED_LOUVAIN
 
     def test_no_single_node_move_raises_q(self):
         # climbs on aggregated graphs lock nodes inside super-nodes; the

@@ -235,7 +235,11 @@ class TestUpsert:
 
 
 class FaultyConn:
-    """Forwards to a real connection, failing on the nth execute."""
+    """Forwards to a real connection, failing on the nth execute.
+
+    Each executemany row counts as one call; a failing row leaves the
+    rows before it written, as a failure mid-statement would.
+    """
 
     def __init__(self, conn, fail_after):
         self._conn = conn
@@ -247,6 +251,16 @@ class FaultyConn:
         if self._calls > self._fail_after:
             raise sqlite3.OperationalError("disk I/O error (injected)")
         return self._conn.execute(*args, **kwargs)
+
+    def executemany(self, sql, rows):
+        rows = list(rows)
+        ok = max(self._fail_after - self._calls, 0)
+        if ok < len(rows):
+            self._calls += ok + 1
+            self._conn.executemany(sql, rows[:ok])
+            raise sqlite3.OperationalError("disk I/O error (injected)")
+        self._calls += len(rows)
+        return self._conn.executemany(sql, rows)
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
