@@ -21,12 +21,15 @@ from .errors import DomainError, InputError, PoiError
 from .ingest import (
     RawBatch,
     RawStore,
+    Upload,
     compress_batch,
     decode_log,
+    decode_upload,
     decompress_batch,
     encode_log,
     plan_uploads,
     store_raw,
+    upload_of,
 )
 from .model import (
     ClusterParams,
@@ -70,6 +73,7 @@ __all__ = [
     "ScanLog",
     "ScanResult",
     "SummaryStore",
+    "Upload",
     "VisitInterval",
     "build_fingerprint",
     "build_graph",
@@ -78,6 +82,7 @@ __all__ = [
     "cosine_similarity",
     "dbscan",
     "decode_log",
+    "decode_upload",
     "decompress_batch",
     "encode_log",
     "extract_day",
@@ -95,6 +100,7 @@ __all__ = [
     "store_raw",
     "summary_rows",
     "threshold_sweep",
+    "upload_of",
     "upsert_day",
     "validate_scan",
 ]

@@ -36,8 +36,10 @@ from .community import (
     write_sweep_csv,
 )
 from .errors import InputError, PoiError, StorageFailure, UnknownUser
-from .ingest import RawStore, decode_log, decompress_batch, encode_log, compress_batch, store_raw
-from .model import ClusterParams, ScanLog
+from .ingest import (
+    RawStore, Upload, compress_batch, decode_upload, decompress_batch, encode_log, store_raw,
+)
+from .model import ClusterParams
 from .registry import (
     MATCH_THRESHOLD, SummaryStore, day_window, extract_day, summary_rows, write_summary_csv,
 )
@@ -161,17 +163,17 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     users = [_user_from_filename(path) for path in paths]
     path = paths[0]
 
-    def logs() -> Iterator[ScanLog]:
+    def uploads() -> Iterator[Upload]:
         nonlocal path
         for path, user in zip(paths, users):
             data = path.read_bytes()
             if path.name.endswith(".gz"):
                 data = decompress_batch(data)
-            yield decode_log(data, user=user)
+            yield decode_upload(data, user=user)
 
     with RawStore(cfg.store) as store:
         try:
-            reports = store_raw(store, logs())
+            reports = store_raw(store, uploads())
         except InputError as exc:  # the file being decoded or stored when it failed
             raise InputError(f"{path}: {exc}") from exc
     for path, report in zip(paths, reports):

@@ -6,21 +6,26 @@ Scan logs travel as line-delimited JSON, one scan per line:
 
 Field order is fixed and MACs are canonical, so encoding is
 byte-reproducible and a partial upload fails at line granularity.
-Decoding checks only a line's JSON shape; the scan goes through
-validate_scan, as in build_log, and any fault is one MalformedLine.
+decode_log is the reference decoder: it checks a line's JSON shape, the
+scan goes through validate_scan, as in build_log, and any fault is one
+MalformedLine. decode_upload, the server's decoder, reads an upload into
+columns (times, MAC ids, int8 readings) with no object per reading and
+checks the same policy over the whole upload at once; an upload it
+refuses goes through decode_log, which names the line and the reason.
 Batches gzip-compress very well because MAC strings repeat in nearly
 every line. The raw store keeps one row per (user, t) scan, its MACs as
 ids into a dictionary of MACs and its readings packed beside them. A
 scan whose (user, t) is stored already is skipped when its readings are
 identical, which makes re-ingestion a no-op, and refused when they
 differ; load_day reads one user's scans in a [lo, hi) window as a ScanDay.
-store_raw lands any number of logs in one transaction, so a caller that
-feeds it several uploads (the CLI's ingest call) keeps all or none of
+store_raw lands any number of uploads in one transaction, so a caller
+that feeds it several (the CLI's ingest call) keeps all or none of
 them; since identical scans are skipped, a rejected call can simply be
-re-run once the bad upload is taken out.
+re-run once the bad upload is taken out. upload_of turns an in-memory
+ScanLog into an Upload by way of its wire bytes.
 
 The user never appears on the wire; it is carried out of band (the CLI
-takes it from the file name) and supplied to decode_log explicitly.
+takes it from the file name) and supplied to the decoder explicitly.
 """
 
 from __future__ import annotations
@@ -32,16 +37,19 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, TypeVar
 
 import numpy as np
 
 from .errors import CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure
-from .model import ScanDay, ScanLog, ScanResult, validate_scan
+from .model import (
+    RSSI_MAX, RSSI_MIN, T_MAX, T_MIN, ScanDay, ScanLog, ScanResult, parse_mac, validate_scan,
+)
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
 
 _FIELDS = ("t", "dev", "aps")
+_KEYS = frozenset(_FIELDS)
 
 
 def _encode_line(device: str, scan: ScanResult) -> str:
@@ -104,6 +112,112 @@ def decode_log(data: bytes, user: str = "") -> ScanLog:
         by_time[scan.timestamp] = scan
     entries = tuple(by_time[t] for t in sorted(by_time))
     return ScanLog(user=user, device=device, entries=entries)
+
+
+@dataclass(frozen=True, eq=False)
+class Upload:
+    """One decoded upload in columns, what store_raw lands.
+
+    Scan i was taken at times[i] (int64, strictly increasing) and holds
+    the next counts[i] readings of `ids` and `rssi`, sorted by MAC. A
+    reading's id is its column in `macs`, the upload's canonical MACs in
+    sorted order; `rssi` holds int8 dBm.
+    """
+
+    user: str
+    device: str
+    times: np.ndarray
+    counts: np.ndarray
+    macs: tuple[str, ...]
+    ids: np.ndarray
+    rssi: np.ndarray
+
+
+def _columns(text: str, user: str) -> Upload | None:
+    """The upload as an Upload, or None when decode_log would refuse it.
+
+    Each line's fields go onto flat lists, each MAC spelling kept once
+    and the readings packed as int8, so a line's own objects are freed
+    as soon as it is read; the policy
+    is then checked over the whole upload. The readings are put in
+    time order, and by MAC within a scan, with one sort, which also
+    brings a MAC seen twice in a scan next to itself.
+    """
+    times: list = []
+    devices: list = []
+    counts: list[int] = []
+    spellings: list = []
+    packed = bytearray()
+    seen: dict = {}
+    for line in text.split("\n"):
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        if type(record) is not dict or record.keys() != _KEYS:
+            return None
+        aps = record["aps"]
+        if type(aps) is not list:
+            return None
+        # raises unless aps holds entries of two items each; an entry that
+        # is not a list (a two-character string, a two-key object) puts a
+        # str among the RSS
+        spelled, levels = zip(*aps, strict=True)
+        times.append(record["t"])
+        devices.append(record["dev"])
+        counts.append(len(aps))
+        spellings.extend(map(seen.setdefault, spelled, spelled))
+        # struct.error unless each reading is an int (or a bool) in [-128, 127]
+        packed += struct.pack(f"{len(levels)}b", *levels)
+    # decode_log takes the device of the last line and lets lines with
+    # an empty device lead the ones that name it
+    device = devices[-1] if devices else ""
+    named = next((i for i, dev in enumerate(devices) if dev != ""), len(devices))
+    if (type(device) is not str or devices[named:].count(device) != len(devices) - named
+            or not set(map(type, times)) <= {int} or len(set(times)) != len(times)
+            or not set(map(type, seen)) <= {str}):
+        return None
+    at = np.array(times, np.int64)  # an int past int64 raises OverflowError
+    rssi = np.frombuffer(packed, np.int8)  # a bool went in as 1 or 0, out of range
+    if ((at < T_MIN) | (at > T_MAX)).any() or ((rssi < RSSI_MIN) | (rssi > RSSI_MAX)).any():
+        return None
+    canonical = {spelling: parse_mac(spelling) for spelling in seen}
+    macs = sorted(set(canonical.values()))
+    index = {mac: i for i, mac in enumerate(macs)}
+    column = {spelling: index[mac] for spelling, mac in canonical.items()}
+    ids = np.fromiter(map(column.__getitem__, spellings), np.int64, len(spellings))
+    by_time = np.argsort(at)
+    rank = np.empty_like(by_time)
+    rank[by_time] = np.arange(len(at))
+    n = np.array(counts, np.int64)
+    key = np.repeat(rank, n) * len(macs) + ids
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):  # a MAC twice in one scan
+        return None
+    return Upload(user, device, at[by_time], n[by_time], tuple(macs), ids[order], rssi[order])
+
+
+def decode_upload(data: bytes, user: str = "") -> Upload:
+    """Parse wire bytes into an Upload for `user`; decode_log's policy, in columns.
+
+    Accepts exactly what decode_log accepts, with the same scans. An
+    upload the column check refuses goes through decode_log, which
+    raises the MalformedLine that names the first bad line and its
+    reason.
+    """
+    try:
+        upload = _columns(data.decode("utf-8"), user)
+    except (ValueError, TypeError, OverflowError, RecursionError, struct.error, PoiError):
+        upload = None
+    if upload is None:
+        decode_log(data, user)
+        raise RuntimeError("decode_upload refused an upload that decode_log accepts")
+    return upload
+
+
+def upload_of(log: ScanLog) -> Upload:
+    """An in-memory log as the Upload its wire bytes decode to."""
+    return decode_upload(encode_log(log), log.user)
 
 
 def compress_batch(data: bytes) -> bytes:
@@ -269,52 +383,50 @@ class RawStore(SqliteStore):
         return ScanDay(user, times, tuple(map(names.__getitem__, used.tolist())), x)
 
 
-def _pack(scan: ScanResult, mac_ids: Mapping[str, int]) -> tuple[bytes, bytes]:
-    """A scan's (MAC ids, RSS) blobs, in its sorted-by-MAC order."""
-    n = len(scan.observations)
-    macs, rssi = zip(*scan.observations)
-    return struct.pack(f"<{n}I", *map(mac_ids.__getitem__, macs)), struct.pack(f"{n}b", *rssi)
-
-
-def _store_log(conn: sqlite3.Connection, log: ScanLog, mac_ids: dict[str, int]) -> IngestReport:
-    if not log.entries:
+def _store_upload(conn: sqlite3.Connection, upload: Upload, mac_ids: dict[str, int]) -> IngestReport:
+    if not len(upload.times):
         return IngestReport(added=0, skipped=0)
-    for mac in sorted({mac for scan in log.entries for mac, _ in scan.observations} - mac_ids.keys()):
-        mac_ids[mac] = conn.execute("INSERT INTO mac (mac) VALUES (?)", (mac,)).lastrowid
+    for mac in upload.macs:  # sorted, so new MACs get their ids in MAC order
+        if mac not in mac_ids:
+            mac_ids[mac] = conn.execute("INSERT INTO mac (mac) VALUES (?)", (mac,)).lastrowid
+    times = upload.times.tolist()
     stored = {
         t: (macs, rssi)
         for t, macs, rssi in conn.execute(
             "SELECT t, macs, rssi FROM raw_scans WHERE user = ? AND t BETWEEN ? AND ?",
-            (log.user, log.entries[0].timestamp, log.entries[-1].timestamp),
+            (upload.user, times[0], times[-1]),
         )
     }
+    macs = np.array([mac_ids[mac] for mac in upload.macs], "<u4")[upload.ids].tobytes()
+    rssi = upload.rssi.tobytes()
     rows = []
-    added = skipped = 0
-    for scan in log.entries:
-        blobs = _pack(scan, mac_ids)
-        old = stored.get(scan.timestamp)
+    added = skipped = start = 0
+    for t, end in zip(times, np.cumsum(upload.counts).tolist()):
+        blobs = macs[4 * start:4 * end], rssi[start:end]
+        old = stored.get(t)
         if old is None:
-            rows.append((log.user, scan.timestamp, *blobs))
-            added += len(scan.observations)
+            rows.append((upload.user, t, *blobs))
+            added += end - start
         elif old == blobs:
-            skipped += len(scan.observations)
+            skipped += end - start
         else:
             raise DuplicateTimestamp(
-                f"user {log.user!r}: the scan at t={scan.timestamp} differs from the stored one"
+                f"user {upload.user!r}: the scan at t={t} differs from the stored one"
             )
+        start = end
     conn.executemany("INSERT INTO raw_scans (user, t, macs, rssi) VALUES (?, ?, ?, ?)", rows)
     return IngestReport(added=added, skipped=skipped)
 
 
-def store_raw(store: RawStore, logs: Iterable[ScanLog]) -> list[IngestReport]:
-    """Store each log's scans; one report per log, in order, counting readings.
+def store_raw(store: RawStore, uploads: Iterable[Upload]) -> list[IngestReport]:
+    """Store each upload's scans; one report per upload, in order, counting readings.
 
     A scan whose (user, t) is stored already is skipped, and its
     readings counted as skipped, when its readings are identical; with
     other readings it raises DuplicateTimestamp naming the user and t.
-    All logs land in one transaction, opened with BEGIN IMMEDIATE so
-    concurrent calls take turns: if any log conflicts or fails to
-    store, or `logs` itself raises (say, an upload that does not
+    All uploads land in one transaction, opened with BEGIN IMMEDIATE so
+    concurrent calls take turns: if any upload conflicts or fails to
+    store, or `uploads` itself raises (say, an upload that does not
     decode), nothing is kept.
     """
     reports = []
@@ -323,9 +435,9 @@ def store_raw(store: RawStore, logs: Iterable[ScanLog]) -> list[IngestReport]:
         with store.conn:
             store.conn.execute("BEGIN IMMEDIATE")
             mac_ids = dict(store.conn.execute("SELECT mac, id FROM mac"))
-            for log in logs:
-                user = log.user
-                reports.append(_store_log(store.conn, log, mac_ids))
+            for upload in uploads:
+                user = upload.user
+                reports.append(_store_upload(store.conn, upload, mac_ids))
     except sqlite3.Error as exc:
         raise StorageFailure(f"raw ingest for user {user!r} failed: {exc}") from exc
     return reports

@@ -26,6 +26,10 @@ from .errors import RssiOutOfRange
 RSSI_MIN = -100
 RSSI_MAX = -1
 
+# Timestamps name a day that YYYY-MM-DD can name: 0001-01-01 to 9999-12-31 UTC.
+T_MIN = -62_135_596_800
+T_MAX = 253_402_300_799
+
 _MAC_RE = re.compile(r"^[0-9a-f]{2}(?::[0-9a-f]{2}){5}$")
 
 
@@ -58,14 +62,18 @@ class ScanResult:
 def validate_scan(scan: ScanResult) -> ScanResult:
     """The one input policy, for decode_log and build_log alike.
 
-    A timestamp that is not a plain int raises MalformedTimestamp, no
-    readings EmptyScan; then, in the order given, a MAC that is not a
-    string parse_mac accepts raises MalformedMac, an RSS rssi_in_range
-    refuses RssiOutOfRange and a MAC seen twice once canonical
-    DuplicateMac. Returns the canonical readings sorted by MAC.
+    A timestamp that is not a plain int in [T_MIN, T_MAX] raises
+    MalformedTimestamp, no readings EmptyScan; then, in the order given,
+    a MAC that is not a string parse_mac accepts raises MalformedMac, an
+    RSS rssi_in_range refuses RssiOutOfRange and a MAC seen twice once
+    canonical DuplicateMac. Returns the canonical readings sorted by MAC.
     """
     if type(scan.timestamp) is not int:
         raise MalformedTimestamp(f"timestamp {scan.timestamp!r} is not an integer")
+    if not T_MIN <= scan.timestamp <= T_MAX:
+        raise MalformedTimestamp(
+            f"timestamp {scan.timestamp} outside [{T_MIN}, {T_MAX}] (0001-01-01 to 9999-12-31)"
+        )
     if not scan.observations:
         raise EmptyScan(f"scan at t={scan.timestamp} has no readings")
     readings: dict[str, int] = {}

@@ -308,7 +308,7 @@ def day_window(day: str) -> tuple[int, int]:
     named after it would not pair with those of 2026-03-02.
     """
     start = datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    if f"{start:%Y-%m-%d}" != day:
+    if start.date().isoformat() != day:  # strftime's %Y may drop a year's leading zeros
         raise ValueError(f"time data {day!r} does not match format '%Y-%m-%d'")
     return int(start.timestamp()), int(start.timestamp()) + 86400
 

@@ -25,7 +25,7 @@ from oracles import (
 from wifipoi.clustering import NOISE, VisitInterval, dbscan, scan_day
 from wifipoi.community import PoiGraph, louvain, modularity
 from wifipoi.errors import StorageFailure
-from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, store_raw
+from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, store_raw, upload_of
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
 from wifipoi.registry import SummaryStore, extract_day, upsert_day
 from wifipoi.similarity import cosine_similarity, similarity_matrix
@@ -408,13 +408,13 @@ def test_acceptance_9_persistence_integrity_under_crashes(tmp_path):
                 for i in range(rnd.randint(1, 4))
             ]
             log = build_log(rnd.choice(["u1", "u2"]), "dev", scans)
-            store_raw(raw, [log])
+            store_raw(raw, [upload_of(log)])
             ingested.append(log)
         assert summary.check_integrity()
 
     # ingest idempotence: replaying every batch adds nothing new
     for log in ingested:
-        replay = store_raw(raw, [log])[0]
+        replay = store_raw(raw, [upload_of(log)])[0]
         assert replay.added == 0
     assert summary.check_integrity()
     summary.close()

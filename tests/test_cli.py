@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line pipeline in temp directories."""
 import csv
 import gzip
+import hashlib
+import json
 import os
 import sqlite3
 import subprocess
@@ -10,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from oracles import day_rows
-from wifipoi import cli
+from wifipoi import cli, ingest
 from wifipoi.cli import main
-from wifipoi.ingest import RawStore
-from wifipoi.model import ClusterParams
+from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, plan_uploads
+from wifipoi.model import T_MAX, T_MIN, ClusterParams, ScanLog
 from wifipoi.registry import SummaryStore
 
 DAY = "2026-03-02"
@@ -152,6 +154,75 @@ class TestIngest:
             f"copy.scan.gz: {rows // 2} rows added, 0 skipped",
             f"total: {rows} added, 0 skipped",
         ]
+
+    @pytest.mark.parametrize("t", [10**23, T_MAX + 1, T_MIN - 1])
+    def test_timestamp_no_day_can_name_rejects_the_call(self, workdir, capsys, t):
+        line = b'{"t":%d,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
+        (workdir / "carol.scan").write_bytes(line % 100)
+        (workdir / "bob.scan").write_bytes(line % 100 + line % t)
+        assert run("ingest", "--store", "poi.db", "carol.scan", "bob.scan") == 2
+        assert capsys.readouterr().err == (
+            f"error: bob.scan: line 2: timestamp {t} outside"
+            " [-62135596800, 253402300799] (0001-01-01 to 9999-12-31)\n"
+        )
+        with RawStore(workdir / "poi.db") as store:
+            assert store.users() == []
+
+    def test_first_and_last_day_yyyy_mm_dd_names_reach_extract(self, workdir, capsys):
+        line = b'{"t":%d,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
+        (workdir / "bob.scan").write_bytes(line % T_MIN + line % T_MAX)
+        assert run("ingest", "--store", "poi.db", "bob.scan") == 0
+        for day in ("0001-01-01", "9999-12-31"):
+            capsys.readouterr()
+            assert run("extract", "--store", "poi.db", "--user", "bob", "--day", day) == 0
+            assert capsys.readouterr().out.startswith(f"only noise for bob on {day}")
+
+    def test_valid_uploads_never_take_the_line_loop(self, workdir, monkeypatch):
+        # the line-by-line decoder only explains faults; a valid upload
+        # is decoded in columns
+        def refuse(*args):
+            raise AssertionError("the line loop ran on a valid upload")
+
+        sim = simulate_office(workdir)
+        monkeypatch.setattr(ingest, "_decode_line", refuse)
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz") == 0
+        with RawStore(workdir / "poi.db") as store:
+            assert rows_in(store) > 0
+
+    def test_stored_bytes_are_pinned(self, workdir, capsys):
+        # Two users over two calls: u01's day in hourly uploads, two of
+        # them in one call and one resent, and u02's day in one upload
+        # with its lines, readings and MAC spellings scrambled, which
+        # must land as the canonical scans. The digest covers every
+        # stored byte, the MAC ids and the printed counts.
+        assert run("simulate", "--scenario", "mall-11-users", "--seed", 5, "--out", "sim") == 0
+        u01 = decode_log(gzip.decompress((workdir / "sim" / "u01.scan.gz").read_bytes()))
+        files = []
+        for k, batch in enumerate(plan_uploads(u01, period=3600)):
+            path = workdir / f"up{k}" / "u01.scan.gz"
+            path.parent.mkdir()
+            path.write_bytes(compress_batch(encode_log(ScanLog("u01", batch.device, batch.scans))))
+            files.append(path.relative_to(workdir))
+        lines = []
+        for line in gzip.decompress((workdir / "sim" / "u02.scan.gz").read_bytes()).splitlines():
+            record = json.loads(line)
+            record["aps"] = [[mac.upper().replace(":", "-"), rssi] for mac, rssi in record["aps"]]
+            lines.append(json.dumps({**record, "aps": record["aps"][::-1]}))
+        (workdir / "u02.scan").write_text("\n".join(lines[::-1]) + "\n")
+        assert len(files) >= 4
+        capsys.readouterr()
+        assert run("ingest", "--store", "poi.db", files[0], files[1], "u02.scan") == 0
+        assert run("ingest", "--store", "poi.db", files[1], *files[2:]) == 0
+        out = capsys.readouterr().out
+        assert not out.endswith(", 0 skipped\n")  # the resend was skipped
+        h = hashlib.sha256(out.encode())
+        with sqlite3.connect(workdir / "poi.db") as conn:
+            for sql in ("SELECT user, t, macs, rssi FROM raw_scans ORDER BY user, t",
+                        "SELECT id, mac FROM mac ORDER BY id"):
+                for row in conn.execute(sql):
+                    h.update(repr(row).encode())
+        conn.close()
+        assert h.hexdigest()[:16] == "23eb52b5c50d69df"
 
 
 def rows_in(store):

@@ -21,12 +21,15 @@ from wifipoi.ingest import (
     RawStore,
     compress_batch,
     decode_log,
+    decode_upload,
     decompress_batch,
     encode_log,
     plan_uploads,
     store_raw,
+    upload_of,
 )
-from wifipoi.model import ScanLog, ScanResult, build_log
+from wifipoi import ingest
+from wifipoi.model import T_MAX, T_MIN, ScanLog, ScanResult, build_log
 from wifipoi.similarity import _score_blocks, mac_matrix
 from wifipoi.simgen import (
     AccessPoint, Environment, ItineraryEntry, Place, generate_trace, load_scenario,
@@ -260,6 +263,130 @@ class TestOnePolicy:
         assert block[0, 1] == 1.0
 
 
+def upload_entries(upload):
+    """An Upload's scans as the ScanResults decode_log gives."""
+    ends = np.cumsum(upload.counts).tolist()
+    macs = [upload.macs[i] for i in upload.ids.tolist()]
+    rssi = upload.rssi.tolist()
+    return tuple(
+        ScanResult(t, tuple(zip(macs[start:end], rssi[start:end])))
+        for t, start, end in zip(upload.times.tolist(), [0, *ends], ends)
+    )
+
+
+def decoded(decode, data):
+    """What a decoder makes of the bytes: its scans and device, or the fault's line and reason."""
+    try:
+        result = decode(data, user="u")
+    except MalformedLine as exc:
+        return exc.line_no, exc.reason
+    if isinstance(result, ScanLog):
+        return result.user, result.device, result.entries
+    assert (result.times.dtype, result.counts.dtype, result.rssi.dtype) == (
+        np.int64, np.int64, np.int8)
+    assert list(result.macs) == sorted(set(result.macs))
+    return result.user, result.device, upload_entries(result)
+
+
+# One line's faults, and the oddities decode_log accepts ("pad", "spell",
+# and "empty-dev" when no line before it names a device).
+WIRE_MACS = [A, B, "cc:00:00:00:00:03", A.upper().replace(":", "-"), "CC-00-00-00-00-03"]
+LINE_FAULTS = {
+    "t": [T_MIN - 1, T_MAX + 1, 10**23, -(10**23), 1.5, 300.0, True, "300", None],
+    "dev": ["e", 7, None, ["d"]],
+    "aps": [[], 5, "aps", {"a": 1}],
+    "ap": [[A], [A, -50, -50], "xy", {"a": 1, "b": 2}, 5, []],
+    "mac": ["zz:00:00:00:00:01", "aa:00", "", 7, None, [A]],
+    "rssi": [-101, 0, 5, -50.0, -50.5, True, False, None, "-50", 10**30, -(2**63)],
+    "drop": ["t", "dev", "aps"],
+    "raw": [b"", b"  ", b"\t", b"\xff\xfe", b"{", *REJECTED_LINES],
+}
+LINE_KINDS = [*LINE_FAULTS, "extra", "cut", "twice", "repeat-t", "pad", "spell", "empty-dev"]
+
+
+def wire_record(t, aps):
+    return {"t": t, "dev": "d", "aps": [list(ap) for ap in aps]}
+
+
+def odd_line(record, kind, value, k, earlier_t):
+    """The record's line with one fault or oddity of `kind`; k picks a reading."""
+    aps = record["aps"]
+    if kind in ("t", "dev", "aps"):
+        record[kind] = value
+    elif kind == "ap":
+        aps[k] = value
+    elif kind in ("mac", "rssi"):
+        aps[k][kind == "rssi"] = value
+    elif kind == "drop":
+        del record[value]
+    elif kind == "extra":
+        record["x"] = 1
+    elif kind == "twice":
+        aps.append([aps[k][0].swapcase().replace(":", "-"), -60])
+    elif kind == "repeat-t":
+        record["t"] = earlier_t
+    elif kind == "spell":
+        aps[k][0] = aps[k][0].upper().replace(":", "-")
+    elif kind == "empty-dev":
+        record["dev"] = ""
+    line = json.dumps(record).encode()
+    if kind == "raw":
+        return value
+    if kind == "cut":
+        return line[:value % len(line)]
+    return b" " + line + b" \r" if kind == "pad" else line
+
+
+readings_st = st.lists(st.tuples(st.sampled_from(WIRE_MACS), st.integers(-100, -1)),
+                       min_size=2, max_size=3, unique_by=lambda ap: ap[0].lower()[-2:])
+
+
+@st.composite
+def wire_upload_st(draw):
+    """Clean lines, then at most one line with a fault or an oddity, at any position."""
+    times = draw(st.lists(st.sampled_from([T_MIN, T_MAX, *range(0, 6000, 300)]),
+                          max_size=4, unique=True))
+    lines = [json.dumps(wire_record(t, draw(readings_st))).encode() for t in times]
+    kind = draw(st.sampled_from([None, *LINE_KINDS]))
+    if kind is not None:
+        record = wire_record(6000, draw(readings_st))
+        value = draw(st.sampled_from(LINE_FAULTS[kind]) if kind in LINE_FAULTS
+                     else st.integers(0, 200))
+        line = odd_line(record, kind, value, draw(st.integers(0, 1)), times[0] if times else 0)
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return b"\n".join(lines)
+
+
+class TestColumnDecode:
+    @given(wire_upload_st())
+    @settings(max_examples=600, deadline=None)
+    def test_decode_upload_agrees_with_decode_log(self, data):
+        assert decoded(decode_upload, data) == decoded(decode_log, data)
+
+    def test_every_fault_amid_clean_lines(self):
+        for kind in LINE_KINDS:
+            for value in LINE_FAULTS.get(kind, [7]):
+                for at in range(3):
+                    lines = [json.dumps(wire_record(t, [(A, -50), (B, -60)])).encode()
+                             for t in (300, 600)]
+                    odd = odd_line(wire_record(900, [(A, -51), (B, -61)]), kind, value, at % 2,
+                                   300)
+                    data = b"\n".join([*lines[:at], odd, *lines[at:]])
+                    assert decoded(decode_upload, data) == decoded(decode_log, data), \
+                        (kind, value, at)
+
+    @given(log_st)
+    def test_an_encoded_log_decodes_to_its_entries(self, log):
+        upload = upload_of(log)
+        assert (upload.user, upload_entries(upload)) == (log.user, log.entries)
+
+    def test_a_refusal_decode_log_does_not_explain_is_a_fault(self, monkeypatch):
+        # the column check never hands over an upload the policy accepts
+        monkeypatch.setattr(ingest, "_columns", lambda text, user: None)
+        with pytest.raises(RuntimeError, match="refused an upload that decode_log accepts"):
+            decode_upload(encode_log(small_log()))
+
+
 class TestGzip:
     @given(st.binary(max_size=2048))
     def test_roundtrip_identity(self, payload):
@@ -334,8 +461,8 @@ class TestRawStore:
     def test_reingest_is_all_skipped(self):
         with RawStore() as store:
             log = small_log()
-            first = store_raw(store, [log])[0]
-            again = store_raw(store, [log])[0]
+            first = store_raw(store, [upload_of(log)])[0]
+            again = store_raw(store, [upload_of(log)])[0]
             assert first.added == 6 and first.skipped == 0
             assert again.added == 0 and again.skipped == 6
 
@@ -343,15 +470,16 @@ class TestRawStore:
         with RawStore() as store:
             log_u = small_log()
             log_v = ScanLog(user="v", device="dev2", entries=log_u.entries)
-            store_raw(store, [log_u])
-            report = store_raw(store, [log_v])[0]
+            store_raw(store, [upload_of(log_u)])
+            report = store_raw(store, [upload_of(log_v)])[0]
             assert report.added == 6
             assert store.users() == ["u", "v"]
 
     def test_has_user_is_an_indexed_lookup(self):
         with RawStore() as store:
-            store_raw(store, [small_log()])
-            store_raw(store, [ScanLog(user="uv", device="d", entries=small_log().entries)])
+            store_raw(store, [upload_of(small_log())])
+            uv = ScanLog(user="uv", device="d", entries=small_log().entries)
+            store_raw(store, [upload_of(uv)])
             for name in ("u", "uv", "v", "", "U"):
                 assert store.has_user(name) == (name in store.users())
             issued = []
@@ -389,7 +517,7 @@ class TestRawStore:
                 if any(kept.get(key, s) != s for key, s in keyed):
                     before = rows_of(store)
                     with pytest.raises(DuplicateTimestamp, match=f"user '{log.user}'"):
-                        store_raw(store, [log])
+                        store_raw(store, [upload_of(log)])
                     assert rows_of(store) == before
                     refused += 1
                     continue
@@ -397,7 +525,7 @@ class TestRawStore:
                     added=sum(len(s.observations) for key, s in keyed if key not in kept),
                     skipped=sum(len(s.observations) for key, s in keyed if key in kept),
                 )
-                assert store_raw(store, [log]) == [want]
+                assert store_raw(store, [upload_of(log)]) == [want]
                 kept.update(keyed)
                 accepted.append((log, want))
             for user in ("u", "v"):
@@ -407,18 +535,18 @@ class TestRawStore:
         assert refused > 0 and sum(report.skipped for _, report in accepted) > 0
         # the accepted batches fed to one call land the same scans and reports
         with RawStore() as store:
-            reports = store_raw(store, (log for log, _ in accepted))
+            reports = store_raw(store, (upload_of(log) for log, _ in accepted))
             assert reports == [report for _, report in accepted]
             assert rows_of(store) == rows
         # with the refused ones among them, the one call keeps nothing
         with RawStore() as store:
             with pytest.raises(DuplicateTimestamp):
-                store_raw(store, batches)
+                store_raw(store, map(upload_of, batches))
             assert rows_of(store) == set()
 
     def test_load_day_window(self):
         with RawStore() as store:
-            store_raw(store, [small_log()])
+            store_raw(store, [upload_of(small_log())])
             full = store.load_day("u", 1_700_000_000, 1_700_000_900)
             assert len(day_rows(full)) == 3
             window = store.load_day("u", lo=1_700_000_300, hi=1_700_000_600)
@@ -429,31 +557,31 @@ class TestRawStore:
         b = ScanLog(user="v", device="dev2", entries=a.entries)
         with RawStore() as store:
             commit_counter.attach(store.conn)
-            reports = store_raw(store, [a, b, a])
+            reports = store_raw(store, map(upload_of, [a, b, a]))
             assert commit_counter.commits == 1
         assert reports == [IngestReport(6, 0), IngestReport(6, 0), IngestReport(0, 6)]
 
     def test_storage_failure_on_second_log_keeps_nothing(self):
         with RawStore() as store:
-            store_raw(store, [small_log()])
+            store_raw(store, [upload_of(small_log())])
             before = rows_of(store)
             real = store.conn
             store.conn = FailingExecutemany(real, fail_on=2)
+            v = ScanLog(user="v", device="d", entries=small_log().entries)
             with pytest.raises(StorageFailure, match="'v'"):
-                store_raw(store, [small_log(t0=1_800_000_000),
-                                  ScanLog(user="v", device="d", entries=small_log().entries)])
+                store_raw(store, [upload_of(small_log(t0=1_800_000_000)), upload_of(v)])
             store.conn = real
             assert rows_of(store) == before
 
     def test_input_error_from_the_logs_keeps_nothing(self):
-        def logs():
-            yield small_log()
-            decode_log(b"not json\n")
-            yield small_log(t0=1_800_000_000)  # never reached
+        def uploads():
+            yield upload_of(small_log())
+            yield decode_upload(b"not json\n")
+            yield upload_of(small_log(t0=1_800_000_000))  # never reached
 
         with RawStore() as store:
             with pytest.raises(MalformedLine, match="line 1"):
-                store_raw(store, logs())
+                store_raw(store, uploads())
             assert rows_of(store) == set()
 
 
@@ -499,9 +627,10 @@ class TestRoundTrip:
         uploads = data.draw(st.permutations(uploads))
         with RawStore() as store:
             if data.draw(st.booleans()):
-                reports = store_raw(store, uploads)
+                reports = store_raw(store, map(upload_of, uploads))
             else:
-                reports = [report for upload in uploads for report in store_raw(store, [upload])]
+                reports = [report for upload in uploads
+                           for report in store_raw(store, [upload_of(upload)])]
             assert sum(r.added for r in reports) == sum(readings(log.entries) for log in logs.values())
             assert sum(r.skipped for r in reports) == resent
             for user, log in logs.items():
@@ -524,7 +653,7 @@ class TestRoundTrip:
         RawStore(path).close()
         empty = path.stat().st_size
         with RawStore(path) as store:
-            (report,) = store_raw(store, [log])
+            (report,) = store_raw(store, [upload_of(log)])
             assert store.conn.execute("PRAGMA user_version").fetchone() == (1,)
         assert report == IngestReport(added=readings(log.entries), skipped=0)
         assert path.stat().st_size - empty <= 16 * report.added
@@ -536,7 +665,7 @@ class TestRoundTrip:
 _INGESTER = """
 import json
 import sys
-from wifipoi.ingest import RawStore, store_raw
+from wifipoi.ingest import RawStore, store_raw, upload_of
 from wifipoi.model import ScanResult, build_log
 
 path, order = sys.argv[1], json.loads(sys.argv[2])
@@ -547,7 +676,7 @@ with RawStore(path) as store:
         scans = [ScanResult(300 * i, tuple((macs[(i + j) % 40], -40 - (i + j) % 50)
                                            for j in range(5)))
                  for i in range(4 * k, 4 * k + 8)]
-        reports += store_raw(store, [build_log("u", "d", scans)])
+        reports += store_raw(store, [upload_of(build_log("u", "d", scans))])
 print(json.dumps([[r.added, r.skipped] for r in reports]))
 """
 

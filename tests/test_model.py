@@ -1,4 +1,6 @@
 """Core value types: MAC parsing, scan validation, log assembly."""
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,8 @@ from wifipoi.errors import (
 from wifipoi.model import (
     RSSI_MAX,
     RSSI_MIN,
+    T_MAX,
+    T_MIN,
     ClusterParams,
     ScanResult,
     build_log,
@@ -122,6 +126,21 @@ class TestBuildLog:
                 scan(300, [("aa:00:00:00:00:01", -50)]),
                 scan(600, [("bb:00:00:00:00:02", -70)]),
             ])
+
+    @pytest.mark.parametrize("t", [T_MIN - 1, T_MAX + 1, 10**23, -(10**23)])
+    def test_timestamp_outside_the_days_yyyy_mm_dd_names_is_refused(self, t):
+        with pytest.raises(MalformedTimestamp) as info:
+            build_log("u", "d", [scan(t, [("aa:00:00:00:00:01", -50)])])
+        assert str(info.value) == (
+            f"timestamp {t} outside [-62135596800, 253402300799] (0001-01-01 to 9999-12-31)"
+        )
+
+    def test_first_and_last_second_of_yyyy_mm_dd_are_kept(self):
+        utc = timezone.utc
+        assert datetime.fromtimestamp(T_MIN, utc) == datetime(1, 1, 1, tzinfo=utc)
+        assert datetime.fromtimestamp(T_MAX, utc) == datetime(9999, 12, 31, 23, 59, 59, tzinfo=utc)
+        log = build_log("u", "d", [scan(t, [("aa:00:00:00:00:01", -50)]) for t in (T_MAX, T_MIN)])
+        assert [e.timestamp for e in log.entries] == [T_MIN, T_MAX]
 
 
 class TestClusterParams:

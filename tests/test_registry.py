@@ -14,7 +14,7 @@ import pytest
 from oracles import MAC_POOL, naive_fingerprint
 from wifipoi.clustering import VisitInterval, dbscan, scan_day, segment_visits
 from wifipoi.errors import EmptyCluster, EmptyLog, StorageFailure
-from wifipoi.ingest import RawStore, store_raw
+from wifipoi.ingest import RawStore, store_raw, upload_of
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
 from wifipoi.registry import (
     SummaryStore,
@@ -99,8 +99,8 @@ class TestBuildFingerprint:
                 obs = [(mac, rnd.randint(-100, -1)) for mac in pool if rnd.random() < 0.6]
                 scans.append(scan(300 * k, obs or [(pool[0], -60)]))
             with RawStore() as store:
-                store_raw(store, [build_log("x", "d", [scan(0, [(max(pool), -50)])]),
-                                  build_log("u", "d", scans)])
+                store_raw(store, [upload_of(build_log("x", "d", [scan(0, [(max(pool), -50)])])),
+                                  upload_of(build_log("u", "d", scans))])
                 stored = store.load_day("u", 0, 300 * 60)
             members = sorted(rnd.sample(range(len(scans)), rnd.randint(1, len(scans))))
             want = Fingerprint(*naive_fingerprint(scans[i].observations for i in members))
