@@ -45,17 +45,22 @@ def dbscan(day: ScanDay, params: ClusterParams) -> list[ClusterLabel]:
     numbered from 1 by their smallest scan index. A non-core scan next
     to a core scan is a border point and joins the lowest-numbered such
     cluster; the rest is NOISE. Raises EmptyLog on a day with no scans.
+    Memory: the n x n bool `near`, n^2 bytes, plus _score_blocks's
+    fixed buffer, 17 * _BLOCK * n + 16 * n bytes.
     """
     n = len(day.times)
     if n == 0:
         raise EmptyLog(f"no scans to cluster for user {day.user!r}")
+    # Readings are whole dBm, so every dot product is exact and the
+    # scores are symmetric: each block's mirror fills the lower triangle,
+    # and row i of `near` is also its column i.
     near = np.empty((n, n), dtype=bool)
     for lo, block in _score_blocks(day.rssi):
-        np.greater_equal(block, params.epsilon, out=near[lo : lo + len(block)])
+        hi = lo + len(block)
+        np.greater_equal(block, params.epsilon, out=near[lo:hi, lo:])
+        near[hi:, lo:hi] = near[lo:hi, hi:].T
     core = np.count_nonzero(near, axis=1) >= params.min_pts
 
-    # Readings are whole dBm, so every dot product is exact and the
-    # scores are symmetric: row i of `near` is also its column i.
     labels = np.full(n, NOISE)
     cid = NOISE
     for seed in np.flatnonzero(core):

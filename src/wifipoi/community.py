@@ -92,10 +92,9 @@ def build_graph(
     if len(nodes) != h:
         raise TooFewNodes(f"{len(nodes)} names for {h} fingerprints")
     edges: list[tuple[Node, Node, float]] = []
-    index = np.arange(h)
     for lo, block in _score_blocks(mac_matrix([fp.rssi.items() for fp in fps])[1]):
-        i, j = np.nonzero((block >= threshold) & (index > index[lo : lo + len(block), None]))
-        pairs = zip((lo + i).tolist(), j.tolist(), block[i, j].tolist())
+        i, j = np.nonzero(np.triu(block >= threshold, 1))  # node lo + i < node lo + j
+        pairs = zip((lo + i).tolist(), (lo + j).tolist(), block[i, j].tolist())
         edges.extend((nodes[a], nodes[b], c) for a, b, c in pairs)
     return PoiGraph(nodes=nodes, edges=tuple(edges))
 

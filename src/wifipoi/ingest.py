@@ -90,9 +90,10 @@ def decode_log(data: bytes, user: str = "") -> ScanLog:
     """Parse wire bytes back into a ScanLog for `user`.
 
     Blank lines are skipped; anything else malformed, bytes that are
-    not UTF-8 included, raises MalformedLine with its line number. All
-    lines must name the same device and timestamps must be unique.
-    Inverse of encode_log on validated logs.
+    not UTF-8 included, raises MalformedLine with its line number. An
+    empty `dev` leaves a line unnamed; the other lines must all name one
+    device, the log's ("" when no line names one). Timestamps must be
+    unique. Inverse of encode_log on validated logs.
     """
     device = ""
     by_time: dict[int, ScanResult] = {}
@@ -104,9 +105,9 @@ def decode_log(data: bytes, user: str = "") -> ScanLog:
         if not line.strip():
             continue
         dev, scan = _decode_line(line_no, line)
-        if device and dev != device:
+        if dev and device and dev != device:
             raise MalformedLine(line_no, f"device {dev!r} conflicts with {device!r}")
-        device = dev
+        device = dev or device
         if scan.timestamp in by_time:
             raise MalformedLine(line_no, f"duplicate timestamp {scan.timestamp}")
         by_time[scan.timestamp] = scan
@@ -168,14 +169,12 @@ def _columns(text: str, user: str) -> Upload | None:
         spellings.extend(map(seen.setdefault, spelled, spelled))
         # struct.error unless each reading is an int (or a bool) in [-128, 127]
         packed += struct.pack(f"{len(levels)}b", *levels)
-    # decode_log takes the device of the last line and lets lines with
-    # an empty device lead the ones that name it
-    device = devices[-1] if devices else ""
-    named = next((i for i, dev in enumerate(devices) if dev != ""), len(devices))
-    if (type(device) is not str or devices[named:].count(device) != len(devices) - named
+    # at most one named device; "" leaves a line unnamed
+    if (not set(map(type, devices)) <= {str} or len(set(devices) - {""}) > 1
             or not set(map(type, times)) <= {int} or len(set(times)) != len(times)
             or not set(map(type, seen)) <= {str}):
         return None
+    device = max(devices, default="")  # the named device, or ""
     at = np.array(times, np.int64)  # an int past int64 raises OverflowError
     rssi = np.frombuffer(packed, np.int8)  # a bool went in as 1 or 0, out of range
     if ((at < T_MIN) | (at > T_MAX)).any() or ((rssi < RSSI_MIN) | (rssi > RSSI_MAX)).any():

@@ -12,7 +12,8 @@ cosine_similarity scores one pair, for revisit matching. The score is
 the ordinary cosine of two vectors once absent MACs are imputed as 0,
 so all-pairs scores come from dense matrix products: _score_blocks
 takes a MAC-indexed matrix, a ScanDay's or mac_matrix's, and yields
-_BLOCK rows at a time so that no caller holds an n x n float matrix.
+its upper triangle _BLOCK rows at a time in one reused buffer, so each
+pair is scored once and no caller holds an n x n float matrix.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .model import Fingerprint
 # float dust from the two square roots.
 _ONE_EPS = 1e-12
 
-# Rows per block of the score matrix. A block and its denominators hold
-# 2 * _BLOCK * n floats, so memory grows with n, not n^2; at 64 rows the
-# 720-POI benchmark sweep peaks within 1% of the scalar loop's RSS.
+# Rows per block of the score matrix. The one reused buffer holds a
+# block's products, denominators and snap mask, 17 * _BLOCK * n bytes,
+# so memory grows with n, not n^2.
 _BLOCK = 64
 
 SimilarityScore = float
@@ -81,29 +82,44 @@ def mac_matrix(rows: Sequence[Collection[tuple[str, float]]]) -> tuple[tuple[str
 
 
 def _score_blocks(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """All-pairs scores of the rows of x as (first row, block) pairs of _BLOCK rows each.
+    """Upper-triangle scores of the rows of x as (first row, block) pairs.
 
-    x is a float matrix, one column per MAC and absent MACs 0. Each
-    element is the row dot over sqrt(d_i * d_j), d the self dot
-    products, like cosine_similarity, snapped to 1 the same way, and
-    the diagonal is 1. Raises EmptyFingerprint when any row is all 0.
+    x is a float matrix, one column per MAC and absent MACs 0. A block
+    holds _BLOCK rows (fewer at the end) and the columns from its first
+    row on: block[r, c] scores rows lo + r and lo + c. Each element is
+    the row dot over sqrt(d_i * d_j), d the self dot products, like
+    cosine_similarity, snapped to 1 the same way, and the diagonal is 1.
+    Each block is a view of one buffer that the next block overwrites:
+    17 * _BLOCK * n + 16 * n bytes at most. Raises EmptyFingerprint when
+    any row is all 0.
     """
+    n = len(x)
     d = np.einsum("ij,ij->i", x, x)
     if not d.all():
         raise EmptyFingerprint("cannot compare an empty fingerprint")
-    for lo in range(0, len(x), _BLOCK):
-        block = x[lo : lo + _BLOCK] @ x.T
-        diag = np.arange(len(block))
-        den = np.multiply.outer(d[lo : lo + _BLOCK], d)
+    buffers = [np.empty(min(_BLOCK, n) * n, dtype) for dtype in (float, float, bool)]
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        shape = (hi - lo, n - lo)
+        block, den, snap = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+        np.matmul(x[lo:hi], x[lo:].T, out=block)
+        # einsum's outer product takes no iterator buffer, where
+        # np.multiply.outer's broadcast allocates 128 KB on every call
+        np.einsum("i,j->ij", d[lo:hi], d[lo:], out=den)
         np.sqrt(den, out=den)
         np.divide(block, den, out=block)
-        block[block >= 1.0 - _ONE_EPS] = 1.0
-        block[diag, lo + diag] = 1.0
+        np.greater_equal(block, 1.0 - _ONE_EPS, out=snap)
+        np.copyto(block, 1.0, where=snap)
+        np.fill_diagonal(block, 1.0)
         yield lo, block
 
 
 def similarity_matrix(fps: Sequence[Fingerprint]) -> np.ndarray:
-    """All-pairs scores as one dense n x n array: the stacked blocks."""
+    """All-pairs scores as one dense n x n array: each block and its mirror."""
     _, x = mac_matrix([fp.rssi.items() for fp in fps])
-    blocks = [block for _, block in _score_blocks(x)]
-    return np.concatenate(blocks) if blocks else np.zeros((0, 0))
+    sim = np.empty((len(x), len(x)))
+    for lo, block in _score_blocks(x):
+        hi = lo + len(block)
+        sim[lo:hi, lo:] = block
+        sim[hi:, lo:hi] = block[:, hi - lo :].T
+    return sim

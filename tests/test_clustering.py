@@ -94,6 +94,15 @@ class TestDbscan:
             want = naive_dbscan([{m: float(v) for m, v in d.items()} for d in dicts], eps, 4)
             assert got == want
 
+    # one scan, one pair, one whole block, one row past it, and a short
+    # third block: the upper-triangle blocks and their mirror fill `near`
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 129])
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0])
+    def test_matches_reference_at_block_edges(self, n, eps):
+        dicts = random_scan_instance(random.Random(n), n)
+        got = dbscan(scan_day(make_log(dicts)), ClusterParams(epsilon=eps))
+        assert got == naive_dbscan([{m: float(v) for m, v in d.items()} for d in dicts], eps, 4)
+
     def test_noise_monotone_in_epsilon(self):
         rnd = random.Random(13)
         for _ in range(10):

@@ -289,7 +289,8 @@ def decoded(decode, data):
 
 
 # One line's faults, and the oddities decode_log accepts ("pad", "spell",
-# and "empty-dev" when no line before it names a device).
+# and "empty-dev", a line with an empty device, which leaves it unnamed
+# wherever it stands).
 WIRE_MACS = [A, B, "cc:00:00:00:00:03", A.upper().replace(":", "-"), "CC-00-00-00-00-03"]
 LINE_FAULTS = {
     "t": [T_MIN - 1, T_MAX + 1, 10**23, -(10**23), 1.5, 300.0, True, "300", None],
@@ -380,7 +381,32 @@ class TestColumnDecode:
         upload = upload_of(log)
         assert (upload.user, upload_entries(upload)) == (log.user, log.entries)
 
+    @given(wire_upload_st(), st.sets(st.integers(0, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_an_accepted_upload_is_accepted_with_its_lines_reversed(self, data, unnamed):
+        # the lines in `unnamed` leave the device empty
+        lines = [line.replace(b'"dev": "d"', b'"dev": ""') if k in unnamed else line
+                 for k, line in enumerate(data.split(b"\n"))]
+        try:
+            log = decode_log(b"\n".join(lines), user="u")
+        except MalformedLine:
+            return
+        backwards = b"\n".join(lines[::-1])
+        want = ("u", log.device, log.entries)
+        assert decoded(decode_log, backwards) == decoded(decode_upload, backwards) == want
+
+    @pytest.mark.parametrize("devs, device", [
+        (["", "d"], "d"), (["d", ""], "d"), (["d", "", "d"], "d"), (["", ""], ""),
+        (["d", "", "e"], "device 'e' conflicts with 'd'")])
+    def test_an_empty_device_is_unnamed_wherever_it_stands(self, devs, device):
+        data = b"\n".join(json.dumps({**wire_record(300 * k, [(A, -50)]), "dev": dev}).encode()
+                           for k, dev in enumerate(devs))
+        want = decoded(decode_log, data)
+        assert decoded(decode_upload, data) == want
+        assert want[1] == device  # the device, or the refusal's reason
+
     def test_a_refusal_decode_log_does_not_explain_is_a_fault(self, monkeypatch):
+
         # the column check never hands over an upload the policy accepts
         monkeypatch.setattr(ingest, "_columns", lambda text, user: None)
         with pytest.raises(RuntimeError, match="refused an upload that decode_log accepts"):

@@ -1,6 +1,7 @@
 """Fingerprint cosine scoring: exact worked values, properties, oracle."""
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wifipoi.community import build_graph
 from wifipoi.errors import EmptyFingerprint
 from wifipoi.model import Fingerprint, ScanResult, build_log
 from wifipoi.similarity import (
+    _BLOCK,
     _score_blocks,
     common_dot,
     cosine_similarity,
@@ -33,6 +35,12 @@ def fp(**rssi):
 
 def make(mapping):
     return Fingerprint(rssi=dict(mapping), counts={m: 1 for m in mapping})
+
+
+def dbm_matrix(dicts):
+    """The whole-dBm day matrix of scans with these readings, 300 s apart."""
+    scans = [ScanResult(300 * i, tuple(sorted(d.items()))) for i, d in enumerate(dicts)]
+    return scan_day(build_log("u", "d", scans)).rssi
 
 
 class TestDots:
@@ -124,9 +132,10 @@ class TestPairwise:
             fps = [make(random_fingerprint(rnd)) for _ in range(h)]
             assert len(build_graph(fps, 0.0).edges) == want
 
+    # 129 fingerprints make three blocks, the last of one row
     def test_entries_sorted_and_consistent(self):
         rnd = random.Random(4)
-        for h in (6, 70):
+        for h in (6, 70, 129):
             fps = [make(random_fingerprint(rnd)) for _ in range(h)]
             edges = build_graph(fps, 0.0).edges
             assert [(i, j) for i, j, _ in edges] == [
@@ -148,17 +157,41 @@ class TestMatrix:
                 assert abs(sim[i, j] - cosine_similarity(fps[i], fps[j])) <= 1e-12
                 assert sim[i, j] == sim[j, i]
 
-    # dbscan reads row i of its thresholded matrix as column i, which
-    # holds because whole-dBm dot products are exact in any order.
-    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    # dbscan mirrors each upper-triangle block into the lower triangle and
+    # reads row i of its thresholded matrix as column i, which holds
+    # because whole-dBm dot products are exact in any order.
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
     def test_whole_dbm_scans_are_exact_and_symmetric(self, n):
         dicts = random_scan_instance(random.Random(n), n)
-        scans = [ScanResult(300 * i, tuple(sorted(d.items()))) for i, d in enumerate(dicts)]
-        log = build_log("u", "d", scans)
-        sim = np.concatenate([block for _, block in _score_blocks(scan_day(log).rssi)])
-        assert sim.shape == (n, n)
+        sim = np.full((n, n), np.nan)
+        for lo, block in _score_blocks(dbm_matrix(dicts)):
+            hi = lo + len(block)
+            assert lo % _BLOCK == 0 and block.shape == (min(_BLOCK, n - lo), n - lo)
+            sim[lo:hi, lo:] = block
+            sim[hi:, lo:hi] = block[:, hi - lo :].T
         assert np.array_equal(sim, sim.T)
         assert sim.tolist() == [[naive_cosine(a, b) for b in dicts] for a in dicts]
+
+    def test_a_result_does_not_share_the_scorers_buffer(self):
+        rnd = random.Random(6)
+        first = [make(random_fingerprint(rnd)) for _ in range(70)]
+        sim = similarity_matrix(first)
+        kept = sim.copy()
+        similarity_matrix([make(random_fingerprint(rnd)) for _ in range(70)])
+        assert np.array_equal(sim, kept)
+        assert sim.tolist() == [[cosine_similarity(a, b) for b in first] for a in first]
+
+    def test_the_scorers_memory_is_one_fixed_buffer(self):
+        n = 1000
+        x = dbm_matrix(random_scan_instance(random.Random(7), n))
+        tracemalloc.start()
+        try:
+            for _ in _score_blocks(x):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * _BLOCK * n + 16 * n + 64 * 1024
 
     def test_worked_example_in_matrix_form(self):
         sim = similarity_matrix([fp(a=-40, b=-80), fp(a=-40, c=-80)])
