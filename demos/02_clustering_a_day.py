@@ -8,7 +8,8 @@ they resemble too few neighbours.
 """
 import time
 
-from wifipoi.clustering import ClusterParams, dbscan, scan_day, segment_visits
+from wifipoi.clustering import ClusterParams, dbscan, segment_visits
+from wifipoi.ingest import upload_of
 from wifipoi.simgen import generate_trace, load_scenario
 
 
@@ -29,7 +30,7 @@ log, truth = generate_trace(
 print(f"simulated {len(log)} scans for {user!r}")
 
 params = ClusterParams(epsilon=0.5, min_pts=4, scan_interval=scenario.scan_interval)
-day = scan_day(log)  # the scans as one matrix: a row per scan, a column per AP
+day = upload_of(log)  # the scans in columns, as `ingest` decodes them: times, AP ids, dBm
 labels = dbscan(day, params)
 clusters = sorted(set(labels) - {0})
 noise = sum(1 for l in labels if l == 0)

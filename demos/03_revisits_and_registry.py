@@ -10,7 +10,8 @@ and office keeping their ids all week.
 import collections
 import time
 
-from wifipoi.clustering import ClusterParams, scan_day
+from wifipoi.clustering import ClusterParams
+from wifipoi.ingest import upload_of
 from wifipoi.registry import SummaryStore, extract_day, summary_rows
 from wifipoi.simgen import generate_trace, load_scenario
 
@@ -32,10 +33,11 @@ for day_index, day in enumerate(sorted(by_day)):
         noise_sigma=scenario.sigma,
         user=user,
     )
-    # cluster the day, match each cluster against the registry, and
-    # render the (poi_id, visits) pairs it registered
+    # take the day's scans as `ingest` decodes them, cluster them, match
+    # each cluster against the registry, and render the (poi_id, visits)
+    # pairs it registered
     print(f"{day}:")
-    for poi_id, start, end in summary_rows(extract_day(store, scan_day(log), params)):
+    for poi_id, start, end in summary_rows(extract_day(store, upload_of(log), params)):
         print(f"  POI {poi_id}  {start} - {end}")
 
 print("\nregistered POI:")

@@ -11,8 +11,9 @@ import collections
 
 import numpy as np
 
-from wifipoi.clustering import ClusterParams, scan_day
+from wifipoi.clustering import ClusterParams
 from wifipoi.community import threshold_sweep
+from wifipoi.ingest import upload_of
 from wifipoi.registry import SummaryStore, extract_day
 from wifipoi.simgen import generate_trace, load_scenario
 
@@ -30,7 +31,7 @@ for index, user in enumerate(sorted(scenario.itineraries)):
         user=user,
         device=scenario.devices[user],
     )
-    extract_day(store, scan_day(log), params)
+    extract_day(store, upload_of(log), params)  # the day's scans as `ingest` decodes them
 
 # one fingerprint per (user, poi_id): the nodes of the cross-user graph
 fps = store.fingerprints()

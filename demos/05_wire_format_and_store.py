@@ -55,6 +55,6 @@ first = store_raw(store, [upload])[0]
 again = store_raw(store, [upload_of(log)])[0]  # the same scans, from the in-memory log
 print(f"\ningest: {first.added} added; retry: {again.added} added, {again.skipped} skipped")
 print(f"stored users: {store.users()}")
-window = store.load_day("maria", T0, T0 + 3600)  # the matrix that clustering reads
+window = store.load_day("maria", T0, T0 + 3600)  # the same columns, which clustering reads
 print(f"first hour holds {len(window.times)} scans over {len(window.macs)} APs")
 store.close()

@@ -8,7 +8,7 @@ Louvain communities of the cross-user similarity graph.
 
 from __future__ import annotations
 
-from .clustering import NOISE, VisitInterval, dbscan, scan_day, segment_visits
+from .clustering import NOISE, VisitInterval, dbscan, segment_visits
 from .community import (
     Partition,
     PoiGraph,
@@ -21,7 +21,6 @@ from .errors import DomainError, InputError, PoiError
 from .ingest import (
     RawBatch,
     RawStore,
-    Upload,
     compress_batch,
     decode_log,
     decode_upload,
@@ -34,9 +33,9 @@ from .ingest import (
 from .model import (
     ClusterParams,
     Fingerprint,
-    ScanDay,
     ScanLog,
     ScanResult,
+    Scans,
     build_log,
     parse_mac,
     validate_scan,
@@ -69,11 +68,10 @@ __all__ = [
     "PoiRecord",
     "RawBatch",
     "RawStore",
-    "ScanDay",
     "ScanLog",
     "ScanResult",
+    "Scans",
     "SummaryStore",
-    "Upload",
     "VisitInterval",
     "build_fingerprint",
     "build_graph",
@@ -94,7 +92,6 @@ __all__ = [
     "parse_mac",
     "plan_uploads",
     "rss_at",
-    "scan_day",
     "segment_visits",
     "similarity_matrix",
     "store_raw",

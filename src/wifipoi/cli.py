@@ -36,10 +36,8 @@ from .community import (
     write_sweep_csv,
 )
 from .errors import InputError, PoiError, StorageFailure, UnknownUser
-from .ingest import (
-    RawStore, Upload, compress_batch, decode_upload, decompress_batch, encode_log, store_raw,
-)
-from .model import ClusterParams
+from .ingest import RawStore, compress_batch, decode_upload, decompress_batch, encode_log, store_raw
+from .model import ClusterParams, Scans
 from .registry import (
     MATCH_THRESHOLD, SummaryStore, day_window, extract_day, summary_rows, write_summary_csv,
 )
@@ -163,7 +161,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     users = [_user_from_filename(path) for path in paths]
     path = paths[0]
 
-    def uploads() -> Iterator[Upload]:
+    def uploads() -> Iterator[Scans]:
         nonlocal path
         for path, user in zip(paths, users):
             data = path.read_bytes()

@@ -1,4 +1,4 @@
-"""Density clustering of scan logs and derivation of visit intervals.
+"""Density clustering of a user's Scans and derivation of visit intervals.
 
 Canonical DBSCAN with one twist: the neighbourhood predicate is cosine
 similarity of two scans' readings, so the epsilon test is
@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyLog, LabelLengthMismatch
-from .model import ClusterParams, ScanDay, ScanLog
-from .similarity import _score_blocks, mac_matrix
+from .model import ClusterParams, Scans
+from .similarity import _BLOCK, _score_blocks
 
 ClusterLabel = int
 
@@ -28,13 +28,16 @@ ClusterLabel = int
 NOISE: ClusterLabel = 0
 
 
-def scan_day(log: ScanLog) -> ScanDay:
-    """The log's scans as a ScanDay, its columns the sorted MACs."""
-    times = np.array([scan.timestamp for scan in log.entries], dtype=np.int64)
-    return ScanDay(log.user, times, *mac_matrix([scan.observations for scan in log.entries]))
+def _reach(near: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Columns near any row of the mask `rows`; _BLOCK rows at a time, so `near` is not copied."""
+    picked = np.flatnonzero(rows)
+    out = np.zeros(len(near), dtype=bool)
+    for k in range(0, len(picked), _BLOCK):
+        out |= near[picked[k:k + _BLOCK]].any(axis=0)
+    return out
 
 
-def dbscan(day: ScanDay, params: ClusterParams) -> list[ClusterLabel]:
+def dbscan(day: Scans, params: ClusterParams) -> list[ClusterLabel]:
     """Label every scan with a cluster id (>= 1) or NOISE.
 
     Order-free (the definition of Ester et al., KDD 1996): the result
@@ -45,20 +48,26 @@ def dbscan(day: ScanDay, params: ClusterParams) -> list[ClusterLabel]:
     numbered from 1 by their smallest scan index. A non-core scan next
     to a core scan is a border point and joins the lowest-numbered such
     cluster; the rest is NOISE. Raises EmptyLog on a day with no scans.
-    Memory: the n x n bool `near`, n^2 bytes, plus _score_blocks's
-    fixed buffer, 17 * _BLOCK * n + 16 * n bytes.
+    Memory, in bytes: n^2 for the bool `near`; while scoring, also the
+    float rows, 8 * n * len(day.macs), and _score_blocks's buffer,
+    17 * _BLOCK * n + 16 * n; while walking, a chunk of _BLOCK rows of
+    `near`, _BLOCK * n, and a few n-long vectors. Building the rows,
+    before `near` exists, takes 8 bytes a reading more.
     """
     n = len(day.times)
     if n == 0:
         raise EmptyLog(f"no scans to cluster for user {day.user!r}")
+    x = np.zeros((n, len(day.macs)))
+    x[np.repeat(np.arange(n), day.counts), day.ids] = day.rssi
     # Readings are whole dBm, so every dot product is exact and the
     # scores are symmetric: each block's mirror fills the lower triangle,
     # and row i of `near` is also its column i.
     near = np.empty((n, n), dtype=bool)
-    for lo, block in _score_blocks(day.rssi):
+    for lo, block in _score_blocks(x):
         hi = lo + len(block)
         np.greater_equal(block, params.epsilon, out=near[lo:hi, lo:])
         near[hi:, lo:hi] = near[lo:hi, hi:].T
+    del x, block  # the walk reads only `near`
     core = np.count_nonzero(near, axis=1) >= params.min_pts
 
     labels = np.full(n, NOISE)
@@ -72,10 +81,10 @@ def dbscan(day: ScanDay, params: ClusterParams) -> list[ClusterLabel]:
         frontier[seed] = True
         while frontier.any():
             members |= frontier
-            frontier = near[frontier].any(axis=0) & core & ~members
+            frontier = _reach(near, frontier) & core & ~members
         # Clusters are numbered in ascending order, so a border point
         # already taken belongs to a lower-numbered cluster and stays.
-        labels[near[members].any(axis=0) & (labels == NOISE)] = cid
+        labels[_reach(near, members) & (labels == NOISE)] = cid
     return labels.tolist()
 
 
@@ -96,7 +105,7 @@ class VisitInterval:
 
 
 def segment_visits(
-    day: ScanDay, labels: Sequence[ClusterLabel], params: ClusterParams
+    day: Scans, labels: Sequence[ClusterLabel], params: ClusterParams
 ) -> list[VisitInterval]:
     """Split each cluster's scans into maximal contiguous visit runs.
 

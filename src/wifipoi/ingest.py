@@ -17,12 +17,13 @@ every line. The raw store keeps one row per (user, t) scan, its MACs as
 ids into a dictionary of MACs and its readings packed beside them. A
 scan whose (user, t) is stored already is skipped when its readings are
 identical, which makes re-ingestion a no-op, and refused when they
-differ; load_day reads one user's scans in a [lo, hi) window as a ScanDay.
+differ; load_day reads one user's scans in a [lo, hi) window back into
+the same Scans columns that decode_upload gives.
 store_raw lands any number of uploads in one transaction, so a caller
 that feeds it several (the CLI's ingest call) keeps all or none of
 them; since identical scans are skipped, a rejected call can simply be
 re-run once the bad upload is taken out. upload_of turns an in-memory
-ScanLog into an Upload by way of its wire bytes.
+ScanLog into Scans by way of its wire bytes.
 
 The user never appears on the wire; it is carried out of band (the CLI
 takes it from the file name) and supplied to the decoder explicitly.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure
 from .model import (
-    RSSI_MAX, RSSI_MIN, T_MAX, T_MIN, ScanDay, ScanLog, ScanResult, parse_mac, validate_scan,
+    RSSI_MAX, RSSI_MIN, T_MAX, T_MIN, ScanLog, ScanResult, Scans, parse_mac, validate_scan,
 )
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
@@ -115,27 +116,8 @@ def decode_log(data: bytes, user: str = "") -> ScanLog:
     return ScanLog(user=user, device=device, entries=entries)
 
 
-@dataclass(frozen=True, eq=False)
-class Upload:
-    """One decoded upload in columns, what store_raw lands.
-
-    Scan i was taken at times[i] (int64, strictly increasing) and holds
-    the next counts[i] readings of `ids` and `rssi`, sorted by MAC. A
-    reading's id is its column in `macs`, the upload's canonical MACs in
-    sorted order; `rssi` holds int8 dBm.
-    """
-
-    user: str
-    device: str
-    times: np.ndarray
-    counts: np.ndarray
-    macs: tuple[str, ...]
-    ids: np.ndarray
-    rssi: np.ndarray
-
-
-def _columns(text: str, user: str) -> Upload | None:
-    """The upload as an Upload, or None when decode_log would refuse it.
+def _columns(text: str, user: str) -> Scans | None:
+    """The upload as Scans, or None when decode_log would refuse it.
 
     Each line's fields go onto flat lists, each MAC spelling kept once
     and the readings packed as int8, so a line's own objects are freed
@@ -174,7 +156,6 @@ def _columns(text: str, user: str) -> Upload | None:
             or not set(map(type, times)) <= {int} or len(set(times)) != len(times)
             or not set(map(type, seen)) <= {str}):
         return None
-    device = max(devices, default="")  # the named device, or ""
     at = np.array(times, np.int64)  # an int past int64 raises OverflowError
     rssi = np.frombuffer(packed, np.int8)  # a bool went in as 1 or 0, out of range
     if ((at < T_MIN) | (at > T_MAX)).any() or ((rssi < RSSI_MIN) | (rssi > RSSI_MAX)).any():
@@ -193,13 +174,14 @@ def _columns(text: str, user: str) -> Upload | None:
     key = key[order]
     if np.any(key[1:] == key[:-1]):  # a MAC twice in one scan
         return None
-    return Upload(user, device, at[by_time], n[by_time], tuple(macs), ids[order], rssi[order])
+    return Scans(user, at[by_time], n[by_time], tuple(macs), ids[order], rssi[order])
 
 
-def decode_upload(data: bytes, user: str = "") -> Upload:
-    """Parse wire bytes into an Upload for `user`; decode_log's policy, in columns.
+def decode_upload(data: bytes, user: str = "") -> Scans:
+    """Parse wire bytes into Scans for `user`; decode_log's policy, in columns.
 
-    Accepts exactly what decode_log accepts, with the same scans. An
+    Accepts exactly what decode_log accepts, with the same scans; the
+    device is checked, then dropped, since the raw store keeps none. An
     upload the column check refuses goes through decode_log, which
     raises the MalformedLine that names the first bad line and its
     reason.
@@ -214,8 +196,8 @@ def decode_upload(data: bytes, user: str = "") -> Upload:
     return upload
 
 
-def upload_of(log: ScanLog) -> Upload:
-    """An in-memory log as the Upload its wire bytes decode to."""
+def upload_of(log: ScanLog) -> Scans:
+    """An in-memory log as the Scans its wire bytes decode to."""
     return decode_upload(encode_log(log), log.user)
 
 
@@ -316,7 +298,7 @@ class RawStore(SqliteStore):
 
     A raw_scans row packs the scan's MAC ids (little-endian uint32) and
     RSS readings (int8) in validate_scan's sorted-by-MAC order, so
-    load_day reads the blobs straight into a day matrix; `mac` holds
+    load_day reads the blobs straight back into columns; `mac` holds
     each canonical MAC once. The layout is user_version 1. A file that
     still holds the per-reading raw_observations table of the earlier
     layout is refused and left untouched. Shares a SQLite file happily with the summary
@@ -359,8 +341,8 @@ class RawStore(SqliteStore):
         ).fetchone()
         return row is not None
 
-    def load_day(self, user: str, lo: int, hi: int) -> ScanDay:
-        """The user's scans with lo <= t < hi, as a ScanDay in MAC-id column order.
+    def load_day(self, user: str, lo: int, hi: int) -> Scans:
+        """The user's scans with lo <= t < hi, their MACs in store-id order.
 
         Only the MACs those scans name are read from the dictionary;
         reading all of it costs about a microsecond a MAC on every call.
@@ -376,13 +358,13 @@ class RawStore(SqliteStore):
             "SELECT id, mac FROM mac WHERE id IN (SELECT value FROM json_each(?))",
             (json.dumps(used.tolist()),),
         ))
-        x = np.zeros((len(rows), len(used)))
-        x[np.repeat(np.arange(len(rows)), [len(r) for *_, r in rows]), cols] = rssi
-        times = np.array([t for t, _, _ in rows], dtype=np.int64)
-        return ScanDay(user, times, tuple(map(names.__getitem__, used.tolist())), x)
+        times = np.array([t for t, _, _ in rows], np.int64)
+        counts = np.array([len(r) for *_, r in rows], np.int64)
+        macs = tuple(map(names.__getitem__, used.tolist()))
+        return Scans(user, times, counts, macs, cols, rssi)
 
 
-def _store_upload(conn: sqlite3.Connection, upload: Upload, mac_ids: dict[str, int]) -> IngestReport:
+def _store_upload(conn: sqlite3.Connection, upload: Scans, mac_ids: dict[str, int]) -> IngestReport:
     if not len(upload.times):
         return IngestReport(added=0, skipped=0)
     for mac in upload.macs:  # sorted, so new MACs get their ids in MAC order
@@ -417,7 +399,7 @@ def _store_upload(conn: sqlite3.Connection, upload: Upload, mac_ids: dict[str, i
     return IngestReport(added=added, skipped=skipped)
 
 
-def store_raw(store: RawStore, uploads: Iterable[Upload]) -> list[IngestReport]:
+def store_raw(store: RawStore, uploads: Iterable[Scans]) -> list[IngestReport]:
     """Store each upload's scans; one report per upload, in order, counting readings.
 
     A scan whose (user, t) is stored already is skipped, and its

@@ -121,16 +121,21 @@ def build_log(user: str, device: str, scans: Iterable[ScanResult]) -> ScanLog:
 
 
 @dataclass(frozen=True, eq=False)
-class ScanDay:
-    """A user's scans, the extract input: row i of `rssi` is the scan at times[i].
+class Scans:
+    """A user's scans in columns, as decode_upload and load_day give them.
 
-    `rssi` holds whole-dBm readings as floats, one column per MAC of
-    `macs` (in any order), 0 where the scan did not see the MAC.
+    Scan i was taken at times[i] (int64, strictly increasing) and holds
+    the next counts[i] (int64) readings of `ids` and `rssi`, in MAC
+    order. A reading's id (int64) is its column in `macs`, which are
+    sorted when decoded and in store-id order when loaded; `rssi` holds
+    int8 dBm.
     """
 
     user: str
     times: np.ndarray
+    counts: np.ndarray
     macs: tuple[str, ...]
+    ids: np.ndarray
     rssi: np.ndarray
 
 

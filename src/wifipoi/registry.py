@@ -29,34 +29,36 @@ import numpy as np
 from .clustering import VisitInterval, dbscan, segment_visits
 from .errors import EmptyCluster, StorageFailure
 from .ingest import SqliteStore
-from .model import ClusterParams, Fingerprint, ScanDay
+from .model import ClusterParams, Fingerprint, Scans
 from .similarity import cosine_similarity
 
 MATCH_THRESHOLD = 0.5
 
 
-def build_fingerprint(macs: Sequence[str], rows: np.ndarray) -> Fingerprint:
-    """Average member scans, rows of a day matrix over `macs`, into one fingerprint.
+def build_fingerprint(macs: Sequence[str], ids: np.ndarray, rssi: np.ndarray) -> Fingerprint:
+    """Average member scans' readings, columns into `macs` and dBm, into one fingerprint.
 
-    Each MAC's mean runs over its nonzero cells, the scans that saw it,
-    so an AP flickering in and out keeps its true level. Raises
-    EmptyCluster on zero rows.
+    Each MAC's mean runs over the scans that saw it, so an AP flickering
+    in and out keeps its true level. The sums of whole dBm are exact,
+    so the means do not depend on the readings' order. Raises
+    EmptyCluster on no readings.
     """
-    if len(rows) == 0:
+    if len(ids) == 0:
         raise EmptyCluster("cannot build a fingerprint from zero scans")
-    counts = np.count_nonzero(rows, axis=0)
+    counts = np.bincount(ids)
     seen = np.flatnonzero(counts)
     names = [macs[k] for k in seen.tolist()]
-    means = rows.sum(axis=0)[seen] / counts[seen]  # .tolist() below: floats, not np.float64
+    means = np.bincount(ids, rssi)[seen] / counts[seen]  # .tolist() below: floats, not np.float64
     return Fingerprint(dict(zip(names, means.tolist())), dict(zip(names, counts[seen].tolist())))
 
 
 def merge_fingerprints(old: Fingerprint, new: Fingerprint) -> Fingerprint:
     """Observation-count-weighted mean of two fingerprints.
 
-    Equivalent to rebuilding the fingerprint over the union of both
-    sides' underlying scans, so the merged mean per MAC stays within
-    [min, max] of the contributing observations.
+    Counts add exactly, and each merged mean lies in [min, max] of the
+    readings behind it. It equals build_fingerprint over both sides'
+    scans up to rounding, not bit for bit: the merge weights two rounded
+    means, where the rebuild sums whole dBm.
     """
     rssi: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -271,7 +273,7 @@ def upsert_day(
 
 def extract_day(
     store: SummaryStore,
-    day: ScanDay,
+    day: Scans,
     params: ClusterParams,
     threshold: float = MATCH_THRESHOLD,
 ) -> list[tuple[int, list[VisitInterval]]]:
@@ -279,7 +281,7 @@ def extract_day(
 
     dbscan labels the scans and segment_visits cuts them into visits;
     each cluster label, in ascending order, becomes one (fingerprint
-    of its member rows, its visits) pair, and upsert_day registers
+    of its member scans' readings, its visits) pair, and upsert_day registers
     the day for day.user in one transaction. An all-noise day writes
     nothing and returns []. Raises EmptyLog on a day with no scans.
     """
@@ -287,11 +289,11 @@ def extract_day(
     visits: dict[int, list[VisitInterval]] = {}
     for visit in segment_visits(day, labels, params):
         visits.setdefault(visit.label, []).append(visit)
-    members = np.array(labels)
-    clusters = [
-        (build_fingerprint(day.macs, day.rssi[members == label]), visits[label])
-        for label in sorted(visits)
-    ]
+    label_of = np.repeat(labels, day.counts)  # each reading's scan's label
+    clusters = []
+    for label in sorted(visits):
+        mine = label_of == label
+        clusters.append((build_fingerprint(day.macs, day.ids[mine], day.rssi[mine]), visits[label]))
     ids = upsert_day(store, day.user, clusters, threshold)
     return [(poi_id, day_visits) for poi_id, (_, day_visits) in zip(ids, clusters)]
 

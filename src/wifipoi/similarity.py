@@ -11,7 +11,7 @@ product in the numerator is positive and the score lands in [0, 1].
 cosine_similarity scores one pair, for revisit matching. The score is
 the ordinary cosine of two vectors once absent MACs are imputed as 0,
 so all-pairs scores come from dense matrix products: _score_blocks
-takes a MAC-indexed matrix, a ScanDay's or mac_matrix's, and yields
+takes a MAC-indexed matrix, dbscan's rows or mac_matrix's, and yields
 its upper triangle _BLOCK rows at a time in one reused buffer, so each
 pair is scored once and no caller holds an n x n float matrix.
 """
@@ -88,10 +88,11 @@ def _score_blocks(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     holds _BLOCK rows (fewer at the end) and the columns from its first
     row on: block[r, c] scores rows lo + r and lo + c. Each element is
     the row dot over sqrt(d_i * d_j), d the self dot products, like
-    cosine_similarity, snapped to 1 the same way, and the diagonal is 1.
-    Each block is a view of one buffer that the next block overwrites:
-    17 * _BLOCK * n + 16 * n bytes at most. Raises EmptyFingerprint when
-    any row is all 0.
+    cosine_similarity, snapped to 1 the same way, which makes the
+    diagonal 1: a self score misses 1 by rounding alone, far less than
+    _ONE_EPS. Each block is a view of one buffer that the next block
+    overwrites: 17 * _BLOCK * n + 16 * n bytes at most. Raises
+    EmptyFingerprint when any row is all 0.
     """
     n = len(x)
     d = np.einsum("ij,ij->i", x, x)
@@ -110,7 +111,6 @@ def _score_blocks(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         np.divide(block, den, out=block)
         np.greater_equal(block, 1.0 - _ONE_EPS, out=snap)
         np.copyto(block, 1.0, where=snap)
-        np.fill_diagonal(block, 1.0)
         yield lo, block
 
 

@@ -7,10 +7,13 @@ against these.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import defaultdict
 from typing import Iterable, Iterator
+
+import numpy as np
 
 Fp = dict[str, float]
 
@@ -132,11 +135,18 @@ def naive_visits(
     return out
 
 
+def scan_columns(day) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each scan's (ids, rssi) columns of the day, one pair per scan."""
+    cuts = np.cumsum(day.counts)[:-1]
+    return list(zip(np.split(day.ids, cuts), np.split(day.rssi, cuts)))
+
+
 def day_rows(day) -> list[tuple[int, dict[str, int]]]:
-    """A ScanDay's scans back as (t, {mac: rssi}) rows, its 0 cells dropped."""
+    """Scans' columns back as (t, {mac: rssi}) rows, each scan's readings in column order."""
+    readings = zip(day.ids.tolist(), day.rssi.tolist())
     return [
-        (int(t), {mac: int(v) for mac, v in zip(day.macs, row) if v != 0})
-        for t, row in zip(day.times, day.rssi)
+        (t, {day.macs[i]: rssi for i, rssi in itertools.islice(readings, count)})
+        for t, count in zip(day.times.tolist(), day.counts.tolist())
     ]
 
 

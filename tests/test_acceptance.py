@@ -22,7 +22,7 @@ from oracles import (
     random_fingerprint,
     random_scan_instance,
 )
-from wifipoi.clustering import NOISE, VisitInterval, dbscan, scan_day
+from wifipoi.clustering import NOISE, VisitInterval, dbscan
 from wifipoi.community import PoiGraph, louvain, modularity
 from wifipoi.errors import StorageFailure
 from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, store_raw, upload_of
@@ -97,7 +97,7 @@ def mall_fingerprints():
                 user=user,
                 device=scenario.devices[user],
             )
-            extract_day(store, scan_day(log), params)
+            extract_day(store, upload_of(log), params)
         return list(store.fingerprints().values())
 
 
@@ -119,7 +119,7 @@ def test_acceptance_3_dbscan_brute_force_equivalence():
         n = rnd.randint(50, 300)
         dicts = random_scan_instance(rnd, n)
         eps = rnd.choice([0.4, 0.5, 0.6, 0.7])
-        got = dbscan(scan_day(as_log(dicts)), ClusterParams(epsilon=eps))
+        got = dbscan(upload_of(as_log(dicts)), ClusterParams(epsilon=eps))
         want = naive_dbscan([{m: float(v) for m, v in d.items()} for d in dicts], eps, 4)
         assert got == want
     elapsed = time.monotonic() - t_start
@@ -141,7 +141,7 @@ def test_acceptance_4_office_day_structure():
     )
     params = ClusterParams(epsilon=0.5, min_pts=4, scan_interval=scenario.scan_interval)
     with SummaryStore() as store:
-        extract_day(store, scan_day(log), params)
+        extract_day(store, upload_of(log), params)
         records = store.records(user)
     visits = [(v, r.poi_id) for r in records for v in r.visits]
     visits.sort(key=lambda pair: pair[0].start)
@@ -174,7 +174,7 @@ def test_acceptance_5_threshold_splitting_with_doubled_noise():
     )
 
     labels = {
-        eps: dbscan(scan_day(log), ClusterParams(epsilon=eps, scan_interval=scenario.scan_interval))
+        eps: dbscan(upload_of(log), ClusterParams(epsilon=eps, scan_interval=scenario.scan_interval))
         for eps in (0.4, 0.5, 0.6)
     }
     counts = {eps: len(set(l) - {NOISE}) for eps, l in labels.items()}
@@ -207,7 +207,7 @@ def test_acceptance_6_three_day_revisit_accuracy():
                 scenario.sigma,
                 user=user,
             )
-            extract_day(store, scan_day(log), params, threshold=0.5)
+            extract_day(store, upload_of(log), params, threshold=0.5)
             day_visits = [
                 (v, r.poi_id)
                 for r in store.records(user)

@@ -1,12 +1,15 @@
 """Density clustering over scan fingerprints and visit segmentation."""
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import naive_dbscan, naive_visits, random_scan_instance
-from wifipoi.clustering import NOISE, dbscan, scan_day, segment_visits
+from oracles import MAC_POOL, naive_dbscan, naive_visits, random_scan_instance, scan_columns
+from wifipoi import clustering, similarity
+from wifipoi.clustering import NOISE, dbscan, segment_visits
 from wifipoi.errors import EmptyLog, LabelLengthMismatch
+from wifipoi.ingest import upload_of
 from wifipoi.model import ClusterParams, ScanLog, ScanResult, build_log
 from wifipoi.registry import build_fingerprint
 from wifipoi.similarity import cosine_similarity, similarity_matrix
@@ -30,8 +33,8 @@ def desk_scan(jitter=0):
 
 def scan_fps(log):
     """Each scan of the log as its own one-scan fingerprint."""
-    day = scan_day(log)
-    return [build_fingerprint(day.macs, day.rssi[i : i + 1]) for i in range(len(log))]
+    day = upload_of(log)
+    return [build_fingerprint(day.macs, ids, rssi) for ids, rssi in scan_columns(day)]
 
 
 def neighbours(fps, i, eps):
@@ -60,11 +63,11 @@ class TestFindNeighbours:
 
 class TestDbscan:
     def test_single_desk_is_one_cluster(self):
-        labels = dbscan(scan_day(make_log([desk_scan(j % 3) for j in range(12)])), ClusterParams())
+        labels = dbscan(upload_of(make_log([desk_scan(j % 3) for j in range(12)])), ClusterParams())
         assert set(labels) == {1}
 
     def test_three_scans_cannot_reach_min_pts(self):
-        labels = dbscan(scan_day(make_log([desk_scan()] * 3)), ClusterParams())
+        labels = dbscan(upload_of(make_log([desk_scan()] * 3)), ClusterParams())
         assert labels == [NOISE] * 3
 
     def test_epsilon_one_clusters_proportional_scans(self):
@@ -72,25 +75,25 @@ class TestDbscan:
         # the last scan is close but not proportional, so it stays noise
         dicts = [{A: -20, B: -40}, {A: -30, B: -60}, {A: -40, B: -80}, {A: -20, B: -40},
                  {A: -21, B: -40}]
-        labels = dbscan(scan_day(make_log(dicts)), ClusterParams(epsilon=1.0))
+        labels = dbscan(upload_of(make_log(dicts)), ClusterParams(epsilon=1.0))
         assert labels == [1, 1, 1, 1, NOISE]
 
     def test_empty_log_rejected(self):
         with pytest.raises(EmptyLog):
-            dbscan(scan_day(ScanLog(user="u", device="d", entries=())), ClusterParams())
+            dbscan(upload_of(ScanLog(user="u", device="d", entries=())), ClusterParams())
 
     def test_labels_are_deterministic(self):
         rnd = random.Random(11)
         log = make_log(random_scan_instance(rnd, 80))
         params = ClusterParams(epsilon=0.6)
-        assert dbscan(scan_day(log), params) == dbscan(scan_day(log), params)
+        assert dbscan(upload_of(log), params) == dbscan(upload_of(log), params)
 
     def test_matches_reference_on_random_instances(self):
         rnd = random.Random(2)
         for _ in range(20):
             dicts = random_scan_instance(rnd, rnd.randint(30, 120))
             eps = rnd.choice([0.4, 0.5, 0.6, 0.7])
-            got = dbscan(scan_day(make_log(dicts)), ClusterParams(epsilon=eps))
+            got = dbscan(upload_of(make_log(dicts)), ClusterParams(epsilon=eps))
             want = naive_dbscan([{m: float(v) for m, v in d.items()} for d in dicts], eps, 4)
             assert got == want
 
@@ -100,8 +103,31 @@ class TestDbscan:
     @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0])
     def test_matches_reference_at_block_edges(self, n, eps):
         dicts = random_scan_instance(random.Random(n), n)
-        got = dbscan(scan_day(make_log(dicts)), ClusterParams(epsilon=eps))
+        got = dbscan(upload_of(make_log(dicts)), ClusterParams(epsilon=eps))
         assert got == naive_dbscan([{m: float(v) for m, v in d.items()} for d in dicts], eps, 4)
+
+    def test_memory_stays_within_the_stated_bound_on_a_one_place_day(self, monkeypatch):
+        # At one place every scan is in one cluster, so the walk reaches
+        # every row of `near`; reading them all at once would copy `near`.
+        # A _BLOCK of 8 makes n^2 the largest term at a size that
+        # naive_dbscan can check.
+        block = 8
+        monkeypatch.setattr(similarity, "_BLOCK", block)
+        monkeypatch.setattr(clustering, "_BLOCK", block)
+        rnd = random.Random(5)
+        desk = {mac: rnd.randint(-80, -40) for mac in MAC_POOL[:8]}
+        dicts = [{mac: v + rnd.randint(-3, 3) for mac, v in desk.items()} for _ in range(600)]
+        day = upload_of(make_log(dicts, interval=30))
+        tracemalloc.start()
+        try:
+            labels = dbscan(day, ClusterParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, macs = len(day.times), len(day.macs)
+        assert peak <= n * n + 8 * n * macs + 17 * block * n + 16 * n + 64 * 1024
+        want = naive_dbscan([{m: float(v) for m, v in d.items()} for d in dicts], 0.5, 4)
+        assert labels == want == [1] * n
 
     def test_noise_monotone_in_epsilon(self):
         rnd = random.Random(13)
@@ -109,14 +135,14 @@ class TestDbscan:
             log = make_log(random_scan_instance(rnd, 90))
             noisy_at = {}
             for eps in (0.4, 0.5, 0.6, 0.75):
-                labels = dbscan(scan_day(log), ClusterParams(epsilon=eps))
+                labels = dbscan(upload_of(log), ClusterParams(epsilon=eps))
                 noisy_at[eps] = {i for i, l in enumerate(labels) if l == NOISE}
             assert noisy_at[0.4] <= noisy_at[0.5] <= noisy_at[0.6] <= noisy_at[0.75]
 
     def test_twenty_minute_rule(self):
         # 3 scans at one place never reach minPts=4 within a 15-min stay
         dicts = [{A: -50, B: -60}] * 3 + [{"dd:00:00:00:00:04": -55, "ee:00:00:00:00:05": -65}] * 12
-        labels = dbscan(scan_day(make_log(dicts)), ClusterParams())
+        labels = dbscan(upload_of(make_log(dicts)), ClusterParams())
         assert labels[:3] == [NOISE] * 3
         assert set(labels[3:]) == {1}
 
@@ -126,7 +152,7 @@ class TestSegmentVisits:
         dicts = [desk_scan()] * 12
         log = make_log(dicts)
         labels = [1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1]
-        visits = segment_visits(scan_day(log), labels, ClusterParams())
+        visits = segment_visits(upload_of(log), labels, ClusterParams())
         assert [(v.label, v.scans) for v in visits] == [(1, 4), (2, 4), (1, 4)]
         assert [v.start for v in visits] == sorted(v.start for v in visits)
         assert visits[0].end == log.entries[3].timestamp
@@ -134,19 +160,19 @@ class TestSegmentVisits:
 
     def test_all_noise_gives_no_intervals(self):
         log = make_log([desk_scan()] * 3)
-        assert segment_visits(scan_day(log), [NOISE] * 3, ClusterParams()) == []
+        assert segment_visits(upload_of(log), [NOISE] * 3, ClusterParams()) == []
 
     def test_label_length_mismatch(self):
         log = make_log([desk_scan()] * 3)
         with pytest.raises(LabelLengthMismatch):
-            segment_visits(scan_day(log), [1, 1], ClusterParams())
+            segment_visits(upload_of(log), [1, 1], ClusterParams())
 
     def test_gap_beyond_twice_interval_splits_run(self):
         t0 = 1_700_000_000
         scans = [ScanResult(timestamp=t, observations=tuple(sorted(desk_scan().items())))
                  for t in (t0, t0 + 300, t0 + 300 + 601, t0 + 300 + 901)]
         log = build_log("u", "d", scans)
-        visits = segment_visits(scan_day(log), [1, 1, 1, 1], ClusterParams())
+        visits = segment_visits(upload_of(log), [1, 1, 1, 1], ClusterParams())
         assert len(visits) == 2
         assert visits[0].scans == 2 and visits[1].scans == 2
 
@@ -155,17 +181,17 @@ class TestSegmentVisits:
         scans = [ScanResult(timestamp=t, observations=tuple(sorted(desk_scan().items())))
                  for t in (t0, t0 + 600, t0 + 1200, t0 + 1800)]
         log = build_log("u", "d", scans)
-        visits = segment_visits(scan_day(log), [1, 1, 1, 1], ClusterParams())
+        visits = segment_visits(upload_of(log), [1, 1, 1, 1], ClusterParams())
         assert len(visits) == 1 and visits[0].scans == 4
 
     def test_short_runs_flagged_sub_minimal(self):
         log = make_log([desk_scan()] * 7)
-        visits = segment_visits(scan_day(log), [1, 1, 1, 1, 2, 2, 2], ClusterParams())
+        visits = segment_visits(upload_of(log), [1, 1, 1, 1, 2, 2, 2], ClusterParams())
         assert [v.sub_minimal for v in visits] == [False, True]
 
     def test_noise_breaks_runs(self):
         log = make_log([desk_scan()] * 9)
-        visits = segment_visits(scan_day(log), [1, 1, 1, 1, NOISE, 1, 1, 1, 1], ClusterParams())
+        visits = segment_visits(upload_of(log), [1, 1, 1, 1, NOISE, 1, 1, 1, 1], ClusterParams())
         assert [(v.label, v.scans) for v in visits] == [(1, 4), (1, 4)]
 
     def test_matches_run_state_oracle_on_random_days(self):
@@ -182,7 +208,7 @@ class TestSegmentVisits:
                 keep = labels and rnd.random() < 0.7
                 labels.append(labels[-1] if keep else rnd.choice([NOISE, 1, 2, 3]))
             log = build_log("u", "d", [ScanResult(t, ((A, -50),)) for t in times])
-            got = segment_visits(scan_day(log), labels, params)
+            got = segment_visits(upload_of(log), labels, params)
             want = naive_visits(times, labels, params.scan_interval, params.min_pts)
             assert [(v.label, v.start, v.end, v.scans, v.sub_minimal) for v in got] == want
         assert exact_gaps > 0

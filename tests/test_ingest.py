@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import day_rows
+from oracles import day_rows, scan_columns
 from wifipoi.errors import (
     CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure,
 )
@@ -263,29 +263,40 @@ class TestOnePolicy:
         assert block[0, 1] == 1.0
 
 
+def assert_scans(day):
+    """The invariants that Scans documents."""
+    assert (day.times.dtype, day.counts.dtype, day.ids.dtype, day.rssi.dtype) == (
+        np.int64, np.int64, np.int64, np.int8)
+    assert len(day.counts) == len(day.times)
+    assert int(day.counts.sum()) == len(day.ids) == len(day.rssi)
+    assert (np.diff(day.times) > 0).all() and (day.counts > 0).all()
+    assert ((day.ids >= 0) & (day.ids < len(day.macs))).all()
+    assert len(set(day.macs)) == len(day.macs)
+    for ids, _ in scan_columns(day):  # in MAC order, so no MAC twice in a scan
+        macs = [day.macs[i] for i in ids.tolist()]
+        assert macs == sorted(set(macs))
+
+
 def upload_entries(upload):
-    """An Upload's scans as the ScanResults decode_log gives."""
-    ends = np.cumsum(upload.counts).tolist()
-    macs = [upload.macs[i] for i in upload.ids.tolist()]
-    rssi = upload.rssi.tolist()
-    return tuple(
-        ScanResult(t, tuple(zip(macs[start:end], rssi[start:end])))
-        for t, start, end in zip(upload.times.tolist(), [0, *ends], ends)
-    )
+    """Scans' columns as the ScanResults decode_log gives."""
+    return tuple(ScanResult(t, tuple(row.items())) for t, row in day_rows(upload))
 
 
 def decoded(decode, data):
-    """What a decoder makes of the bytes: its scans and device, or the fault's line and reason."""
+    """What a decoder makes of the bytes: its user and scans, or the fault's line and reason.
+
+    decode_upload keeps no device, so a device is compared only by
+    whether the upload is accepted.
+    """
     try:
         result = decode(data, user="u")
     except MalformedLine as exc:
         return exc.line_no, exc.reason
     if isinstance(result, ScanLog):
-        return result.user, result.device, result.entries
-    assert (result.times.dtype, result.counts.dtype, result.rssi.dtype) == (
-        np.int64, np.int64, np.int8)
-    assert list(result.macs) == sorted(set(result.macs))
-    return result.user, result.device, upload_entries(result)
+        return result.user, result.entries
+    assert_scans(result)
+    assert list(result.macs) == sorted(result.macs)
+    return result.user, upload_entries(result)
 
 
 # One line's faults, and the oddities decode_log accepts ("pad", "spell",
@@ -379,6 +390,7 @@ class TestColumnDecode:
     @given(log_st)
     def test_an_encoded_log_decodes_to_its_entries(self, log):
         upload = upload_of(log)
+        assert_scans(upload)
         assert (upload.user, upload_entries(upload)) == (log.user, log.entries)
 
     @given(wire_upload_st(), st.sets(st.integers(0, 4)))
@@ -392,8 +404,9 @@ class TestColumnDecode:
         except MalformedLine:
             return
         backwards = b"\n".join(lines[::-1])
-        want = ("u", log.device, log.entries)
+        want = ("u", log.entries)
         assert decoded(decode_log, backwards) == decoded(decode_upload, backwards) == want
+        assert decode_log(backwards).device == log.device
 
     @pytest.mark.parametrize("devs, device", [
         (["", "d"], "d"), (["d", ""], "d"), (["d", "", "d"], "d"), (["", ""], ""),
@@ -401,9 +414,12 @@ class TestColumnDecode:
     def test_an_empty_device_is_unnamed_wherever_it_stands(self, devs, device):
         data = b"\n".join(json.dumps({**wire_record(300 * k, [(A, -50)]), "dev": dev}).encode()
                            for k, dev in enumerate(devs))
-        want = decoded(decode_log, data)
-        assert decoded(decode_upload, data) == want
-        assert want[1] == device  # the device, or the refusal's reason
+        assert decoded(decode_upload, data) == decoded(decode_log, data)
+        try:
+            got = decode_log(data).device
+        except MalformedLine as exc:
+            got = exc.reason
+        assert got == device  # the device, or the refusal's reason
 
     def test_a_refusal_decode_log_does_not_explain_is_a_fault(self, monkeypatch):
 
@@ -665,7 +681,21 @@ class TestRoundTrip:
                 lo = data.draw(st.sampled_from(edges))
                 hi = data.draw(st.sampled_from(edges))
                 want = tuple(s for s in log.entries if lo <= s.timestamp < hi)
-                assert day_rows(store.load_day(user, lo, hi)) == entry_rows(want)
+                day = store.load_day(user, lo, hi)
+                assert_scans(day)
+                assert day_rows(day) == entry_rows(want)
+
+    @given(st.lists(scans_st, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_what_load_day_reads_stores_again_as_all_skipped(self, uploads):
+        # one user per upload; a later user's new MACs get later ids,
+        # so its loaded MACs need not be sorted
+        logs = [build_log(f"u{k}", "d", scans) for k, scans in enumerate(uploads)]
+        with RawStore() as store:
+            store_raw(store, map(upload_of, logs))
+            loaded = [store.load_day(log.user, *ALL_TIME) for log in logs]
+            reports = store_raw(store, loaded)
+        assert reports == [IngestReport(added=0, skipped=readings(log.entries)) for log in logs]
 
     def test_office_day_takes_at_most_16_bytes_a_reading(self, tmp_path):
         # one row per reading took about 78 bytes a reading on disk; the
@@ -686,7 +716,7 @@ class TestRoundTrip:
 
 
 # One process's uploads: store_raw once per upload k, in the given order.
-# Upload k holds the scans at t = 300 * (4k .. 4k+7), so neighbours overlap
+# The k-th upload holds the scans at t = 300 * (4k .. 4k+7), so neighbours overlap
 # by four scans, and each scan sees five of 40 MACs.
 _INGESTER = """
 import json

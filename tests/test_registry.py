@@ -1,5 +1,6 @@
 """POI registry: fingerprint build/merge, matching, store persistence."""
 import collections
+import math
 import os
 import random
 import sqlite3
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import MAC_POOL, naive_fingerprint
-from wifipoi.clustering import VisitInterval, dbscan, scan_day, segment_visits
+from wifipoi.clustering import VisitInterval, dbscan, segment_visits
 from wifipoi.errors import EmptyCluster, EmptyLog, StorageFailure
 from wifipoi.ingest import RawStore, store_raw, upload_of
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
@@ -48,9 +49,9 @@ def fp(mapping, counts=None):
 
 
 def matrix_fp(scans):
-    """build_fingerprint over the day matrix of the scans."""
-    day = scan_day(build_log("u", "d", scans))
-    return build_fingerprint(day.macs, day.rssi)
+    """build_fingerprint over every reading of the scans."""
+    day = upload_of(build_log("u", "d", scans))
+    return build_fingerprint(day.macs, day.ids, day.rssi)
 
 
 def visit(start_min, end_min, label=1, scans=4):
@@ -70,7 +71,7 @@ class TestBuildFingerprint:
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(EmptyCluster):
-            build_fingerprint((), np.zeros((0, 0)))
+            build_fingerprint((), np.zeros(0, np.int64), np.zeros(0, np.int8))
 
     def test_means_stay_within_observation_range(self):
         rnd = random.Random(6)
@@ -104,8 +105,9 @@ class TestBuildFingerprint:
                 stored = store.load_day("u", 0, 300 * 60)
             members = sorted(rnd.sample(range(len(scans)), rnd.randint(1, len(scans))))
             want = Fingerprint(*naive_fingerprint(scans[i].observations for i in members))
-            for day in (scan_day(build_log("u", "d", scans)), stored):
-                got = build_fingerprint(day.macs, day.rssi[members])
+            for day in (upload_of(build_log("u", "d", scans)), stored):
+                mine = np.isin(np.repeat(np.arange(len(scans)), day.counts), members)
+                got = build_fingerprint(day.macs, day.ids[mine], day.rssi[mine])
                 assert got == want
                 assert {type(v) for v in got.rssi.values()} == {float}
                 assert {type(c) for c in got.counts.values()} == {int}
@@ -134,6 +136,27 @@ class TestMergeFingerprints:
     def test_union_of_macs(self):
         merged = merge_fingerprints(fp({A: -50.0}), fp({B: -60.0}))
         assert merged.rssi == {A: -50.0, B: -60.0}
+
+    def test_a_merge_chain_equals_the_rebuild_up_to_rounding(self):
+        # the days of one POI, merged one by one as upsert_day does; about
+        # 1 in 70 means differs from the rebuild in its last bits
+        rnd = random.Random(12)
+        for _ in range(300):
+            pool = rnd.sample(MAC_POOL, rnd.randint(1, 8))
+            scans = [scan(300 * k, [(mac, rnd.randint(-100, -1)) for mac in pool
+                                    if rnd.random() < 0.6] or [(pool[0], -60)])
+                     for k in range(rnd.randint(2, 80))]
+            cuts = sorted(rnd.sample(range(1, len(scans)), rnd.randint(1, min(19, len(scans) - 1))))
+            days = [scans[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(scans)])]
+            merged = matrix_fp(days[0])
+            for day in days[1:]:
+                merged = merge_fingerprints(merged, matrix_fp(day))
+            rebuilt = matrix_fp(scans)
+            assert merged.counts == rebuilt.counts
+            for mac, mean in merged.rssi.items():
+                seen = [r for s in scans for m, r in s.observations if m == mac]
+                assert min(seen) <= mean <= max(seen)
+                assert math.isclose(mean, rebuilt.rssi[mac], rel_tol=1e-13)
 
 
 class TestMatchPoi:
@@ -479,7 +502,7 @@ def office_days():
 
 def reference_extract(store, log, params):
     """dbscan -> segment_visits -> naive_fingerprint per label -> upsert_day."""
-    day = scan_day(log)
+    day = upload_of(log)
     labels = dbscan(day, params)
     by_label = collections.defaultdict(list)
     for v in segment_visits(day, labels, params):
@@ -498,7 +521,7 @@ class TestExtractDay:
         logs, params = office_days()
         with SummaryStore() as got, SummaryStore() as want:
             for log in logs:
-                registered = extract_day(got, scan_day(log), params)
+                registered = extract_day(got, upload_of(log), params)
                 assert registered == reference_extract(want, log, params)
                 assert len(registered) > 1
                 assert got.records(log.user) == want.records(log.user)
@@ -507,14 +530,14 @@ class TestExtractDay:
         # three scans with nothing in common: no scan has min_pts neighbours
         log = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
         with SummaryStore() as store:
-            assert extract_day(store, scan_day(log), ClusterParams()) == []
+            assert extract_day(store, upload_of(log), ClusterParams()) == []
             assert store.users() == []
             assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (0,)
 
     def test_empty_log_raises(self):
         with SummaryStore() as store:
             with pytest.raises(EmptyLog):
-                extract_day(store, scan_day(build_log("u", "d", [])), ClusterParams())
+                extract_day(store, upload_of(build_log("u", "d", [])), ClusterParams())
 
 
 class TestFingerprints:
@@ -553,7 +576,7 @@ class TestDailySummary:
         noise = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
         with SummaryStore() as store:
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-            assert summary_rows(extract_day(store, scan_day(noise), ClusterParams())) == []
+            assert summary_rows(extract_day(store, upload_of(noise), ClusterParams())) == []
 
     def test_rows_ordered_with_hhmm_rendering(self):
         rows = summary_rows([(1, [visit(0, 20), visit(9 * 60, 9 * 60 + 30)]), (2, [visit(120, 150)])])

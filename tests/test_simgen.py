@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from wifipoi.clustering import scan_day
+from oracles import scan_columns
 from wifipoi.errors import ScenarioError, UnknownPlace, ZeroDistance
+from wifipoi.ingest import upload_of
 from wifipoi.model import RSSI_MIN
 from wifipoi.registry import build_fingerprint
 from wifipoi.similarity import cosine_similarity
@@ -103,8 +104,8 @@ class TestGenerateTrace:
             ItineraryEntry("right", T0 + 3600, T0 + 7200),
         ]
         log, truth = generate_trace(env, itinerary, 300, rng_seed=3)
-        day = scan_day(log)
-        fps = [build_fingerprint(day.macs, day.rssi[i : i + 1]) for i in range(len(log))]
+        day = upload_of(log)
+        fps = [build_fingerprint(day.macs, ids, rssi) for ids, rssi in scan_columns(day)]
         left = [f for s, f in zip(log.entries, fps) if s.timestamp < T0 + 3600]
         right = [f for s, f in zip(log.entries, fps) if s.timestamp >= T0 + 3600]
         within = sorted(

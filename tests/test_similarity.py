@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import naive_cosine, random_fingerprint, random_scan_instance
-from wifipoi.clustering import scan_day
 from wifipoi.community import build_graph
 from wifipoi.errors import EmptyFingerprint
+from wifipoi.ingest import upload_of
 from wifipoi.model import Fingerprint, ScanResult, build_log
 from wifipoi.similarity import (
     _BLOCK,
@@ -38,9 +38,12 @@ def make(mapping):
 
 
 def dbm_matrix(dicts):
-    """The whole-dBm day matrix of scans with these readings, 300 s apart."""
+    """The whole-dBm rows of scans with these readings, 300 s apart, from their columns."""
     scans = [ScanResult(300 * i, tuple(sorted(d.items()))) for i, d in enumerate(dicts)]
-    return scan_day(build_log("u", "d", scans)).rssi
+    day = upload_of(build_log("u", "d", scans))
+    x = np.zeros((len(day.times), len(day.macs)))
+    x[np.repeat(np.arange(len(day.times)), day.counts), day.ids] = day.rssi
+    return x
 
 
 class TestDots:
@@ -192,6 +195,14 @@ class TestMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 17 * _BLOCK * n + 16 * n + 64 * 1024
+
+    def test_diagonal_is_one_on_long_float_rows(self):
+        # a self score misses 1 only by rounding, which the snap to 1 absorbs
+        rng = np.random.default_rng(8)
+        macs = [f"02:00:00:00:{k >> 8:02x}:{k & 255:02x}" for k in range(5000)]
+        fps = [make(zip(macs, rng.uniform(-100.0, -1.0, len(macs)).tolist())) for _ in range(4)]
+        fps.append(make(zip(macs[::3], rng.uniform(-100.0, -1.0, 1667).tolist())))
+        assert np.diag(similarity_matrix(fps)).tolist() == [1.0] * 5
 
     def test_worked_example_in_matrix_form(self):
         sim = similarity_matrix([fp(a=-40, b=-80), fp(a=-40, c=-80)])
