@@ -19,7 +19,8 @@ when a refinement moves nothing, so nodes locked inside a super-node
 can still escape. Because the greedy is order-dependent, _STARTS starts
 run (the first visits nodes in sorted order, the rest in fixed-seed
 shuffles) and the best-scoring partition wins, so results are
-deterministic.
+deterministic. Float totals (m, degrees, Q) add left to right in edge
+order, never by sum(), which compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -53,9 +56,6 @@ class PoiGraph:
 
     nodes: tuple[Node, ...]
     edges: tuple[tuple[Node, Node, float], ...]
-
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
 
 
 @dataclass(frozen=True)
@@ -126,28 +126,24 @@ def modularity(graph: PoiGraph, comm: Mapping[Node, int]) -> float:
     if m <= 0:
         raise EmptyGraph("modularity is undefined on a graph with no edge weight")
     two_m = 2.0 * m
-    return sum(
-        sigma_in[c] / two_m - (sigma_tot[c] / two_m) ** 2 for c in sigma_tot
-    )
+    terms = (sigma_in[c] / two_m - (sigma_tot[c] / two_m) ** 2 for c in sigma_tot)
+    return reduce(add, terms, 0.0)
 
 
 def _one_level(
     adj: list[dict[int, float]],
-    loops: list[float],
+    k: list[float],
     m: float,
     order: list[int],
     comm: list[int],
 ) -> list[float]:
-    """Greedy move phase on one (possibly aggregated) graph.
+    """Greedy move phase on one (possibly aggregated) graph of degrees `k`.
 
     `comm` gives each node a community id below len(adj) and is moved
     in place, node by node in `order`, until a pass moves nothing.
-    Self-loop weight w counts 2w toward a node's degree and w toward m,
-    which keeps the aggregated graph's Q equal to the projected
-    partition's Q on the original graph. Returns the exact Q delta of
-    every accepted move; empty when nothing moved.
+    Returns the exact Q delta of every accepted move; empty when
+    nothing moved.
     """
-    k = [sum(links.values()) + 2.0 * loop for links, loop in zip(adj, loops)]
     sigma_tot = [0.0] * len(adj)
     for c, k_i in zip(comm, k):
         sigma_tot[c] += k_i
@@ -181,10 +177,12 @@ def _aggregate(
     adj: list[dict[int, float]],
     loops: list[float],
     comm: list[int],
-) -> tuple[list[dict[int, float]], list[float], list[int]]:
+) -> tuple[list[dict[int, float]], list[float], list[float], list[int]]:
     """Collapse communities into super-nodes; intra weight becomes loops.
 
-    Also returns each node's super-node, numbered in community order.
+    Also returns the super-nodes' degrees, where a loop of weight w
+    counts 2w (and w toward m, so Q stays the projected partition's Q
+    on the original graph), and each node's super-node, in community order.
     """
     remap = {c: i for i, c in enumerate(sorted(set(comm)))}
     up = [remap[c] for c in comm]
@@ -202,11 +200,13 @@ def _aggregate(
             else:
                 new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
                 new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj, new_loops, up
+    k = [reduce(add, links.values(), 0.0) + 2.0 * loop for links, loop in zip(new_adj, new_loops)]
+    return new_adj, new_loops, k, up
 
 
 def _search(
     base: list[dict[int, float]],
+    k: list[float],
     m: float,
     rng: random.Random | None,
 ) -> tuple[list[int], list[float]]:
@@ -217,7 +217,6 @@ def _search(
     from the singleton partition's Q to the final Q.
     """
     n = len(base)
-    no_loops = [0.0] * n
 
     def visit_order(count: int) -> list[int]:
         order = list(range(count))
@@ -227,13 +226,13 @@ def _search(
 
     assign = list(range(n))
     gains: list[float] = []
-    while refined := _one_level(base, no_loops, m, visit_order(n), assign):
+    while refined := _one_level(base, k, m, visit_order(n), assign):
         gains += refined
-        adj, loops, assign = _aggregate(base, no_loops, assign)
+        adj, loops, degrees, assign = _aggregate(base, [0.0] * n, assign)
         comm = list(range(len(adj)))
-        while climbed := _one_level(adj, loops, m, visit_order(len(adj)), comm):
+        while climbed := _one_level(adj, degrees, m, visit_order(len(adj)), comm):
             gains += climbed
-            adj, loops, up = _aggregate(adj, loops, comm)
+            adj, loops, degrees, up = _aggregate(adj, loops, comm)
             assign = [up[c] for c in assign]
             comm = list(range(len(adj)))
     return assign, gains
@@ -249,22 +248,24 @@ def louvain(graph: PoiGraph) -> Partition:
     sorted order and the rest use fixed-seed shuffles, so repeated
     calls agree. The returned partition maps the original nodes, with
     community ids renumbered 0..k-1 in order of first appearance, and q
-    evaluated on the original graph. Raises EmptyGraph when the graph
-    has no edges.
+    evaluated on the original graph. Raises EmptyGraph when the edges
+    weigh nothing, as modularity does.
     """
-    if not graph.edges:
-        raise EmptyGraph("louvain needs at least one edge")
     index = {node: i for i, node in enumerate(graph.nodes)}
     base: list[dict[int, float]] = [{} for _ in graph.nodes]
+    m = 0.0
     for a, b, w in graph.edges:
+        m += w
         ia, ib = index[a], index[b]
         base[ia][ib] = base[ia].get(ib, 0.0) + w
         base[ib][ia] = base[ib].get(ia, 0.0) + w
-    m = graph.total_weight()
+    if m <= 0:
+        raise EmptyGraph("louvain needs edges of positive total weight")
+    k = [reduce(add, links.values(), 0.0) for links in base]  # degrees, once for all starts
 
     best: Partition | None = None
     for s in range(_STARTS):
-        assign, gains = _search(base, m, None if s == 0 else random.Random(1_000_003 * s))
+        assign, gains = _search(base, k, m, None if s == 0 else random.Random(1_000_003 * s))
         renumber: dict[int, int] = {}
         communities = {
             node: renumber.setdefault(c, len(renumber)) for node, c in zip(graph.nodes, assign)

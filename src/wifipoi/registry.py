@@ -53,22 +53,19 @@ def build_fingerprint(macs: Sequence[str], ids: np.ndarray, rssi: np.ndarray) ->
 
 
 def merge_fingerprints(old: Fingerprint, new: Fingerprint) -> Fingerprint:
-    """Observation-count-weighted mean of two fingerprints.
+    """Fingerprint of both sides' readings together, as sums over counts.
 
-    Counts add exactly, and each merged mean lies in [min, max] of the
-    readings behind it. It equals build_fingerprint over both sides'
-    scans up to rounding, not bit for bit: the merge weights two rounded
-    means, where the rebuild sums whole dBm.
+    Means must be of whole-dBm readings, as build_fingerprint and the
+    store give them; round(mean * count) is then each exact sum, so any
+    merge chain equals build_fingerprint over all readings bit for bit.
     """
-    rssi: dict[str, float] = {}
+    sums: dict[str, int] = {}
     counts: dict[str, int] = {}
-    for mac in set(old.rssi) | set(new.rssi):
-        n_old = old.counts.get(mac, 0)
-        n_new = new.counts.get(mac, 0)
-        total = old.rssi.get(mac, 0.0) * n_old + new.rssi.get(mac, 0.0) * n_new
-        counts[mac] = n_old + n_new
-        rssi[mac] = total / counts[mac]
-    return Fingerprint(rssi=rssi, counts=counts)
+    for side in (old, new):
+        for mac, mean in side.rssi.items():
+            sums[mac] = sums.get(mac, 0) + round(mean * side.counts[mac])
+            counts[mac] = counts.get(mac, 0) + side.counts[mac]
+    return Fingerprint({mac: sums[mac] / counts[mac] for mac in sums}, counts)
 
 
 @dataclass(frozen=True)
@@ -225,14 +222,16 @@ def upsert_day(
     Each cluster, in order, is matched against the user's POI as the
     earlier clusters left them: on a match the new visits are appended
     (exact duplicates are skipped, which makes re-running a day a no-op)
-    and, when anything new arrived, the fingerprint becomes the
-    count-weighted merge of old and new; otherwise the next free poi_id
-    is allocated. The registry read is the user's fingerprints, no visit
-    rows, and the write transaction opens (BEGIN IMMEDIATE) before it,
-    so concurrent writers queue on the busy timeout instead of merging
-    into a stale read. On failure the store is left exactly as before
-    and StorageFailure is raised.
+    and, when anything new arrived, the fingerprint becomes the merge of
+    old and new; otherwise the next free poi_id is allocated. The
+    registry read is the user's fingerprints, no visit rows, and the
+    write transaction opens (BEGIN IMMEDIATE) before it, so concurrent
+    writers queue on the busy timeout instead of merging into a stale
+    read; no clusters issue no statement. On failure the store is left
+    exactly as before and StorageFailure is raised.
     """
+    if not clusters:
+        return []
     try:
         ids = []
         with store.conn:

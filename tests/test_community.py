@@ -87,6 +87,32 @@ def tie_prone_graphs(rnd, count):
             yield PoiGraph(nodes=tuple(range(n)), edges=tuple(edges))
 
 
+def pinned_digest():
+    """sha256 over louvain's communities, q and move gains on the pinned graphs."""
+    rnd = random.Random(1313)
+    planted = random.Random(0)
+    graphs = [*tie_prone_graphs(rnd, 200)]
+    for _ in range(50):
+        n, edges = planted_edges(planted)
+        graphs.append(PoiGraph(nodes=tuple(range(n)), edges=tuple(edges)))
+    digest = hashlib.sha256()
+    for g in graphs:
+        p = louvain(g)
+        digest.update(repr(sorted(p.communities.items())).encode())
+        digest.update(f"|{p.q.hex()}|{','.join(x.hex() for x in p.move_gains)}\n".encode())
+    return len(graphs), digest.hexdigest()
+
+
+def compensated_sum(values, start=0):
+    """sum() as Python 3.12 and later add floats: Neumaier's compensated sum."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp else total
+
+
 A = "aa:00:00:00:00:01"
 B = "bb:00:00:00:00:02"
 C = "cc:00:00:00:00:03"
@@ -175,6 +201,11 @@ class TestModularity:
         with pytest.raises(PartitionMismatch):
             modularity(g, {0: 0})
 
+    def test_edges_that_weigh_nothing_rejected(self):
+        g = PoiGraph(nodes=(0, 1, 2), edges=((0, 1, 0.0), (1, 2, 0.0)))
+        with pytest.raises(EmptyGraph):
+            modularity(g, {0: 0, 1: 0, 2: 1})
+
 
 class TestLouvain:
     def test_two_cliques_with_weak_bridge(self):
@@ -200,6 +231,10 @@ class TestLouvain:
     def test_edgeless_graph_rejected(self):
         with pytest.raises(EmptyGraph):
             louvain(PoiGraph(nodes=(0, 1), edges=()))
+
+    def test_edges_that_weigh_nothing_rejected(self):
+        with pytest.raises(EmptyGraph):
+            louvain(PoiGraph(nodes=(0, 1, 2), edges=((0, 1, 0.0), (1, 2, 0.0))))
 
     def test_every_accepted_move_strictly_improves(self):
         rnd = random.Random(18)
@@ -268,19 +303,13 @@ class TestLouvain:
     def test_exact_output_is_pinned(self):
         # communities, q and every move gain to the last bit: a rewrite
         # of the move phase must keep each float operation and RNG draw
-        rnd = random.Random(1313)
-        planted = random.Random(0)
-        graphs = [*tie_prone_graphs(rnd, 200)]
-        for _ in range(50):
-            n, edges = planted_edges(planted)
-            graphs.append(PoiGraph(nodes=tuple(range(n)), edges=tuple(edges)))
-        digest = hashlib.sha256()
-        for g in graphs:
-            p = louvain(g)
-            digest.update(repr(sorted(p.communities.items())).encode())
-            digest.update(f"|{p.q.hex()}|{','.join(x.hex() for x in p.move_gains)}\n".encode())
-        assert len(graphs) == PINNED_GRAPHS
-        assert digest.hexdigest() == PINNED_LOUVAIN
+        assert pinned_digest() == (PINNED_GRAPHS, PINNED_LOUVAIN)
+
+    def test_exact_output_is_pinned_under_compensated_sum(self, monkeypatch):
+        # every total adds left to right, so a sum() that compensates, as
+        # from Python 3.12 on, moves nothing
+        monkeypatch.setattr(community, "sum", compensated_sum, raising=False)
+        assert pinned_digest() == (PINNED_GRAPHS, PINNED_LOUVAIN)
 
     def test_no_single_node_move_raises_q(self):
         # climbs on aggregated graphs lock nodes inside super-nodes; the
@@ -405,3 +434,9 @@ class TestReportWriters:
         out = tmp_path / "edges.txt"
         write_edge_list(g, out)
         assert out.read_text().splitlines() == ["u1:1 u2:3 0.8"]
+
+    def test_edge_list_of_plain_nodes(self, tmp_path):
+        g = PoiGraph(nodes=(0, 1, 2), edges=((0, 1, 0.8), (1, 2, 0.25)))
+        out = tmp_path / "edges.txt"
+        write_edge_list(g, out)
+        assert out.read_text().splitlines() == ["0 1 0.8", "1 2 0.25"]
