@@ -152,6 +152,9 @@ def _user_from_filename(path: Path) -> str:
             name = name[: -len(suffix)]
     if not name:
         raise InputError(f"{path}: file name has an empty stem, so it names no user")
+    if "," in name or any(map(str.isspace, name)):
+        raise InputError(f"{path}: file name stem {name!r} holds a comma or whitespace,"
+                         " which the CSV and edge-list outputs cannot carry")
     return name
 
 

@@ -13,12 +13,13 @@ columns (times, MAC ids, int8 readings) with no object per reading and
 checks the same policy over the whole upload at once; an upload it
 refuses goes through decode_log, which names the line and the reason.
 Batches gzip-compress very well because MAC strings repeat in nearly
-every line. The raw store keeps one row per (user, t) scan, its MACs as
-ids into a dictionary of MACs and its readings packed beside them. A
-scan whose (user, t) is stored already is skipped when its readings are
-identical, which makes re-ingestion a no-op, and refused when they
-differ; load_day reads one user's scans in a [lo, hi) window back into
-the same Scans columns that decode_upload gives.
+every line. The raw store, which shares one file and its one layout
+(SqliteStore) with the POI registry, keeps one row per (user, t) scan,
+its MACs as ids into a dictionary of MACs and its readings packed
+beside them. A scan whose (user, t) is stored already is skipped when
+its readings are identical, which makes re-ingestion a no-op, and
+refused when they differ; load_day reads one user's scans in a [lo, hi)
+window back into the same Scans columns that decode_upload gives.
 store_raw lands any number of uploads in one transaction, so a caller
 that feeds it several (the CLI's ingest call) keeps all or none of
 them; since identical scans are skipped, a rejected call can simply be
@@ -259,29 +260,66 @@ _Store = TypeVar("_Store", bound="SqliteStore")
 
 
 class SqliteStore:
-    """A SQLite file that holds the subclass's SCHEMA script.
+    """The store file: SCHEMA is its whole layout, at user_version 1.
 
-    A file that cannot be opened, is not a database or has a layout
-    the subclass refuses raises StorageFailure, and the connection is
-    closed. `conn` is public for fault injection.
+    An open reads the table names once. A file that holds the earlier
+    layout's raw_observations table is refused and left untouched;
+    SCHEMA runs only when a table is missing, so a reopen writes
+    nothing. Each connection enforces foreign keys. A refused or
+    unopenable file raises StorageFailure, its connection closed.
+    `conn` is public for fault injection.
     """
 
-    SCHEMA: str
+    SCHEMA = """
+    BEGIN IMMEDIATE;
+    CREATE TABLE IF NOT EXISTS mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE);
+    CREATE TABLE IF NOT EXISTS raw_scans (
+        user TEXT    NOT NULL,
+        t    INTEGER NOT NULL,
+        macs BLOB    NOT NULL,
+        rssi BLOB    NOT NULL,
+        PRIMARY KEY (user, t)
+    ) WITHOUT ROWID;
+    CREATE TABLE IF NOT EXISTS poi_properties (
+        user        TEXT    NOT NULL,
+        poi_id      INTEGER NOT NULL,
+        fingerprint TEXT    NOT NULL,
+        created_at  INTEGER NOT NULL,
+        PRIMARY KEY (user, poi_id)
+    );
+    CREATE TABLE IF NOT EXISTS poi_visits (
+        user        TEXT    NOT NULL,
+        poi_id      INTEGER NOT NULL,
+        start_ts    INTEGER NOT NULL,
+        end_ts      INTEGER NOT NULL,
+        scans       INTEGER NOT NULL,
+        sub_minimal INTEGER NOT NULL DEFAULT 0,
+        PRIMARY KEY (user, poi_id, start_ts, end_ts),
+        FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
+    );
+    PRAGMA user_version = 1;
+    COMMIT;
+    """
 
     def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
         conn = None
         try:
             conn = sqlite3.connect(self.path)
-            self._prepare(conn)
+            tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
+            if "raw_observations" in tables:
+                raise StorageFailure(
+                    "it holds the old one-row-per-reading raw_observations layout;"
+                    " re-ingest its uploads into a new store"
+                )
+            if not tables >= {"mac", "raw_scans", "poi_properties", "poi_visits"}:
+                conn.executescript(self.SCHEMA)
+            conn.execute("PRAGMA foreign_keys = ON")
         except (sqlite3.Error, StorageFailure) as exc:
             if conn is not None:
                 conn.close()
             raise StorageFailure(f"cannot open store {self.path}: {exc}") from exc
         self.conn = conn
-
-    def _prepare(self, conn: sqlite3.Connection) -> None:
-        conn.executescript(self.SCHEMA)
 
     def close(self) -> None:
         self.conn.close()
@@ -299,36 +337,8 @@ class RawStore(SqliteStore):
     A raw_scans row packs the scan's MAC ids (little-endian uint32) and
     RSS readings (int8) in validate_scan's sorted-by-MAC order, so
     load_day reads the blobs straight back into columns; `mac` holds
-    each canonical MAC once. The layout is user_version 1. A file that
-    still holds the per-reading raw_observations table of the earlier
-    layout is refused and left untouched. Shares a SQLite file happily with the summary
-    store; the table namespaces are disjoint.
+    each canonical MAC once.
     """
-
-    SCHEMA = """
-    BEGIN IMMEDIATE;
-    CREATE TABLE IF NOT EXISTS mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE);
-    CREATE TABLE IF NOT EXISTS raw_scans (
-        user TEXT    NOT NULL,
-        t    INTEGER NOT NULL,
-        macs BLOB    NOT NULL,
-        rssi BLOB    NOT NULL,
-        PRIMARY KEY (user, t)
-    ) WITHOUT ROWID;
-    PRAGMA user_version = 1;
-    COMMIT;
-    """
-
-    def _prepare(self, conn: sqlite3.Connection) -> None:
-        # only a new file runs SCHEMA: setting user_version is a write
-        tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
-        if "raw_observations" in tables:
-            raise StorageFailure(
-                "it holds the old one-row-per-reading raw_observations layout;"
-                " re-ingest its uploads into a new store"
-            )
-        if "raw_scans" not in tables:
-            super()._prepare(conn)
 
     def users(self) -> list[str]:
         rows = self.conn.execute("SELECT DISTINCT user FROM raw_scans ORDER BY user")

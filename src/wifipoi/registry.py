@@ -7,13 +7,14 @@ Revisit matching compares a fresh fingerprint against the user's
 registered POI and reuses the best id at or above the match threshold,
 so the same desk keeps the same poi_id across days.
 
-Persistence is an embedded SQLite file with two tables, poi_properties
-and poi_visits, linked by (user, poi_id). poi_id is scoped per user:
-two users may both own poi_id 1. All writes go through one transaction
-per user-day via upsert_day, so a crash mid-day leaves the previous
-state intact; it reads the user's fingerprints, not the visit history
-(records() and PoiRecord expose that for inspection). extract_day is
-the whole per-user-day step: cluster, segment, fingerprint, register.
+Persistence is the store file's poi_properties and poi_visits tables,
+linked by (user, poi_id); ingest.SqliteStore holds the file's layout.
+poi_id is scoped per user: two users may both own poi_id 1. All writes
+go through one transaction per user-day via upsert_day, so a crash
+mid-day leaves the previous state intact; it reads the user's
+fingerprints, not the visit history (records() and PoiRecord expose
+that for inspection). extract_day is the whole per-user-day step:
+cluster, segment, fingerprint, register.
 """
 
 from __future__ import annotations
@@ -131,27 +132,6 @@ class SummaryStore(SqliteStore):
     user-day, so concurrent writers take turns.
     """
 
-    SCHEMA = """
-    PRAGMA foreign_keys = ON;
-    CREATE TABLE IF NOT EXISTS poi_properties (
-        user        TEXT    NOT NULL,
-        poi_id      INTEGER NOT NULL,
-        fingerprint TEXT    NOT NULL,
-        created_at  INTEGER NOT NULL,
-        PRIMARY KEY (user, poi_id)
-    );
-    CREATE TABLE IF NOT EXISTS poi_visits (
-        user        TEXT    NOT NULL,
-        poi_id      INTEGER NOT NULL,
-        start_ts    INTEGER NOT NULL,
-        end_ts      INTEGER NOT NULL,
-        scans       INTEGER NOT NULL,
-        sub_minimal INTEGER NOT NULL DEFAULT 0,
-        PRIMARY KEY (user, poi_id, start_ts, end_ts),
-        FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
-    );
-    """
-
     def users(self) -> list[str]:
         rows = self.conn.execute(
             "SELECT DISTINCT user FROM poi_properties ORDER BY user"
@@ -227,9 +207,15 @@ def upsert_day(
     registry read is the user's fingerprints, no visit rows, and the
     write transaction opens (BEGIN IMMEDIATE) before it, so concurrent
     writers queue on the busy timeout instead of merging into a stale
-    read; no clusters issue no statement. On failure the store is left
-    exactly as before and StorageFailure is raised.
+    read; no clusters issue no statement, and neither does a mean not of
+    whole dBm, which no merge keeps exact: it raises ValueError. On
+    failure the store is left exactly as before and StorageFailure is
+    raised.
     """
+    for fp, _ in clusters:
+        for mac, mean in fp.rssi.items():
+            if abs(mean * fp.counts[mac] - round(mean * fp.counts[mac])) > 1e-6:
+                raise ValueError(f"user {user!r}: MAC {mac}: mean {mean!r} is not of whole dBm")
     if not clusters:
         return []
     try:

@@ -100,6 +100,20 @@ class TestIngest:
         )
         assert not (workdir / "poi.db").exists()
 
+    @pytest.mark.parametrize("name", ["x,u01.scan.gz", "u 01.scan.gz", "u01\t.scan"])
+    def test_stem_with_a_comma_or_whitespace_rejects_the_call(self, workdir, capsys, name):
+        sim = simulate_office(workdir, seed=1)
+        data = (sim / "alice.scan.gz").read_bytes()
+        (workdir / name).write_bytes(data if name.endswith(".gz") else gzip.decompress(data))
+        capsys.readouterr()
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz", name) == 2
+        stem = name.removesuffix(".gz").removesuffix(".scan")
+        assert capsys.readouterr().err == (
+            f"error: {name}: file name stem {stem!r} holds a comma or whitespace,"
+            " which the CSV and edge-list outputs cannot carry\n"
+        )
+        assert not (workdir / "poi.db").exists()
+
     def test_bad_second_file_rejects_the_call(self, workdir, capsys):
         sim = simulate_office(workdir)
         bad = workdir / "bob.scan"
@@ -529,7 +543,8 @@ class TestStoreOpen:
     @pytest.mark.parametrize("argv", [
         ["ingest", "u.scan"],
         ["extract", "--user", "u", "--day", DAY],
-    ], ids=["ingest", "extract"])
+        ["communities"],
+    ], ids=["ingest", "extract", "communities"])
     def test_store_with_the_old_raw_layout_exits_three(self, workdir, capsys, argv):
         (workdir / "u.scan").write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')
         with sqlite3.connect(workdir / "old.db") as conn:
@@ -546,6 +561,14 @@ class TestStoreOpen:
         assert "re-ingest its uploads into a new store" in err
         assert (workdir / "old.db").read_bytes() == before
         assert sorted(p.name for p in workdir.iterdir()) == ["old.db", "u.scan"]
+
+    def test_communities_leaves_a_store_that_ingest_made_byte_identical(self, workdir, capsys):
+        sim = simulate_office(workdir, seed=1)
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz") == 0
+        before = (workdir / "poi.db").read_bytes()
+        assert run("communities", "--store", "poi.db") == 3  # no POI registered yet
+        assert "need at least 2 fingerprints" in capsys.readouterr().err
+        assert (workdir / "poi.db").read_bytes() == before
 
 
 class TestBadPath:

@@ -6,6 +6,7 @@ import random
 import sqlite3
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from wifipoi.ingest import (
 )
 from wifipoi import ingest
 from wifipoi.model import T_MAX, T_MIN, ScanLog, ScanResult, build_log
+from wifipoi.registry import SummaryStore
 from wifipoi.similarity import _score_blocks, mac_matrix
 from wifipoi.simgen import (
     AccessPoint, Environment, ItineraryEntry, Place, generate_trace, load_scenario,
@@ -713,6 +715,91 @@ class TestRoundTrip:
             assert store.conn.execute("PRAGMA user_version").fetchone() == (1,)
         assert report == IngestReport(added=readings(log.entries), skipped=0)
         assert path.stat().st_size - empty <= 16 * report.added
+
+
+STORE_TABLES = ["mac", "poi_properties", "poi_visits", "raw_scans"]
+
+
+def tables(path):
+    with sqlite3.connect(path) as conn:
+        names = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall()
+        version = conn.execute("PRAGMA user_version").fetchone()[0]
+    conn.close()
+    return sorted(name for (name,) in names), version
+
+
+class TestStoreOpen:
+    """RawStore and SummaryStore open the one store file by one rule."""
+
+    @pytest.mark.parametrize("maker", [RawStore, SummaryStore])
+    @pytest.mark.parametrize("opener", [RawStore, SummaryStore])
+    def test_reopen_reads_the_table_names_and_enforces_foreign_keys_only(
+            self, tmp_path, monkeypatch, maker, opener):
+        path = tmp_path / "store.db"
+        maker(path).close()
+        before = path.read_bytes()
+        issued = []
+        real_connect = sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = real_connect(*args, **kwargs)
+            conn.set_trace_callback(issued.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        with opener(path) as store:
+            assert store.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
+        assert issued == ["SELECT name FROM sqlite_master", "PRAGMA foreign_keys = ON",
+                          "PRAGMA foreign_keys"]
+        assert path.read_bytes() == before
+
+    def test_new_store_holds_the_whole_layout(self, tmp_path):
+        SummaryStore(tmp_path / "store.db").close()
+        assert tables(tmp_path / "store.db") == (STORE_TABLES, 1)
+
+    def test_store_with_only_the_raw_tables_gains_the_poi_tables(self, tmp_path):
+        # the layout a raw-only open wrote before the store had one schema
+        path = tmp_path / "raw.db"
+        with sqlite3.connect(path) as conn:
+            conn.executescript("""
+            CREATE TABLE mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE);
+            CREATE TABLE raw_scans (
+                user TEXT NOT NULL, t INTEGER NOT NULL, macs BLOB NOT NULL,
+                rssi BLOB NOT NULL, PRIMARY KEY (user, t)
+            ) WITHOUT ROWID;
+            PRAGMA user_version = 1;
+            """)
+            conn.execute("INSERT INTO mac VALUES (7, ?)", (A,))
+            conn.execute("INSERT INTO raw_scans VALUES ('u', 100, ?, ?)",
+                         (np.array([7], "<u4").tobytes(), np.array([-50], np.int8).tobytes()))
+        conn.close()
+        SummaryStore(path).close()
+        assert tables(path) == (STORE_TABLES, 1)
+        with RawStore(path) as store:
+            assert day_rows(store.load_day("u", *ALL_TIME)) == [(100, {A: -50})]
+
+    def test_threads_that_open_one_new_path_at_once_all_succeed(self, tmp_path):
+        # two of each class: more threads than a 2-core machine has cores
+        path = tmp_path / "new.db"
+        start = threading.Barrier(4)
+        errors = []
+
+        def open_store(store_class):
+            start.wait()
+            try:
+                store_class(path).close()
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        classes = [RawStore, SummaryStore] * 2
+        threads = [threading.Thread(target=open_store, args=(c,)) for c in classes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert tables(path) == (STORE_TABLES, 1)
 
 
 # One process's uploads: store_raw once per upload k, in the given order.

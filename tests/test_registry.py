@@ -240,13 +240,26 @@ class TestUpsert:
     def test_refresh_stays_in_observation_range(self):
         rnd = random.Random(8)
         with SummaryStore() as store:
-            lo, hi = -70.0, -45.0
+            lo, hi = -70, -45
             for k in range(10):
-                level = rnd.uniform(lo, hi)
+                level = float(rnd.randint(lo, hi))
                 upsert_day(store, "u", [(fp({A: level}, {A: rnd.randint(1, 6)}),
                                          [visit(30 * k, 30 * k + 20)])])
             merged = store.records("u")[0].fingerprint.rssi[A]
             assert lo <= merged <= hi
+
+    def test_mean_not_of_whole_dbm_is_refused_before_any_statement(self):
+        with SummaryStore() as store:
+            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
+            before = store.records("u")
+            issued = []
+            store.conn.set_trace_callback(issued.append)
+            with pytest.raises(ValueError, match=rf"user 'u': MAC {A}: mean -41\.3 is"):
+                upsert_day(store, "u", [(fp({B: -60.0}), [visit(60, 80)]),
+                                        (fp({A: -41.3}, {A: 1}), [visit(120, 140)])])
+            store.conn.set_trace_callback(None)
+            assert issued == []
+            assert store.records("u") == before
 
     def test_reads_no_visit_rows(self):
         with SummaryStore() as store:
