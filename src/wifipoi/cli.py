@@ -131,7 +131,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _existing_store(path: str) -> str:
-    if not Path(path).exists():  # a read must not leave a new, empty store behind
+    # a read must not leave a new, empty store behind; a 0-byte file is no store yet
+    if not Path(path).exists() or Path(path).stat().st_size == 0:
         raise StorageFailure(f"cannot open store: no store at {path}")
     return path
 
@@ -191,15 +192,14 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     except ValueError as exc:
         raise InputError(f"--day {args.day!r}: expected a real YYYY-MM-DD date ({exc})") from exc
     out = _output_path(args.out or f"{args.user}_{args.day}.csv")
-    with RawStore(_existing_store(cfg.store)) as raw:
-        if not raw.has_user(args.user):
+    with SummaryStore(_existing_store(cfg.store)) as store:
+        if not store.has_user(args.user):
             raise UnknownUser(f"no raw data for user {args.user!r} in {cfg.store}")
-        day = raw.load_day(args.user, lo, hi)
-    if len(day.times) == 0:
-        write_summary_csv([], out)
-        print(f"no scans for {args.user} on {args.day}; wrote empty {out}")
-        return 0
-    with SummaryStore(cfg.store) as store:
+        day = store.load_day(args.user, lo, hi)
+        if len(day.times) == 0:
+            write_summary_csv([], out)
+            print(f"no scans for {args.user} on {args.day}; wrote empty {out}")
+            return 0
         registered = extract_day(store, day, cfg.cluster, cfg.match_threshold)
     rows = summary_rows(registered)
     write_summary_csv(rows, out)

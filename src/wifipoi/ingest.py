@@ -13,18 +13,18 @@ columns (times, MAC ids, int8 readings) with no object per reading and
 checks the same policy over the whole upload at once; an upload it
 refuses goes through decode_log, which names the line and the reason.
 Batches gzip-compress very well because MAC strings repeat in nearly
-every line. The raw store, which shares one file and its one layout
-(SqliteStore) with the POI registry, keeps one row per (user, t) scan,
-its MACs as ids into a dictionary of MACs and its readings packed
-beside them. A scan whose (user, t) is stored already is skipped when
-its readings are identical, which makes re-ingestion a no-op, and
-refused when they differ; load_day reads one user's scans in a [lo, hi)
-window back into the same Scans columns that decode_upload gives.
-store_raw lands any number of uploads in one transaction, so a caller
-that feeds it several (the CLI's ingest call) keeps all or none of
-them; since identical scans are skipped, a rejected call can simply be
-re-run once the bad upload is taken out. upload_of turns an in-memory
-ScanLog into Scans by way of its wire bytes.
+every line. RawStore, the store file that the registry's SummaryStore
+extends, keeps one row per (user, t) scan, its MACs as ids into a
+dictionary of MACs and its readings packed beside them. A scan whose
+(user, t) is stored already is skipped when its readings are identical,
+which makes re-ingestion a no-op, and refused when they differ; load_day
+reads one user's scans in a [lo, hi) window back into the same Scans
+columns that decode_upload gives. store_raw lands any number of uploads
+in one transaction, so a caller that feeds it several (the CLI's ingest
+call) keeps all or none of them; since identical scans are skipped, a
+rejected call can simply be re-run once the bad upload is taken out.
+upload_of turns an in-memory ScanLog into Scans by way of its wire
+bytes.
 
 The user never appears on the wire; it is carried out of band (the CLI
 takes it from the file name) and supplied to the decoder explicitly.
@@ -256,18 +256,23 @@ class IngestReport:
     skipped: int
 
 
-_Store = TypeVar("_Store", bound="SqliteStore")
+_Store = TypeVar("_Store", bound="RawStore")
 
 
-class SqliteStore:
-    """The store file: SCHEMA is its whole layout, at user_version 1.
+class RawStore:
+    """The store file: SCHEMA, its whole layout at user_version 1, and raw reads.
 
     An open reads the table names once. A file that holds the earlier
-    layout's raw_observations table is refused and left untouched;
-    SCHEMA runs only when a table is missing, so a reopen writes
-    nothing. Each connection enforces foreign keys. A refused or
-    unopenable file raises StorageFailure, its connection closed.
-    `conn` is public for fault injection.
+    layout's raw_observations table, or tables but not mac and
+    raw_scans, is refused and left untouched; SCHEMA runs only when a
+    table is missing, so a reopen writes nothing. Each connection
+    enforces foreign keys. A refused or unopenable file raises
+    StorageFailure, its connection closed. `conn` is public for fault
+    injection. A raw_scans row, keyed by (user, t), packs the scan's MAC
+    ids (little-endian uint32) and RSS readings (int8) in sorted-by-MAC
+    order, so load_day reads the blobs straight back into columns; `mac`
+    holds each canonical MAC once. Every read is consumed whole, so an
+    open handle holds no lock.
     """
 
     SCHEMA = """
@@ -312,6 +317,8 @@ class SqliteStore:
                     "it holds the old one-row-per-reading raw_observations layout;"
                     " re-ingest its uploads into a new store"
                 )
+            if tables and not tables >= {"mac", "raw_scans"}:
+                raise StorageFailure("it is not a store: it holds tables, but not mac and raw_scans")
             if not tables >= {"mac", "raw_scans", "poi_properties", "poi_visits"}:
                 conn.executescript(self.SCHEMA)
             conn.execute("PRAGMA foreign_keys = ON")
@@ -329,16 +336,6 @@ class SqliteStore:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-class RawStore(SqliteStore):
-    """One row per scan, keyed by (user, t), plus a dictionary of MACs.
-
-    A raw_scans row packs the scan's MAC ids (little-endian uint32) and
-    RSS readings (int8) in validate_scan's sorted-by-MAC order, so
-    load_day reads the blobs straight back into columns; `mac` holds
-    each canonical MAC once.
-    """
 
     def users(self) -> list[str]:
         rows = self.conn.execute("SELECT DISTINCT user FROM raw_scans ORDER BY user")

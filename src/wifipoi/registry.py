@@ -8,7 +8,7 @@ registered POI and reuses the best id at or above the match threshold,
 so the same desk keeps the same poi_id across days.
 
 Persistence is the store file's poi_properties and poi_visits tables,
-linked by (user, poi_id); ingest.SqliteStore holds the file's layout.
+linked by (user, poi_id); SummaryStore extends ingest.RawStore, the file.
 poi_id is scoped per user: two users may both own poi_id 1. All writes
 go through one transaction per user-day via upsert_day, so a crash
 mid-day leaves the previous state intact; it reads the user's
@@ -28,8 +28,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import VisitInterval, dbscan, segment_visits
-from .errors import EmptyCluster, StorageFailure
-from .ingest import SqliteStore
+from .errors import EmptyCluster, EmptyFingerprint, StorageFailure
+from .ingest import RawStore
 from .model import ClusterParams, Fingerprint, Scans
 from .similarity import cosine_similarity
 
@@ -125,14 +125,15 @@ def decode_fingerprint(blob: str) -> Fingerprint:
     return Fingerprint(rssi=rssi, counts=counts)
 
 
-class SummaryStore(SqliteStore):
-    """SQLite-backed store for POI properties and visit intervals.
+class SummaryStore(RawStore):
+    """The store file as POI registry, with RawStore's reads: one handle per extract.
 
     All mutation happens through upsert_day, one write transaction per
     user-day, so concurrent writers take turns.
     """
 
     def users(self) -> list[str]:
+        """Users with a registered POI; overrides RawStore.users, users with scans."""
         rows = self.conn.execute(
             "SELECT DISTINCT user FROM poi_properties ORDER BY user"
         )
@@ -179,16 +180,8 @@ class SummaryStore(SqliteStore):
         return {(user, poi_id): decode_fingerprint(blob) for user, poi_id, blob in rows}
 
     def check_integrity(self) -> bool:
-        """True when every visit row points at an existing POI."""
-        orphans = self.conn.execute(
-            "SELECT COUNT(*) FROM poi_visits v"
-            " LEFT JOIN poi_properties p"
-            " ON v.user = p.user AND v.poi_id = p.poi_id"
-            " WHERE p.poi_id IS NULL"
-        ).fetchone()[0]
-        return orphans == 0 and not self.conn.execute(
-            "PRAGMA foreign_key_check"
-        ).fetchall()
+        """True when every visit row points at an existing POI (its declared foreign key)."""
+        return not self.conn.execute("PRAGMA foreign_key_check").fetchall()
 
 
 def upsert_day(
@@ -208,11 +201,13 @@ def upsert_day(
     write transaction opens (BEGIN IMMEDIATE) before it, so concurrent
     writers queue on the busy timeout instead of merging into a stale
     read; no clusters issue no statement, and neither does a mean not of
-    whole dBm, which no merge keeps exact: it raises ValueError. On
-    failure the store is left exactly as before and StorageFailure is
-    raised.
+    whole dBm, which no merge keeps exact (it raises ValueError), nor an
+    empty fingerprint (EmptyFingerprint). On failure the store is left
+    exactly as before and StorageFailure is raised.
     """
     for fp, _ in clusters:
+        if not fp.rssi:  # stored as '', which no later fingerprints() read can decode
+            raise EmptyFingerprint(f"user {user!r}: a cluster has an empty fingerprint")
         for mac, mean in fp.rssi.items():
             if abs(mean * fp.counts[mac] - round(mean * fp.counts[mac])) > 1e-6:
                 raise ValueError(f"user {user!r}: MAC {mac}: mean {mean!r} is not of whole dBm")

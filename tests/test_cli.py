@@ -284,6 +284,16 @@ class TestExtract:
         assert (workdir / f"alice_{DAY}.csv").read_text() == first
         assert snapshot() == stored
 
+    def test_opens_the_store_file_once(self, workdir, monkeypatch):
+        sim = simulate_office(workdir)
+        run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
+        opened = []
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect",
+                            lambda *args, **kwargs: opened.append(args) or real_connect(*args, **kwargs))
+        assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY) == 0
+        assert opened == [("poi.db",)]
+
     def test_empty_day_writes_empty_summary(self, workdir):
         sim = simulate_office(workdir)
         run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
@@ -507,6 +517,27 @@ class TestScore:
         assert run("score", "--truth", truth, bad) == 2
 
 
+# file kind -> (SQL that makes it, or None for a 0-byte file; the refusal after "cannot open store")
+NOT_A_STORE = {
+    "old layout": (
+        "CREATE TABLE raw_observations (user TEXT NOT NULL, t INTEGER NOT NULL,"
+        " mac TEXT NOT NULL, rssi INTEGER NOT NULL, PRIMARY KEY (user, t, mac));"
+        "INSERT INTO raw_observations VALUES ('u', 100, 'aa:00:00:00:00:01', -50);",
+        " f.db: it holds the old one-row-per-reading raw_observations layout;"
+        " re-ingest its uploads into a new store",
+    ),
+    "0-byte": (None, ": no store at f.db"),
+    "notes-only": (
+        "CREATE TABLE notes (body TEXT); INSERT INTO notes VALUES ('keep me');",
+        " f.db: it is not a store: it holds tables, but not mac and raw_scans",
+    ),
+    "foreign poi_properties": (
+        "CREATE TABLE poi_properties (user TEXT);",
+        " f.db: it is not a store: it holds tables, but not mac and raw_scans",
+    ),
+}
+
+
 class TestStoreOpen:
     @pytest.mark.parametrize("command", ["ingest", "communities"])
     @pytest.mark.parametrize("cause", ["missing directory", "not a database"])
@@ -535,32 +566,43 @@ class TestStoreOpen:
         with sqlite3.connect(workdir / "other.db") as conn:
             conn.execute("CREATE TABLE poi_properties (user TEXT)")
         conn.close()
+        before = (workdir / "other.db").read_bytes()
         assert run("communities", "--store", "other.db") == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot read store other.db:") and "poi_id" in err
+        assert err.startswith("error: cannot open store other.db: it is not a store")
+        assert (workdir / "other.db").read_bytes() == before
 
-
-    @pytest.mark.parametrize("argv", [
-        ["ingest", "u.scan"],
-        ["extract", "--user", "u", "--day", DAY],
-        ["communities"],
-    ], ids=["ingest", "extract", "communities"])
-    def test_store_with_the_old_raw_layout_exits_three(self, workdir, capsys, argv):
+    @pytest.mark.parametrize("kind, argv", [
+        pytest.param(kind, argv, id=command if kind == "old layout" else f"{kind}-{command}")
+        for kind in NOT_A_STORE
+        for command, argv in [
+            ("ingest", ["ingest", "u.scan"]),
+            ("extract", ["extract", "--user", "u", "--day", DAY]),
+            ("communities", ["communities"]),
+        ]
+        if (kind, command) != ("0-byte", "ingest")  # ingest makes its store there
+    ])
+    def test_store_with_the_old_raw_layout_exits_three(self, workdir, capsys, kind, argv):
+        """Every command refuses a file that is not a store and leaves it byte-identical."""
         (workdir / "u.scan").write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')
-        with sqlite3.connect(workdir / "old.db") as conn:
-            conn.execute(
-                "CREATE TABLE raw_observations (user TEXT NOT NULL, t INTEGER NOT NULL,"
-                " mac TEXT NOT NULL, rssi INTEGER NOT NULL, PRIMARY KEY (user, t, mac))"
-            )
-            conn.execute("INSERT INTO raw_observations VALUES ('u', 100, 'aa:00:00:00:00:01', -50)")
-        conn.close()
-        before = (workdir / "old.db").read_bytes()
-        assert run(*argv, "--store", "old.db") == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot open store old.db: it holds the old")
-        assert "re-ingest its uploads into a new store" in err
-        assert (workdir / "old.db").read_bytes() == before
-        assert sorted(p.name for p in workdir.iterdir()) == ["old.db", "u.scan"]
+        script, message = NOT_A_STORE[kind]
+        (workdir / "f.db").write_bytes(b"")
+        if script:
+            with sqlite3.connect(workdir / "f.db") as conn:
+                conn.executescript(script)
+            conn.close()
+        before = (workdir / "f.db").read_bytes()
+        assert run(*argv, "--store", "f.db") == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot open store{message}")
+        assert (workdir / "f.db").read_bytes() == before
+        assert sorted(p.name for p in workdir.iterdir()) == ["f.db", "u.scan"]
+
+    def test_ingest_makes_a_store_in_a_zero_byte_file(self, workdir):
+        (workdir / "u.scan").write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')
+        (workdir / "f.db").write_bytes(b"")
+        assert run("ingest", "--store", "f.db", "u.scan") == 0
+        with RawStore(workdir / "f.db") as store:
+            assert store.users() == ["u"]
 
     def test_communities_leaves_a_store_that_ingest_made_byte_identical(self, workdir, capsys):
         sim = simulate_office(workdir, seed=1)

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import MAC_POOL, naive_fingerprint
 from wifipoi.clustering import VisitInterval, dbscan, segment_visits
-from wifipoi.errors import EmptyCluster, EmptyLog, StorageFailure
+from wifipoi.errors import EmptyCluster, EmptyFingerprint, EmptyLog, StorageFailure
 from wifipoi.ingest import RawStore, store_raw, upload_of
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
 from wifipoi.registry import (
@@ -261,6 +261,17 @@ class TestUpsert:
             assert issued == []
             assert store.records("u") == before
 
+    def test_empty_fingerprint_is_refused_before_any_statement(self):
+        with SummaryStore() as store:
+            issued = []
+            store.conn.set_trace_callback(issued.append)
+            with pytest.raises(EmptyFingerprint, match="user 'u'"):
+                upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)]),
+                                        (Fingerprint({}, {}), [visit(60, 80)])])
+            store.conn.set_trace_callback(None)
+            assert issued == []
+            assert store.users() == [] and store.fingerprints() == {}
+
     def test_reads_no_visit_rows(self):
         with SummaryStore() as store:
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
@@ -309,6 +320,15 @@ class FaultyConn:
 
     def __exit__(self, *exc):
         return self._conn.__exit__(*exc)
+
+
+def test_orphan_visit_fails_the_integrity_check():
+    with SummaryStore() as store:
+        upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
+        assert store.check_integrity()
+        store.conn.execute("PRAGMA foreign_keys = OFF")
+        store.conn.execute("INSERT INTO poi_visits VALUES ('u', 2, 60, 80, 4, 0)")
+        assert not store.check_integrity()
 
 
 class TestAtomicity:
@@ -560,6 +580,24 @@ class TestExtractDay:
             assert store.users() == []
             assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (0,)
 
+    def test_one_store_handle_lands_loads_and_registers_each_day(self):
+        logs, params = office_days()
+        with SummaryStore() as store, SummaryStore() as want:
+            store_raw(store, [upload_of(log) for log in logs])
+            for log in logs:
+                window = (log.entries[0].timestamp, log.entries[-1].timestamp + 1)
+                day = store.load_day(log.user, *window)
+                assert extract_day(store, day, params) == extract_day(want, upload_of(log), params)
+            assert store.records(logs[0].user) == want.records(logs[0].user)
+
+    def test_users_are_those_with_a_poi_and_the_raw_users_those_with_scans(self, tmp_path):
+        with SummaryStore(tmp_path / "store.db") as store:
+            store_raw(store, [upload_of(build_log("u", "d", [scan(0, [(A, -50)])]))])
+            assert store.users() == []
+            assert RawStore.users(store) == ["u"]
+        with RawStore(tmp_path / "store.db") as raw:
+            assert raw.users() == ["u"]
+
     def test_empty_log_raises(self):
         with SummaryStore() as store:
             with pytest.raises(EmptyLog):
@@ -619,6 +657,7 @@ class TestDailySummary:
                 " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL, label TEXT,"
                 " PRIMARY KEY (user, poi_id))"
             )
+            conn.executescript(RawStore.SCHEMA)  # the other tables; a file without them is no store
         conn.close()
         with SummaryStore(tmp_path / "old.db") as store:
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
