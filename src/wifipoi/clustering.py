@@ -5,6 +5,9 @@ similarity of two scans' readings, so the epsilon test is
 C >= eps (similarity is a proximity, higher means closer). A point
 whose neighbourhood reaches min_pts is a core point; clusters are the
 maximal sets reachable through core points; everything else is noise.
+Scans that share no MAC score 0 and are never neighbours, so a large
+day is clustered one group of MAC-linked scans (or a few) at a time:
+memory and work grow with the largest group, not with the whole day.
 
 Scans sit on a timeline, so a cluster (a place) usually appears as
 several temporally contiguous runs (visits). segment_visits recovers
@@ -37,28 +40,18 @@ def _reach(near: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def dbscan(day: Scans, params: ClusterParams) -> list[ClusterLabel]:
-    """Label every scan with a cluster id (>= 1) or NOISE.
+def _walk(
+    counts: np.ndarray, ids: np.ndarray, rssi: np.ndarray, width: int, params: ClusterParams
+) -> tuple[np.ndarray, list[int]]:
+    """Cluster the scans with these readings: (labels, seeds).
 
-    Order-free (the definition of Ester et al., KDD 1996): the result
-    depends only on the neighbourhoods, not on the order of the scans.
-    Scan i's neighbours are the scans j with C(i, j) >= epsilon, itself
-    included; a core scan has at least min_pts of them. Clusters are
-    the connected components of the graph of neighbouring core scans,
-    numbered from 1 by their smallest scan index. A non-core scan next
-    to a core scan is a border point and joins the lowest-numbered such
-    cluster; the rest is NOISE. Raises EmptyLog on a day with no scans.
-    Memory, in bytes: n^2 for the bool `near`; while scoring, also the
-    float rows, 8 * n * len(day.macs), and _score_blocks's buffer,
-    17 * _BLOCK * n + 16 * n; while walking, a chunk of _BLOCK rows of
-    `near`, _BLOCK * n, and a few n-long vectors. Building the rows,
-    before `near` exists, takes 8 bytes a reading more.
+    seeds[k - 1] is the smallest core scan of cluster k. Builds the
+    scans' rows over `width` MAC columns, scores them into the bool
+    `near`, frees the rows and walks `near` by dbscan's rules.
     """
-    n = len(day.times)
-    if n == 0:
-        raise EmptyLog(f"no scans to cluster for user {day.user!r}")
-    x = np.zeros((n, len(day.macs)))
-    x[np.repeat(np.arange(n), day.counts), day.ids] = day.rssi
+    n = len(counts)
+    x = np.zeros((n, width))
+    x[np.repeat(np.arange(n), counts), ids] = rssi
     # Readings are whole dBm, so every dot product is exact and the
     # scores are symmetric: each block's mirror fills the lower triangle,
     # and row i of `near` is also its column i.
@@ -71,11 +64,11 @@ def dbscan(day: Scans, params: ClusterParams) -> list[ClusterLabel]:
     core = np.count_nonzero(near, axis=1) >= params.min_pts
 
     labels = np.full(n, NOISE)
-    cid = NOISE
+    seeds = []
     for seed in np.flatnonzero(core):
         if labels[seed] != NOISE:
             continue
-        cid += 1
+        seeds.append(seed)
         members = np.zeros(n, dtype=bool)
         frontier = members.copy()
         frontier[seed] = True
@@ -84,8 +77,100 @@ def dbscan(day: Scans, params: ClusterParams) -> list[ClusterLabel]:
             frontier = _reach(near, frontier) & core & ~members
         # Clusters are numbered in ascending order, so a border point
         # already taken belongs to a lower-numbered cluster and stays.
-        labels[_reach(near, members) & (labels == NOISE)] = cid
-    return labels.tolist()
+        labels[_reach(near, members) & (labels == NOISE)] = len(seeds)
+    return labels, seeds
+
+
+def _groups(day: Scans) -> np.ndarray:
+    """Each scan's group, named by its smallest scan index.
+
+    Groups are the components of the scans-and-MACs graph, one edge per
+    reading, so a scan with no readings is alone. Each round hooks every
+    root under the smallest root it shares a reading with and points
+    every node at its root. A parent never exceeds its node and scans
+    come before MACs, so a root is its group's smallest scan.
+    """
+    n = len(day.times)
+    scan, mac = np.repeat(np.arange(n), day.counts), day.ids + n
+    parent = np.arange(n + len(day.macs))
+    while True:
+        a, b = parent[scan], parent[mac]
+        apart = a != b
+        if not apart.any():
+            return parent[:n]
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+
+
+def _chunks(day: Scans) -> list[np.ndarray]:
+    """The day's scans in chunks of whole groups, each chunk ascending.
+
+    Groups go in order of their smallest scan; a chunk closes at the
+    first group end at or past _BLOCK scans. A day under 2 * _BLOCK
+    scans is one chunk.
+    """
+    n = len(day.times)
+    if n < 2 * _BLOCK:
+        return [np.arange(n)]
+    group = _groups(day)
+    order = np.argsort(group, kind="stable")
+    ends = np.append(np.flatnonzero(np.diff(group[order])) + 1, n)
+    cuts = [0]
+    while cuts[-1] < n:
+        cuts.append(ends[np.searchsorted(ends, min(cuts[-1] + _BLOCK, n))])
+    return [np.sort(order[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def dbscan(day: Scans, params: ClusterParams) -> list[ClusterLabel]:
+    """Label every scan with a cluster id (>= 1) or NOISE.
+
+    Order-free (the definition of Ester et al., KDD 1996): the result
+    depends only on the neighbourhoods, not on the order of the scans.
+    Scan i's neighbours are the scans j with C(i, j) >= epsilon, itself
+    included; a core scan has at least min_pts of them. Clusters are
+    the connected components of the graph of neighbouring core scans,
+    numbered from 1 by their smallest core scan index. A non-core scan
+    next to a core scan is a border point and joins the lowest-numbered
+    such cluster; the rest is NOISE. Raises EmptyLog on a day with no
+    scans, EmptyFingerprint on a scan with no readings.
+
+    Two scans that share no MAC score exactly 0, and epsilon > 0, so
+    they are never neighbours. So each chunk of whole groups of
+    MAC-linked scans (_chunks) is scored and walked on its own, and its
+    clusters are renumbered into the day's order. Memory, in bytes, for
+    a chunk of c scans: c^2 for the bool `near`; while scoring, also the
+    float rows, 8 * c * len(day.macs), and _score_blocks's buffer,
+    17 * _BLOCK * c + 16 * c; while walking, _BLOCK rows of `near` at a
+    time, _BLOCK * c, and a few c-long vectors. Building the rows,
+    before `near` exists, takes 8 bytes a reading more. A day of several
+    chunks also takes about 50 bytes a reading to group, before the
+    first chunk, 17 bytes a reading of the chunk to copy its readings,
+    and a few n-long vectors.
+    """
+    n = len(day.times)
+    if n == 0:
+        raise EmptyLog(f"no scans to cluster for user {day.user!r}")
+    width = len(day.macs)
+    chunks = _chunks(day)
+    if len(chunks) == 1:
+        return _walk(day.counts, day.ids, day.rssi, width, params)[0].tolist()
+    first_reading = np.cumsum(day.counts) - day.counts
+    labels = np.empty(n, dtype=int)
+    seeds: list[int] = []  # provisional cluster k's smallest core scan is seeds[k - 1]
+    for chunk in chunks:
+        counts = day.counts[chunk]
+        shift = first_reading[chunk] - (np.cumsum(counts) - counts)  # day's offset less the chunk's
+        at = np.arange(counts.sum()) + np.repeat(shift, counts)
+        local, local_seeds = _walk(counts, day.ids[at], day.rssi[at], width, params)
+        labels[chunk] = np.where(local == NOISE, NOISE, local + len(seeds))
+        seeds += chunk[local_seeds].tolist()
+    # Renumber by smallest core scan across chunks; a chunk's own clusters
+    # keep their order, so each border point keeps the lowest number.
+    number = np.zeros(len(seeds) + 1, dtype=int)
+    number[1 + np.argsort(seeds)] = np.arange(1, len(seeds) + 1)
+    return number[labels].tolist()
 
 
 @dataclass(frozen=True)
@@ -119,12 +204,11 @@ def segment_visits(
     n = len(times)
     if len(labels) != n:
         raise LabelLengthMismatch(f"{len(labels)} labels for {n} scans")
-    max_gap = 2 * params.scan_interval
     # cut points: each run is [cuts[k], cuts[k + 1])
-    cuts = [
-        i for i in range(n + 1)
-        if i in (0, n) or labels[i] != labels[i - 1] or times[i] - times[i - 1] > max_gap
-    ]
+    cut = np.ones(n + 1, dtype=bool)
+    marks = np.asarray(labels)
+    cut[1:-1] = (marks[1:] != marks[:-1]) | (np.diff(day.times) > 2 * params.scan_interval)
+    cuts = np.flatnonzero(cut).tolist()
     return [
         VisitInterval(labels[a], times[a], times[b - 1], b - a, sub_minimal=b - a < params.min_pts)
         for a, b in zip(cuts, cuts[1:])

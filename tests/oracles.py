@@ -230,28 +230,87 @@ def random_fingerprint(rnd: random.Random, pool=MAC_POOL, lo: int = 2, hi: int =
     return {m: float(rnd.randint(-95, -30)) for m in macs}
 
 
+def _rooms(rnd: random.Random, pool) -> list[dict[str, int]]:
+    """2-5 room prototypes, each 4-8 MACs of the pool with a mean RSS."""
+    rooms = []
+    for _ in range(rnd.randint(2, 5)):
+        base = rnd.sample(pool, rnd.randint(4, 8))
+        rooms.append({m: rnd.randint(-80, -40) for m in base})
+    return rooms
+
+
+def _room_scan(rnd: random.Random, rooms: list[dict[str, int]], pool) -> dict[str, int]:
+    """A stray one-off from the pool 15% of the time, else a jittered room."""
+    if rnd.random() < 0.15:
+        macs = rnd.sample(pool, rnd.randint(2, 5))
+        return {m: rnd.randint(-95, -30) for m in macs}
+    proto = rnd.choice(rooms)
+    scan = {m: v + rnd.randint(-8, 8) for m, v in proto.items()}
+    if len(scan) > 2 and rnd.random() < 0.3:
+        del scan[rnd.choice(sorted(scan))]
+    if rnd.random() < 0.3:
+        extra = rnd.choice(pool)
+        scan.setdefault(extra, rnd.randint(-95, -60))
+    return scan
+
+
 def random_scan_instance(rnd: random.Random, n_scans: int) -> list[dict[str, int]]:
     """Scans drawn from a few room prototypes plus stray one-offs.
 
     The jitter and strays produce the full DBSCAN bestiary: dense cores,
     border points hovering at the threshold, and isolated noise.
     """
-    rooms = []
-    for _ in range(rnd.randint(2, 5)):
-        base = rnd.sample(MAC_POOL, rnd.randint(4, 8))
-        rooms.append({m: rnd.randint(-80, -40) for m in base})
-    scans: list[dict[str, int]] = []
-    for _ in range(n_scans):
-        if rnd.random() < 0.15:
-            macs = rnd.sample(MAC_POOL, rnd.randint(2, 5))
-            scans.append({m: rnd.randint(-95, -30) for m in macs})
+    rooms = _rooms(rnd, MAC_POOL)
+    return [_room_scan(rnd, rooms, MAC_POOL) for _ in range(n_scans)]
+
+
+def place_pool(place: int, size: int = 20) -> tuple[str, ...]:
+    """MACs of one place; two places' pools share none."""
+    return tuple("02:00:00:00:%02x:%02x" % (place, k) for k in range(size))
+
+
+def disjoint_places_day(rnd: random.Random, sizes: list[int]) -> list[dict[str, int]]:
+    """sizes[k] scans at place k, in stays of 1-12 scans in shuffled order.
+
+    No two places share a MAC: each draws rooms and strays from its own
+    place_pool as random_scan_instance does from MAC_POOL, but a stay
+    keeps to one room. So scans that share a MAC are at one place, one
+    place's scans are spread over the day, and its rooms are met at
+    different times.
+    """
+    pools = [place_pool(k) for k in range(len(sizes))]
+    rooms = [_rooms(rnd, pool) for pool in pools]
+    stays = []
+    for k, size in enumerate(sizes):
+        while size > 0:
+            stays.append((k, min(size, rnd.randint(1, 12))))
+            size -= stays[-1][1]
+    rnd.shuffle(stays)
+    return [
+        _room_scan(rnd, [room], pools[k])
+        for k, length in stays
+        for room in [rnd.choice(rooms[k])]
+        for _ in range(length)
+    ]
+
+
+def naive_groups(points: list[dict]) -> list[set[int]]:
+    """Scan indexes linked by shared MACs, by flood fill from each unseen scan."""
+    by_mac: dict[str, list[int]] = defaultdict(list)
+    for i, point in enumerate(points):
+        for mac in point:
+            by_mac[mac].append(i)
+    seen: set[int] = set()
+    groups = []
+    for i in range(len(points)):
+        if i in seen:
             continue
-        proto = rnd.choice(rooms)
-        scan = {m: v + rnd.randint(-8, 8) for m, v in proto.items()}
-        if len(scan) > 2 and rnd.random() < 0.3:
-            del scan[rnd.choice(sorted(scan))]
-        if rnd.random() < 0.3:
-            extra = rnd.choice(MAC_POOL)
-            scan.setdefault(extra, rnd.randint(-95, -60))
-        scans.append(scan)
-    return scans
+        group, stack = set(), [i]
+        while stack:
+            j = stack.pop()
+            if j not in group:
+                group.add(j)
+                stack.extend(k for mac in points[j] for k in by_mac[mac])
+        seen |= group
+        groups.append(group)
+    return groups

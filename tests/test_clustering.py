@@ -5,14 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import MAC_POOL, naive_dbscan, naive_visits, random_scan_instance, scan_columns
+from oracles import MAC_POOL, disjoint_places_day, naive_dbscan, naive_groups, naive_visits, place_pool
+from oracles import random_scan_instance, scan_columns
 from wifipoi import clustering, similarity
 from wifipoi.clustering import NOISE, dbscan, segment_visits
-from wifipoi.errors import EmptyLog, LabelLengthMismatch
+from wifipoi.errors import EmptyFingerprint, EmptyLog, LabelLengthMismatch
 from wifipoi.ingest import upload_of
-from wifipoi.model import ClusterParams, ScanLog, ScanResult, build_log
+from wifipoi.model import ClusterParams, ScanLog, ScanResult, Scans, build_log
 from wifipoi.registry import build_fingerprint
-from wifipoi.similarity import cosine_similarity, similarity_matrix
+from wifipoi.similarity import _BLOCK, cosine_similarity, similarity_matrix
 
 A = "aa:00:00:00:00:01"
 B = "bb:00:00:00:00:02"
@@ -35,6 +36,10 @@ def scan_fps(log):
     """Each scan of the log as its own one-scan fingerprint."""
     day = upload_of(log)
     return [build_fingerprint(day.macs, ids, rssi) for ids, rssi in scan_columns(day)]
+
+
+def as_floats(dicts):
+    return [{m: float(v) for m, v in d.items()} for d in dicts]
 
 
 def neighbours(fps, i, eps):
@@ -145,6 +150,100 @@ class TestDbscan:
         labels = dbscan(upload_of(make_log(dicts)), ClusterParams())
         assert labels[:3] == [NOISE] * 3
         assert set(labels[3:]) == {1}
+
+
+class TestDbscanByGroup:
+    """A day of 2 * _BLOCK scans or more is clustered a chunk of whole groups at a time."""
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK - 1, 2 * _BLOCK, 300])
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0])
+    def test_matches_reference_on_interleaved_places(self, n, eps):
+        rest = n - 23
+        dicts = disjoint_places_day(random.Random(n), [3, 20, rest // 3, rest - rest // 3])
+        day = upload_of(make_log(dicts, interval=30))
+        groups = naive_groups(dicts)
+        assert min(map(len, groups)) < _BLOCK < max(map(len, groups))
+        assert any(max(g) - min(g) >= len(g) for g in groups)  # a group's scans are spread
+        assert (len(clustering._chunks(day)) > 1) == (n >= 2 * _BLOCK)
+        assert dbscan(day, ClusterParams(epsilon=eps)) == naive_dbscan(as_floats(dicts), eps, 4)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0])
+    def test_small_block_packs_several_groups_into_one_chunk(self, monkeypatch, eps):
+        block = 8
+        monkeypatch.setattr(similarity, "_BLOCK", block)
+        monkeypatch.setattr(clustering, "_BLOCK", block)
+        dicts = disjoint_places_day(random.Random(7), [2, 3, 5, 30, 4, 12, 1, 40, 6])
+        day = upload_of(make_log(dicts, interval=30))
+        chunks = clustering._chunks(day)
+        assert len(chunks) < len(naive_groups(dicts))
+        assert all(len(chunk) >= block for chunk in chunks[:-1])
+        assert dbscan(day, ClusterParams(epsilon=eps)) == naive_dbscan(as_floats(dicts), eps, 4)
+
+    def test_clusters_are_numbered_across_chunks_by_smallest_core_scan(self):
+        # Place A's two rooms share one faint MAC, so A is one group and
+        # one chunk with two clusters; place B comes between the rooms.
+        rnd = random.Random(4)
+        a1, a2, b = place_pool(0)[:5], place_pool(0)[4:9], place_pool(1)[:5]
+
+        def room(macs):
+            return {mac: (-90 if mac == place_pool(0)[4] else -50) + rnd.randint(-3, 3) for mac in macs}
+
+        dicts = [room(a1) for _ in range(70)] + [room(b) for _ in range(70)] + [room(a2) for _ in range(70)]
+        day = upload_of(make_log(dicts, interval=30))
+        assert [len(chunk) for chunk in clustering._chunks(day)] == [140, 70]
+        labels = dbscan(day, ClusterParams())
+        assert labels == [1] * 70 + [2] * 70 + [3] * 70
+        assert labels == naive_dbscan(as_floats(dicts), 0.5, 4)
+
+    def test_groups_are_the_scans_linked_by_shared_macs(self):
+        rnd = random.Random(17)
+        for _ in range(10):
+            sizes = [rnd.randint(1, 40) for _ in range(rnd.randint(1, 6))]
+            for dicts in (disjoint_places_day(rnd, sizes), random_scan_instance(rnd, sum(sizes))):
+                got = clustering._groups(upload_of(make_log(dicts)))
+                want = np.empty(len(dicts), dtype=int)
+                for group in naive_groups(dicts):
+                    want[list(group)] = min(group)
+                assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [10, 2 * _BLOCK + 10])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_scan_without_readings_raises_empty_fingerprint(self, n, where):
+        day = upload_of(make_log(disjoint_places_day(random.Random(3), [n // 2, n - n // 2])))
+        k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        lo = int(day.counts[:k].sum())
+        keep = np.ones(len(day.ids), dtype=bool)
+        keep[lo:lo + day.counts[k]] = False
+        counts = day.counts.copy()
+        counts[k] = 0
+        hollow = Scans(day.user, day.times, counts, day.macs, day.ids[keep], day.rssi[keep])
+        with pytest.raises(EmptyFingerprint):
+            dbscan(hollow, ClusterParams())
+
+    def test_memory_stays_within_the_largest_chunk_s_bound_on_four_places(self):
+        # Four places that share no MAC, 600 scans each, interleaved: each
+        # place is one group and one chunk, so `near` is 600^2, not 2400^2.
+        rnd = random.Random(5)
+        desks = [{mac: rnd.randint(-80, -40) for mac in place_pool(k, 8)} for k in range(4)]
+        places = [k for k in range(4) for _ in range(600)]
+        rnd.shuffle(places)
+        dicts = [{mac: v + rnd.randint(-3, 3) for mac, v in desks[k].items()} for k in places]
+        day = upload_of(make_log(dicts, interval=30))
+        tracemalloc.start()
+        try:
+            labels = dbscan(day, ClusterParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, macs = len(day.times), len(day.macs)
+        c = max(map(len, clustering._chunks(day)))
+        assert c == 600
+        # the chunk's bound, plus its 8 * c readings' positions and copy
+        # (17 bytes each) and the day's bookkeeping (3 n-long vectors)
+        bound = c * c + 8 * c * macs + 17 * _BLOCK * c + 16 * c
+        assert peak <= bound + 17 * 8 * c + 24 * n + 64 * 1024 < n * n / 4
+        first = sorted(range(4), key=places.index)
+        assert labels == [1 + first.index(k) for k in places]
 
 
 class TestSegmentVisits:
