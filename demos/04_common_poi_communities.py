@@ -39,7 +39,7 @@ print(f"{len(fps)} POI across {len(store.users())} users")
 
 # every pair is scored once; each threshold keeps the pairs at or above it
 print("\nthreshold sweep:")
-sweep = threshold_sweep(list(fps.values()), [0.2, 0.3, 0.4, 0.5], list(fps))
+sweep = threshold_sweep([fp.rssi for fp in fps.values()], [0.2, 0.3, 0.4, 0.5], list(fps))
 for threshold, graph, partition in sweep:
     print(f"  threshold {threshold:.1f}: {len(graph.edges):>3} edges, Q = {partition.q:.4f}")
 

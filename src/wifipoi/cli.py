@@ -218,7 +218,8 @@ def cmd_communities(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             _output_path(name)
     with SummaryStore(_existing_store(cfg.store)) as store:
         fps = store.fingerprints()
-    sweep = threshold_sweep(list(fps.values()), cfg.community_thresholds, names=list(fps))
+    vectors = [fp.rssi for fp in fps.values()]
+    sweep = threshold_sweep(vectors, cfg.community_thresholds, names=list(fps))
     h = len(fps)
     print(f"{h} POI across users; {h * (h - 1) // 2} pairs scored once for all thresholds")
     kept = {t: (graph, part) for t, graph, part in sweep}

@@ -1,8 +1,9 @@
 """Cross-user POI graph and Louvain community detection.
 
 Nodes are POI (typically (user, poi_id) pairs), edges carry the cosine
-similarity of their fingerprints, and only pairs scoring at or above
-an edge threshold are kept. Louvain then maximizes weighted modularity
+similarity of their mean vectors (Fingerprint.rssi), and only pairs
+scoring at or above an edge threshold are kept. Louvain then maximizes
+weighted modularity
 
     Q = sum over communities of [ S_in/(2m) - (S_tot/(2m))^2 ]
 
@@ -36,7 +37,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyGraph, PartitionMismatch, TooFewNodes
-from .model import Fingerprint
 from .similarity import _score_blocks, mac_matrix
 
 Node = Hashable
@@ -73,18 +73,18 @@ class Partition:
 
 
 def build_graph(
-    fps: Sequence[Fingerprint],
+    vectors: Sequence[Mapping[str, float]],
     threshold: float,
     names: Sequence[Node] | None = None,
 ) -> PoiGraph:
-    """Score all h(h-1)/2 pairs and keep edges with C >= threshold.
+    """Score all h(h-1)/2 pairs of mean vectors and keep edges with C >= threshold.
 
     Edges come in row-major (i, j) order, which Louvain's tie-breaks
     depend on. `names` labels the nodes (defaults to indices); the CLI
     passes (user, poi_id) pairs. Raises TooFewNodes for fewer than 2
     fingerprints or a name count that does not match.
     """
-    h = len(fps)
+    h = len(vectors)
     if h < 2:
         raise TooFewNodes(f"need at least 2 fingerprints, got {h}")
     nodes: tuple[Node, ...]
@@ -92,7 +92,7 @@ def build_graph(
     if len(nodes) != h:
         raise TooFewNodes(f"{len(nodes)} names for {h} fingerprints")
     edges: list[tuple[Node, Node, float]] = []
-    for lo, block in _score_blocks(mac_matrix([fp.rssi.items() for fp in fps])[1]):
+    for lo, block in _score_blocks(mac_matrix([vector.items() for vector in vectors])[1]):
         i, j = np.nonzero(np.triu(block >= threshold, 1))  # node lo + i < node lo + j
         pairs = zip((lo + i).tolist(), (lo + j).tolist(), block[i, j].tolist())
         edges.extend((nodes[a], nodes[b], c) for a, b, c in pairs)
@@ -277,7 +277,7 @@ def louvain(graph: PoiGraph) -> Partition:
 
 
 def threshold_sweep(
-    fps: Sequence[Fingerprint],
+    vectors: Sequence[Mapping[str, float]],
     thresholds: Sequence[float],
     names: Sequence[Node] | None = None,
 ) -> list[tuple[float, PoiGraph, Partition]]:
@@ -293,7 +293,7 @@ def threshold_sweep(
     """
     if not thresholds:
         return []
-    scored = build_graph(fps, min(thresholds), names)
+    scored = build_graph(vectors, min(thresholds), names)
     by_size: dict[int, tuple[PoiGraph, Partition]] = {}
     out = []
     for t in thresholds:

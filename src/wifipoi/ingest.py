@@ -260,51 +260,59 @@ _Store = TypeVar("_Store", bound="RawStore")
 
 
 class RawStore:
-    """The store file: SCHEMA, its whole layout at user_version 1, and raw reads.
+    """The store file: SCHEMA, its whole layout at user_version 2, and raw reads.
 
     An open reads the table names once. A file that holds the earlier
     layout's raw_observations table, or tables but not mac and
     raw_scans, is refused and left untouched; SCHEMA runs only when a
-    table is missing, so a reopen writes nothing. Each connection
-    enforces foreign keys. A refused or unopenable file raises
-    StorageFailure, its connection closed. `conn` is public for fault
-    injection. A raw_scans row, keyed by (user, t), packs the scan's MAC
-    ids (little-endian uint32) and RSS readings (int8) in sorted-by-MAC
-    order, so load_day reads the blobs straight back into columns; `mac`
-    holds each canonical MAC once. Every read is consumed whole, so an
-    open handle holds no lock.
+    table is missing, so a reopen writes nothing. A version-1 store is
+    upgraded in SCHEMA's transaction; one whose fingerprint text does
+    not convert exactly is refused untouched (_version_1_readings). Each
+    connection enforces foreign keys. A refused or unopenable file
+    raises StorageFailure, its connection closed. `conn` is public for
+    fault injection. A raw_scans row, keyed by (user, t), packs the
+    scan's MAC ids (little-endian uint32) and RSS readings (int8) in
+    sorted-by-MAC order, so load_day reads the blobs straight back into
+    columns; `mac` holds each canonical MAC once, and a POI's
+    poi_readings rows its fingerprint, one integer sum and count per
+    MAC. Every read is consumed whole, so an open handle holds no lock.
     """
 
-    SCHEMA = """
-    BEGIN IMMEDIATE;
-    CREATE TABLE IF NOT EXISTS mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE);
-    CREATE TABLE IF NOT EXISTS raw_scans (
-        user TEXT    NOT NULL,
-        t    INTEGER NOT NULL,
-        macs BLOB    NOT NULL,
-        rssi BLOB    NOT NULL,
-        PRIMARY KEY (user, t)
-    ) WITHOUT ROWID;
-    CREATE TABLE IF NOT EXISTS poi_properties (
-        user        TEXT    NOT NULL,
-        poi_id      INTEGER NOT NULL,
-        fingerprint TEXT    NOT NULL,
-        created_at  INTEGER NOT NULL,
-        PRIMARY KEY (user, poi_id)
-    );
-    CREATE TABLE IF NOT EXISTS poi_visits (
-        user        TEXT    NOT NULL,
-        poi_id      INTEGER NOT NULL,
-        start_ts    INTEGER NOT NULL,
-        end_ts      INTEGER NOT NULL,
-        scans       INTEGER NOT NULL,
-        sub_minimal INTEGER NOT NULL DEFAULT 0,
-        PRIMARY KEY (user, poi_id, start_ts, end_ts),
-        FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
-    );
-    PRAGMA user_version = 1;
-    COMMIT;
-    """
+    SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE)",
+        """CREATE TABLE IF NOT EXISTS raw_scans (
+            user TEXT    NOT NULL,
+            t    INTEGER NOT NULL,
+            macs BLOB    NOT NULL,
+            rssi BLOB    NOT NULL,
+            PRIMARY KEY (user, t)
+        ) WITHOUT ROWID""",
+        """CREATE TABLE IF NOT EXISTS poi_properties (
+            user       TEXT    NOT NULL,
+            poi_id     INTEGER NOT NULL,
+            created_at INTEGER NOT NULL,
+            PRIMARY KEY (user, poi_id)
+        )""",
+        """CREATE TABLE IF NOT EXISTS poi_readings (
+            user   TEXT    NOT NULL,
+            poi_id INTEGER NOT NULL,
+            mac    TEXT    NOT NULL,
+            sum    INTEGER NOT NULL,
+            count  INTEGER NOT NULL,
+            PRIMARY KEY (user, poi_id, mac),
+            FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
+        ) WITHOUT ROWID""",
+        """CREATE TABLE IF NOT EXISTS poi_visits (
+            user        TEXT    NOT NULL,
+            poi_id      INTEGER NOT NULL,
+            start_ts    INTEGER NOT NULL,
+            end_ts      INTEGER NOT NULL,
+            scans       INTEGER NOT NULL,
+            sub_minimal INTEGER NOT NULL DEFAULT 0,
+            PRIMARY KEY (user, poi_id, start_ts, end_ts),
+            FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
+        )""",
+    )
 
     def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
@@ -319,8 +327,16 @@ class RawStore:
                 )
             if tables and not tables >= {"mac", "raw_scans"}:
                 raise StorageFailure("it is not a store: it holds tables, but not mac and raw_scans")
-            if not tables >= {"mac", "raw_scans", "poi_properties", "poi_visits"}:
-                conn.executescript(self.SCHEMA)
+            if not tables >= {"mac", "raw_scans", "poi_properties", "poi_readings", "poi_visits"}:
+                with conn:
+                    conn.execute("BEGIN IMMEDIATE")
+                    readings, old_columns = _version_1_readings(conn)
+                    for statement in self.SCHEMA:
+                        conn.execute(statement)
+                    conn.executemany("INSERT INTO poi_readings VALUES (?, ?, ?, ?, ?)", readings)
+                    for column in old_columns:  # DROP COLUMN needs SQLite 3.35 or later
+                        conn.execute(f"ALTER TABLE poi_properties DROP COLUMN {column}")
+                    conn.execute("PRAGMA user_version = 2")
             conn.execute("PRAGMA foreign_keys = ON")
         except (sqlite3.Error, StorageFailure) as exc:
             if conn is not None:
@@ -369,6 +385,39 @@ class RawStore:
         counts = np.array([len(r) for *_, r in rows], np.int64)
         macs = tuple(map(names.__getitem__, used.tolist()))
         return Scans(user, times, counts, macs, cols, rssi)
+
+
+def _version_1_readings(conn: sqlite3.Connection) -> tuple[list[tuple], list[str]]:
+    """A version-1 registry's poi_readings rows, and the poi_properties columns it drops.
+
+    Version 1 kept each fingerprint in poi_properties as `mac:mean:count`
+    text, and some stores also hold an unused `label` column. Read under
+    the open's lock, before its first write: a triple that does not
+    parse, or whose mean times count lies more than 1e-6 from a whole
+    number, raises StorageFailure. Each row's sum is that product,
+    rounded. A file with no fingerprint column gives ([], []).
+    """
+    info = conn.execute("SELECT name FROM pragma_table_info('poi_properties')")
+    columns = {name for (name,) in info}
+    if "fingerprint" not in columns:
+        return [], []
+    rows = []
+    for user, poi_id, text in conn.execute("SELECT user, poi_id, fingerprint FROM poi_properties"):
+        for triple in str(text).split(";"):
+            try:
+                mac, mean, count = triple.rsplit(":", 2)
+                n = int(count)
+                product = float(mean) * n
+                total = round(product) if n > 0 else None  # ValueError on nan, OverflowError on inf
+            except (ValueError, OverflowError):
+                total = None
+            if total is None or abs(product - total) > 1e-6:
+                raise StorageFailure(
+                    f"its version-1 fingerprint of user {user!r}, POI {poi_id}, holds {triple!r},"
+                    " not mac:mean:count of whole-dBm readings"
+                )
+            rows.append((user, poi_id, mac, total, n))
+    return rows, sorted(columns & {"fingerprint", "label"})
 
 
 def _store_upload(conn: sqlite3.Connection, upload: Scans, mac_ids: dict[str, int]) -> IngestReport:

@@ -141,15 +141,19 @@ class Scans:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Radio signature of a place: MAC -> mean RSS, with per-MAC counts.
+    """Radio signature of a place: per MAC, the sum and count of its whole-dBm readings.
 
-    `rssi` holds the mean observed RSS per MAC in dBm (negative floats);
-    `counts` holds how many observations back each mean, which is what
-    lets two fingerprints merge without re-reading the raw scans.
+    Both are ints, so merging two fingerprints adds them exactly, and the
+    store keeps them as they are. `rssi`, the mean RSS per MAC in dBm
+    (negative floats) that scoring reads, is derived: sums[m] / counts[m].
     """
 
-    rssi: Mapping[str, float]
+    sums: Mapping[str, int]
     counts: Mapping[str, int]
+
+    @functools.cached_property
+    def rssi(self) -> Mapping[str, float]:
+        return {mac: total / self.counts[mac] for mac, total in self.sums.items()}
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """POI registry: fingerprints, revisit matching, summary persistence.
 
 A POI is born when density clustering finds a dense group of scans.
-Its fingerprint is the per-MAC mean RSS over the member scans; a MAC
-missing from some scans is averaged over the scans that did see it.
+Its fingerprint is the per-MAC integer sum and count of the member
+scans' whole-dBm readings; the mean vector that matching scores divides
+the two, so a MAC missing from some scans is averaged over the scans
+that did see it.
 Revisit matching compares a fresh fingerprint against the user's
 registered POI and reuses the best id at or above the match threshold,
 so the same desk keeps the same poi_id across days.
 
-Persistence is the store file's poi_properties and poi_visits tables,
-linked by (user, poi_id); SummaryStore extends ingest.RawStore, the file.
+Persistence is the store file's poi_properties, poi_readings (one
+integer sum and count per MAC) and poi_visits tables, linked by (user,
+poi_id); SummaryStore extends ingest.RawStore, the file.
 poi_id is scoped per user: two users may both own poi_id 1. All writes
 go through one transaction per user-day via upsert_day, so a crash
 mid-day leaves the previous state intact; it reads the user's
@@ -37,36 +40,31 @@ MATCH_THRESHOLD = 0.5
 
 
 def build_fingerprint(macs: Sequence[str], ids: np.ndarray, rssi: np.ndarray) -> Fingerprint:
-    """Average member scans' readings, columns into `macs` and dBm, into one fingerprint.
+    """Sum member scans' readings, columns into `macs` and dBm, per MAC into one fingerprint.
 
-    Each MAC's mean runs over the scans that saw it, so an AP flickering
-    in and out keeps its true level. The sums of whole dBm are exact,
-    so the means do not depend on the readings' order. Raises
-    EmptyCluster on no readings.
+    Each MAC's count is the scans that saw it, so an AP flickering in
+    and out keeps its true level in the mean. The sums are exact ints
+    whatever the readings' order. Raises EmptyCluster on no readings.
     """
     if len(ids) == 0:
         raise EmptyCluster("cannot build a fingerprint from zero scans")
     counts = np.bincount(ids)
     seen = np.flatnonzero(counts)
     names = [macs[k] for k in seen.tolist()]
-    means = np.bincount(ids, rssi)[seen] / counts[seen]  # .tolist() below: floats, not np.float64
-    return Fingerprint(dict(zip(names, means.tolist())), dict(zip(names, counts[seen].tolist())))
+    sums = np.bincount(ids, rssi)[seen].astype(np.int64)  # float64 holds these sums exactly
+    return Fingerprint(dict(zip(names, sums.tolist())), dict(zip(names, counts[seen].tolist())))
 
 
 def merge_fingerprints(old: Fingerprint, new: Fingerprint) -> Fingerprint:
-    """Fingerprint of both sides' readings together, as sums over counts.
+    """Fingerprint of both sides' readings together: sums and counts added per MAC.
 
-    Means must be of whole-dBm readings, as build_fingerprint and the
-    store give them; round(mean * count) is then each exact sum, so any
-    merge chain equals build_fingerprint over all readings bit for bit.
+    Any merge chain equals build_fingerprint over all readings exactly.
     """
-    sums: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for side in (old, new):
-        for mac, mean in side.rssi.items():
-            sums[mac] = sums.get(mac, 0) + round(mean * side.counts[mac])
-            counts[mac] = counts.get(mac, 0) + side.counts[mac]
-    return Fingerprint({mac: sums[mac] / counts[mac] for mac in sums}, counts)
+    sums, counts = dict(old.sums), dict(old.counts)
+    for mac, total in new.sums.items():
+        sums[mac] = sums.get(mac, 0) + total
+        counts[mac] = counts.get(mac, 0) + new.counts[mac]
+    return Fingerprint(sums, counts)
 
 
 @dataclass(frozen=True)
@@ -96,33 +94,13 @@ def match_poi(
     best_id: int | None = None
     best_c = -1.0
     for poi_id in sorted(registry):
-        c = cosine_similarity(fp, registry[poi_id])
+        c = cosine_similarity(fp.rssi, registry[poi_id].rssi)
         if c > best_c:
             best_c = c
             best_id = poi_id
     if best_id is not None and best_c >= threshold:
         return best_id
     return None
-
-
-def encode_fingerprint(fp: Fingerprint) -> str:
-    """Serialize as sorted `mac:rssi_mean:count` triples joined by ';'.
-
-    Means use repr() so the decoded float is bit-identical.
-    """
-    return ";".join(
-        f"{mac}:{fp.rssi[mac]!r}:{fp.counts[mac]}" for mac in sorted(fp.rssi)
-    )
-
-
-def decode_fingerprint(blob: str) -> Fingerprint:
-    rssi: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for triple in blob.split(";"):
-        mac, mean, count = triple.rsplit(":", 2)
-        rssi[mac] = float(mean)
-        counts[mac] = int(count)
-    return Fingerprint(rssi=rssi, counts=counts)
 
 
 class SummaryStore(RawStore):
@@ -142,12 +120,12 @@ class SummaryStore(RawStore):
     def records(self, user: str) -> list[PoiRecord]:
         """All POI registered for one user, visits included, by poi_id.
 
-        Two queries whatever the registry size: properties, then every
-        visit of the user grouped by poi_id here.
+        Three queries whatever the registry size: fingerprints,
+        properties, then every visit of the user grouped by poi_id here.
         """
+        fps = self.fingerprints(user)
         props = self.conn.execute(
-            "SELECT poi_id, fingerprint, created_at"
-            " FROM poi_properties WHERE user = ? ORDER BY poi_id",
+            "SELECT poi_id, created_at FROM poi_properties WHERE user = ? ORDER BY poi_id",
             (user,),
         ).fetchall()
         visits: dict[int, list[VisitInterval]] = {}
@@ -163,21 +141,28 @@ class SummaryStore(RawStore):
             PoiRecord(
                 poi_id=poi_id,
                 user=user,
-                fingerprint=decode_fingerprint(blob),
+                fingerprint=fps[user, poi_id],
                 created_at=created_at,
                 visits=tuple(visits.get(poi_id, ())),
             )
-            for poi_id, blob, created_at in props
+            for poi_id, created_at in props
         ]
 
     def fingerprints(self, user: str | None = None) -> dict[tuple[str, int], Fingerprint]:
         """POI fingerprints by (user, poi_id) in that order, of all users or one; no visits."""
         where, params = ("", ()) if user is None else ("WHERE user = ?", (user,))
-        rows = self.conn.execute(
-            f"SELECT user, poi_id, fingerprint FROM poi_properties {where} ORDER BY user, poi_id",
+        fps: dict[tuple[str, int], Fingerprint] = {}
+        for user, poi_id, mac, total, count in self.conn.execute(
+            f"SELECT user, poi_id, mac, sum, count FROM poi_readings {where}"
+            " ORDER BY user, poi_id, mac",
             params,
-        )
-        return {(user, poi_id): decode_fingerprint(blob) for user, poi_id, blob in rows}
+        ):
+            if (user, poi_id) not in fps:  # a POI's rows come together: fill its dicts
+                sums: dict[str, int] = {}
+                counts: dict[str, int] = {}
+                fps[user, poi_id] = Fingerprint(sums, counts)
+            sums[mac], counts[mac] = total, count
+        return fps
 
     def check_integrity(self) -> bool:
         """True when every visit row points at an existing POI (its declared foreign key)."""
@@ -196,21 +181,19 @@ def upsert_day(
     earlier clusters left them: on a match the new visits are appended
     (exact duplicates are skipped, which makes re-running a day a no-op)
     and, when anything new arrived, the fingerprint becomes the merge of
-    old and new; otherwise the next free poi_id is allocated. The
-    registry read is the user's fingerprints, no visit rows, and the
-    write transaction opens (BEGIN IMMEDIATE) before it, so concurrent
-    writers queue on the busy timeout instead of merging into a stale
-    read; no clusters issue no statement, and neither does a mean not of
-    whole dBm, which no merge keeps exact (it raises ValueError), nor an
-    empty fingerprint (EmptyFingerprint). On failure the store is left
-    exactly as before and StorageFailure is raised.
+    old and new; otherwise the next free poi_id is allocated. A new or
+    merged POI's readings are written in one INSERT OR REPLACE; a merge
+    only adds MACs, so it replaces every old row. The registry read is
+    the user's fingerprints, no visit rows, and the write transaction
+    opens (BEGIN IMMEDIATE) before it, so concurrent writers queue on the
+    busy timeout instead of merging into a stale read; no clusters issue
+    no statement, and neither does an empty fingerprint (it raises
+    EmptyFingerprint). On failure the store is left exactly as before
+    and StorageFailure is raised.
     """
     for fp, _ in clusters:
-        if not fp.rssi:  # stored as '', which no later fingerprints() read can decode
+        if not fp.sums:  # a POI with no readings would vanish from fingerprints()
             raise EmptyFingerprint(f"user {user!r}: a cluster has an empty fingerprint")
-        for mac, mean in fp.rssi.items():
-            if abs(mean * fp.counts[mac] - round(mean * fp.counts[mac])) > 1e-6:
-                raise ValueError(f"user {user!r}: MAC {mac}: mean {mean!r} is not of whole dBm")
     if not clusters:
         return []
     try:
@@ -224,11 +207,9 @@ def upsert_day(
                     poi_id = max(registry, default=0) + 1
                     created = min((v.start for v in visits), default=0)
                     store.conn.execute(
-                        "INSERT INTO poi_properties (user, poi_id, fingerprint, created_at)"
-                        " VALUES (?, ?, ?, ?)",
-                        (user, poi_id, encode_fingerprint(fp), created),
+                        "INSERT INTO poi_properties (user, poi_id, created_at) VALUES (?, ?, ?)",
+                        (user, poi_id, created),
                     )
-                    registry[poi_id] = fp
                 else:
                     poi_id = matched
                 # rowcount sums the rows inserted; an ignored duplicate adds 0
@@ -238,12 +219,14 @@ def upsert_day(
                     " VALUES (?, ?, ?, ?, ?, ?)",
                     [(user, poi_id, v.start, v.end, v.scans, int(v.sub_minimal)) for v in visits],
                 ).rowcount
-                if matched is not None and added > 0:
-                    registry[poi_id] = merge_fingerprints(registry[poi_id], fp)
-                    store.conn.execute(
-                        "UPDATE poi_properties SET fingerprint = ?"
-                        " WHERE user = ? AND poi_id = ?",
-                        (encode_fingerprint(registry[poi_id]), user, poi_id),
+                if matched is None or added > 0:
+                    if matched is not None:
+                        fp = merge_fingerprints(registry[poi_id], fp)
+                    registry[poi_id] = fp
+                    store.conn.executemany(
+                        "INSERT OR REPLACE INTO poi_readings (user, poi_id, mac, sum, count)"
+                        " VALUES (?, ?, ?, ?, ?)",
+                        [(user, poi_id, mac, n, fp.counts[mac]) for mac, n in fp.sums.items()],
                     )
                 ids.append(poi_id)
         return ids

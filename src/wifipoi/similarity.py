@@ -1,8 +1,10 @@
-"""Cosine similarity between radio fingerprints.
+"""Cosine similarity between radio fingerprints' mean vectors.
 
-The score compares two fingerprints on the access points they share:
+A mean vector maps MAC -> mean RSS in dBm: a scan's readings, or a
+fingerprint's `rssi`. The score compares two vectors on the access
+points they share:
 the numerator is the dot product over common MACs only, while each
-denominator term is the fingerprint's full self dot product. MACs seen
+denominator term is the vector's full self dot product. MACs seen
 by one side but not the other therefore pull the score down, which is
 exactly the behaviour wanted when deciding whether two observations
 came from the same place. Because RSS readings are all negative, every
@@ -19,12 +21,11 @@ pair is scored once and no caller holds an n x n float matrix.
 from __future__ import annotations
 
 import math
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EmptyFingerprint
-from .model import Fingerprint
 
 # Scores within this distance of 1.0 are collapsed to exactly 1.0, so
 # identical (or proportional) fingerprints compare equal to 1 without
@@ -39,26 +40,26 @@ _BLOCK = 64
 SimilarityScore = float
 
 
-def common_dot(a: Fingerprint, b: Fingerprint) -> float:
-    """Dot product restricted to the MACs both fingerprints contain."""
-    if len(a.rssi) > len(b.rssi):
+def common_dot(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+    """Dot product restricted to the MACs both mean vectors contain."""
+    if len(a) > len(b):
         a, b = b, a
-    return math.fsum(r * b.rssi[mac] for mac, r in a.rssi.items() if mac in b.rssi)
+    return math.fsum(r * b[mac] for mac, r in a.items() if mac in b)
 
 
-def self_dot(a: Fingerprint) -> float:
-    """Full dot product of a fingerprint with itself."""
-    return math.fsum(r * r for r in a.rssi.values())
+def self_dot(a: Mapping[str, float]) -> float:
+    """Full dot product of a mean vector with itself."""
+    return math.fsum(r * r for r in a.values())
 
 
-def cosine_similarity(a: Fingerprint, b: Fingerprint) -> SimilarityScore:
+def cosine_similarity(a: Mapping[str, float], b: Mapping[str, float]) -> SimilarityScore:
     """Cosine score in [0, 1]; 0 when no MAC is shared, 1 when identical.
 
     The denominator uses a single square root of the product so that
     clean ratios (e.g. 1600 / sqrt(8000 * 8000) = 0.2) come out exact.
     Raises EmptyFingerprint when either side has no observations.
     """
-    if len(a.rssi) == 0 or len(b.rssi) == 0:
+    if len(a) == 0 or len(b) == 0:
         raise EmptyFingerprint("cannot compare an empty fingerprint")
     y = common_dot(a, b)
     if y == 0.0:
@@ -114,9 +115,9 @@ def _score_blocks(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, block
 
 
-def similarity_matrix(fps: Sequence[Fingerprint]) -> np.ndarray:
-    """All-pairs scores as one dense n x n array: each block and its mirror."""
-    _, x = mac_matrix([fp.rssi.items() for fp in fps])
+def similarity_matrix(vectors: Sequence[Mapping[str, float]]) -> np.ndarray:
+    """All-pairs scores of mean vectors as one dense n x n array: each block and its mirror."""
+    _, x = mac_matrix([vector.items() for vector in vectors])
     sim = np.empty((len(x), len(x)))
     for lo, block in _score_blocks(x):
         hi = lo + len(block)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sqlite3
 from collections import defaultdict
 from typing import Iterable, Iterator
 
@@ -93,19 +94,21 @@ def naive_dbscan(points: list[Fp], eps: float, min_pts: int) -> list[int]:
     return labels
 
 
-def naive_fingerprint(scans: Iterable[Iterable[tuple[str, int]]]) -> tuple[Fp, dict[str, int]]:
-    """Per-MAC mean RSS and count over the scans that saw each MAC.
+def naive_fingerprint(
+    scans: Iterable[Iterable[tuple[str, int]]],
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Per-MAC RSS sum and count over the scans that saw each MAC.
 
-    `scans` holds each scan's (mac, rssi) readings; a dict loop that
-    sums in float, reading by reading.
+    `scans` holds each scan's (mac, rssi) readings; a dict loop, reading
+    by reading.
     """
-    totals: dict[str, float] = {}
+    totals: dict[str, int] = {}
     counts: dict[str, int] = {}
     for scan in scans:
         for mac, rssi in scan:
-            totals[mac] = totals.get(mac, 0.0) + rssi
+            totals[mac] = totals.get(mac, 0) + rssi
             counts[mac] = counts.get(mac, 0) + 1
-    return {mac: totals[mac] / counts[mac] for mac in totals}, counts
+    return totals, counts
 
 
 def naive_visits(
@@ -314,3 +317,110 @@ def naive_groups(points: list[dict]) -> list[set[int]]:
         seen |= group
         groups.append(group)
     return groups
+
+
+# The version-1 store layout, as the package wrote it before fingerprints
+# moved into poi_readings: each fingerprint is text in poi_properties.
+VERSION_1_SCHEMA = """
+BEGIN IMMEDIATE;
+CREATE TABLE IF NOT EXISTS mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE);
+CREATE TABLE IF NOT EXISTS raw_scans (
+    user TEXT    NOT NULL,
+    t    INTEGER NOT NULL,
+    macs BLOB    NOT NULL,
+    rssi BLOB    NOT NULL,
+    PRIMARY KEY (user, t)
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS poi_properties (
+    user        TEXT    NOT NULL,
+    poi_id      INTEGER NOT NULL,
+    fingerprint TEXT    NOT NULL,
+    created_at  INTEGER NOT NULL,
+    PRIMARY KEY (user, poi_id)
+);
+CREATE TABLE IF NOT EXISTS poi_visits (
+    user        TEXT    NOT NULL,
+    poi_id      INTEGER NOT NULL,
+    start_ts    INTEGER NOT NULL,
+    end_ts      INTEGER NOT NULL,
+    scans       INTEGER NOT NULL,
+    sub_minimal INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (user, poi_id, start_ts, end_ts),
+    FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
+);
+PRAGMA user_version = 1;
+COMMIT;
+"""
+
+
+def encode_fingerprint_v1(rssi: Fp, counts: dict[str, int]) -> str:
+    """Version-1 fingerprint text: sorted `mac:mean:count` triples joined by ';'.
+
+    Means use repr() so the decoded float is bit-identical.
+    """
+    return ";".join(f"{mac}:{rssi[mac]!r}:{counts[mac]}" for mac in sorted(rssi))
+
+
+def version_1_copy(source, target) -> None:
+    """Write at `target` a version-1 store holding the scans and registry of store `source`.
+
+    Each fingerprint is written as version 1 wrote it, its means as
+    floats: sum / count of the source's readings.
+    """
+    with sqlite3.connect(target) as out:
+        out.executescript(VERSION_1_SCHEMA)
+        out.execute("ATTACH DATABASE ? AS src", (str(source),))
+        out.execute("INSERT INTO mac SELECT * FROM src.mac")
+        out.execute("INSERT INTO raw_scans SELECT * FROM src.raw_scans")
+        readings: dict[tuple, tuple[Fp, dict[str, int]]] = {}
+        for user, poi_id, mac, total, count in out.execute("SELECT * FROM src.poi_readings"):
+            means, counts = readings.setdefault((user, poi_id), ({}, {}))
+            means[mac], counts[mac] = total / count, count
+        out.executemany(
+            "INSERT INTO poi_properties VALUES (?, ?, ?, ?)",
+            [(user, poi_id, encode_fingerprint_v1(*readings[user, poi_id]), created)
+             for user, poi_id, created in out.execute("SELECT * FROM src.poi_properties")],
+        )
+        out.execute("INSERT INTO poi_visits SELECT * FROM src.poi_visits")
+    out.execute("DETACH DATABASE src")
+    out.close()
+
+
+def registry_tables(conn) -> dict[str, list[tuple]]:
+    """Every row of the three registry tables, each table in key order."""
+    return {
+        "poi_properties": conn.execute(
+            "SELECT user, poi_id, created_at FROM poi_properties ORDER BY user, poi_id").fetchall(),
+        "poi_readings": conn.execute(
+            "SELECT * FROM poi_readings ORDER BY user, poi_id, mac").fetchall(),
+        "poi_visits": conn.execute(
+            "SELECT * FROM poi_visits ORDER BY user, poi_id, start_ts, end_ts").fetchall(),
+    }
+
+
+def store_invariant_faults(store) -> list[str]:
+    """What breaks the registry's invariant in an open store; [] when it holds.
+
+    For every POI, the stored sums and counts must equal a dict-loop sum
+    over the raw readings of the scans inside its visits, as load_day
+    reads them, and no two visits of a user may overlap.
+    """
+    stored: dict[tuple, tuple[dict[str, int], dict[str, int]]] = defaultdict(lambda: ({}, {}))
+    for user, poi_id, mac, total, count in store.conn.execute("SELECT * FROM poi_readings"):
+        stored[user, poi_id][0][mac], stored[user, poi_id][1][mac] = total, count
+    visits = store.conn.execute(
+        "SELECT user, poi_id, start_ts, end_ts FROM poi_visits ORDER BY user, start_ts, end_ts"
+    ).fetchall()
+    scans: dict[tuple, list] = defaultdict(list)
+    for user, poi_id, start, end in visits:
+        inside = day_rows(store.load_day(user, start, end + 1))
+        scans[user, poi_id] += [row.items() for _, row in inside]
+    faults = [
+        f"POI {key}: stored readings differ from its visits' scans"
+        for key in sorted(set(stored) | set(scans))
+        if stored.get(key) != naive_fingerprint(scans.get(key, []))
+    ]
+    for (user, _, _, end), (other, poi_id, start, _) in zip(visits, visits[1:]):
+        if user == other and start <= end:
+            faults.append(f"user {user!r}: POI {poi_id}'s visit at {start} overlaps the one before")
+    return faults

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import day_rows
+from oracles import (
+    VERSION_1_SCHEMA, day_rows, registry_tables, store_invariant_faults, version_1_copy,
+)
 from wifipoi import cli, ingest
 from wifipoi.cli import main
 from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, plan_uploads
@@ -382,7 +384,7 @@ class TestExtract:
         monkeypatch.setattr(cli, "SummaryStore", traced(SummaryStore))
         assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY) == 0
         reads = [sql for sql in issued if sql.lstrip().upper().startswith("SELECT")]
-        assert any("poi_properties" in sql for sql in reads)
+        assert any("poi_readings" in sql for sql in reads)  # the registry's fingerprints
         assert not any("poi_visits" in sql for sql in reads)
 
     def test_epsilon_override_accepted(self, workdir):
@@ -445,7 +447,7 @@ class TestCommunities:
         from wifipoi.registry import upsert_day
 
         with SummaryStore(workdir / "one.db") as store:
-            fp = Fingerprint(rssi={"aa:00:00:00:00:01": -50.0}, counts={"aa:00:00:00:00:01": 4})
+            fp = Fingerprint(sums={"aa:00:00:00:00:01": -200}, counts={"aa:00:00:00:00:01": 4})
             upsert_day(store, "u", [(fp, [VisitInterval(1, 0, 1200, 4)])])
         assert run("communities", "--store", workdir / "one.db") == 3
         assert "2" in capsys.readouterr().err
@@ -535,6 +537,19 @@ NOT_A_STORE = {
         "CREATE TABLE poi_properties (user TEXT);",
         " f.db: it is not a store: it holds tables, but not mac and raw_scans",
     ),
+    # version-1 stores whose fingerprint text has no exact integer sums
+    "version-1 mean not of whole dBm": (
+        VERSION_1_SCHEMA + "INSERT INTO poi_properties VALUES"
+        " ('u', 1, 'aa:00:00:00:00:01:-50.0:4;bb:00:00:00:00:02:-41.3:1', 0);",
+        " f.db: its version-1 fingerprint of user 'u', POI 1, holds 'bb:00:00:00:00:02:-41.3:1',"
+        " not mac:mean:count of whole-dBm readings",
+    ),
+    "version-1 unparsable triple": (
+        VERSION_1_SCHEMA
+        + "INSERT INTO poi_properties VALUES ('u', 1, 'aa:00:00:00:00:01:-50.0:4', 0);"
+        "INSERT INTO poi_properties VALUES ('u', 2, 'aa:00:00:00:00:01,-50.0,4', 0);",
+        " f.db: its version-1 fingerprint of user 'u', POI 2, holds 'aa:00:00:00:00:01,-50.0,4'",
+    ),
 }
 
 
@@ -583,7 +598,8 @@ class TestStoreOpen:
         if (kind, command) != ("0-byte", "ingest")  # ingest makes its store there
     ])
     def test_store_with_the_old_raw_layout_exits_three(self, workdir, capsys, kind, argv):
-        """Every command refuses a file that is not a store and leaves it byte-identical."""
+        """Every command refuses a file that is not a store, or a version-1 store whose
+        fingerprints have no exact integer sums, and leaves it byte-identical."""
         (workdir / "u.scan").write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')
         script, message = NOT_A_STORE[kind]
         (workdir / "f.db").write_bytes(b"")
@@ -613,6 +629,75 @@ class TestStoreOpen:
         assert (workdir / "poi.db").read_bytes() == before
 
 
+def office_users(workdir, users):
+    """office-day's alice simulated once per user, seeds 1, 2, ..., as <user>.scan.gz."""
+    paths = []
+    for seed, user in enumerate(users, 1):
+        assert run("simulate", "--scenario", "office-day", "--seed", seed,
+                   "--out", f"sim{seed}") == 0
+        paths.append((workdir / f"sim{seed}" / "alice.scan.gz").rename(workdir / f"{user}.scan.gz"))
+    return paths
+
+
+def test_a_version_1_store_continues_as_the_store_it_was_copied_from(workdir):
+    """A version-1 copy, written by the reference writer, upgrades on open to the same registry."""
+    alice, bob = office_users(workdir, ["alice", "bob"])
+    assert run("ingest", "--store", "poi.db", alice, bob) == 0
+    assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY) == 0
+    version_1_copy(workdir / "poi.db", workdir / "v1.db")
+    outputs = {}
+    for store in ("poi.db", "v1.db"):
+        assert run("extract", "--store", store, "--user", "bob", "--day", DAY,
+                   "--out", f"bob-{store}.csv") == 0
+        assert run("communities", "--store", store, "--communities-out", f"c-{store}.csv",
+                   "--sweep-out", f"s-{store}.csv", "--edges-out", f"e-{store}.txt") == 0
+        with SummaryStore(workdir / store) as opened:
+            assert store_invariant_faults(opened) == []
+            outputs[store] = registry_tables(opened.conn), [
+                (workdir / f"{name}-{store}.{ext}").read_bytes()
+                for name, ext in (("bob", "csv"), ("c", "csv"), ("s", "csv"), ("e", "txt"))
+            ]
+    assert outputs["v1.db"] == outputs["poi.db"]
+    assert len(outputs["poi.db"][0]["poi_properties"]) == 8
+
+
+_MAIN = "import sys; from wifipoi.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_racing_commands_leave_the_registry_of_a_serial_run(workdir):
+    """Two ingests and two extracts, one process each, race on one store file.
+
+    Every write transaction opens with BEGIN IMMEDIATE, and a process
+    that finds the file locked waits on SQLite's busy timeout, 5 s in
+    Python's sqlite3.connect, so the calls take turns.
+    """
+    paths = office_users(workdir, ["a", "b", "c", "d"])
+    calls = [["ingest", paths[0]], ["ingest", paths[1]],
+             ["extract", "--user", "c", "--day", DAY, "--out", "c.csv"],
+             ["extract", "--user", "d", "--day", DAY, "--out", "d.csv"]]
+    for store in ("serial.db", "raced.db"):
+        assert run("ingest", "--store", store, *paths[2:]) == 0
+    for argv in calls:
+        assert run(*argv, "--store", "serial.db") == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    procs = [  # four processes, never more
+        subprocess.Popen(
+            [sys.executable, "-c", _MAIN, *map(str, argv), "--store", "raced.db"],
+            cwd=workdir, env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in calls
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    with SummaryStore(workdir / "serial.db") as serial, SummaryStore(workdir / "raced.db") as raced:
+        assert registry_tables(raced.conn) == registry_tables(serial.conn)
+        assert store_invariant_faults(raced) == []
+        assert RawStore.users(raced) == ["a", "b", "c", "d"]
+        assert raced.users() == ["c", "d"]
+
+
 class TestBadPath:
     """A path that cannot be read or written exits 2, not with a traceback."""
 
@@ -635,7 +720,7 @@ class TestBadPath:
         sim = simulate_office(workdir, seed=1)
         assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz") == 0
         if argv[0] == "communities":  # two alike POI of two users: one edge
-            fp = Fingerprint(rssi={"aa:00:00:00:00:01": -50.0}, counts={"aa:00:00:00:00:01": 4})
+            fp = Fingerprint(sums={"aa:00:00:00:00:01": -200}, counts={"aa:00:00:00:00:01": 4})
             with SummaryStore(workdir / "poi.db") as store:
                 for user in ("u", "v"):
                     upsert_day(store, user, [(fp, [VisitInterval(1, 0, 1200, 4)])])
@@ -703,8 +788,8 @@ class TestConfigPrecedence:
         from wifipoi.registry import upsert_day
 
         with SummaryStore(workdir / "poi.db") as store:
-            for user, rssi in (("u", -50.0), ("v", -52.0), ("w", -60.0)):
-                fp = Fingerprint(rssi={"aa:00:00:00:00:01": rssi, "bb:00:00:00:00:02": -70.0},
+            for user, rssi in (("u", -50), ("v", -52), ("w", -60)):
+                fp = Fingerprint(sums={"aa:00:00:00:00:01": 4 * rssi, "bb:00:00:00:00:02": -280},
                                  counts={"aa:00:00:00:00:01": 4, "bb:00:00:00:00:02": 4})
                 upsert_day(store, user, [(fp, [VisitInterval(1, 0, 1200, 4)])])
         cfg = workdir / "pipeline.ini"

@@ -33,9 +33,9 @@ def desk_scan(jitter=0):
 
 
 def scan_fps(log):
-    """Each scan of the log as its own one-scan fingerprint."""
+    """Each scan of the log as the mean vector of its own one-scan fingerprint."""
     day = upload_of(log)
-    return [build_fingerprint(day.macs, ids, rssi) for ids, rssi in scan_columns(day)]
+    return [build_fingerprint(day.macs, ids, rssi).rssi for ids, rssi in scan_columns(day)]
 
 
 def as_floats(dicts):

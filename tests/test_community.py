@@ -21,11 +21,11 @@ from wifipoi.community import (
     write_sweep_csv,
 )
 from wifipoi.errors import EmptyGraph, PartitionMismatch, TooFewNodes
-from wifipoi.model import Fingerprint
 
 
 def make(mapping):
-    return Fingerprint(rssi=dict(mapping), counts={m: 1 for m in mapping})
+    """A mean vector, as scoring takes a fingerprint's."""
+    return dict(mapping)
 
 
 def clique(nodes, weight=1.0):

@@ -11,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import MAC_POOL, naive_fingerprint
+from oracles import (
+    MAC_POOL, VERSION_1_SCHEMA, disjoint_places_day, encode_fingerprint_v1, naive_fingerprint,
+    store_invariant_faults,
+)
 from wifipoi.clustering import VisitInterval, dbscan, segment_visits
 from wifipoi.errors import EmptyCluster, EmptyFingerprint, EmptyLog, StorageFailure
 from wifipoi.ingest import RawStore, store_raw, upload_of
@@ -20,8 +23,6 @@ from wifipoi.registry import (
     SummaryStore,
     build_fingerprint,
     day_window,
-    decode_fingerprint,
-    encode_fingerprint,
     extract_day,
     match_poi,
     merge_fingerprints,
@@ -43,8 +44,10 @@ def scan(t, obs):
     return ScanResult(timestamp=t, observations=tuple(sorted(obs)))
 
 
-def fp(mapping, counts=None):
-    return Fingerprint(rssi=dict(mapping), counts=counts or {m: 1 for m in mapping})
+def fp(means, counts=None):
+    """The fingerprint with these whole-dBm means: each mean times its count is its sum."""
+    counts = counts or {m: 1 for m in means}
+    return Fingerprint({m: int(mean * counts[m]) for m, mean in means.items()}, counts)
 
 
 def matrix_fp(scans):
@@ -108,8 +111,9 @@ class TestBuildFingerprint:
                 mine = np.isin(np.repeat(np.arange(len(scans)), day.counts), members)
                 got = build_fingerprint(day.macs, day.ids[mine], day.rssi[mine])
                 assert got == want
-                assert {type(v) for v in got.rssi.values()} == {float}
+                assert {type(v) for v in got.sums.values()} == {int}
                 assert {type(c) for c in got.counts.values()} == {int}
+                assert {type(v) for v in got.rssi.values()} == {float}
 
     def test_long_cluster_at_the_floor_does_not_overflow(self):
         # 400 readings of -100 sum to -40000, beyond an int8 or int16 accumulator
@@ -117,13 +121,6 @@ class TestBuildFingerprint:
         got = matrix_fp(scans)
         assert got == Fingerprint(*naive_fingerprint(s.observations for s in scans))
         assert got.rssi == {A: -100.0, B: -100.0} and got.counts == {A: 400, B: 200}
-
-    def test_matrix_fingerprint_round_trips_through_encoding(self):
-        rnd = random.Random(42)
-        scans = [scan(300 * k, [(mac, rnd.randint(-90, -40)) for mac in (A, B, C)
-                                if rnd.random() < 0.7] or [(A, -50)]) for k in range(30)]
-        got = matrix_fp(scans)
-        assert decode_fingerprint(encode_fingerprint(got)) == got
 
 
 class TestMergeFingerprints:
@@ -155,12 +152,6 @@ class TestMergeFingerprints:
             assert merged.counts == rebuilt.counts
             assert merged.rssi == rebuilt.rssi
 
-    def test_a_mean_off_in_its_last_bits_merges_as_its_exact_sum(self):
-        # -52.00000000000001 stands for -260 / 5 as an older weighted
-        # merge could store it; the next merge lands on the exact mean
-        merged = merge_fingerprints(fp({A: -52.00000000000001}, {A: 5}), fp({A: -61.0}, {A: 2}))
-        assert merged.rssi == {A: -382 / 7} and merged.counts == {A: 7}
-
 
 class TestMatchPoi:
     def registry(self):
@@ -181,22 +172,6 @@ class TestMatchPoi:
         assert match_poi(fp({A: -25.0, B: -30.0}), record, threshold=1.0) == 1
         assert match_poi(fp({A: -50.0, B: -61.0}), record, threshold=1.0) is None
         assert match_poi(fp({A: -50.0}), record, threshold=1.0) is None
-
-
-class TestFingerprintCodec:
-    def test_blob_is_sorted_triples(self):
-        blob = encode_fingerprint(fp({B: -60.0, A: -50.5}, {B: 3, A: 2}))
-        assert blob == f"{A}:-50.5:2;{B}:-60.0:3"
-
-    def test_roundtrip_bit_exact(self):
-        rnd = random.Random(7)
-        for _ in range(50):
-            original = fp(
-                {m: rnd.uniform(-95.0, -30.0) for m in (A, B, C)},
-                {A: 1, B: 7, C: 12},
-            )
-            decoded = decode_fingerprint(encode_fingerprint(original))
-            assert decoded == original
 
 
 class TestUpsert:
@@ -247,19 +222,6 @@ class TestUpsert:
                                          [visit(30 * k, 30 * k + 20)])])
             merged = store.records("u")[0].fingerprint.rssi[A]
             assert lo <= merged <= hi
-
-    def test_mean_not_of_whole_dbm_is_refused_before_any_statement(self):
-        with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-            before = store.records("u")
-            issued = []
-            store.conn.set_trace_callback(issued.append)
-            with pytest.raises(ValueError, match=rf"user 'u': MAC {A}: mean -41\.3 is"):
-                upsert_day(store, "u", [(fp({B: -60.0}), [visit(60, 80)]),
-                                        (fp({A: -41.3}, {A: 1}), [visit(120, 140)])])
-            store.conn.set_trace_callback(None)
-            assert issued == []
-            assert store.records("u") == before
 
     def test_empty_fingerprint_is_refused_before_any_statement(self):
         with SummaryStore() as store:
@@ -355,16 +317,16 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # BEGIN and 1 read, then per cluster a POI row and one visit:
-        # 8 calls; the last one, the third cluster's visit, fails
-        store.conn = FaultyConn(real, fail_after=7)
+        # BEGIN and 1 read, then per cluster a POI row, one visit and
+        # one reading: 11 calls; the last one, the third cluster's reading, fails
+        store.conn = FaultyConn(real, fail_after=10)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [
                 (fp({B: -60.0}), [visit(60, 80)]),
                 (fp({C: -60.0}), [visit(120, 140)]),
                 (fp({"dd:00:00:00:00:04": -60.0}), [visit(180, 200)]),
             ])
-        assert store.conn._calls == 8
+        assert store.conn._calls == 11
         store.conn = real
         assert store.records("u") == before
         assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (1,)
@@ -380,7 +342,7 @@ from wifipoi.model import Fingerprint
 from wifipoi.registry import SummaryStore, upsert_day
 
 path, first = sys.argv[1], int(sys.argv[2])
-fp = Fingerprint(rssi={"aa:00:00:00:00:01": -50.0, "bb:00:00:00:00:02": -60.0},
+fp = Fingerprint(sums={"aa:00:00:00:00:01": -200, "bb:00:00:00:00:02": -240},
                  counts={"aa:00:00:00:00:01": 4, "bb:00:00:00:00:02": 4})
 with SummaryStore(path) as store:
     for day in range(first, 8, 2):
@@ -604,6 +566,46 @@ class TestExtractDay:
                 extract_day(store, upload_of(build_log("u", "d", [])), ClusterParams())
 
 
+class TestStoreInvariant:
+    """Each POI's stored readings are those of the scans inside its visits (oracles)."""
+
+    def test_holds_after_random_days_each_extracted_once(self):
+        rnd = random.Random(35)
+        for _ in range(6):
+            with SummaryStore() as store:
+                days = []
+                for user in ("u", "v"):
+                    for d in range(rnd.randint(1, 3)):
+                        start = DAY_START + 86400 * d
+                        places = disjoint_places_day(rnd, [rnd.randint(5, 30) for _ in range(3)])
+                        scans = [scan(start + 300 * k, row.items()) for k, row in enumerate(places)]
+                        store_raw(store, [upload_of(build_log(user, "d", scans))])
+                        days.append((user, start))
+                for user, start in days:
+                    extract_day(store, store.load_day(user, start, start + 86400), ClusterParams())
+                assert len(store.fingerprints()) > 2
+                assert store_invariant_faults(store) == []
+
+    @pytest.mark.xfail(strict=True, reason="a re-extracted day's earlier scans are counted twice;"
+                                           " replacing the day's visits will mend it")
+    def test_holds_after_a_late_upload_splits_the_day(self):
+        # office-day alice: ingest up to the middle of her second visit,
+        # extract, ingest the rest, extract the day again
+        scenario = load_scenario("office-day")
+        log, truth = generate_trace(scenario.env, scenario.itineraries["alice"],
+                                    scenario.scan_interval, np.random.default_rng([0, 0]),
+                                    scenario.sigma, user="alice")
+        middle = (truth[1].start + truth[1].end) // 2
+        params = ClusterParams(scan_interval=scenario.scan_interval)
+        window = day_window(time.strftime("%Y-%m-%d", time.gmtime(middle)))
+        with SummaryStore() as store:
+            for part in ([s for s in log.entries if s.timestamp < middle],
+                         [s for s in log.entries if s.timestamp >= middle]):
+                store_raw(store, [upload_of(build_log("alice", "d", part))])
+                extract_day(store, store.load_day("alice", *window), params)
+            assert store_invariant_faults(store) == []
+
+
 class TestFingerprints:
     def test_order_equals_users_then_records(self):
         rnd = random.Random(33)
@@ -651,19 +653,28 @@ class TestDailySummary:
         ]
 
     def test_store_with_the_old_label_column_still_works(self, tmp_path):
+        # a version-1 store whose poi_properties also holds the unused label
+        # column: the open upgrades it, and both old columns go
         with sqlite3.connect(tmp_path / "old.db") as conn:
             conn.execute(
                 "CREATE TABLE poi_properties (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
                 " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL, label TEXT,"
                 " PRIMARY KEY (user, poi_id))"
             )
-            conn.executescript(RawStore.SCHEMA)  # the other tables; a file without them is no store
+            conn.executescript(VERSION_1_SCHEMA)  # the other tables
+            conn.execute("INSERT INTO poi_properties VALUES ('u', 1, ?, ?, 'desk')",
+                         (encode_fingerprint_v1({A: -50.0}, {A: 4}), visit(0, 20).start))
+            conn.execute("INSERT INTO poi_visits VALUES ('u', 1, ?, ?, 4, 0)",
+                         (visit(0, 20).start, visit(0, 20).end))
         conn.close()
         with SummaryStore(tmp_path / "old.db") as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
+            columns = [row[1] for row in store.conn.execute("PRAGMA table_info(poi_properties)")]
+            assert columns == ["user", "poi_id", "created_at"]
+            assert store.conn.execute("PRAGMA user_version").fetchone() == (2,)
             upsert_day(store, "u", [(fp({A: -50.0}), [visit(60, 80)])])
             stored = [(record.poi_id, record.visits) for record in store.records("u")]
             assert summary_rows(stored) == [(1, "00:00", "00:20"), (1, "01:00", "01:20")]
+            assert store.fingerprints() == {("u", 1): Fingerprint({A: -250}, {A: 5})}
 
     def test_repeat_visit_structure(self):
         # a 12-POI day where ids 1, 9 and 12 recur: 17 rows total

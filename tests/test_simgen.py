@@ -105,7 +105,7 @@ class TestGenerateTrace:
         ]
         log, truth = generate_trace(env, itinerary, 300, rng_seed=3)
         day = upload_of(log)
-        fps = [build_fingerprint(day.macs, ids, rssi) for ids, rssi in scan_columns(day)]
+        fps = [build_fingerprint(day.macs, ids, rssi).rssi for ids, rssi in scan_columns(day)]
         left = [f for s, f in zip(log.entries, fps) if s.timestamp < T0 + 3600]
         right = [f for s, f in zip(log.entries, fps) if s.timestamp >= T0 + 3600]
         within = sorted(

@@ -11,7 +11,7 @@ from oracles import naive_cosine, random_fingerprint, random_scan_instance
 from wifipoi.community import build_graph
 from wifipoi.errors import EmptyFingerprint
 from wifipoi.ingest import upload_of
-from wifipoi.model import Fingerprint, ScanResult, build_log
+from wifipoi.model import ScanResult, build_log
 from wifipoi.similarity import (
     _BLOCK,
     _score_blocks,
@@ -30,11 +30,12 @@ def fp(**rssi):
     mapping = {
         {"a": A, "b": B, "c": C}[k]: float(v) for k, v in rssi.items()
     }
-    return Fingerprint(rssi=mapping, counts={m: 1 for m in mapping})
+    return mapping
 
 
 def make(mapping):
-    return Fingerprint(rssi=dict(mapping), counts={m: 1 for m in mapping})
+    """A mean vector, as scoring takes a fingerprint's."""
+    return dict(mapping)
 
 
 def dbm_matrix(dicts):
@@ -83,7 +84,7 @@ class TestCosine:
         assert cosine_similarity(fp(a=-50), fp(a=-50, b=-60)) < 1.0
 
     def test_empty_fingerprint_rejected(self):
-        empty = Fingerprint(rssi={}, counts={})
+        empty = {}
         with pytest.raises(EmptyFingerprint):
             cosine_similarity(empty, fp(a=-50))
         with pytest.raises(EmptyFingerprint):
@@ -211,4 +212,4 @@ class TestMatrix:
     def test_empty_input_and_empty_fingerprint(self):
         assert similarity_matrix([]).shape == (0, 0)
         with pytest.raises(EmptyFingerprint):
-            similarity_matrix([fp(a=-50), Fingerprint(rssi={}, counts={})])
+            similarity_matrix([fp(a=-50), {}])
