@@ -50,7 +50,7 @@ from .registry import (
     upsert_day,
 )
 from .similarity import cosine_similarity, similarity_matrix
-from .simgen import Environment, ItineraryEntry, generate_trace, load_scenario, rss_at
+from .simgen import Environment, ItineraryEntry, generate_trace, load_scenario
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "modularity",
     "parse_mac",
     "plan_uploads",
-    "rss_at",
     "segment_visits",
     "similarity_matrix",
     "store_raw",

@@ -73,8 +73,8 @@ def _decode_line(line_no: int, line: str) -> tuple[str, ScanResult]:
     """
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedLine(line_no, f"invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
+        raise MalformedLine(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(record, dict) or sorted(record) != sorted(_FIELDS):
         raise MalformedLine(line_no, f"expected exactly the fields {list(_FIELDS)}")
     dev, aps = record["dev"], record["aps"]

@@ -103,26 +103,6 @@ def validate_itinerary(entries: Sequence[ItineraryEntry]) -> None:
         last_departure = e.departure
 
 
-def rss_at(
-    ap: AccessPoint,
-    position: tuple[float, float],
-    noise_sigma: float = DEFAULT_SIGMA,
-    rng_seed: int | np.random.Generator | None = None,
-) -> int:
-    """Modeled RSS of one AP at a position, in whole dBm.
-
-    Deterministic given the seed; pass a Generator to share one stream
-    across many calls. Raises ZeroDistance at the AP's exact position
-    (the log-distance model has no value there).
-    """
-    d = math.hypot(ap.x - position[0], ap.y - position[1])
-    if d == 0.0:
-        raise ZeroDistance(f"position coincides with AP {ap.mac}")
-    rng = np.random.default_rng(rng_seed)
-    rss = ap.tx - 10.0 * ap.gamma * math.log10(d) + rng.normal(0.0, noise_sigma)
-    return max(RSSI_MIN, min(RSSI_MAX, round(rss)))
-
-
 def generate_trace(
     env: Environment,
     itinerary: Sequence[ItineraryEntry],
@@ -135,25 +115,34 @@ def generate_trace(
     """Scans along an itinerary plus the itinerary itself as ground truth.
 
     One scan fires every scan_interval seconds from arrival up to (not
-    including) departure, at the place's position. Every AP gets one
-    noise draw per scan whether visible or not, so the stream of random
-    numbers, and hence the output, does not depend on the floor.
+    including) departure, at the place's position. A stay draws its
+    noise in one go, a row per scan and a column per AP, visible or not,
+    so the stream of random numbers, and hence the output, does not
+    depend on the floor; pass a Generator to share one stream across
+    calls. Raises ZeroDistance when a place sits at an AP's exact
+    position (the log-distance model has no value there).
     """
     validate_itinerary(itinerary)
     rng = np.random.default_rng(rng_seed)
+    macs = [ap.mac for ap in env.aps]
     scans: list[ScanResult] = []
     truth: list[GroundTruthVisit] = []
     for entry in itinerary:
         place = env.place(entry.place)
         truth.append(GroundTruthVisit(entry.place, entry.arrival, entry.departure))
-        for t in range(entry.arrival, entry.departure, scan_interval):
-            observations = []
-            for ap in env.aps:
-                rss = rss_at(ap, (place.x, place.y), noise_sigma, rng)
-                if rss >= VISIBILITY_FLOOR:
-                    observations.append((ap.mac, rss))
+        mean = []
+        for ap in env.aps:  # math, not numpy: np.log10's last bit depends on the host
+            d = math.hypot(ap.x - place.x, ap.y - place.y)
+            if d == 0.0:
+                raise ZeroDistance(f"position coincides with AP {ap.mac}")
+            mean.append(ap.tx - 10.0 * ap.gamma * math.log10(d))
+        times = range(entry.arrival, entry.departure, scan_interval)
+        noise = rng.normal(0.0, noise_sigma, (len(times), len(mean)))
+        rss = np.clip(np.round(np.array(mean) + noise), RSSI_MIN, RSSI_MAX).astype(int)
+        for t, row in zip(times, rss.tolist()):
+            observations = tuple((mac, r) for mac, r in zip(macs, row) if r >= VISIBILITY_FLOOR)
             if observations:  # a dead spot yields no scan record at all
-                scans.append(ScanResult(t, tuple(observations)))
+                scans.append(ScanResult(t, observations))
     return build_log(user, device, scans), truth
 
 

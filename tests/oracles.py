@@ -8,6 +8,7 @@ against these.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import sqlite3
@@ -136,6 +137,35 @@ def naive_visits(
         run = [label, t, t, 1]
     flush()
     return out
+
+
+def naive_trace(env, itinerary, scan_interval: int, rng_seed, sigma: float, device: str) -> bytes:
+    """The log-distance model's wire bytes, one scalar draw per AP per scan.
+
+    For each scan of each stay, each AP in env order: its path-loss
+    mean at the place, by math.hypot and math.log10, plus one
+    rng.normal(0, sigma), rounded half to even and clamped to
+    [-100, -1] dBm. A reading under the -95 dBm floor is dropped, and a
+    scan left with none is not written. One line per scan, the wire's
+    fields in order and the readings sorted by MAC.
+    """
+    rng = np.random.default_rng(rng_seed)
+    places = {p.label: (p.x, p.y) for p in env.places}
+    lines = []
+    for stay in itinerary:
+        x, y = places[stay.place]
+        for t in range(stay.arrival, stay.departure, scan_interval):
+            readings = []
+            for ap in env.aps:
+                d = math.hypot(ap.x - x, ap.y - y)
+                rss = ap.tx - 10.0 * ap.gamma * math.log10(d) + rng.normal(0.0, sigma)
+                rss = max(-100, min(-1, round(rss)))
+                if rss >= -95:
+                    readings.append([ap.mac, rss])
+            if readings:
+                record = {"t": t, "dev": device, "aps": sorted(readings)}
+                lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    return "".join(lines).encode()
 
 
 def scan_columns(day) -> list[tuple[np.ndarray, np.ndarray]]:

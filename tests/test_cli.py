@@ -130,6 +130,22 @@ class TestIngest:
         with RawStore(workdir / "poi.db") as store:
             assert rows_in(store) == 0
 
+    @pytest.mark.parametrize("line", [
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"t":' + b"1" * 5_000 + b',"dev":"d","aps":[]}', id="5000-digit-t"),
+    ])
+    def test_unparseable_line_names_file_and_line(self, workdir, capsys, line):
+        sim = simulate_office(workdir)
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz") == 0
+        before = (workdir / "poi.db").read_bytes()
+        bad = workdir / "bob.scan"
+        bad.write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n' + line + b"\n")
+        capsys.readouterr()
+        assert run("ingest", "--store", "poi.db", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 2: ") and "Traceback" not in err
+        assert (workdir / "poi.db").read_bytes() == before
+
     def test_differing_resend_rejects_the_call(self, workdir, capsys):
         first = b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
         (workdir / "a").mkdir()

@@ -1,11 +1,13 @@
 """Synthetic world: propagation model, trace generation, scenarios."""
+import random
+
 import numpy as np
 import pytest
 
-from oracles import scan_columns
+from oracles import naive_trace, scan_columns
 from wifipoi.errors import ScenarioError, UnknownPlace, ZeroDistance
-from wifipoi.ingest import upload_of
-from wifipoi.model import RSSI_MIN
+from wifipoi.ingest import encode_log, upload_of
+from wifipoi.model import RSSI_MAX
 from wifipoi.registry import build_fingerprint
 from wifipoi.similarity import cosine_similarity
 from wifipoi.simgen import (
@@ -16,7 +18,6 @@ from wifipoi.simgen import (
     generate_trace,
     load_scenario,
     parse_scenario,
-    rss_at,
     validate_itinerary,
     write_ground_truth_csv,
 )
@@ -36,29 +37,93 @@ def one_place_env(n_aps=4, at=(0.0, 0.0), label="desk"):
     return Environment(aps=aps, places=(Place(label, at[0], at[1]),))
 
 
-class TestRssAt:
+def one_ap_trace(at, sigma=0.0, seed=None, hours=1, **radio):
+    """The readings of one stay at `at` near a single AP at the origin."""
+    env = Environment(aps=(ap(**radio),), places=(Place("spot", *at),))
+    log, _ = generate_trace(env, [ItineraryEntry("spot", T0, T0 + 3600 * hours)], 300,
+                            rng_seed=seed, noise_sigma=sigma)
+    return [s.observations for s in log.entries]
+
+
+class TestPathLoss:
     def test_reference_distance(self):
-        assert rss_at(ap(), (1.0, 0.0), noise_sigma=0.0) == -30
+        assert one_ap_trace((1.0, 0.0)) == [(("02:00:00:00:00:01", -30),)] * 12
 
     def test_ten_meters_at_gamma_two(self):
-        assert rss_at(ap(), (10.0, 0.0), noise_sigma=0.0) == -50
+        assert one_ap_trace((10.0, 0.0)) == [(("02:00:00:00:00:01", -50),)] * 12
 
-    def test_far_field_clamps_to_floor(self):
-        # default gamma 2.5: -30 - 25*log10(1000) = -105, clamped
-        assert rss_at(ap(gamma=2.5), (1000.0, 0.0), noise_sigma=0.0) == RSSI_MIN
+    def test_mean_under_floor_is_absent(self):
+        # gamma 2.5: -30 - 25*log10(1000) = -105, under the -95 floor
+        assert one_ap_trace((1000.0, 0.0), gamma=2.5) == []
+
+    def test_strong_signal_clamps_to_ceiling(self):
+        assert one_ap_trace((1.0, 0.0), tx=10.0) == [(("02:00:00:00:00:01", RSSI_MAX),)] * 12
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ZeroDistance):
-            rss_at(ap(), (0.0, 0.0))
+            one_ap_trace((0.0, 0.0))
 
     def test_deterministic_per_seed(self):
-        a = [rss_at(ap(), (5.0, 5.0), noise_sigma=2.0, rng_seed=9) for _ in range(3)]
-        assert a[0] == a[1] == a[2]
+        assert one_ap_trace((5.0, 5.0), 2.0, seed=9) == one_ap_trace((5.0, 5.0), 2.0, seed=9)
 
-    def test_generator_advances(self):
-        rng = np.random.default_rng(9)
-        values = {rss_at(ap(), (5.0, 5.0), noise_sigma=4.0, rng_seed=rng) for _ in range(20)}
-        assert len(values) > 1
+    def test_scans_of_a_stay_differ(self):
+        readings = one_ap_trace((5.0, 5.0), 4.0, seed=9, hours=2)
+        assert len(readings) == 24 and len(set(readings)) > 1
+
+
+def random_world(rnd: random.Random) -> tuple[Environment, list[ItineraryEntry], int]:
+    """1-12 APs and 1-4 places over 60 m, and 1-5 stays among them.
+
+    Half the worlds put APs on even grid points with half-dBm tx and
+    each place 1 m east of an AP, so at sigma 0 some readings are exact
+    halves and the rounding rule shows.
+    """
+    grid = rnd.random() < 0.5
+
+    def coordinate() -> float:
+        return 2.0 * rnd.randint(0, 30) if grid else rnd.uniform(0, 60)
+
+    aps = tuple(
+        AccessPoint("02:00:00:00:00:%02x" % k, coordinate(), coordinate(),
+                    rnd.randint(-100, -40) / 2 if grid else rnd.uniform(-50, -20),
+                    rnd.uniform(1.5, 4.5))
+        for k in range(rnd.randint(1, 12))
+    )
+    places = []
+    for k in range(rnd.randint(1, 4)):
+        near = rnd.choice(aps)
+        x, y = (near.x + 1.0, near.y) if grid else (coordinate(), coordinate())
+        places.append(Place(f"p{k}", x, y))
+    itinerary, t = [], T0
+    for _ in range(rnd.randint(1, 5)):
+        t += rnd.randint(0, 3600)
+        length = rnd.randint(1, 7200)
+        itinerary.append(ItineraryEntry(rnd.choice(places).label, t, t + length))
+        t += length
+    return Environment(aps=aps, places=tuple(places)), itinerary, rnd.choice([30, 60, 300, 301])
+
+
+class TestAgainstScalarModel:
+    """One noise draw per stay gives the scalar model's wire bytes exactly."""
+
+    @pytest.mark.parametrize("name", ["office-day", "office-3day", "mall-11-users", "split-day"])
+    def test_bundled_scenarios(self, name):
+        sc = load_scenario(name)
+        for seed in range(20):
+            for idx, user in enumerate(sorted(sc.itineraries)):
+                args = (sc.env, sc.itineraries[user], sc.scan_interval)
+                log, _ = generate_trace(*args, np.random.default_rng([seed, idx]), sc.sigma,
+                                        user=user, device=sc.devices[user])
+                expected = naive_trace(*args, np.random.default_rng([seed, idx]), sc.sigma,
+                                       sc.devices[user])
+                assert encode_log(log) == expected, (seed, user)
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_random_environments(self, sigma):
+        for seed in range(300):
+            env, itinerary, interval = random_world(random.Random(seed))
+            log, _ = generate_trace(env, itinerary, interval, seed, sigma, device="d")
+            assert encode_log(log) == naive_trace(env, itinerary, interval, seed, sigma, "d"), seed
 
 
 class TestGenerateTrace:
