@@ -160,23 +160,32 @@ def _user_from_filename(path: Path) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    """Land every file in one raw-store transaction; a bad file rejects them all."""
+    """Land every file in one raw-store transaction; a bad file rejects them all.
+
+    Every file decodes before the store opens, so a call refused for a
+    file's content leaves no new store behind.
+    """
     paths = [Path(name) for name in args.files]
     users = [_user_from_filename(path) for path in paths]
-    path = paths[0]
-
-    def uploads() -> Iterator[Scans]:
-        nonlocal path
-        for path, user in zip(paths, users):
+    uploads: list[Scans] = []
+    for path, user in zip(paths, users):
+        try:
             data = path.read_bytes()
             if path.name.endswith(".gz"):
                 data = decompress_batch(data)
-            yield decode_upload(data, user=user)
+            uploads.append(decode_upload(data, user=user))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+    def in_turn() -> Iterator[Scans]:
+        nonlocal path
+        for path, upload in zip(paths, uploads):
+            yield upload
 
     with RawStore(cfg.store) as store:
         try:
-            reports = store_raw(store, uploads())
-        except InputError as exc:  # the file being decoded or stored when it failed
+            reports = store_raw(store, in_turn())
+        except InputError as exc:  # the file being stored when it failed
             raise InputError(f"{path}: {exc}") from exc
     for path, report in zip(paths, reports):
         print(f"{path}: {report.added} rows added, {report.skipped} skipped")

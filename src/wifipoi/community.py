@@ -22,6 +22,14 @@ run (the first visits nodes in sorted order, the rest in fixed-seed
 shuffles) and the best-scoring partition wins, so results are
 deterministic. Float totals (m, degrees, Q) add left to right in edge
 order, never by sum(), which compensates from Python 3.12 on.
+
+Three shortcuts skip only work whose outcome is already known, so every
+float operation and RNG draw that decides a move is the unshortened
+scheme's: _one_level does not rescan a node that stayed put while its
+neighbours' communities and its candidates' S_tot kept their exact
+values; a run ends without its last refinement once every edge lies
+inside one community, where no node can move; and louvain scores each
+distinct partition of its starts once, as a repeat cannot beat the best.
 """
 
 from __future__ import annotations
@@ -82,7 +90,8 @@ def build_graph(
     Edges come in row-major (i, j) order, which Louvain's tie-breaks
     depend on. `names` labels the nodes (defaults to indices); the CLI
     passes (user, poi_id) pairs. Raises TooFewNodes for fewer than 2
-    fingerprints or a name count that does not match.
+    fingerprints, a name count that does not match, or a repeated name,
+    which would join two fingerprints into one node with a self-loop.
     """
     h = len(vectors)
     if h < 2:
@@ -91,6 +100,8 @@ def build_graph(
     nodes = tuple(names) if names is not None else tuple(range(h))
     if len(nodes) != h:
         raise TooFewNodes(f"{len(nodes)} names for {h} fingerprints")
+    if len(set(nodes)) != h:
+        raise TooFewNodes(f"{len(set(nodes))} distinct names for {h} fingerprints")
     edges: list[tuple[Node, Node, float]] = []
     for lo, block in _score_blocks(mac_matrix([vector.items() for vector in vectors])[1]):
         i, j = np.nonzero(np.triu(block >= threshold, 1))  # node lo + i < node lo + j
@@ -143,32 +154,53 @@ def _one_level(
     in place, node by node in `order`, until a pass moves nothing.
     Returns the exact Q delta of every accepted move; empty when
     nothing moved.
+
+    A visit that keeps a node in place leaves a memo: the (community,
+    sigma_tot) pair of every candidate, or () when its own community
+    was the only one. A move clears the memos of the node and its
+    neighbours, so a memo stands only while the node's link weights
+    per community are the ones it was scored on. A later visit that
+    finds every remembered sigma_tot bit-equal would score the same
+    floats and stay again, so it applies only the remove-and-restore
+    pair of sigma_tot updates the full visit would apply.
     """
     sigma_tot = [0.0] * len(adj)
     for c, k_i in zip(comm, k):
         sigma_tot[c] += k_i
     two_mm = 2.0 * m * m
     gains: list[float] = []
+    memo: list[tuple[tuple[int, float], ...] | None] = [None] * len(adj)
     while True:
         before = len(gains)
         for i in order:
             ci, k_i = comm[i], k[i]
             sigma_tot[ci] -= k_i
+            kept = memo[i]
+            if kept is not None and all(sigma_tot[c] == s for c, s in kept):
+                sigma_tot[ci] += k_i
+                continue
             links = {ci: 0.0}
             for j, w in adj[i].items():
-                links[comm[j]] = links.get(comm[j], 0.0) + w
+                cj = comm[j]
+                links[cj] = links.get(cj, 0.0) + w
             # Gain of placing the (removed) node into community c; c == ci
             # scores exactly `stay`, which never beats itself.
             stay = links[ci] / m - sigma_tot[ci] * k_i / two_mm
             best_c, best_gain = ci, stay
-            for c in sorted(links):
+            candidates = sorted(links)
+            for c in candidates:
                 g = links[c] / m - sigma_tot[c] * k_i / two_mm
                 if g > best_gain + _GAIN_EPS:
                     best_c, best_gain = c, g
-            comm[i] = best_c
-            sigma_tot[best_c] += k_i
-            if best_c != ci:
+            if best_c == ci:
+                memo[i] = tuple((c, sigma_tot[c]) for c in candidates) if len(links) > 1 else ()
+            else:
                 gains.append(best_gain - stay)
+                comm[i] = best_c
+                memo[i] = None
+                for j in adj[i]:
+                    memo[j] = None
+            sigma_tot[best_c] += k_i
         if len(gains) == before:
             return gains
 
@@ -214,7 +246,10 @@ def _search(
 
     Returns the community per original node once a refinement moves
     nothing, and the gain of every accepted move; the gains telescope
-    from the singleton partition's Q to the final Q.
+    from the singleton partition's Q to the final Q. When the climb
+    leaves no edge between communities, every node's only candidate is
+    its own community, so the refinement that would end the run is
+    skipped; its visit order is the last draw the run would make.
     """
     n = len(base)
 
@@ -235,6 +270,8 @@ def _search(
             adj, loops, degrees, up = _aggregate(adj, loops, comm)
             assign = [up[c] for c in assign]
             comm = list(range(len(adj)))
+        if not any(adj):
+            break
     return assign, gains
 
 
@@ -248,8 +285,10 @@ def louvain(graph: PoiGraph) -> Partition:
     sorted order and the rest use fixed-seed shuffles, so repeated
     calls agree. The returned partition maps the original nodes, with
     community ids renumbered 0..k-1 in order of first appearance, and q
-    evaluated on the original graph. Raises EmptyGraph when the edges
-    weigh nothing, as modularity does.
+    evaluated on the original graph, once per distinct renumbered
+    partition: a start that repeats an earlier partition repeats its q,
+    which cannot beat the best strictly, so it is passed over. Raises
+    EmptyGraph when the edges weigh nothing, as modularity does.
     """
     index = {node: i for i, node in enumerate(graph.nodes)}
     base: list[dict[int, float]] = [{} for _ in graph.nodes]
@@ -264,12 +303,15 @@ def louvain(graph: PoiGraph) -> Partition:
     k = [reduce(add, links.values(), 0.0) for links in base]  # degrees, once for all starts
 
     best: Partition | None = None
+    seen: set[tuple[int, ...]] = set()
     for s in range(_STARTS):
         assign, gains = _search(base, k, m, None if s == 0 else random.Random(1_000_003 * s))
         renumber: dict[int, int] = {}
-        communities = {
-            node: renumber.setdefault(c, len(renumber)) for node, c in zip(graph.nodes, assign)
-        }
+        ids = tuple(renumber.setdefault(c, len(renumber)) for c in assign)
+        if ids in seen:
+            continue
+        seen.add(ids)
+        communities = dict(zip(graph.nodes, ids))
         q = modularity(graph, communities)
         if best is None or q > best.q:
             best = Partition(communities=communities, q=q, move_gains=tuple(gains))

@@ -255,6 +255,133 @@ def planted_edges(r: random.Random) -> tuple[int, list[tuple[int, int, float]]]:
     return n, edges
 
 
+def reference_louvain(nodes: tuple, edges: tuple) -> tuple[dict, float, tuple[float, ...]]:
+    """The package's Louvain as it stood before any visit was skipped.
+
+    Every pass rescans every node's neighbours, every run ends with a
+    refinement that moves nothing, and every start's partition is
+    scored. Float operations and RNG draws are in the package's order,
+    so the (communities, q, move gains) it returns must match louvain's
+    to the last bit. Graphs with no edge weight raise ValueError.
+    """
+    index = {node: i for i, node in enumerate(nodes)}
+    base: list[dict[int, float]] = [{} for _ in nodes]
+    m = 0.0
+    for a, b, w in edges:
+        m += w
+        ia, ib = index[a], index[b]
+        base[ia][ib] = base[ia].get(ib, 0.0) + w
+        base[ib][ia] = base[ib].get(ia, 0.0) + w
+    if m <= 0:
+        raise ValueError("graph has no weight")
+    k = [_add_in_order(links.values()) for links in base]
+    best = None
+    for s in range(8):
+        assign, gains = _reference_search(base, k, m, None if s == 0 else random.Random(1_000_003 * s))
+        renumber: dict[int, int] = {}
+        comm = {node: renumber.setdefault(c, len(renumber)) for node, c in zip(nodes, assign)}
+        q = _edge_order_modularity(edges, comm)
+        if best is None or q > best[1]:
+            best = (comm, q, tuple(gains))
+    return best
+
+
+def _add_in_order(values: Iterable[float]) -> float:
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _edge_order_modularity(edges: Iterable[tuple], comm: dict) -> float:
+    m = 0.0
+    sigma_in: dict = defaultdict(float)
+    sigma_tot: dict = defaultdict(float)
+    for a, b, w in edges:
+        m += w
+        ca, cb = comm[a], comm[b]
+        if ca == cb:
+            sigma_in[ca] += 2.0 * w
+            sigma_tot[ca] += 2.0 * w
+        else:
+            sigma_tot[ca] += w
+            sigma_tot[cb] += w
+    two_m = 2.0 * m
+    return _add_in_order(sigma_in[c] / two_m - (sigma_tot[c] / two_m) ** 2 for c in sigma_tot)
+
+
+def _reference_search(base, k, m, rng):
+    n = len(base)
+
+    def visit_order(count):
+        order = list(range(count))
+        if rng is not None:
+            rng.shuffle(order)
+        return order
+
+    assign = list(range(n))
+    gains: list[float] = []
+    while refined := _reference_one_level(base, k, m, visit_order(n), assign):
+        gains += refined
+        adj, loops, degrees, assign = _reference_aggregate(base, [0.0] * n, assign)
+        comm = list(range(len(adj)))
+        while climbed := _reference_one_level(adj, degrees, m, visit_order(len(adj)), comm):
+            gains += climbed
+            adj, loops, degrees, up = _reference_aggregate(adj, loops, comm)
+            assign = [up[c] for c in assign]
+            comm = list(range(len(adj)))
+    return assign, gains
+
+
+def _reference_one_level(adj, k, m, order, comm):
+    sigma_tot = [0.0] * len(adj)
+    for c, k_i in zip(comm, k):
+        sigma_tot[c] += k_i
+    two_mm = 2.0 * m * m
+    gains: list[float] = []
+    while True:
+        before = len(gains)
+        for i in order:
+            ci, k_i = comm[i], k[i]
+            sigma_tot[ci] -= k_i
+            links = {ci: 0.0}
+            for j, w in adj[i].items():
+                links[comm[j]] = links.get(comm[j], 0.0) + w
+            stay = links[ci] / m - sigma_tot[ci] * k_i / two_mm
+            best_c, best_gain = ci, stay
+            for c in sorted(links):
+                g = links[c] / m - sigma_tot[c] * k_i / two_mm
+                if g > best_gain + 1e-12:
+                    best_c, best_gain = c, g
+            comm[i] = best_c
+            sigma_tot[best_c] += k_i
+            if best_c != ci:
+                gains.append(best_gain - stay)
+        if len(gains) == before:
+            return gains
+
+
+def _reference_aggregate(adj, loops, comm):
+    remap = {c: i for i, c in enumerate(sorted(set(comm)))}
+    up = [remap[c] for c in comm]
+    new_adj: list[dict[int, float]] = [{} for _ in remap]
+    new_loops = [0.0] * len(remap)
+    for i, links in enumerate(adj):
+        ci = up[i]
+        new_loops[ci] += loops[i]
+        for j, w in links.items():
+            if j < i:
+                continue
+            cj = up[j]
+            if ci == cj:
+                new_loops[ci] += w
+            else:
+                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
+    k = [_add_in_order(links.values()) + 2.0 * loop for links, loop in zip(new_adj, new_loops)]
+    return new_adj, new_loops, k, up
+
+
 MAC_POOL = tuple("02:00:00:00:00:%02x" % k for k in range(40))
 
 

@@ -130,6 +130,16 @@ class TestIngest:
         with RawStore(workdir / "poi.db") as store:
             assert rows_in(store) == 0
 
+    def test_refused_content_creates_no_store(self, workdir, capsys):
+        bad = workdir / "bob.scan"
+        bad.write_bytes(
+            b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
+            b'{"t":400,"dev":"d","aps":[["aa:00:00:00:00:01",-50]\n'
+        )
+        assert run("ingest", "--store", "poi.db", bad) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: ")
+        assert not (workdir / "poi.db").exists()
+
     @pytest.mark.parametrize("line", [
         pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-nesting"),
         pytest.param(b'{"t":' + b"1" * 5_000 + b',"dev":"d","aps":[]}', id="5000-digit-t"),

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     best_partition_q, naive_cosine, naive_modularity, planted_edges, random_fingerprint,
+    reference_louvain,
 )
 from wifipoi import community
 from wifipoi.community import (
@@ -103,6 +104,60 @@ def pinned_digest():
     return len(graphs), digest.hexdigest()
 
 
+def zoned_graphs(rnd, count):
+    """`count` graphs of the shapes the pinned graphs leave out, nodes named (user, poi).
+
+    In turn: disjoint cliques; zones of place cliques whose places share
+    medium edges and whose zones a few weak edges join, as in a mall;
+    such zones with isolated nodes mixed in; and such zones with
+    tie_prone_graphs' weights (1.0, 0.5 or a raw float). Node and edge
+    order are shuffled, so neither follows the groups.
+    """
+    for k in range(count):
+        zones = [[rnd.randint(1, 6) for _ in range(rnd.randint(1, 4))]
+                 for _ in range(rnd.randint(2, 6))]
+        place = [(z, p) for z, sizes in enumerate(zones) for p, size in enumerate(sizes)
+                 for _ in range(size)]
+
+        def weight(lo, hi):
+            if k % 4 == 3:
+                return rnd.choice((1.0, 0.5, rnd.random()))
+            return round(rnd.uniform(lo, hi), 3)
+
+        edges = []
+        for a, b in itertools.combinations(range(len(place)), 2):
+            if place[a] == place[b]:
+                edges.append((a, b, weight(0.6, 1.0)))
+            elif k % 4 == 0:  # disjoint cliques
+                continue
+            elif place[a][0] == place[b][0] and rnd.random() < 0.5:
+                edges.append((a, b, weight(0.2, 0.4)))
+            elif place[a][0] != place[b][0] and rnd.random() < 0.02:
+                edges.append((a, b, weight(0.05, 0.15)))
+        n = len(place) + (rnd.randint(1, 5) if k % 4 == 2 else 0)  # the extra nodes are isolated
+        names = [(f"u{rnd.randrange(100):02d}", i) for i in range(n)]
+        rnd.shuffle(names)
+        rnd.shuffle(edges)
+        if edges:
+            yield PoiGraph(nodes=tuple(names),
+                           edges=tuple((names[a], names[b], w) for a, b, w in edges))
+
+
+# A tie-prone graph (one of 16,976 random ones) on which a node that
+# keeps its memo after it moves is later skipped when a full visit would
+# move it, so the output differs from the reference.
+STALE_MEMO_EDGES = (
+    (10, 17, 0.6927950667042052), (6, 16, 0.5), (3, 8, 1.0), (15, 19, 1.0),
+    (6, 17, 0.35132037547756434), (1, 16, 1.0), (4, 13, 0.5), (12, 17, 0.5), (11, 14, 0.5),
+    (0, 15, 0.5), (17, 19, 0.5), (5, 8, 0.5), (2, 8, 0.5), (16, 18, 1.0), (3, 17, 1.0),
+    (0, 3, 1.0), (7, 12, 1.0), (17, 18, 0.29045252155403434), (3, 4, 0.5), (10, 19, 0.5),
+    (7, 17, 0.5), (1, 10, 0.16013218648725513), (2, 15, 0.5), (4, 14, 1.0), (16, 19, 0.5),
+    (1, 19, 0.04636988738369785), (15, 18, 0.5), (2, 3, 0.5), (3, 7, 0.03511668544458724),
+    (11, 19, 0.5), (1, 18, 0.1378587061790405), (10, 13, 1.0), (2, 4, 1.0),
+    (9, 15, 0.48289459871894813), (0, 7, 0.08893770524495481), (0, 16, 1.0), (0, 2, 1.0),
+)
+
+
 def compensated_sum(values, start=0):
     """sum() as Python 3.12 and later add floats: Neumaier's compensated sum."""
     total, comp = float(start), 0.0
@@ -168,6 +223,9 @@ class TestBuildGraph:
         assert graph.nodes == tuple(names)
         with pytest.raises(TooFewNodes):
             build_graph(fps, 0.5, names=names[:2])
+        # a repeated name would make one node with a self-loop
+        with pytest.raises(TooFewNodes, match="2 distinct names for 3 fingerprints"):
+            build_graph(fps, 0.5, names=[names[0], names[0], names[2]])
 
 
 class TestModularity:
@@ -310,6 +368,18 @@ class TestLouvain:
         # from Python 3.12 on, moves nothing
         monkeypatch.setattr(community, "sum", compensated_sum, raising=False)
         assert pinned_digest() == (PINNED_GRAPHS, PINNED_LOUVAIN)
+
+    def test_equals_the_unshortened_reference(self):
+        # skipped visits, the skipped last refinement and the skipped
+        # repeat scores change no bit of the output
+        graphs = [*zoned_graphs(random.Random(23), 160), *tie_prone_graphs(random.Random(24), 40),
+                  PoiGraph(nodes=tuple(range(20)), edges=STALE_MEMO_EDGES)]
+        for k, g in enumerate(graphs):
+            part = louvain(g)
+            communities, q, gains = reference_louvain(g.nodes, g.edges)
+            assert part.communities == communities, k
+            assert part.q.hex() == q.hex(), k
+            assert [x.hex() for x in part.move_gains] == [x.hex() for x in gains], k
 
     def test_no_single_node_move_raises_q(self):
         # climbs on aggregated graphs lock nodes inside super-nodes; the
