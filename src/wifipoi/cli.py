@@ -36,7 +36,9 @@ from .community import (
     write_sweep_csv,
 )
 from .errors import InputError, PoiError, StorageFailure, UnknownUser
-from .ingest import RawStore, compress_batch, decode_upload, decompress_batch, encode_log, store_raw
+from .ingest import (
+    RawStore, check_agree, compress_batch, decode_upload, decompress_batch, encode_log, store_raw,
+)
 from .model import ClusterParams, Scans
 from .registry import (
     MATCH_THRESHOLD, SummaryStore, day_window, extract_day, summary_rows, write_summary_csv,
@@ -162,8 +164,10 @@ def _user_from_filename(path: Path) -> str:
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     """Land every file in one raw-store transaction; a bad file rejects them all.
 
-    Every file decodes before the store opens, so a call refused for a
-    file's content leaves no new store behind.
+    Every file decodes, and the files are checked against each other,
+    before the store opens, so a call refused for a file's content, or
+    for two files that hold one scan with other readings, leaves no new
+    store behind.
     """
     paths = [Path(name) for name in args.files]
     users = [_user_from_filename(path) for path in paths]
@@ -182,11 +186,12 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         for path, upload in zip(paths, uploads):
             yield upload
 
-    with RawStore(cfg.store) as store:
-        try:
+    try:
+        check_agree(in_turn())
+        with RawStore(cfg.store) as store:
             reports = store_raw(store, in_turn())
-        except InputError as exc:  # the file being stored when it failed
-            raise InputError(f"{path}: {exc}") from exc
+    except InputError as exc:  # the file being checked or stored when it failed
+        raise InputError(f"{path}: {exc}") from exc
     for path, report in zip(paths, reports):
         print(f"{path}: {report.added} rows added, {report.skipped} skipped")
     total_added = sum(report.added for report in reports)

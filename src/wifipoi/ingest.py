@@ -23,7 +23,8 @@ columns that decode_upload gives. store_raw lands any number of uploads
 in one transaction, so a caller that feeds it several (the CLI's ingest
 call) keeps all or none of them; since identical scans are skipped, a
 rejected call can simply be re-run once the bad upload is taken out.
-upload_of turns an in-memory ScanLog into Scans by way of its wire
+check_agree finds the refusals that lie among the uploads themselves
+before any store is opened. upload_of turns an in-memory ScanLog into Scans by way of its wire
 bytes.
 
 The user never appears on the wire; it is carried out of band (the CLI
@@ -264,8 +265,11 @@ class RawStore:
 
     An open reads the table names once. A file that holds the earlier
     layout's raw_observations table, or tables but not mac and
-    raw_scans, is refused and left untouched; SCHEMA runs only when a
-    table is missing, so a reopen writes nothing. A version-1 store is
+    raw_scans, is refused and left untouched. Any other file is then
+    set to PRAGMA journal_mode = TRUNCATE: a commit truncates the
+    rollback journal to 0 bytes rather than creating and deleting it,
+    so a 0-byte <store>-journal stays beside the store. SCHEMA runs
+    only when a table is missing, so a reopen writes nothing. A version-1 store is
     upgraded in SCHEMA's transaction; one whose fingerprint text does
     not convert exactly is refused untouched (_version_1_readings). Each
     connection enforces foreign keys. A refused or unopenable file
@@ -327,6 +331,7 @@ class RawStore:
                 )
             if tables and not tables >= {"mac", "raw_scans"}:
                 raise StorageFailure("it is not a store: it holds tables, but not mac and raw_scans")
+            conn.execute("PRAGMA journal_mode = TRUNCATE")
             if not tables >= {"mac", "raw_scans", "poi_properties", "poi_readings", "poi_visits"}:
                 with conn:
                     conn.execute("BEGIN IMMEDIATE")
@@ -447,12 +452,48 @@ def _store_upload(conn: sqlite3.Connection, upload: Scans, mac_ids: dict[str, in
         elif old == blobs:
             skipped += end - start
         else:
-            raise DuplicateTimestamp(
-                f"user {upload.user!r}: the scan at t={t} differs from the stored one"
-            )
+            raise _differs(upload.user, t)
         start = end
     conn.executemany("INSERT INTO raw_scans (user, t, macs, rssi) VALUES (?, ?, ?, ?)", rows)
     return IngestReport(added=added, skipped=skipped)
+
+
+def _differs(user: str, t: int) -> DuplicateTimestamp:
+    return DuplicateTimestamp(f"user {user!r}: the scan at t={t} differs from the stored one")
+
+
+def _readings(upload: Scans, picks: np.ndarray) -> list[tuple[tuple[str, ...], bytes]]:
+    """Each picked scan's MACs and packed readings, equal for equal scans of any uploads."""
+    starts = (np.cumsum(upload.counts) - upload.counts)[picks].tolist()
+    return [
+        (tuple(map(upload.macs.__getitem__, upload.ids[s:s + n].tolist())),
+         upload.rssi[s:s + n].tobytes())
+        for s, n in zip(starts, upload.counts[picks].tolist())
+    ]
+
+
+def check_agree(uploads: Iterable[Scans]) -> None:
+    """Raise store_raw's DuplicateTimestamp where uploads, taken in order, disagree.
+
+    That is at an upload's first scan whose (user, t) an earlier upload
+    holds with other readings, so a caller can refuse such a set before
+    it opens a store. Only uploads of one user whose time spans overlap
+    are compared, scan by scan at their common times.
+    """
+    earlier: dict[str, list[Scans]] = {}
+    for upload in uploads:
+        if not len(upload.times):
+            continue
+        differ = []
+        for other in earlier.setdefault(upload.user, []):
+            if other.times[0] <= upload.times[-1] and upload.times[0] <= other.times[-1]:
+                common, mine, theirs = np.intersect1d(
+                    upload.times, other.times, assume_unique=True, return_indices=True)
+                differ += [t for t, a, b in zip(common.tolist(), _readings(upload, mine),
+                                                 _readings(other, theirs)) if a != b]
+        if differ:
+            raise _differs(upload.user, min(differ))
+        earlier[upload.user].append(upload)
 
 
 def store_raw(store: RawStore, uploads: Iterable[Scans]) -> list[IngestReport]:

@@ -14,14 +14,18 @@ integer sum and count per MAC) and poi_visits tables, linked by (user,
 poi_id); SummaryStore extends ingest.RawStore, the file.
 poi_id is scoped per user: two users may both own poi_id 1. All writes
 go through one transaction per user-day via upsert_day, so a crash
-mid-day leaves the previous state intact; it reads the user's
-fingerprints, not the visit history (records() and PoiRecord expose
-that for inspection). extract_day is the whole per-user-day step:
-cluster, segment, fingerprint, register.
+mid-day leaves the previous state intact. It reads only the candidate
+POI, those of the user that share a MAC with the day's clusters (any
+other scores 0, below every match threshold), and takes the next free
+poi_id from the user's highest one; it reads no visit history
+(records() and PoiRecord expose that for inspection, and fingerprints()
+every POI). extract_day is the whole per-user-day step: cluster,
+segment, fingerprint, register.
 """
 
 from __future__ import annotations
 
+import json
 import sqlite3
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -151,6 +155,22 @@ class SummaryStore(RawStore):
     def fingerprints(self, user: str | None = None) -> dict[tuple[str, int], Fingerprint]:
         """POI fingerprints by (user, poi_id) in that order, of all users or one; no visits."""
         where, params = ("", ()) if user is None else ("WHERE user = ?", (user,))
+        return self._read_fingerprints(where, params)
+
+    def candidates(self, user: str, macs: Iterable[str]) -> dict[int, Fingerprint]:
+        """The user's POI that hold at least one of `macs`, by poi_id; SQLite picks them.
+
+        A POI that holds none of them scores 0 against any fingerprint
+        over `macs`, so these are the only POI such a fingerprint can match.
+        """
+        fps = self._read_fingerprints(
+            "WHERE user = ? AND poi_id IN (SELECT poi_id FROM poi_readings"
+            " WHERE user = ? AND mac IN (SELECT value FROM json_each(?)))",
+            (user, user, json.dumps(list(macs))),
+        )
+        return {poi_id: fp for (_, poi_id), fp in fps.items()}
+
+    def _read_fingerprints(self, where: str, params: tuple) -> dict[tuple[str, int], Fingerprint]:
         fps: dict[tuple[str, int], Fingerprint] = {}
         for user, poi_id, mac, total, count in self.conn.execute(
             f"SELECT user, poi_id, mac, sum, count FROM poi_readings {where}"
@@ -181,16 +201,22 @@ def upsert_day(
     earlier clusters left them: on a match the new visits are appended
     (exact duplicates are skipped, which makes re-running a day a no-op)
     and, when anything new arrived, the fingerprint becomes the merge of
-    old and new; otherwise the next free poi_id is allocated. A new or
-    merged POI's readings are written in one INSERT OR REPLACE; a merge
-    only adds MACs, so it replaces every old row. The registry read is
-    the user's fingerprints, no visit rows, and the write transaction
-    opens (BEGIN IMMEDIATE) before it, so concurrent writers queue on the
+    old and new; otherwise the next free poi_id, one above the user's
+    highest, is allocated. A new or merged POI's readings are written in
+    one INSERT OR REPLACE; a merge only adds MACs, so it replaces every
+    old row. The registry read is the candidates, the user's POI that
+    hold a MAC of some cluster, plus the highest poi_id: since a POI
+    sharing no MAC scores 0 and `threshold` is above 0, the ids equal a
+    match against every POI. The write transaction opens (BEGIN
+    IMMEDIATE) before the reads, so concurrent writers queue on the
     busy timeout instead of merging into a stale read; no clusters issue
     no statement, and neither does an empty fingerprint (it raises
-    EmptyFingerprint). On failure the store is left exactly as before
-    and StorageFailure is raised.
+    EmptyFingerprint) or a threshold outside (0, 1] (ValueError). On
+    failure the store is left exactly as before and StorageFailure is
+    raised.
     """
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"match threshold {threshold} outside (0, 1]")
     for fp, _ in clusters:
         if not fp.sums:  # a POI with no readings would vanish from fingerprints()
             raise EmptyFingerprint(f"user {user!r}: a cluster has an empty fingerprint")
@@ -200,11 +226,14 @@ def upsert_day(
         ids = []
         with store.conn:
             store.conn.execute("BEGIN IMMEDIATE")
-            registry = {poi_id: f for (_, poi_id), f in store.fingerprints(user).items()}
+            registry = store.candidates(user, {mac for fp, _ in clusters for mac in fp.sums})
+            (last_id,) = store.conn.execute(
+                "SELECT coalesce(max(poi_id), 0) FROM poi_properties WHERE user = ?", (user,)
+            ).fetchone()
             for fp, visits in clusters:
                 matched = match_poi(fp, registry, threshold)
                 if matched is None:
-                    poi_id = max(registry, default=0) + 1
+                    last_id = poi_id = last_id + 1
                     created = min((v.start for v in visits), default=0)
                     store.conn.execute(
                         "INSERT INTO poi_properties (user, poi_id, created_at) VALUES (?, ?, ?)",

@@ -581,3 +581,52 @@ def store_invariant_faults(store) -> list[str]:
         if user == other and start <= end:
             faults.append(f"user {user!r}: POI {poi_id}'s visit at {start} overlaps the one before")
     return faults
+
+
+def reference_upsert_day(conn, user: str, clusters, threshold: float) -> list[int]:
+    """upsert_day's result, matching each cluster against every POI of the user.
+
+    `clusters` holds (fingerprint, visits) pairs: integer sums and counts
+    per MAC, and visits with start, end, scans and sub_minimal. Each
+    cluster is scored against the whole registry as the earlier clusters
+    left it: the cosine of the mean vectors, a score within 1e-12 of 1
+    counted as 1. The best score at or above `threshold`, the lowest
+    poi_id on a tie, takes the cluster's visits, and its readings when a
+    visit was new; otherwise the cluster becomes POI max(poi_id) + 1.
+    """
+    registry: dict[int, tuple[dict[str, int], dict[str, int]]] = {}
+    for poi_id, mac, total, count in conn.execute(
+            "SELECT poi_id, mac, sum, count FROM poi_readings WHERE user = ?", (user,)):
+        sums, counts = registry.setdefault(poi_id, ({}, {}))
+        sums[mac], counts[mac] = total, count
+    ids = []
+    with conn:
+        for fp, visits in clusters:
+            means = {mac: total / fp.counts[mac] for mac, total in fp.sums.items()}
+            best_score, best_id = -1.0, None
+            for poi_id in sorted(registry):
+                sums, counts = registry[poi_id]
+                score = naive_cosine(means, {mac: sums[mac] / counts[mac] for mac in sums})
+                score = 1.0 if score >= 1.0 - 1e-12 else score
+                if score > best_score:
+                    best_score, best_id = score, poi_id
+            new = best_id is None or best_score < threshold
+            if new:
+                best_id = max(registry, default=0) + 1
+                registry[best_id] = ({}, {})
+                conn.execute("INSERT INTO poi_properties VALUES (?, ?, ?)",
+                             (user, best_id, min((v.start for v in visits), default=0)))
+            added = 0
+            for v in visits:
+                added += conn.execute(
+                    "INSERT OR IGNORE INTO poi_visits VALUES (?, ?, ?, ?, ?, ?)",
+                    (user, best_id, v.start, v.end, v.scans, int(v.sub_minimal))).rowcount
+            if new or added:
+                sums, counts = registry[best_id]
+                for mac, total in fp.sums.items():
+                    sums[mac] = sums.get(mac, 0) + total
+                    counts[mac] = counts.get(mac, 0) + fp.counts[mac]
+                conn.executemany("INSERT OR REPLACE INTO poi_readings VALUES (?, ?, ?, ?, ?)",
+                                 [(user, best_id, mac, sums[mac], counts[mac]) for mac in sums])
+            ids.append(best_id)
+    return ids

@@ -176,6 +176,19 @@ class TestIngest:
             assert store.users() == ["bob"]
             assert day_rows(store.load_day("bob", 0, 1000)) == before
 
+    def test_files_that_disagree_create_no_store(self, workdir, capsys):
+        first = b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
+        (workdir / "a").mkdir()
+        (workdir / "b").mkdir()
+        (workdir / "a" / "bob.scan").write_bytes(first)
+        (workdir / "b" / "bob.scan").write_bytes(first.replace(b"-50", b"-51"))
+        assert run("ingest", "--store", "p.db", "a/bob.scan", "b/bob.scan") == 2
+        assert capsys.readouterr().err == (
+            f"error: {Path('b/bob.scan')}: user 'bob': the scan at t=100 differs"
+            " from the stored one\n"
+        )
+        assert sorted(p.name for p in workdir.iterdir()) == ["a", "b"]
+
     def test_one_call_is_one_commit(self, workdir, capsys, monkeypatch, commit_counter):
         class CountingRawStore(RawStore):
             def __init__(self, path):
@@ -653,6 +666,29 @@ class TestStoreOpen:
         assert run("communities", "--store", "poi.db") == 3  # no POI registered yet
         assert "need at least 2 fingerprints" in capsys.readouterr().err
         assert (workdir / "poi.db").read_bytes() == before
+
+
+def test_every_command_runs_in_truncate_journal_mode(workdir, monkeypatch):
+    """Each command's store connection journals in TRUNCATE mode, so a commit
+    leaves a 0-byte journal, and no command leaves a journal with content."""
+    modes = []
+    close = RawStore.close
+
+    def close_reading_the_mode(store):
+        modes.append(store.conn.execute("PRAGMA journal_mode").fetchone())
+        close(store)
+
+    monkeypatch.setattr(RawStore, "close", close_reading_the_mode)
+    alice, bob = office_users(workdir, ["alice", "bob"])
+    journal = workdir / "poi.db-journal"
+    for argv in (["ingest", alice, bob],
+                 ["extract", "--user", "alice", "--day", DAY],
+                 ["extract", "--user", "bob", "--day", DAY],
+                 ["communities"]):
+        assert run(*argv, "--store", "poi.db") == 0
+        assert modes.pop() == ("truncate",) and modes == []
+        assert not journal.exists() or journal.stat().st_size == 0
+    assert journal.stat().st_size == 0
 
 
 def office_users(workdir, users):

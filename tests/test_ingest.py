@@ -632,6 +632,44 @@ class TestRawStore:
 ALL_TIME = (-(2**63), 2**63 - 1)
 
 
+def random_upload(rnd, user):
+    """An upload of `user`; a scan mostly has the readings any other upload holds at its t."""
+    macs = [B, A, "cc:00:00:00:00:03"]
+    scans = []
+    for t in rnd.sample(range(100, 130), rnd.randint(0, 8)):
+        usual = [(m, -50 - (t + k) % 7) for k, m in enumerate(macs[:1 + t % 3])]
+        scans.append(scan(t, usual if rnd.random() > 0.1 else [(A, -40)]))
+    return upload_of(build_log(user, "d", scans))
+
+
+class TestCheckAgree:
+    def test_refuses_at_the_upload_and_scan_where_store_raw_refuses(self):
+        """Over random calls, check_agree raises where store_raw into a new store
+        raises: at the same upload, with the same message."""
+        rnd = random.Random(43)
+        refused = skipped = 0
+        for _ in range(400):
+            uploads = [random_upload(rnd, rnd.choice("uv")) for _ in range(rnd.randint(1, 5))]
+            outcomes = []
+            with RawStore() as store:
+                for act in (ingest.check_agree, lambda turn: store_raw(store, turn)):
+                    taken = []
+
+                    def in_turn():
+                        for upload in uploads:
+                            taken.append(upload)
+                            yield upload
+
+                    try:
+                        skipped += sum(report.skipped for report in act(in_turn()) or [])
+                        outcomes.append(None)
+                    except DuplicateTimestamp as exc:
+                        outcomes.append((len(taken), str(exc)))
+            assert outcomes[0] == outcomes[1]
+            refused += outcomes[0] is not None
+        assert refused > 40 and skipped > 100  # disagreeing and agreeing resends
+
+
 def rows_of(store):
     """Every stored reading as (user, t, mac, rssi), read back through load_day."""
     return {
@@ -749,8 +787,8 @@ class TestStoreOpen:
         monkeypatch.setattr(sqlite3, "connect", traced_connect)
         with opener(path) as store:
             assert store.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
-        assert issued == ["SELECT name FROM sqlite_master", "PRAGMA foreign_keys = ON",
-                          "PRAGMA foreign_keys"]
+        assert issued == ["SELECT name FROM sqlite_master", "PRAGMA journal_mode = TRUNCATE",
+                          "PRAGMA foreign_keys = ON", "PRAGMA foreign_keys"]
         assert path.read_bytes() == before
 
     def test_new_store_holds_the_whole_layout(self, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import (
     MAC_POOL, VERSION_1_SCHEMA, disjoint_places_day, encode_fingerprint_v1, naive_fingerprint,
-    store_invariant_faults,
+    reference_upsert_day, registry_tables, store_invariant_faults,
 )
 from wifipoi.clustering import VisitInterval, dbscan, segment_visits
 from wifipoi.errors import EmptyCluster, EmptyFingerprint, EmptyLog, StorageFailure
@@ -35,6 +35,7 @@ from wifipoi.simgen import generate_trace, load_scenario
 A = "aa:00:00:00:00:01"
 B = "bb:00:00:00:00:02"
 C = "cc:00:00:00:00:03"
+D = "dd:00:00:00:00:04"
 
 DAY = "2026-03-02"
 DAY_START = day_window(DAY)[0]
@@ -299,10 +300,11 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # call 1 opens the transaction, 2 reads the registry, 3 inserts
-        # the new POI row, 4 adds the first visit; failing on call 5
-        # leaves a half-done upsert that the transaction must roll back
-        store.conn = FaultyConn(real, fail_after=4)
+        # call 1 opens the transaction, 2 and 3 read the candidates and the
+        # highest poi_id, 4 inserts the new POI row, 5 adds the first visit;
+        # failing on call 6 leaves a half-done upsert that the transaction
+        # must roll back
+        store.conn = FaultyConn(real, fail_after=5)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [(fp({B: -60.0}),
                                      [visit(60, 80), visit(120, 140), visit(180, 200)])])
@@ -317,16 +319,16 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # BEGIN and 1 read, then per cluster a POI row, one visit and
-        # one reading: 11 calls; the last one, the third cluster's reading, fails
-        store.conn = FaultyConn(real, fail_after=10)
+        # BEGIN and 2 reads, then per cluster a POI row, one visit and
+        # one reading: 12 calls; the last one, the third cluster's reading, fails
+        store.conn = FaultyConn(real, fail_after=11)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [
                 (fp({B: -60.0}), [visit(60, 80)]),
                 (fp({C: -60.0}), [visit(120, 140)]),
                 (fp({"dd:00:00:00:00:04": -60.0}), [visit(180, 200)]),
             ])
-        assert store.conn._calls == 11
+        assert store.conn._calls == 12
         store.conn = real
         assert store.records("u") == before
         assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (1,)
@@ -360,18 +362,18 @@ class TestConcurrentWriters:
         b = SummaryStore(tmp_path / "reg.db")
         a.conn.execute("PRAGMA busy_timeout = 0")
         day_a = [(place, [visit(1440, 1460)])]
-        read_registry = b.fingerprints
+        read_registry = b.candidates
         raced = []
 
-        def read_then_race(user):
+        def read_then_race(user, macs):
             # B has read the registry; A must not land a day under it
-            fingerprints = read_registry(user)
+            candidates = read_registry(user, macs)
             with pytest.raises(StorageFailure, match="database is locked"):
                 upsert_day(a, "u", day_a)
             raced.append(user)
-            return fingerprints
+            return candidates
 
-        b.fingerprints = read_then_race
+        b.candidates = read_then_race
         assert upsert_day(b, "u", [(place, [visit(2880, 2900)])]) == [1]
         assert raced == ["u"]
         assert upsert_day(a, "u", day_a) == [1]
@@ -417,6 +419,66 @@ def random_days(rnd, n_days, places):
             ))
         days.append(clusters)
     return days
+
+
+# One writer process: spills an uncommitted day into the store file, then dies.
+_CRASH = """
+import os, sys
+from wifipoi import registry
+from wifipoi.clustering import VisitInterval
+from wifipoi.model import Fingerprint
+from wifipoi.registry import SummaryStore, upsert_day
+
+macs = ["%02x:%02x:00:00:00:00" % (k // 256, k % 256) for k in range(4000)]
+clusters = [
+    (Fingerprint({m: -50 for m in macs[100 * k:100 * k + 100]},
+                 {m: 1 for m in macs[100 * k:100 * k + 100]}),
+     [VisitInterval(1, 1_700_000_000 + 3600 * k, 1_700_000_000 + 3600 * k + 1200, 4)])
+    for k in range(40)
+]
+store = SummaryStore(sys.argv[1])
+store.conn.execute("PRAGMA cache_size = 1")  # dirty pages spill into the store file
+match_poi, calls = registry.match_poi, []
+
+def die_on_the_last_cluster(*args):
+    calls.append(args)
+    if len(calls) == len(clusters):
+        os._exit(0)  # no COMMIT, no rollback, no close
+    return match_poi(*args)
+
+registry.match_poi = die_on_the_last_cluster
+upsert_day(store, "u", clusters)
+"""
+
+
+class TestJournal:
+    """Stores run in TRUNCATE journal mode: a commit leaves a 0-byte journal beside the store."""
+
+    def test_a_day_that_dies_before_commit_is_rolled_back_on_the_next_open(self, tmp_path):
+        path = tmp_path / "reg.db"
+        journal = tmp_path / "reg.db-journal"
+        with SummaryStore(path) as store:
+            upsert_day(store, "u", [(fp({A: -50.0, B: -60.0}), [visit(0, 20)])])
+            before = registry_tables(store.conn)
+        assert journal.stat().st_size == 0
+        stored = path.read_bytes()
+        src = Path(__file__).resolve().parent.parent / "src"
+        child = subprocess.run([sys.executable, "-c", _CRASH, str(path)], timeout=60,
+                               env={**os.environ, "PYTHONPATH": str(src)},
+                               stderr=subprocess.PIPE, text=True)
+        assert child.returncode == 0, child.stderr
+        # the dead writer left its changes in the file and the old pages in the journal
+        assert path.read_bytes() != stored and journal.stat().st_size > 0
+        with SummaryStore(path) as store:
+            # the open's first read rolls the journal back; the connection is
+            # still in DELETE mode then, so the journal goes until the next write
+            assert path.read_bytes() == stored
+            assert registry_tables(store.conn) == before
+            assert store.check_integrity()
+            assert not journal.exists() or journal.stat().st_size == 0
+            upsert_day(store, "u", [(fp({A: -50.0, B: -60.0}), [visit(1440, 1460)])])
+        assert path.read_bytes() != stored
+        assert journal.stat().st_size == 0
 
 
 class TestUpsertDay:
@@ -522,6 +584,120 @@ def reference_extract(store, log, params):
     ]
     ids = upsert_day(store, log.user, clusters)
     return [(poi_id, visits) for poi_id, (_, visits) in zip(ids, clusters)]
+
+
+class RowCounter:
+    """Forwards to a real connection, counting the rows its statements return."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.rows = 0
+
+    def execute(self, *args):
+        rows = Rows(self._conn.execute(*args).fetchall())
+        self.rows += len(rows)
+        return rows
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def __enter__(self):
+        return self._conn.__enter__()
+
+    def __exit__(self, *exc):
+        return self._conn.__exit__(*exc)
+
+
+class Rows(list):
+    def fetchone(self):
+        return self[0] if self else None
+
+
+class TestCandidateRead:
+    """upsert_day reads only the POI that share a MAC with the day, and that changes nothing."""
+
+    def test_equals_matching_against_the_whole_registry(self):
+        """Random days of two users that share MACs, against oracles.reference_upsert_day."""
+        rnd = random.Random(36)
+        skipped = 0
+        for _ in range(30):
+            threshold = rnd.choice([0.5, 0.7, 0.9])
+            places = rnd.randint(2, 12)
+            days = {user: random_days(rnd, n_days=6, places=places) for user in ("u", "v")}
+            with SummaryStore() as got, SummaryStore() as want:
+                for d in range(6):
+                    for user in ("u", "v"):
+                        clusters = days[user][d]
+                        macs = {mac for f, _ in clusters for mac in f.sums}
+                        skipped += sum(1 for f in got.fingerprints(user).values()
+                                       if not macs & set(f.sums))
+                        assert (upsert_day(got, user, clusters, threshold)
+                                == reference_upsert_day(want.conn, user, clusters, threshold))
+                        assert registry_tables(got.conn) == registry_tables(want.conn)
+        assert skipped > 300  # POI the read left out and the reference scored
+
+    def registry_of_three(self, store):
+        # POI 1 at {A}, 2 at {B, C}, 3 at {D}: no two share a MAC
+        assert upsert_day(store, "u", [
+            (fp({A: -50.0}), [visit(0, 20)]),
+            (fp({B: -50.0, C: -60.0}), [visit(60, 80)]),
+            (fp({D: -70.0}), [visit(120, 140)]),
+        ]) == [1, 2, 3]
+
+    def test_a_new_poi_takes_the_highest_id_plus_one_when_that_poi_is_not_read(self):
+        with SummaryStore() as store:
+            self.registry_of_three(store)
+            fresh = fp({"ee:00:00:00:00:05": -50.0})
+            assert store.candidates("u", [A, "ee:00:00:00:00:05"]).keys() == {1}
+            assert upsert_day(store, "u", [(fp({A: -50.0}), [visit(1440, 1460)]),
+                                           (fresh, [visit(1500, 1520)])]) == [1, 4]
+            assert upsert_day(store, "u", [(fp({"ff:00:00:00:00:06": -50.0}),
+                                            [visit(2880, 2900)])]) == [5]
+
+    def test_a_second_cluster_matches_the_poi_the_first_one_created(self):
+        with SummaryStore() as store:
+            self.registry_of_three(store)
+            fresh = fp({"ee:00:00:00:00:05": -50.0})
+            assert upsert_day(store, "u", [(fresh, [visit(1440, 1460)]),
+                                           (fresh, [visit(1500, 1520)])]) == [4, 4]
+            record = store.records("u")[3]
+            assert len(record.visits) == 2 and record.fingerprint.counts == {
+                "ee:00:00:00:00:05": 2}
+
+    def test_a_tie_between_two_candidates_breaks_to_the_lower_id(self):
+        # POI 2 and 3 score 0.5 against each other, below 0.9, so both are kept
+        setup = [(fp({D: -50.0}), [visit(0, 20)]),
+                 (fp({A: -50.0, B: -50.0}), [visit(60, 80)]),
+                 (fp({A: -50.0, C: -50.0}), [visit(120, 140)])]
+        day = [(fp({A: -50.0}), [visit(1440, 1460)])]  # 1/sqrt(2) against POI 2 and 3
+        with SummaryStore() as store, SummaryStore() as want:
+            assert upsert_day(store, "u", setup, 0.9) == [1, 2, 3]
+            reference_upsert_day(want.conn, "u", setup, 0.9)
+            assert store.candidates("u", [A]).keys() == {2, 3}
+            assert upsert_day(store, "u", day, 0.7) == [2] == reference_upsert_day(
+                want.conn, "u", day, 0.7)
+            assert registry_tables(store.conn) == registry_tables(want.conn)
+
+    def test_reads_only_the_rows_of_poi_that_share_a_mac(self):
+        with SummaryStore() as store:
+            self.registry_of_three(store)
+            counter = store.conn = RowCounter(store.conn)
+            assert upsert_day(store, "u", [(fp({B: -50.0}), [visit(1440, 1460)]),
+                                           (fp({"ee:00:00:00:00:05": -50.0}),
+                                            [visit(1500, 1520)])]) == [2, 4]
+            # POI 2's two rows and the highest poi_id, not the four rows of all three POI
+            assert counter.rows == 3
+            store.conn = counter._conn
+
+    def test_threshold_outside_zero_one_is_refused_before_any_statement(self):
+        with SummaryStore() as store:
+            issued = []
+            store.conn.set_trace_callback(issued.append)
+            for threshold in (0.0, -0.5, 1.5):
+                with pytest.raises(ValueError, match="outside"):
+                    upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])], threshold)
+            store.conn.set_trace_callback(None)
+            assert issued == []
 
 
 class TestExtractDay:
