@@ -8,8 +8,9 @@ they resemble too few neighbours.
 """
 import time
 
-from wifipoi.clustering import ClusterParams, dbscan, segment_visits
+from wifipoi.clustering import dbscan, segment_visits
 from wifipoi.ingest import upload_of
+from wifipoi.model import ClusterParams
 from wifipoi.simgen import generate_trace, load_scenario
 
 

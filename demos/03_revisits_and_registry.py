@@ -10,8 +10,8 @@ and office keeping their ids all week.
 import collections
 import time
 
-from wifipoi.clustering import ClusterParams
 from wifipoi.ingest import upload_of
+from wifipoi.model import ClusterParams
 from wifipoi.registry import SummaryStore, extract_day, summary_rows
 from wifipoi.simgen import generate_trace, load_scenario
 

@@ -11,9 +11,9 @@ import collections
 
 import numpy as np
 
-from wifipoi.clustering import ClusterParams
 from wifipoi.community import threshold_sweep
 from wifipoi.ingest import upload_of
+from wifipoi.model import ClusterParams
 from wifipoi.registry import SummaryStore, extract_day
 from wifipoi.simgen import generate_trace, load_scenario
 

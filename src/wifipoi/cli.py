@@ -181,15 +181,15 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
 
-    def in_turn() -> Iterator[Scans]:
+    def in_turn() -> Iterator[tuple[str, Scans]]:
         nonlocal path
         for path, upload in zip(paths, uploads):
-            yield upload
+            yield str(path), upload
 
     try:
         check_agree(in_turn())
         with RawStore(cfg.store) as store:
-            reports = store_raw(store, in_turn())
+            reports = store_raw(store, (upload for _, upload in in_turn()))
     except InputError as exc:  # the file being checked or stored when it failed
         raise InputError(f"{path}: {exc}") from exc
     for path, report in zip(paths, reports):

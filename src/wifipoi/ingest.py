@@ -269,7 +269,9 @@ class RawStore:
     set to PRAGMA journal_mode = TRUNCATE: a commit truncates the
     rollback journal to 0 bytes rather than creating and deleting it,
     so a 0-byte <store>-journal stays beside the store. SCHEMA runs
-    only when a table is missing, so a reopen writes nothing. A version-1 store is
+    only when a table is missing, so a reopen writes nothing. Before
+    SCHEMA's first write, a mac or raw_scans table with other columns
+    is refused untouched (_check_raw_columns). A version-1 store is
     upgraded in SCHEMA's transaction; one whose fingerprint text does
     not convert exactly is refused untouched (_version_1_readings). Each
     connection enforces foreign keys. A refused or unopenable file
@@ -335,6 +337,7 @@ class RawStore:
             if not tables >= {"mac", "raw_scans", "poi_properties", "poi_readings", "poi_visits"}:
                 with conn:
                     conn.execute("BEGIN IMMEDIATE")
+                    _check_raw_columns(conn)
                     readings, old_columns = _version_1_readings(conn)
                     for statement in self.SCHEMA:
                         conn.execute(statement)
@@ -390,6 +393,21 @@ class RawStore:
         counts = np.array([len(r) for *_, r in rows], np.int64)
         macs = tuple(map(names.__getitem__, used.tolist()))
         return Scans(user, times, counts, macs, cols, rssi)
+
+
+_RAW_COLUMNS = {"mac": ["id", "mac"], "raw_scans": ["user", "t", "macs", "rssi"]}
+
+
+def _check_raw_columns(conn: sqlite3.Connection) -> None:
+    """Refuse, under the open's lock and before its first write, raw tables not of SCHEMA.
+
+    A table that does not exist yet passes; SCHEMA creates it.
+    """
+    for table, columns in _RAW_COLUMNS.items():
+        found = [name for (name,) in conn.execute("SELECT name FROM pragma_table_info(?)", (table,))]
+        if found and found != columns:
+            raise StorageFailure(f"it is not a store: its {table} table has the columns"
+                                 f" ({', '.join(found)}), not ({', '.join(columns)})")
 
 
 def _version_1_readings(conn: sqlite3.Connection) -> tuple[list[tuple], list[str]]:
@@ -452,14 +470,14 @@ def _store_upload(conn: sqlite3.Connection, upload: Scans, mac_ids: dict[str, in
         elif old == blobs:
             skipped += end - start
         else:
-            raise _differs(upload.user, t)
+            raise _differs(upload.user, t, "the stored one")
         start = end
     conn.executemany("INSERT INTO raw_scans (user, t, macs, rssi) VALUES (?, ?, ?, ?)", rows)
     return IngestReport(added=added, skipped=skipped)
 
 
-def _differs(user: str, t: int) -> DuplicateTimestamp:
-    return DuplicateTimestamp(f"user {user!r}: the scan at t={t} differs from the stored one")
+def _differs(user: str, t: int, other: str) -> DuplicateTimestamp:
+    return DuplicateTimestamp(f"user {user!r}: the scan at t={t} differs from {other}")
 
 
 def _readings(upload: Scans, picks: np.ndarray) -> list[tuple[tuple[str, ...], bytes]]:
@@ -472,28 +490,30 @@ def _readings(upload: Scans, picks: np.ndarray) -> list[tuple[tuple[str, ...], b
     ]
 
 
-def check_agree(uploads: Iterable[Scans]) -> None:
-    """Raise store_raw's DuplicateTimestamp where uploads, taken in order, disagree.
+def check_agree(named: Iterable[tuple[str, Scans]]) -> None:
+    """Raise DuplicateTimestamp where (name, upload) pairs, taken in order, disagree.
 
     That is at an upload's first scan whose (user, t) an earlier upload
-    holds with other readings, so a caller can refuse such a set before
-    it opens a store. Only uploads of one user whose time spans overlap
-    are compared, scan by scan at their common times.
+    holds with other readings, where store_raw would refuse, so a caller
+    can refuse such a set before it opens a store. The message names
+    the first such earlier upload. Only uploads of one user whose time
+    spans overlap are compared, scan by scan at their common times.
     """
-    earlier: dict[str, list[Scans]] = {}
-    for upload in uploads:
+    earlier: dict[str, list[tuple[str, Scans]]] = {}
+    for name, upload in named:
         if not len(upload.times):
             continue
         differ = []
-        for other in earlier.setdefault(upload.user, []):
+        for other_name, other in earlier.setdefault(upload.user, []):
             if other.times[0] <= upload.times[-1] and upload.times[0] <= other.times[-1]:
                 common, mine, theirs = np.intersect1d(
                     upload.times, other.times, assume_unique=True, return_indices=True)
-                differ += [t for t, a, b in zip(common.tolist(), _readings(upload, mine),
-                                                 _readings(other, theirs)) if a != b]
+                differ += [(t, other_name) for t, a, b in zip(
+                    common.tolist(), _readings(upload, mine), _readings(other, theirs)) if a != b]
         if differ:
-            raise _differs(upload.user, min(differ))
-        earlier[upload.user].append(upload)
+            t, other_name = min(differ, key=lambda pair: pair[0])  # the earliest upload at t
+            raise _differs(upload.user, t, f"the one in {other_name}")
+        earlier[upload.user].append((name, upload))
 
 
 def store_raw(store: RawStore, uploads: Iterable[Scans]) -> list[IngestReport]:
@@ -508,14 +528,14 @@ def store_raw(store: RawStore, uploads: Iterable[Scans]) -> list[IngestReport]:
     decode), nothing is kept.
     """
     reports = []
-    user = None
+    whose = ""  # the upload being stored, once there is one
     try:
         with store.conn:
             store.conn.execute("BEGIN IMMEDIATE")
             mac_ids = dict(store.conn.execute("SELECT mac, id FROM mac"))
             for upload in uploads:
-                user = upload.user
+                whose = f" for user {upload.user!r}"
                 reports.append(_store_upload(store.conn, upload, mac_ids))
     except sqlite3.Error as exc:
-        raise StorageFailure(f"raw ingest for user {user!r} failed: {exc}") from exc
+        raise StorageFailure(f"raw ingest{whose} into {store.path} failed: {exc}") from exc
     return reports

@@ -167,7 +167,7 @@ class TestIngest:
         with RawStore(workdir / "poi.db") as store:
             before = day_rows(store.load_day("bob", 0, 1000))
         capsys.readouterr()
-        assert run("ingest", "--store", "poi.db", "carol.scan", "a/bob.scan", "b/bob.scan") == 2
+        assert run("ingest", "--store", "poi.db", "carol.scan", "b/bob.scan") == 2
         assert capsys.readouterr().err == (
             f"error: {Path('b/bob.scan')}: user 'bob': the scan at t=100 differs"
             " from the stored one\n"
@@ -185,7 +185,7 @@ class TestIngest:
         assert run("ingest", "--store", "p.db", "a/bob.scan", "b/bob.scan") == 2
         assert capsys.readouterr().err == (
             f"error: {Path('b/bob.scan')}: user 'bob': the scan at t=100 differs"
-            " from the stored one\n"
+            f" from the one in {Path('a/bob.scan')}\n"
         )
         assert sorted(p.name for p in workdir.iterdir()) == ["a", "b"]
 
@@ -576,6 +576,10 @@ NOT_A_STORE = {
         "CREATE TABLE poi_properties (user TEXT);",
         " f.db: it is not a store: it holds tables, but not mac and raw_scans",
     ),
+    "misshapen raw tables": (
+        "CREATE TABLE mac (x); CREATE TABLE raw_scans (y);",
+        " f.db: it is not a store: its mac table has the columns (x), not (id, mac)",
+    ),
     # version-1 stores whose fingerprint text has no exact integer sums
     "version-1 mean not of whole dBm": (
         VERSION_1_SCHEMA + "INSERT INTO poi_properties VALUES"
@@ -651,6 +655,29 @@ class TestStoreOpen:
         assert capsys.readouterr().err.startswith(f"error: cannot open store{message}")
         assert (workdir / "f.db").read_bytes() == before
         assert sorted(p.name for p in workdir.iterdir()) == ["f.db", "u.scan"]
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["ingest", "u.scan"], "raw ingest into s.db failed: no such column: mac",
+                     id="ingest"),
+        pytest.param(["extract", "--user", "u", "--day", DAY],
+                     "cannot read store s.db: no such column: user", id="extract"),
+        pytest.param(["communities"], "cannot read store s.db: no such column: user",
+                     id="communities"),
+    ])
+    def test_store_whose_tables_sqlite_cannot_read_exits_three(
+            self, workdir, capsys, argv, message):
+        """A file that holds every store table name opens without a write, so its
+        columns go unchecked; the first read fails and the file is left unchanged."""
+        (workdir / "u.scan").write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')
+        with sqlite3.connect(workdir / "s.db") as conn:
+            for table in ("mac", "raw_scans", "poi_properties", "poi_readings", "poi_visits"):
+                conn.execute(f"CREATE TABLE {table} (x)")
+        conn.close()
+        before = (workdir / "s.db").read_bytes()
+        assert run(*argv, "--store", "s.db") == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (workdir / "s.db").read_bytes() == before
+        assert sorted(p.name for p in workdir.iterdir()) == ["s.db", "u.scan"]
 
     def test_ingest_makes_a_store_in_a_zero_byte_file(self, workdir):
         (workdir / "u.scan").write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')

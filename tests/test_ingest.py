@@ -3,6 +3,7 @@ import gzip
 import json
 import os
 import random
+import re
 import sqlite3
 import subprocess
 import sys
@@ -645,14 +646,16 @@ def random_upload(rnd, user):
 class TestCheckAgree:
     def test_refuses_at_the_upload_and_scan_where_store_raw_refuses(self):
         """Over random calls, check_agree raises where store_raw into a new store
-        raises: at the same upload, with the same message."""
+        raises: at the same upload and the same t. The messages differ, since
+        check_agree names the earlier upload and store_raw the store."""
         rnd = random.Random(43)
         refused = skipped = 0
         for _ in range(400):
             uploads = [random_upload(rnd, rnd.choice("uv")) for _ in range(rnd.randint(1, 5))]
             outcomes = []
             with RawStore() as store:
-                for act in (ingest.check_agree, lambda turn: store_raw(store, turn)):
+                for act in (lambda turn: ingest.check_agree((str(k), u) for k, u in enumerate(turn)),
+                            lambda turn: store_raw(store, turn)):
                     taken = []
 
                     def in_turn():
@@ -664,7 +667,7 @@ class TestCheckAgree:
                         skipped += sum(report.skipped for report in act(in_turn()) or [])
                         outcomes.append(None)
                     except DuplicateTimestamp as exc:
-                        outcomes.append((len(taken), str(exc)))
+                        outcomes.append((len(taken), re.search(r" t=(\d+) ", str(exc))[1]))
             assert outcomes[0] == outcomes[1]
             refused += outcomes[0] is not None
         assert refused > 40 and skipped > 100  # disagreeing and agreeing resends

@@ -248,31 +248,42 @@ class TestUpsert:
 
 
 class FaultyConn:
-    """Forwards to a real connection, failing on the nth execute.
+    """Forwards to a real connection, failing on one named statement's nth run.
 
-    Each executemany row counts as one call; a failing row leaves the
-    rows before it written, as a failure mid-statement would.
+    The statement is named by the start of its SQL; each execute of it,
+    and each row of an executemany, is one run. The failing row of an
+    executemany leaves the rows before it written, as a failure
+    mid-statement would. `fired` turns True at the failure; a statement
+    issued after it fails the test.
     """
 
-    def __init__(self, conn, fail_after):
+    def __init__(self, conn, statement, nth):
         self._conn = conn
-        self._calls = 0
-        self._fail_after = fail_after
+        self._statement = statement
+        self._left = nth
+        self.fired = False
 
-    def execute(self, *args, **kwargs):
-        self._calls += 1
-        if self._calls > self._fail_after:
+    def _runs(self, sql, n):
+        """How many of a statement's n runs go through before the injected failure."""
+        assert not self.fired, f"{sql!r} issued after the injected failure"
+        if sql.startswith(self._statement):
+            if self._left <= n:
+                self.fired = True
+                return self._left - 1
+            self._left -= n
+        return n
+
+    def execute(self, sql, params=()):
+        if self._runs(sql, 1) < 1:
             raise sqlite3.OperationalError("disk I/O error (injected)")
-        return self._conn.execute(*args, **kwargs)
+        return self._conn.execute(sql, params)
 
     def executemany(self, sql, rows):
         rows = list(rows)
-        ok = max(self._fail_after - self._calls, 0)
+        ok = self._runs(sql, len(rows))
         if ok < len(rows):
-            self._calls += ok + 1
             self._conn.executemany(sql, rows[:ok])
             raise sqlite3.OperationalError("disk I/O error (injected)")
-        self._calls += len(rows)
         return self._conn.executemany(sql, rows)
 
     def __getattr__(self, name):
@@ -300,14 +311,14 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # call 1 opens the transaction, 2 and 3 read the candidates and the
-        # highest poi_id, 4 inserts the new POI row, 5 adds the first visit;
-        # failing on call 6 leaves a half-done upsert that the transaction
-        # must roll back
-        store.conn = FaultyConn(real, fail_after=5)
+        # the new POI row and the first visit are written; failing on the
+        # second visit leaves a half-done upsert that the transaction must
+        # roll back
+        store.conn = FaultyConn(real, "INSERT OR IGNORE INTO poi_visits", 2)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [(fp({B: -60.0}),
                                      [visit(60, 80), visit(120, 140), visit(180, 200)])])
+        assert store.conn.fired
         store.conn = real
         assert store.records("u") == before
         assert store.users() == ["u"]
@@ -319,16 +330,16 @@ class TestAtomicity:
         upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
-        # BEGIN and 2 reads, then per cluster a POI row, one visit and
-        # one reading: 12 calls; the last one, the third cluster's reading, fails
-        store.conn = FaultyConn(real, fail_after=11)
+        # per cluster a POI row, one visit and one reading; the upsert's
+        # last statement, the third cluster's reading, fails
+        store.conn = FaultyConn(real, "INSERT OR REPLACE INTO poi_readings", 3)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", [
                 (fp({B: -60.0}), [visit(60, 80)]),
                 (fp({C: -60.0}), [visit(120, 140)]),
                 (fp({"dd:00:00:00:00:04": -60.0}), [visit(180, 200)]),
             ])
-        assert store.conn._calls == 12
+        assert store.conn.fired
         store.conn = real
         assert store.records("u") == before
         assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (1,)
