@@ -261,45 +261,43 @@ _Store = TypeVar("_Store", bound="RawStore")
 
 
 class RawStore:
-    """The store file: SCHEMA, its whole layout at user_version 2, and raw reads.
+    """The store file: SCHEMA, its tables by name at user_version 2, and raw reads.
 
-    An open reads the table names once. A file that holds the earlier
-    layout's raw_observations table, or tables but not mac and
-    raw_scans, is refused and left untouched. Any other file is then
-    set to PRAGMA journal_mode = TRUNCATE: a commit truncates the
-    rollback journal to 0 bytes rather than creating and deleting it,
-    so a 0-byte <store>-journal stays beside the store. SCHEMA runs
-    only when a table is missing, so a reopen writes nothing. Before
-    SCHEMA's first write, a mac or raw_scans table with other columns
-    is refused untouched (_check_raw_columns). A version-1 store is
-    upgraded in SCHEMA's transaction; one whose fingerprint text does
-    not convert exactly is refused untouched (_version_1_readings). Each
-    connection enforces foreign keys. A refused or unopenable file
-    raises StorageFailure, its connection closed. `conn` is public for
-    fault injection. A raw_scans row, keyed by (user, t), packs the
-    scan's MAC ids (little-endian uint32) and RSS readings (int8) in
-    sorted-by-MAC order, so load_day reads the blobs straight back into
-    columns; `mac` holds each canonical MAC once, and a POI's
-    poi_readings rows its fingerprint, one integer sum and count per
-    MAC. Every read is consumed whole, so an open handle holds no lock.
+    A file is a store when each table in it has, compared by tokens, the
+    statement of one of SCHEMA's or of version 1's poi_properties; a
+    key's autoindex belongs to its table. Any other object (a user's
+    index, view or trigger, ANALYZE's sqlite_stat1) gets the file
+    refused untouched, as does the old raw_observations table. A store
+    journals in TRUNCATE mode, so a 0-byte <store>-journal stays beside
+    it. One with exactly SCHEMA's tables opens without a write; any
+    other gains the tables it lacks under the open's BEGIN IMMEDIATE,
+    where a version-1 store is upgraded, or refused untouched if its
+    fingerprint text does not convert exactly. Each connection enforces
+    foreign keys. A refused or unopenable file raises StorageFailure,
+    its connection closed; `conn` is public for fault injection. A
+    raw_scans row, keyed by (user, t), packs the scan's MAC ids (uint32
+    LE) and RSS readings (int8) in MAC order, so load_day reads them
+    straight back into columns; `mac` holds each canonical MAC once, and
+    a POI's poi_readings rows its fingerprint, one integer sum and count
+    per MAC. Every read is consumed whole, so an open holds no lock.
     """
 
-    SCHEMA = (
-        "CREATE TABLE IF NOT EXISTS mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE)",
-        """CREATE TABLE IF NOT EXISTS raw_scans (
+    SCHEMA = {
+        "mac": "CREATE TABLE mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE)",
+        "raw_scans": """CREATE TABLE raw_scans (
             user TEXT    NOT NULL,
             t    INTEGER NOT NULL,
             macs BLOB    NOT NULL,
             rssi BLOB    NOT NULL,
             PRIMARY KEY (user, t)
         ) WITHOUT ROWID""",
-        """CREATE TABLE IF NOT EXISTS poi_properties (
+        "poi_properties": """CREATE TABLE poi_properties (
             user       TEXT    NOT NULL,
             poi_id     INTEGER NOT NULL,
             created_at INTEGER NOT NULL,
             PRIMARY KEY (user, poi_id)
         )""",
-        """CREATE TABLE IF NOT EXISTS poi_readings (
+        "poi_readings": """CREATE TABLE poi_readings (
             user   TEXT    NOT NULL,
             poi_id INTEGER NOT NULL,
             mac    TEXT    NOT NULL,
@@ -308,7 +306,7 @@ class RawStore:
             PRIMARY KEY (user, poi_id, mac),
             FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
         ) WITHOUT ROWID""",
-        """CREATE TABLE IF NOT EXISTS poi_visits (
+        "poi_visits": """CREATE TABLE poi_visits (
             user        TEXT    NOT NULL,
             poi_id      INTEGER NOT NULL,
             start_ts    INTEGER NOT NULL,
@@ -318,31 +316,25 @@ class RawStore:
             PRIMARY KEY (user, poi_id, start_ts, end_ts),
             FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
         )""",
-    )
+    }
 
     def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
         conn = None
         try:
             conn = sqlite3.connect(self.path)
-            tables = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
-            if "raw_observations" in tables:
-                raise StorageFailure(
-                    "it holds the old one-row-per-reading raw_observations layout;"
-                    " re-ingest its uploads into a new store"
-                )
-            if tables and not tables >= {"mac", "raw_scans"}:
-                raise StorageFailure("it is not a store: it holds tables, but not mac and raw_scans")
+            layout = _layout(conn)
             conn.execute("PRAGMA journal_mode = TRUNCATE")
-            if not tables >= {"mac", "raw_scans", "poi_properties", "poi_readings", "poi_visits"}:
+            if layout != dict.fromkeys(self.SCHEMA, ()):
                 with conn:
                     conn.execute("BEGIN IMMEDIATE")
-                    _check_raw_columns(conn)
-                    readings, old_columns = _version_1_readings(conn)
-                    for statement in self.SCHEMA:
-                        conn.execute(statement)
+                    layout = _layout(conn)  # another open may have written it meanwhile
+                    readings = _version_1_readings(conn) if layout.get("poi_properties") else []
+                    for name, statement in self.SCHEMA.items():
+                        if name not in layout:
+                            conn.execute(statement)
                     conn.executemany("INSERT INTO poi_readings VALUES (?, ?, ?, ?, ?)", readings)
-                    for column in old_columns:  # DROP COLUMN needs SQLite 3.35 or later
+                    for column in layout.get("poi_properties", ()):  # needs SQLite 3.35 or later
                         conn.execute(f"ALTER TABLE poi_properties DROP COLUMN {column}")
                     conn.execute("PRAGMA user_version = 2")
             conn.execute("PRAGMA foreign_keys = ON")
@@ -395,35 +387,42 @@ class RawStore:
         return Scans(user, times, counts, macs, cols, rssi)
 
 
-_RAW_COLUMNS = {"mac": ["id", "mac"], "raw_scans": ["user", "t", "macs", "rssi"]}
+def _tokens(sql: str) -> tuple[str, ...]:
+    """A CREATE statement's words and punctuation, however it is spaced."""
+    return tuple(sql.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split())
 
 
-def _check_raw_columns(conn: sqlite3.Connection) -> None:
-    """Refuse, under the open's lock and before its first write, raw tables not of SCHEMA.
+# each table statement a store may hold, by its tokens, with the columns its open drops
+_VERSION_1 = ("CREATE TABLE poi_properties (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
+              " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL,"
+              " {}PRIMARY KEY (user, poi_id))")
+_TABLES = {**dict.fromkeys(map(_tokens, RawStore.SCHEMA.values()), ()),
+           _tokens(_VERSION_1.format("")): ("fingerprint",),
+           _tokens(_VERSION_1.format("label TEXT, ")): ("fingerprint", "label")}
 
-    A table that does not exist yet passes; SCHEMA creates it.
+
+def _layout(conn: sqlite3.Connection) -> dict[str, tuple[str, ...]]:
+    """Each table of a store by name, with the columns its open drops; other files raise."""
+    rows = conn.execute("SELECT type, name, sql FROM sqlite_master").fetchall()
+    if any(name == "raw_observations" for _, name, _ in rows):
+        raise StorageFailure("it holds the old one-row-per-reading raw_observations layout;"
+                             " re-ingest its uploads into a new store")
+    layout = {}
+    for kind, name, sql in rows:
+        if sql is not None:  # None: a key's autoindex, part of its table
+            layout[name] = _TABLES.get(_tokens(sql))
+            if layout[name] is None:
+                raise StorageFailure(f"it is not a store: its {kind} {name} is not the schema's")
+    return layout
+
+
+def _version_1_readings(conn: sqlite3.Connection) -> list[tuple]:
+    """A version-1 registry's `mac:mean:count` fingerprint text as poi_readings rows.
+
+    Read under the open's lock, before its first write. Each row's sum
+    is mean times count, rounded; a triple that does not parse, or whose
+    product lies more than 1e-6 from a whole number, raises StorageFailure.
     """
-    for table, columns in _RAW_COLUMNS.items():
-        found = [name for (name,) in conn.execute("SELECT name FROM pragma_table_info(?)", (table,))]
-        if found and found != columns:
-            raise StorageFailure(f"it is not a store: its {table} table has the columns"
-                                 f" ({', '.join(found)}), not ({', '.join(columns)})")
-
-
-def _version_1_readings(conn: sqlite3.Connection) -> tuple[list[tuple], list[str]]:
-    """A version-1 registry's poi_readings rows, and the poi_properties columns it drops.
-
-    Version 1 kept each fingerprint in poi_properties as `mac:mean:count`
-    text, and some stores also hold an unused `label` column. Read under
-    the open's lock, before its first write: a triple that does not
-    parse, or whose mean times count lies more than 1e-6 from a whole
-    number, raises StorageFailure. Each row's sum is that product,
-    rounded. A file with no fingerprint column gives ([], []).
-    """
-    info = conn.execute("SELECT name FROM pragma_table_info('poi_properties')")
-    columns = {name for (name,) in info}
-    if "fingerprint" not in columns:
-        return [], []
     rows = []
     for user, poi_id, text in conn.execute("SELECT user, poi_id, fingerprint FROM poi_properties"):
         for triple in str(text).split(";"):
@@ -440,7 +439,7 @@ def _version_1_readings(conn: sqlite3.Connection) -> tuple[list[tuple], list[str
                     " not mac:mean:count of whole-dBm readings"
                 )
             rows.append((user, poi_id, mac, total, n))
-    return rows, sorted(columns & {"fingerprint", "label"})
+    return rows
 
 
 def _store_upload(conn: sqlite3.Connection, upload: Scans, mac_ids: dict[str, int]) -> IngestReport:

@@ -1,4 +1,5 @@
 """Wire codec, gzip batching, upload planning, raw persistence."""
+import contextlib
 import gzip
 import json
 import os
@@ -7,8 +8,10 @@ import re
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -769,30 +772,162 @@ def tables(path):
     return sorted(name for (name,) in names), version
 
 
+def write_file(path, script):
+    with sqlite3.connect(path) as conn:
+        conn.executescript(script)
+    conn.close()
+
+
+def stored_tables(path):
+    """Each table's CREATE text as the file keeps it, by name."""
+    with sqlite3.connect(path) as conn:
+        rows = conn.execute("SELECT name, sql FROM sqlite_master WHERE type = 'table'").fetchall()
+    conn.close()
+    return dict(rows)
+
+
+@contextlib.contextmanager
+def tracing():
+    """The statements issued by each sqlite3 connection opened inside the block."""
+    issued = []
+    real_connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        conn = real_connect(*args, **kwargs)
+        conn.set_trace_callback(issued.append)
+        return conn
+
+    with mock.patch.object(sqlite3, "connect", traced_connect):
+        yield issued
+
+
+REOPEN = ["SELECT type, name, sql FROM sqlite_master", "PRAGMA journal_mode = TRUNCATE",
+          "PRAGMA foreign_keys = ON"]
+
+# Files whose first open leaves a store whose CREATE text is not SCHEMA's: SQLite
+# keeps each file's own text, and DROP COLUMN cuts a column out of it.
+EARLIER_LAYOUTS = {
+    # the layout a raw-only open wrote before the store had one schema, spaced by hand
+    "raw-only": """
+        CREATE TABLE mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE);
+        CREATE TABLE raw_scans (
+            user TEXT NOT NULL, t INTEGER NOT NULL, macs BLOB NOT NULL,
+            rssi BLOB NOT NULL, PRIMARY KEY (user, t)
+        ) WITHOUT ROWID;
+        PRAGMA user_version = 1;
+        """,
+    "version-1": VERSION_1_SCHEMA,
+    # with the unused label column, its poi_properties written on one line
+    "version-1-label": "CREATE TABLE poi_properties (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
+                       " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL, label TEXT,"
+                       " PRIMARY KEY (user, poi_id));" + VERSION_1_SCHEMA,
+}
+
+TOKEN = re.compile(r"\w+|[^\w\s]")
+
+
+def spaced(data, tokens):
+    """tokens joined by drawn runs of spaces, tabs and newlines, empty beside punctuation."""
+    out = [tokens[0]]
+    for left, right in zip(tokens, tokens[1:]):
+        words = re.fullmatch(r"\w+", left + right) is not None  # two words need a space
+        out += [data.draw(st.text(" \t\n", min_size=int(words), max_size=3)), right]
+    return "".join(out)
+
+
+def one_token_changes(tokens):
+    """A table statement's tokens with a column added or renamed, or NOT NULL or
+    WITHOUT ROWID dropped: every such change that still makes a valid table."""
+    changes = [tokens[:4] + ["added", ","] + tokens[4:]]  # tokens[3] is the first "("
+    depth = 0
+    for i, token in enumerate(tokens):
+        # a column's name, unless a key names it later
+        if (depth == 1 and tokens[i - 1] in ("(", ",") and token not in ("PRIMARY", "FOREIGN")
+                and token not in tokens[i + 1:]):
+            changes.append(tokens[:i] + ["renamed"] + tokens[i + 1:])
+        if tokens[i:i + 2] == ["NOT", "NULL"]:
+            changes.append(tokens[:i] + tokens[i + 2:])
+        depth += {"(": 1, ")": -1}.get(token, 0)
+    if tokens[-2:] == ["WITHOUT", "ROWID"]:
+        changes.append(tokens[:-2])
+    return changes
+
+
 class TestStoreOpen:
     """RawStore and SummaryStore open the one store file by one rule."""
 
-    @pytest.mark.parametrize("maker", [RawStore, SummaryStore])
     @pytest.mark.parametrize("opener", [RawStore, SummaryStore])
-    def test_reopen_reads_the_table_names_and_enforces_foreign_keys_only(
-            self, tmp_path, monkeypatch, maker, opener):
+    @pytest.mark.parametrize("layout", ["new RawStore", "new SummaryStore", *EARLIER_LAYOUTS])
+    def test_reopen_reads_the_layout_and_enforces_foreign_keys_only(
+            self, tmp_path, layout, opener):
         path = tmp_path / "store.db"
-        maker(path).close()
+        if layout in EARLIER_LAYOUTS:
+            write_file(path, EARLIER_LAYOUTS[layout])
+        (RawStore if layout == "new RawStore" else SummaryStore)(path).close()
+        assert tables(path) == (STORE_TABLES, 2)
+        # only a new store keeps SCHEMA's text, so an exact-text rule would refuse the others
+        assert (stored_tables(path) == RawStore.SCHEMA) == (layout not in EARLIER_LAYOUTS)
         before = path.read_bytes()
-        issued = []
-        real_connect = sqlite3.connect
-
-        def traced_connect(*args, **kwargs):
-            conn = real_connect(*args, **kwargs)
-            conn.set_trace_callback(issued.append)
-            return conn
-
-        monkeypatch.setattr(sqlite3, "connect", traced_connect)
-        with opener(path) as store:
+        with tracing() as issued, opener(path) as store:
             assert store.conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
-        assert issued == ["SELECT name FROM sqlite_master", "PRAGMA journal_mode = TRUNCATE",
-                          "PRAGMA foreign_keys = ON", "PRAGMA foreign_keys"]
+        assert issued == [*REOPEN, "PRAGMA foreign_keys"]
         assert path.read_bytes() == before
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_respaced_store_opens_without_a_write(self, data):
+        script = "".join(spaced(data, TOKEN.findall(statement)) + ";\n"
+                         for statement in RawStore.SCHEMA.values())
+        opener = data.draw(st.sampled_from([RawStore, SummaryStore]))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "s.db"
+            write_file(path, script + "PRAGMA user_version = 2;")
+            before = path.read_bytes()
+            with tracing() as issued:
+                opener(path).close()
+            assert issued == REOPEN
+            assert path.read_bytes() == before
+            assert os.listdir(directory) == ["s.db"]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_table_one_token_off_is_refused_untouched_and_named(self, data):
+        name = data.draw(st.sampled_from(list(RawStore.SCHEMA)))
+        changed = data.draw(st.sampled_from(one_token_changes(TOKEN.findall(RawStore.SCHEMA[name]))))
+        others = data.draw(st.sets(st.sampled_from([n for n in RawStore.SCHEMA if n != name])))
+        script = "".join(
+            spaced(data, changed if n == name else TOKEN.findall(statement)) + ";\n"
+            for n, statement in RawStore.SCHEMA.items() if n == name or n in others
+        )
+        opener = data.draw(st.sampled_from([RawStore, SummaryStore]))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "s.db"
+            write_file(path, script)
+            before = path.read_bytes()
+            with pytest.raises(StorageFailure) as refused:
+                opener(path)
+            assert str(refused.value) == (
+                f"cannot open store {path}: it is not a store: its table {name} is not the schema's")
+            assert path.read_bytes() == before
+            assert os.listdir(directory) == ["s.db"]
+
+    @pytest.mark.parametrize("script, kind, name", [
+        ("CREATE INDEX by_t ON raw_scans (t)", "index", "by_t"),
+        ("CREATE VIEW users AS SELECT DISTINCT user FROM raw_scans", "view", "users"),
+        ("CREATE TRIGGER keep BEFORE DELETE ON mac BEGIN SELECT 1; END", "trigger", "keep"),
+        ("ANALYZE", "table", "sqlite_stat1"),
+    ])
+    def test_a_store_with_an_object_a_user_added_is_refused_untouched(
+            self, tmp_path, script, kind, name):
+        path = tmp_path / "store.db"
+        SummaryStore(path).close()
+        write_file(path, script)
+        before = path.read_bytes()
+        with pytest.raises(StorageFailure) as refused:
+            SummaryStore(path)
+        assert str(refused.value).endswith(f"it is not a store: its {kind} {name} is not the schema's")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["store.db"]
 
     def test_new_store_holds_the_whole_layout(self, tmp_path):
         SummaryStore(tmp_path / "store.db").close()
