@@ -6,8 +6,9 @@ C >= eps (similarity is a proximity, higher means closer). A point
 whose neighbourhood reaches min_pts is a core point; clusters are the
 maximal sets reachable through core points; everything else is noise.
 Scans that share no MAC score 0 and are never neighbours, so a large
-day is clustered one group of MAC-linked scans (or a few) at a time:
-memory and work grow with the largest group, not with the whole day.
+day is clustered one group of MAC-linked scans (or a few) at a time,
+over the MACs that group holds: memory and work grow with the largest
+group and its MACs, not with the whole day.
 
 Scans sit on a timeline, so a cluster (a place) usually appears as
 several temporally contiguous runs (visits). segment_visits recovers
@@ -84,24 +85,33 @@ def _walk(
 def _groups(day: Scans) -> np.ndarray:
     """Each scan's group, named by its smallest scan index.
 
-    Groups are the components of the scans-and-MACs graph, one edge per
-    reading, so a scan with no readings is alone. Each round hooks every
-    root under the smallest root it shares a reading with and points
-    every node at its root. A parent never exceeds its node and scans
-    come before MACs, so a root is its group's smallest scan.
+    Groups are the sets of scans linked by shared MACs, so a scan with
+    no readings is alone. They are found on the day's MACs alone: each
+    reading hooks its MAC to its scan's first MAC, and each round hooks
+    every root under the smallest root it is joined to and points every
+    MAC at its root. A scan's group is its first MAC's root, named by
+    the smallest scan whose first MAC has that root.
     """
     n = len(day.times)
-    scan, mac = np.repeat(np.arange(n), day.counts), day.ids + n
-    parent = np.arange(n + len(day.macs))
+    held = np.flatnonzero(day.counts)
+    first = day.ids[np.cumsum(day.counts[held]) - day.counts[held]]
+    head = np.repeat(first, day.counts[held])
+    parent = np.arange(len(day.macs))
     while True:
-        a, b = parent[scan], parent[mac]
+        a, b = parent[day.ids], parent[head]
         apart = a != b
         if not apart.any():
-            return parent[:n]
+            break
         a, b = a[apart], b[apart]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while not np.array_equal(up := parent[parent], parent):
             parent = up
+    root = parent[first]
+    smallest = np.full(len(day.macs), n)
+    np.minimum.at(smallest, root, held)
+    group = np.arange(n)
+    group[held] = smallest[root]
+    return group
 
 
 def _chunks(day: Scans) -> list[np.ndarray]:
@@ -139,15 +149,18 @@ def dbscan(day: Scans, params: ClusterParams) -> list[ClusterLabel]:
     Two scans that share no MAC score exactly 0, and epsilon > 0, so
     they are never neighbours. So each chunk of whole groups of
     MAC-linked scans (_chunks) is scored and walked on its own, and its
-    clusters are renumbered into the day's order. Memory, in bytes, for
-    a chunk of c scans: c^2 for the bool `near`; while scoring, also the
-    float rows, 8 * c * len(day.macs), and _score_blocks's buffer,
-    17 * _BLOCK * c + 16 * c; while walking, _BLOCK rows of `near` at a
-    time, _BLOCK * c, and a few c-long vectors. Building the rows,
-    before `near` exists, takes 8 bytes a reading more. A day of several
-    chunks also takes about 50 bytes a reading to group, before the
-    first chunk, 17 bytes a reading of the chunk to copy its readings,
-    and a few n-long vectors.
+    clusters are renumbered into the day's order. A chunk's rows span
+    only the w MACs it holds, in day order: every product is of whole
+    dBm, so dropping the columns no row holds leaves each score exact.
+    Memory, in bytes, for a chunk of c scans: c^2 for the bool `near`;
+    while scoring, also the float rows, 8 * c * w, and _score_blocks's
+    buffer, 17 * _BLOCK * c + 16 * c; while walking, _BLOCK rows of
+    `near` at a time, _BLOCK * c, and a few c-long vectors. Building the
+    rows, before `near` exists, takes 8 bytes a reading more. A day of
+    several chunks also takes about 40 bytes a reading and a few n-long
+    vectors to group, before the first chunk; 17 bytes a reading of the
+    chunk for its readings' positions, columns and dBm; and 9 bytes a
+    MAC of the day to find the chunk's columns.
     """
     n = len(day.times)
     if n == 0:
@@ -163,7 +176,12 @@ def dbscan(day: Scans, params: ClusterParams) -> list[ClusterLabel]:
         counts = day.counts[chunk]
         shift = first_reading[chunk] - (np.cumsum(counts) - counts)  # day's offset less the chunk's
         at = np.arange(counts.sum()) + np.repeat(shift, counts)
-        local, local_seeds = _walk(counts, day.ids[at], day.rssi[at], width, params)
+        # the chunk's own MACs, in day order, become its columns 0..w-1
+        ids = day.ids[at]
+        seen = np.zeros(width, dtype=bool)
+        seen[ids] = True
+        ids = (np.cumsum(seen) - 1)[ids]
+        local, local_seeds = _walk(counts, ids, day.rssi[at], np.count_nonzero(seen), params)
         labels[chunk] = np.where(local == NOISE, NOISE, local + len(seeds))
         seeds += chunk[local_seeds].tolist()
     # Renumber by smallest core scan across chunks; a chunk's own clusters

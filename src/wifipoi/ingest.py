@@ -374,17 +374,16 @@ class RawStore:
             "SELECT t, macs, rssi FROM raw_scans WHERE user = ? AND t >= ? AND t < ? ORDER BY t",
             (user, lo, hi),
         ).fetchall()
-        ids = np.frombuffer(b"".join(macs for _, macs, _ in rows), "<u4")
-        rssi = np.frombuffer(b"".join(rssi for *_, rssi in rows), np.int8)
-        used, cols = np.unique(ids, return_inverse=True)
+        times, blobs, levels = zip(*rows) if rows else ((), (), ())
+        used, cols = np.unique(np.frombuffer(b"".join(blobs), "<u4"), return_inverse=True)
         names = dict(self.conn.execute(
             "SELECT id, mac FROM mac WHERE id IN (SELECT value FROM json_each(?))",
             (json.dumps(used.tolist()),),
         ))
-        times = np.array([t for t, _, _ in rows], np.int64)
-        counts = np.array([len(r) for *_, r in rows], np.int64)
+        counts = np.fromiter(map(len, levels), np.int64, len(levels))
         macs = tuple(map(names.__getitem__, used.tolist()))
-        return Scans(user, times, counts, macs, cols, rssi)
+        return Scans(user, np.array(times, np.int64), counts, macs, cols,
+                     np.frombuffer(b"".join(levels), np.int8))
 
 
 def _tokens(sql: str) -> tuple[str, ...]:

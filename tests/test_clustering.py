@@ -42,6 +42,23 @@ def as_floats(dicts):
     return [{m: float(v) for m, v in d.items()} for d in dicts]
 
 
+def without_readings(day, empty):
+    """The day as Scans, with the scans `empty` holding no readings."""
+    counts = day.counts.copy()
+    counts[empty] = 0
+    keep = np.repeat(counts > 0, day.counts)
+    return Scans(day.user, day.times, counts, day.macs, day.ids[keep], day.rssi[keep])
+
+
+def group_names(dicts):
+    """Each scan's group by naive_groups, named by its smallest scan."""
+    name = [0] * len(dicts)
+    for group in naive_groups(dicts):
+        for i in group:
+            name[i] = min(group)
+    return name
+
+
 def neighbours(fps, i, eps):
     """Row i of the thresholded matrix: the neighbourhood dbscan uses."""
     return np.flatnonzero(similarity_matrix(fps)[i] >= eps).tolist()
@@ -195,30 +212,53 @@ class TestDbscanByGroup:
         assert labels == [1] * 70 + [2] * 70 + [3] * 70
         assert labels == naive_dbscan(as_floats(dicts), 0.5, 4)
 
+    def test_each_chunk_is_walked_over_its_own_macs(self, monkeypatch):
+        dicts = disjoint_places_day(random.Random(11), [40, 90, 7, 60, 33])
+        day = upload_of(make_log(dicts, interval=30))
+        chunks = clustering._chunks(day)
+        assert len(dicts) >= 2 * _BLOCK and len(chunks) > 1
+        widths = []
+        walk = clustering._walk
+
+        def recording(counts, ids, rssi, width, params):
+            widths.append(width)
+            return walk(counts, ids, rssi, width, params)
+
+        monkeypatch.setattr(clustering, "_walk", recording)
+        labels = dbscan(day, ClusterParams())
+        assert widths == [len({mac for i in chunk for mac in dicts[i]}) for chunk in chunks]
+        assert max(widths) < len(day.macs)
+        assert labels == naive_dbscan(as_floats(dicts), 0.5, 4)
+
     def test_groups_are_the_scans_linked_by_shared_macs(self):
         rnd = random.Random(17)
         for _ in range(10):
             sizes = [rnd.randint(1, 40) for _ in range(rnd.randint(1, 6))]
             for dicts in (disjoint_places_day(rnd, sizes), random_scan_instance(rnd, sum(sizes))):
-                got = clustering._groups(upload_of(make_log(dicts)))
-                want = np.empty(len(dicts), dtype=int)
-                for group in naive_groups(dicts):
-                    want[list(group)] = min(group)
-                assert got.tolist() == want.tolist()
+                day = upload_of(make_log(dicts))
+                assert clustering._groups(day).tolist() == group_names(dicts)
+                # a scan emptied of its readings is a group of its own
+                empty = rnd.sample(range(len(dicts)), rnd.randint(1, len(dicts)))
+                got = clustering._groups(without_readings(day, empty))
+                assert got.tolist() == group_names([{} if i in empty else d for i, d in enumerate(dicts)])
+                assert got[empty].tolist() == empty
 
     @pytest.mark.parametrize("n", [10, 2 * _BLOCK + 10])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_scan_without_readings_raises_empty_fingerprint(self, n, where):
         day = upload_of(make_log(disjoint_places_day(random.Random(3), [n // 2, n - n // 2])))
         k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
-        lo = int(day.counts[:k].sum())
-        keep = np.ones(len(day.ids), dtype=bool)
-        keep[lo:lo + day.counts[k]] = False
-        counts = day.counts.copy()
-        counts[k] = 0
-        hollow = Scans(day.user, day.times, counts, day.macs, day.ids[keep], day.rssi[keep])
         with pytest.raises(EmptyFingerprint):
-            dbscan(hollow, ClusterParams())
+            dbscan(without_readings(day, [k]), ClusterParams())
+
+    @pytest.mark.parametrize("macs", [(), (A, B)])
+    def test_a_day_without_any_reading_raises_empty_fingerprint(self, macs):
+        n = 2 * _BLOCK
+        day = Scans("u", np.arange(n) * 30, np.zeros(n, np.int64), macs,
+                    np.zeros(0, np.int64), np.zeros(0, np.int8))
+        assert clustering._groups(day).tolist() == list(range(n))
+        with pytest.raises(EmptyFingerprint):
+            dbscan(day, ClusterParams())
 
     def test_memory_stays_within_the_largest_chunk_s_bound_on_four_places(self):
         # Four places that share no MAC, 600 scans each, interleaved: each
@@ -235,12 +275,13 @@ class TestDbscanByGroup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n, macs = len(day.times), len(day.macs)
+        n, w = len(day.times), len(desks[0])
         c = max(map(len, clustering._chunks(day)))
-        assert c == 600
-        # the chunk's bound, plus its 8 * c readings' positions and copy
-        # (17 bytes each) and the day's bookkeeping (3 n-long vectors)
-        bound = c * c + 8 * c * macs + 17 * _BLOCK * c + 16 * c
+        assert (c, w) == (600, 8)
+        # the chunk's bound, its rows over its own w MACs, plus its 8 * c
+        # readings' positions, columns and dBm (17 bytes each) and the
+        # day's bookkeeping (3 n-long vectors)
+        bound = c * c + 8 * c * w + 17 * _BLOCK * c + 16 * c
         assert peak <= bound + 17 * 8 * c + 24 * n + 64 * 1024 < n * n / 4
         first = sorted(range(4), key=places.index)
         assert labels == [1 + first.index(k) for k in places]

@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import naive_cosine, random_fingerprint, random_scan_instance
+from wifipoi import similarity
 from wifipoi.community import build_graph
 from wifipoi.errors import EmptyFingerprint
 from wifipoi.ingest import upload_of
@@ -175,6 +177,25 @@ class TestMatrix:
             sim[hi:, lo:hi] = block[:, hi - lo :].T
         assert np.array_equal(sim, sim.T)
         assert sim.tolist() == [[naive_cosine(a, b) for b in dicts] for a in dicts]
+
+    # dbscan scores each chunk of scans over that chunk's MACs alone, so
+    # its scores must not depend on the columns no row of the chunk holds.
+    @pytest.mark.parametrize("block", [8, 64])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 140).flatmap(lambda n: arrays(
+            np.int64, (n, 6), elements=st.one_of(st.just(0), st.integers(-100, -1)))),
+        st.lists(st.integers(0, 6), max_size=8),
+    )
+    def test_whole_dbm_scores_ignore_all_zero_columns(self, block, x, at):
+        x[~x.any(axis=1), 0] = -1  # every row holds a reading
+        layouts = [x, x[:, x.any(axis=0)], np.insert(x, at, 0, axis=1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(similarity, "_BLOCK", block)
+            scored = [[(lo, b.tobytes()) for lo, b in _score_blocks(rows.astype(float))]
+                      for rows in layouts]
+        assert scored[0] == scored[1] == scored[2]
+        assert len(scored[0]) == -(-len(x) // block)
 
     def test_a_result_does_not_share_the_scorers_buffer(self):
         rnd = random.Random(6)
