@@ -12,7 +12,7 @@ import time
 
 from wifipoi.ingest import upload_of
 from wifipoi.model import ClusterParams
-from wifipoi.registry import SummaryStore, extract_day, summary_rows
+from wifipoi.registry import SummaryStore, day_window, extract_day, summary_rows
 from wifipoi.simgen import generate_trace, load_scenario
 
 scenario = load_scenario("office-3day")
@@ -37,7 +37,8 @@ for day_index, day in enumerate(sorted(by_day)):
     # each cluster against the registry, and render the (poi_id, visits)
     # pairs it registered
     print(f"{day}:")
-    for poi_id, start, end in summary_rows(extract_day(store, upload_of(log), params)):
+    registered = extract_day(store, upload_of(log), day_window(day), params)
+    for poi_id, start, end in summary_rows(registered):
         print(f"  POI {poi_id}  {start} - {end}")
 
 print("\nregistered POI:")

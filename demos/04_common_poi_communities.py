@@ -14,7 +14,7 @@ import numpy as np
 from wifipoi.community import threshold_sweep
 from wifipoi.ingest import upload_of
 from wifipoi.model import ClusterParams
-from wifipoi.registry import SummaryStore, extract_day
+from wifipoi.registry import SummaryStore, day_window, extract_day
 from wifipoi.simgen import generate_trace, load_scenario
 
 scenario = load_scenario("mall-11-users")
@@ -31,7 +31,8 @@ for index, user in enumerate(sorted(scenario.itineraries)):
         user=user,
         device=scenario.devices[user],
     )
-    extract_day(store, upload_of(log), params)  # the day's scans as `ingest` decodes them
+    # the day's scans as `ingest` decodes them
+    extract_day(store, upload_of(log), day_window("2026-03-07"), params)
 
 # one fingerprint per (user, poi_id): the nodes of the cross-user graph
 fps = store.fingerprints()

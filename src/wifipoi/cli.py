@@ -214,7 +214,7 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             write_summary_csv([], out)
             print(f"no scans for {args.user} on {args.day}; wrote empty {out}")
             return 0
-        registered = extract_day(store, day, cfg.cluster, cfg.match_threshold)
+        registered = extract_day(store, day, (lo, hi), cfg.cluster, cfg.match_threshold)
     rows = summary_rows(registered)
     write_summary_csv(rows, out)
     if not rows:

@@ -261,25 +261,25 @@ _Store = TypeVar("_Store", bound="RawStore")
 
 
 class RawStore:
-    """The store file: SCHEMA, its tables by name at user_version 2, and raw reads.
+    """The store file: SCHEMA, its tables by name at user_version 3, and raw reads.
 
     A file is a store when each table in it has, compared by tokens, the
-    statement of one of SCHEMA's or of version 1's poi_properties; a
-    key's autoindex belongs to its table. Any other object (a user's
-    index, view or trigger, ANALYZE's sqlite_stat1) gets the file
-    refused untouched, as does the old raw_observations table. A store
-    journals in TRUNCATE mode, so a 0-byte <store>-journal stays beside
-    it. One with exactly SCHEMA's tables opens without a write; any
-    other gains the tables it lacks under the open's BEGIN IMMEDIATE,
-    where a version-1 store is upgraded, or refused untouched if its
-    fingerprint text does not convert exactly. Each connection enforces
-    foreign keys. A refused or unopenable file raises StorageFailure,
-    its connection closed; `conn` is public for fault injection. A
-    raw_scans row, keyed by (user, t), packs the scan's MAC ids (uint32
-    LE) and RSS readings (int8) in MAC order, so load_day reads them
-    straight back into columns; `mac` holds each canonical MAC once, and
-    a POI's poi_readings rows its fingerprint, one integer sum and count
-    per MAC. Every read is consumed whole, so an open holds no lock.
+    statement of one of SCHEMA's; a key's autoindex belongs to its
+    table. Any other object (a user's index, view or trigger, ANALYZE's
+    sqlite_stat1, a table of an earlier layout) gets the file refused
+    untouched; the old raw_observations table is named in the refusal.
+    A store journals in TRUNCATE mode, so a 0-byte <store>-journal
+    stays beside it. One with exactly SCHEMA's tables opens without a
+    write; any other gains the tables it lacks under the open's BEGIN
+    IMMEDIATE. Each connection enforces foreign keys. A refused or
+    unopenable file raises StorageFailure, its connection closed;
+    `conn` is public for fault injection. A raw_scans row, keyed by
+    (user, t), packs the scan's MAC ids (uint32 LE) and RSS readings
+    (int8) in MAC order, so load_day reads them straight back into
+    columns; `mac` holds each canonical MAC once, and poi_readings one
+    integer sum and count per POI, MAC and extracted day (the start of
+    its window), so a POI's fingerprint is the sum of its days' rows.
+    Every read is consumed whole, so an open holds no lock.
     """
 
     SCHEMA = {
@@ -301,9 +301,10 @@ class RawStore:
             user   TEXT    NOT NULL,
             poi_id INTEGER NOT NULL,
             mac    TEXT    NOT NULL,
+            day    INTEGER NOT NULL,
             sum    INTEGER NOT NULL,
             count  INTEGER NOT NULL,
-            PRIMARY KEY (user, poi_id, mac),
+            PRIMARY KEY (user, poi_id, mac, day),
             FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
         ) WITHOUT ROWID""",
         "poi_visits": """CREATE TABLE poi_visits (
@@ -325,18 +326,14 @@ class RawStore:
             conn = sqlite3.connect(self.path)
             layout = _layout(conn)
             conn.execute("PRAGMA journal_mode = TRUNCATE")
-            if layout != dict.fromkeys(self.SCHEMA, ()):
+            if layout != self.SCHEMA.keys():
                 with conn:
                     conn.execute("BEGIN IMMEDIATE")
                     layout = _layout(conn)  # another open may have written it meanwhile
-                    readings = _version_1_readings(conn) if layout.get("poi_properties") else []
                     for name, statement in self.SCHEMA.items():
                         if name not in layout:
                             conn.execute(statement)
-                    conn.executemany("INSERT INTO poi_readings VALUES (?, ?, ?, ?, ?)", readings)
-                    for column in layout.get("poi_properties", ()):  # needs SQLite 3.35 or later
-                        conn.execute(f"ALTER TABLE poi_properties DROP COLUMN {column}")
-                    conn.execute("PRAGMA user_version = 2")
+                    conn.execute("PRAGMA user_version = 3")
             conn.execute("PRAGMA foreign_keys = ON")
         except (sqlite3.Error, StorageFailure) as exc:
             if conn is not None:
@@ -391,54 +388,19 @@ def _tokens(sql: str) -> tuple[str, ...]:
     return tuple(sql.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split())
 
 
-# each table statement a store may hold, by its tokens, with the columns its open drops
-_VERSION_1 = ("CREATE TABLE poi_properties (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
-              " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL,"
-              " {}PRIMARY KEY (user, poi_id))")
-_TABLES = {**dict.fromkeys(map(_tokens, RawStore.SCHEMA.values()), ()),
-           _tokens(_VERSION_1.format("")): ("fingerprint",),
-           _tokens(_VERSION_1.format("label TEXT, ")): ("fingerprint", "label")}
+_TABLES = set(map(_tokens, RawStore.SCHEMA.values()))  # each table statement a store may hold
 
 
-def _layout(conn: sqlite3.Connection) -> dict[str, tuple[str, ...]]:
-    """Each table of a store by name, with the columns its open drops; other files raise."""
+def _layout(conn: sqlite3.Connection) -> set[str]:
+    """The names of a store's tables; any other file raises."""
     rows = conn.execute("SELECT type, name, sql FROM sqlite_master").fetchall()
     if any(name == "raw_observations" for _, name, _ in rows):
         raise StorageFailure("it holds the old one-row-per-reading raw_observations layout;"
                              " re-ingest its uploads into a new store")
-    layout = {}
-    for kind, name, sql in rows:
-        if sql is not None:  # None: a key's autoindex, part of its table
-            layout[name] = _TABLES.get(_tokens(sql))
-            if layout[name] is None:
-                raise StorageFailure(f"it is not a store: its {kind} {name} is not the schema's")
-    return layout
-
-
-def _version_1_readings(conn: sqlite3.Connection) -> list[tuple]:
-    """A version-1 registry's `mac:mean:count` fingerprint text as poi_readings rows.
-
-    Read under the open's lock, before its first write. Each row's sum
-    is mean times count, rounded; a triple that does not parse, or whose
-    product lies more than 1e-6 from a whole number, raises StorageFailure.
-    """
-    rows = []
-    for user, poi_id, text in conn.execute("SELECT user, poi_id, fingerprint FROM poi_properties"):
-        for triple in str(text).split(";"):
-            try:
-                mac, mean, count = triple.rsplit(":", 2)
-                n = int(count)
-                product = float(mean) * n
-                total = round(product) if n > 0 else None  # ValueError on nan, OverflowError on inf
-            except (ValueError, OverflowError):
-                total = None
-            if total is None or abs(product - total) > 1e-6:
-                raise StorageFailure(
-                    f"its version-1 fingerprint of user {user!r}, POI {poi_id}, holds {triple!r},"
-                    " not mac:mean:count of whole-dBm readings"
-                )
-            rows.append((user, poi_id, mac, total, n))
-    return rows
+    for kind, name, sql in rows:  # sql is None for a key's autoindex, part of its table
+        if sql is not None and _tokens(sql) not in _TABLES:
+            raise StorageFailure(f"it is not a store: its {kind} {name} is not the schema's")
+    return {name for _, name, sql in rows if sql is not None}
 
 
 def _store_upload(conn: sqlite3.Connection, upload: Scans, mac_ids: dict[str, int]) -> IngestReport:

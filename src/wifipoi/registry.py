@@ -10,11 +10,12 @@ registered POI and reuses the best id at or above the match threshold,
 so the same desk keeps the same poi_id across days.
 
 Persistence is the store file's poi_properties, poi_readings (one
-integer sum and count per MAC) and poi_visits tables, linked by (user,
-poi_id); SummaryStore extends ingest.RawStore, the file.
-poi_id is scoped per user: two users may both own poi_id 1. All writes
-go through one transaction per user-day via upsert_day, so a crash
-mid-day leaves the previous state intact. It reads only the candidate
+integer sum and count per MAC and extracted day) and poi_visits tables,
+linked by (user, poi_id); SummaryStore extends ingest.RawStore, the
+file. poi_id is scoped per user: two users may both own poi_id 1. All
+writes go through one transaction per user-day via upsert_day, so a
+crash mid-day leaves the previous state intact, and a day extracted
+again replaces what it registered before. It reads only the candidate
 POI, those of the user that share a MAC with the day's clusters (any
 other scores 0, below every match threshold), and takes the next free
 poi_id from the user's highest one; it reads no visit history
@@ -62,7 +63,8 @@ def build_fingerprint(macs: Sequence[str], ids: np.ndarray, rssi: np.ndarray) ->
 def merge_fingerprints(old: Fingerprint, new: Fingerprint) -> Fingerprint:
     """Fingerprint of both sides' readings together: sums and counts added per MAC.
 
-    Any merge chain equals build_fingerprint over all readings exactly.
+    Any merge chain equals build_fingerprint over all readings exactly;
+    upsert_day merges in memory as a day's clusters match.
     """
     sums, counts = dict(old.sums), dict(old.counts)
     for mac, total in new.sums.items():
@@ -173,8 +175,8 @@ class SummaryStore(RawStore):
     def _read_fingerprints(self, where: str, params: tuple) -> dict[tuple[str, int], Fingerprint]:
         fps: dict[tuple[str, int], Fingerprint] = {}
         for user, poi_id, mac, total, count in self.conn.execute(
-            f"SELECT user, poi_id, mac, sum, count FROM poi_readings {where}"
-            " ORDER BY user, poi_id, mac",
+            f"SELECT user, poi_id, mac, SUM(sum), SUM(count) FROM poi_readings {where}"
+            " GROUP BY user, poi_id, mac ORDER BY user, poi_id, mac",
             params,
         ):
             if (user, poi_id) not in fps:  # a POI's rows come together: fill its dicts
@@ -192,71 +194,83 @@ class SummaryStore(RawStore):
 def upsert_day(
     store: SummaryStore,
     user: str,
+    window: tuple[int, int],
     clusters: Sequence[tuple[Fingerprint, Sequence[VisitInterval]]],
     threshold: float = MATCH_THRESHOLD,
 ) -> list[int]:
     """Register one user-day's (fingerprint, visits) clusters; return their poi_ids.
 
-    Each cluster, in order, is matched against the user's POI as the
-    earlier clusters left them: on a match the new visits are appended
-    (exact duplicates are skipped, which makes re-running a day a no-op)
-    and, when anything new arrived, the fingerprint becomes the merge of
-    old and new; otherwise the next free poi_id, one above the user's
-    highest, is allocated. A new or merged POI's readings are written in
-    one INSERT OR REPLACE; a merge only adds MACs, so it replaces every
-    old row. The registry read is the candidates, the user's POI that
-    hold a MAC of some cluster, plus the highest poi_id: since a POI
-    sharing no MAC scores 0 and `threshold` is above 0, the ids equal a
-    match against every POI. The write transaction opens (BEGIN
-    IMMEDIATE) before the reads, so concurrent writers queue on the
-    busy timeout instead of merging into a stale read; no clusters issue
-    no statement, and neither does an empty fingerprint (it raises
-    EmptyFingerprint) or a threshold outside (0, 1] (ValueError). On
-    failure the store is left exactly as before and StorageFailure is
-    raised.
+    The day is `window`, day_window's UTC [lo, hi), and the call
+    replaces what earlier calls registered in it: the user's visits that
+    start in it, the day's readings (keyed by lo) and any POI left with
+    no visit are deleted first, so a call equals deleting the day and
+    registering it last. Each cluster, in order, is then matched against
+    the user's POI as the earlier clusters left them, and takes the best
+    match's id or else the next one above the user's highest; a POI only
+    the day held is dropped before matching, so re-running the user's
+    last day keeps every id. Its visits are inserted and its readings
+    added to the day's rows of that POI (two clusters can match one).
+    Only the candidates are read, the POI that hold a MAC of some
+    cluster, plus the highest poi_id: a POI sharing no MAC scores 0,
+    below `threshold`. The write transaction opens (BEGIN IMMEDIATE)
+    before the deletes and reads, so concurrent writers queue on the
+    busy timeout. A threshold outside (0, 1], a window that is not a UTC
+    day, a cluster with no visit or with one that starts outside the
+    window (ValueError) and an empty fingerprint (EmptyFingerprint)
+    raise before any statement. On failure the store is left exactly as
+    before and StorageFailure is raised.
     """
+    lo, hi = window
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"match threshold {threshold} outside (0, 1]")
-    for fp, _ in clusters:
+    if lo % 86400 or hi != lo + 86400:  # windows that overlap would split a day's readings
+        raise ValueError(f"window [{lo}, {hi}) is not a UTC day, as day_window gives")
+    for fp, visits in clusters:
         if not fp.sums:  # a POI with no readings would vanish from fingerprints()
             raise EmptyFingerprint(f"user {user!r}: a cluster has an empty fingerprint")
-    if not clusters:
-        return []
+        if not visits or not all(lo <= v.start < hi for v in visits):
+            raise ValueError(f"user {user!r}: a cluster has no visit, or one outside [{lo}, {hi})")
     try:
         ids = []
         with store.conn:
             store.conn.execute("BEGIN IMMEDIATE")
+            replaced = store.conn.execute(
+                "DELETE FROM poi_visits WHERE user = ? AND start_ts >= ? AND start_ts < ?",
+                (user, lo, hi),
+            ).rowcount
+            if replaced:  # a first extract of the day deletes no visit, so nothing else
+                store.conn.execute("DELETE FROM poi_readings WHERE user = ? AND day = ?", (user, lo))
+                store.conn.execute(
+                    "DELETE FROM poi_properties WHERE user = ? AND poi_id NOT IN"
+                    " (SELECT poi_id FROM poi_visits WHERE user = ?)",
+                    (user, user),
+                )
             registry = store.candidates(user, {mac for fp, _ in clusters for mac in fp.sums})
             (last_id,) = store.conn.execute(
                 "SELECT coalesce(max(poi_id), 0) FROM poi_properties WHERE user = ?", (user,)
             ).fetchone()
             for fp, visits in clusters:
-                matched = match_poi(fp, registry, threshold)
-                if matched is None:
+                poi_id = match_poi(fp, registry, threshold)
+                if poi_id is None:
                     last_id = poi_id = last_id + 1
-                    created = min((v.start for v in visits), default=0)
                     store.conn.execute(
                         "INSERT INTO poi_properties (user, poi_id, created_at) VALUES (?, ?, ?)",
-                        (user, poi_id, created),
+                        (user, poi_id, min(v.start for v in visits)),
                     )
+                    registry[poi_id] = fp
                 else:
-                    poi_id = matched
-                # rowcount sums the rows inserted; an ignored duplicate adds 0
-                added = store.conn.executemany(
-                    "INSERT OR IGNORE INTO poi_visits"
-                    " (user, poi_id, start_ts, end_ts, scans, sub_minimal)"
+                    registry[poi_id] = merge_fingerprints(registry[poi_id], fp)
+                store.conn.executemany(
+                    "INSERT INTO poi_visits (user, poi_id, start_ts, end_ts, scans, sub_minimal)"
                     " VALUES (?, ?, ?, ?, ?, ?)",
                     [(user, poi_id, v.start, v.end, v.scans, int(v.sub_minimal)) for v in visits],
-                ).rowcount
-                if matched is None or added > 0:
-                    if matched is not None:
-                        fp = merge_fingerprints(registry[poi_id], fp)
-                    registry[poi_id] = fp
-                    store.conn.executemany(
-                        "INSERT OR REPLACE INTO poi_readings (user, poi_id, mac, sum, count)"
-                        " VALUES (?, ?, ?, ?, ?)",
-                        [(user, poi_id, mac, n, fp.counts[mac]) for mac, n in fp.sums.items()],
-                    )
+                )
+                store.conn.executemany(
+                    "INSERT INTO poi_readings (user, poi_id, mac, day, sum, count)"
+                    " VALUES (?, ?, ?, ?, ?, ?) ON CONFLICT (user, poi_id, mac, day) DO UPDATE"
+                    " SET sum = sum + excluded.sum, count = count + excluded.count",
+                    [(user, poi_id, mac, lo, n, fp.counts[mac]) for mac, n in fp.sums.items()],
+                )
                 ids.append(poi_id)
         return ids
     except sqlite3.Error as exc:
@@ -266,16 +280,20 @@ def upsert_day(
 def extract_day(
     store: SummaryStore,
     day: Scans,
+    window: tuple[int, int],
     params: ClusterParams,
     threshold: float = MATCH_THRESHOLD,
 ) -> list[tuple[int, list[VisitInterval]]]:
     """Cluster and register one user-day; return one (poi_id, visits) per cluster.
 
-    dbscan labels the scans and segment_visits cuts them into visits;
-    each cluster label, in ascending order, becomes one (fingerprint
-    of its member scans' readings, its visits) pair, and upsert_day registers
-    the day for day.user in one transaction. An all-noise day writes
-    nothing and returns []. Raises EmptyLog on a day with no scans.
+    `day` holds the user's scans in the [lo, hi) `window`, as load_day
+    reads them. dbscan labels the scans and segment_visits cuts them
+    into visits; each cluster label, in ascending order, becomes one
+    (fingerprint of its member scans' readings, its visits) pair, and
+    upsert_day registers the day for day.user in one transaction,
+    replacing what an earlier extract of the window registered. An
+    all-noise day registers nothing (so it only deletes) and returns [].
+    Raises EmptyLog on a day with no scans.
     """
     labels = dbscan(day, params)
     visits: dict[int, list[VisitInterval]] = {}
@@ -286,7 +304,7 @@ def extract_day(
     for label in sorted(visits):
         mine = label_of == label
         clusters.append((build_fingerprint(day.macs, day.ids[mine], day.rssi[mine]), visits[label]))
-    ids = upsert_day(store, day.user, clusters, threshold)
+    ids = upsert_day(store, day.user, window, clusters, threshold)
     return [(poi_id, day_visits) for poi_id, (_, day_visits) in zip(ids, clusters)]
 
 

@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import random
-import sqlite3
 from collections import defaultdict
 from typing import Iterable, Iterator
 
@@ -476,71 +475,9 @@ def naive_groups(points: list[dict]) -> list[set[int]]:
     return groups
 
 
-# The version-1 store layout, as the package wrote it before fingerprints
-# moved into poi_readings: each fingerprint is text in poi_properties.
-VERSION_1_SCHEMA = """
-BEGIN IMMEDIATE;
-CREATE TABLE IF NOT EXISTS mac (id INTEGER PRIMARY KEY, mac TEXT NOT NULL UNIQUE);
-CREATE TABLE IF NOT EXISTS raw_scans (
-    user TEXT    NOT NULL,
-    t    INTEGER NOT NULL,
-    macs BLOB    NOT NULL,
-    rssi BLOB    NOT NULL,
-    PRIMARY KEY (user, t)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS poi_properties (
-    user        TEXT    NOT NULL,
-    poi_id      INTEGER NOT NULL,
-    fingerprint TEXT    NOT NULL,
-    created_at  INTEGER NOT NULL,
-    PRIMARY KEY (user, poi_id)
-);
-CREATE TABLE IF NOT EXISTS poi_visits (
-    user        TEXT    NOT NULL,
-    poi_id      INTEGER NOT NULL,
-    start_ts    INTEGER NOT NULL,
-    end_ts      INTEGER NOT NULL,
-    scans       INTEGER NOT NULL,
-    sub_minimal INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (user, poi_id, start_ts, end_ts),
-    FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)
-);
-PRAGMA user_version = 1;
-COMMIT;
-"""
-
-
-def encode_fingerprint_v1(rssi: Fp, counts: dict[str, int]) -> str:
-    """Version-1 fingerprint text: sorted `mac:mean:count` triples joined by ';'.
-
-    Means use repr() so the decoded float is bit-identical.
-    """
-    return ";".join(f"{mac}:{rssi[mac]!r}:{counts[mac]}" for mac in sorted(rssi))
-
-
-def version_1_copy(source, target) -> None:
-    """Write at `target` a version-1 store holding the scans and registry of store `source`.
-
-    Each fingerprint is written as version 1 wrote it, its means as
-    floats: sum / count of the source's readings.
-    """
-    with sqlite3.connect(target) as out:
-        out.executescript(VERSION_1_SCHEMA)
-        out.execute("ATTACH DATABASE ? AS src", (str(source),))
-        out.execute("INSERT INTO mac SELECT * FROM src.mac")
-        out.execute("INSERT INTO raw_scans SELECT * FROM src.raw_scans")
-        readings: dict[tuple, tuple[Fp, dict[str, int]]] = {}
-        for user, poi_id, mac, total, count in out.execute("SELECT * FROM src.poi_readings"):
-            means, counts = readings.setdefault((user, poi_id), ({}, {}))
-            means[mac], counts[mac] = total / count, count
-        out.executemany(
-            "INSERT INTO poi_properties VALUES (?, ?, ?, ?)",
-            [(user, poi_id, encode_fingerprint_v1(*readings[user, poi_id]), created)
-             for user, poi_id, created in out.execute("SELECT * FROM src.poi_properties")],
-        )
-        out.execute("INSERT INTO poi_visits SELECT * FROM src.poi_visits")
-    out.execute("DETACH DATABASE src")
-    out.close()
+def utc_day(t: int) -> tuple[int, int]:
+    """The UTC day [lo, hi) that holds epoch second t, the window day_window names it by."""
+    return t - t % 86400, t - t % 86400 + 86400
 
 
 def registry_tables(conn) -> dict[str, list[tuple]]:
@@ -549,7 +486,7 @@ def registry_tables(conn) -> dict[str, list[tuple]]:
         "poi_properties": conn.execute(
             "SELECT user, poi_id, created_at FROM poi_properties ORDER BY user, poi_id").fetchall(),
         "poi_readings": conn.execute(
-            "SELECT * FROM poi_readings ORDER BY user, poi_id, mac").fetchall(),
+            "SELECT * FROM poi_readings ORDER BY user, poi_id, mac, day").fetchall(),
         "poi_visits": conn.execute(
             "SELECT * FROM poi_visits ORDER BY user, poi_id, start_ts, end_ts").fetchall(),
     }
@@ -558,49 +495,70 @@ def registry_tables(conn) -> dict[str, list[tuple]]:
 def store_invariant_faults(store) -> list[str]:
     """What breaks the registry's invariant in an open store; [] when it holds.
 
-    For every POI, the stored sums and counts must equal a dict-loop sum
-    over the raw readings of the scans inside its visits, as load_day
-    reads them, and no two visits of a user may overlap.
+    For every POI and UTC day, the sums and counts stored for that day
+    must equal a dict-loop sum over the raw readings of the scans inside
+    the POI's visits that start in that day, as load_day reads them.
+    Every POI must hold a visit, and no two visits of a user may overlap.
     """
     stored: dict[tuple, tuple[dict[str, int], dict[str, int]]] = defaultdict(lambda: ({}, {}))
-    for user, poi_id, mac, total, count in store.conn.execute("SELECT * FROM poi_readings"):
-        stored[user, poi_id][0][mac], stored[user, poi_id][1][mac] = total, count
+    for user, poi_id, mac, day, total, count in store.conn.execute(
+            "SELECT user, poi_id, mac, day, sum, count FROM poi_readings"):
+        stored[user, poi_id, day][0][mac], stored[user, poi_id, day][1][mac] = total, count
     visits = store.conn.execute(
         "SELECT user, poi_id, start_ts, end_ts FROM poi_visits ORDER BY user, start_ts, end_ts"
     ).fetchall()
     scans: dict[tuple, list] = defaultdict(list)
     for user, poi_id, start, end in visits:
         inside = day_rows(store.load_day(user, start, end + 1))
-        scans[user, poi_id] += [row.items() for _, row in inside]
+        scans[user, poi_id, utc_day(start)[0]] += [row.items() for _, row in inside]
     faults = [
-        f"POI {key}: stored readings differ from its visits' scans"
+        f"POI {key[:2]}, day {key[2]}: stored readings differ from its visits' scans"
         for key in sorted(set(stored) | set(scans))
         if stored.get(key) != naive_fingerprint(scans.get(key, []))
     ]
+    visited = {(user, poi_id) for user, poi_id, _, _ in visits}
+    faults += [f"POI {key}: no visit" for key in store.conn.execute(
+        "SELECT user, poi_id FROM poi_properties ORDER BY user, poi_id") if key not in visited]
     for (user, _, _, end), (other, poi_id, start, _) in zip(visits, visits[1:]):
         if user == other and start <= end:
             faults.append(f"user {user!r}: POI {poi_id}'s visit at {start} overlaps the one before")
     return faults
 
 
-def reference_upsert_day(conn, user: str, clusters, threshold: float) -> list[int]:
-    """upsert_day's result, matching each cluster against every POI of the user.
+def reference_upsert_day(conn, user: str, window, clusters, threshold: float) -> list[int]:
+    """upsert_day's result: the day replaced, each cluster matched against every POI of the user.
 
-    `clusters` holds (fingerprint, visits) pairs: integer sums and counts
-    per MAC, and visits with start, end, scans and sub_minimal. Each
-    cluster is scored against the whole registry as the earlier clusters
-    left it: the cosine of the mean vectors, a score within 1e-12 of 1
-    counted as 1. The best score at or above `threshold`, the lowest
-    poi_id on a tie, takes the cluster's visits, and its readings when a
-    visit was new; otherwise the cluster becomes POI max(poi_id) + 1.
+    The user's visits that start in the [lo, hi) `window` and the
+    readings stored for day lo are deleted, then each POI of the user
+    left with no visit, one by one. `clusters` holds (fingerprint,
+    visits) pairs: integer sums and counts per MAC, and visits with
+    start, end, scans and sub_minimal. Each cluster is scored against
+    the whole registry as the earlier clusters left it: the cosine of
+    the mean vectors, a score within 1e-12 of 1 counted as 1. The best
+    score at or above `threshold`, the lowest poi_id on a tie, takes the
+    cluster's visits and readings; otherwise the cluster becomes POI
+    max(poi_id) + 1. The day's readings are summed here and written once.
     """
-    registry: dict[int, tuple[dict[str, int], dict[str, int]]] = {}
-    for poi_id, mac, total, count in conn.execute(
-            "SELECT poi_id, mac, sum, count FROM poi_readings WHERE user = ?", (user,)):
-        sums, counts = registry.setdefault(poi_id, ({}, {}))
-        sums[mac], counts[mac] = total, count
+    lo, hi = window
     ids = []
     with conn:
+        conn.execute("DELETE FROM poi_visits WHERE user = ? AND start_ts >= ? AND start_ts < ?",
+                     (user, lo, hi))
+        conn.execute("DELETE FROM poi_readings WHERE user = ? AND day = ?", (user, lo))
+        for (poi_id,) in conn.execute(
+                "SELECT poi_id FROM poi_properties WHERE user = ?", (user,)).fetchall():
+            if conn.execute("SELECT COUNT(*) FROM poi_visits WHERE user = ? AND poi_id = ?",
+                            (user, poi_id)).fetchone() == (0,):
+                conn.execute("DELETE FROM poi_properties WHERE user = ? AND poi_id = ?",
+                             (user, poi_id))
+        registry: dict[int, tuple[dict[str, int], dict[str, int]]] = {
+            poi_id: ({}, {}) for (poi_id,) in conn.execute(
+                "SELECT poi_id FROM poi_properties WHERE user = ?", (user,))}
+        for poi_id, mac, total, count in conn.execute(
+                "SELECT poi_id, mac, sum, count FROM poi_readings WHERE user = ?", (user,)):
+            sums, counts = registry[poi_id]
+            sums[mac], counts[mac] = sums.get(mac, 0) + total, counts.get(mac, 0) + count
+        day: dict[tuple[int, str], list[int]] = {}
         for fp, visits in clusters:
             means = {mac: total / fp.counts[mac] for mac, total in fp.sums.items()}
             best_score, best_id = -1.0, None
@@ -610,23 +568,23 @@ def reference_upsert_day(conn, user: str, clusters, threshold: float) -> list[in
                 score = 1.0 if score >= 1.0 - 1e-12 else score
                 if score > best_score:
                     best_score, best_id = score, poi_id
-            new = best_id is None or best_score < threshold
-            if new:
+            if best_id is None or best_score < threshold:
                 best_id = max(registry, default=0) + 1
                 registry[best_id] = ({}, {})
                 conn.execute("INSERT INTO poi_properties VALUES (?, ?, ?)",
-                             (user, best_id, min((v.start for v in visits), default=0)))
-            added = 0
+                             (user, best_id, min(v.start for v in visits)))
             for v in visits:
-                added += conn.execute(
-                    "INSERT OR IGNORE INTO poi_visits VALUES (?, ?, ?, ?, ?, ?)",
-                    (user, best_id, v.start, v.end, v.scans, int(v.sub_minimal))).rowcount
-            if new or added:
-                sums, counts = registry[best_id]
-                for mac, total in fp.sums.items():
-                    sums[mac] = sums.get(mac, 0) + total
-                    counts[mac] = counts.get(mac, 0) + fp.counts[mac]
-                conn.executemany("INSERT OR REPLACE INTO poi_readings VALUES (?, ?, ?, ?, ?)",
-                                 [(user, best_id, mac, sums[mac], counts[mac]) for mac in sums])
+                conn.execute("INSERT INTO poi_visits VALUES (?, ?, ?, ?, ?, ?)",
+                             (user, best_id, v.start, v.end, v.scans, int(v.sub_minimal)))
+            sums, counts = registry[best_id]
+            for mac, total in fp.sums.items():
+                sums[mac] = sums.get(mac, 0) + total
+                counts[mac] = counts.get(mac, 0) + fp.counts[mac]
+                row = day.setdefault((best_id, mac), [0, 0])
+                row[0] += total
+                row[1] += fp.counts[mac]
             ids.append(best_id)
+        conn.executemany("INSERT INTO poi_readings VALUES (?, ?, ?, ?, ?, ?)",
+                         [(user, poi_id, mac, lo, total, count)
+                          for (poi_id, mac), (total, count) in day.items()])
     return ids

@@ -21,13 +21,14 @@ from oracles import (
     planted_edges,
     random_fingerprint,
     random_scan_instance,
+    utc_day,
 )
 from wifipoi.clustering import NOISE, VisitInterval, dbscan
 from wifipoi.community import PoiGraph, louvain, modularity
 from wifipoi.errors import StorageFailure
 from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, store_raw, upload_of
 from wifipoi.model import ClusterParams, Fingerprint, ScanResult, build_log
-from wifipoi.registry import SummaryStore, extract_day, upsert_day
+from wifipoi.registry import SummaryStore, day_window, extract_day, upsert_day
 from wifipoi.similarity import cosine_similarity, similarity_matrix
 from wifipoi.simgen import (
     AccessPoint,
@@ -98,7 +99,7 @@ def mall_fingerprints():
                 user=user,
                 device=scenario.devices[user],
             )
-            extract_day(store, upload_of(log), params)
+            extract_day(store, upload_of(log), utc_day(log.entries[0].timestamp), params)
         return list(store.fingerprints().values())
 
 
@@ -142,7 +143,7 @@ def test_acceptance_4_office_day_structure():
     )
     params = ClusterParams(epsilon=0.5, min_pts=4, scan_interval=scenario.scan_interval)
     with SummaryStore() as store:
-        extract_day(store, upload_of(log), params)
+        extract_day(store, upload_of(log), utc_day(log.entries[0].timestamp), params)
         records = store.records(user)
     visits = [(v, r.poi_id) for r in records for v in r.visits]
     visits.sort(key=lambda pair: pair[0].start)
@@ -208,7 +209,7 @@ def test_acceptance_6_three_day_revisit_accuracy():
                 scenario.sigma,
                 user=user,
             )
-            extract_day(store, upload_of(log), params, threshold=0.5)
+            extract_day(store, upload_of(log), day_window(day), params, threshold=0.5)
             day_visits = [
                 (v, r.poi_id)
                 for r in store.records(user)
@@ -383,21 +384,23 @@ def test_acceptance_9_persistence_integrity_under_crashes(tmp_path):
             else:
                 fp = make_fp(random_fingerprint(rnd))
                 known_fps.append(fp)
-            upsert_day(summary, rnd.choice(["u1", "u2", "u3"]),
+            upsert_day(summary, rnd.choice(["u1", "u2", "u3"]), utc_day(visit_clock),
                        [(fp, [VisitInterval(1, visit_clock, visit_clock + 1200, 4)])])
         elif roll < 0.65:
             # crash injected somewhere inside the write transaction;
-            # a fresh fingerprint makes 5 writes or more (poi row, 2 visits
-            # and a reading per MAC, of 2 or more)
+            # a fresh fingerprint makes 6 writes or more (the day's visit
+            # delete, poi row, 2 visits and a reading per MAC, of 2 or more);
+            # visit_clock is 800 s past a half hour, so both visits start on its day
             before = {u: summary.records(u) for u in summary.users()}
             real = summary.conn
             summary.conn = _FlakyConn(real, fail_on_write=rnd.randint(1, 5))
             try:
                 with pytest.raises(StorageFailure):
-                    upsert_day(summary, "u1", [(make_fp(random_fingerprint(rnd)), [
-                        VisitInterval(1, visit_clock, visit_clock + 1200, 4),
-                        VisitInterval(1, visit_clock + 2000, visit_clock + 3000, 4),
-                    ])])
+                    upsert_day(summary, "u1", utc_day(visit_clock), [
+                        (make_fp(random_fingerprint(rnd)), [
+                            VisitInterval(1, visit_clock, visit_clock + 600, 4),
+                            VisitInterval(1, visit_clock + 900, visit_clock + 1500, 4),
+                        ])])
             finally:
                 summary.conn = real
             assert {u: summary.records(u) for u in summary.users()} == before

@@ -11,9 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (
-    VERSION_1_SCHEMA, day_rows, registry_tables, store_invariant_faults, version_1_copy,
-)
+from oracles import day_rows, registry_tables, store_invariant_faults
 from wifipoi import cli, ingest
 from wifipoi.cli import main
 from wifipoi.ingest import RawStore, compress_batch, decode_log, encode_log, plan_uploads
@@ -406,6 +404,10 @@ class TestExtract:
         assert len(read_csv(workdir / "first.csv")) == 1 + 6
         assert len(read_csv(workdir / "rerun.csv")) == 1 + 157
         assert (workdir / "rerun.csv").read_text() == (workdir / "fresh.csv").read_text()
+        # the re-run replaced the day in the registry too
+        with SummaryStore(workdir / "poi.db") as poi, SummaryStore(workdir / "fresh.db") as fresh:
+            assert registry_tables(poi.conn) == registry_tables(fresh.conn)
+            assert store_invariant_faults(poi) == []
 
     def test_reads_no_visit_rows(self, workdir, monkeypatch):
         issued = []
@@ -487,7 +489,7 @@ class TestCommunities:
 
         with SummaryStore(workdir / "one.db") as store:
             fp = Fingerprint(sums={"aa:00:00:00:00:01": -200}, counts={"aa:00:00:00:00:01": 4})
-            upsert_day(store, "u", [(fp, [VisitInterval(1, 0, 1200, 4)])])
+            upsert_day(store, "u", (0, 86400), [(fp, [VisitInterval(1, 0, 1200, 4)])])
         assert run("communities", "--store", workdir / "one.db") == 3
         assert "2" in capsys.readouterr().err
 
@@ -585,22 +587,32 @@ NOT_A_STORE = {
         " CREATE TABLE poi_properties (note TEXT);",
         " f.db: it is not a store: its table poi_properties is not the schema's",
     ),
-    "layout-2 store and a foreign table": (
-        ";".join(RawStore.SCHEMA.values()) + "; CREATE TABLE notes (x); PRAGMA user_version = 2;",
+    "store and a foreign table": (
+        ";".join(RawStore.SCHEMA.values()) + "; CREATE TABLE notes (x); PRAGMA user_version = 3;",
         " f.db: it is not a store: its table notes is not the schema's",
     ),
-    # version-1 stores whose fingerprint text has no exact integer sums
-    "version-1 mean not of whole dBm": (
-        VERSION_1_SCHEMA + "INSERT INTO poi_properties VALUES"
-        " ('u', 1, 'aa:00:00:00:00:01:-50.0:4;bb:00:00:00:00:02:-41.3:1', 0);",
-        " f.db: its version-1 fingerprint of user 'u', POI 1, holds 'bb:00:00:00:00:02:-41.3:1',"
-        " not mac:mean:count of whole-dBm readings",
+    # stores of the earlier layouts, which a re-extract could not correct
+    "version-1 store": (
+        f"{RawStore.SCHEMA['mac']}; {RawStore.SCHEMA['raw_scans']};"
+        " CREATE TABLE poi_properties (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
+        " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL, PRIMARY KEY (user, poi_id));"
+        f" {RawStore.SCHEMA['poi_visits']}; PRAGMA user_version = 1;"
+        " INSERT INTO poi_properties VALUES ('u', 1, 'aa:00:00:00:00:01:-50.0:4', 0);"
+        " INSERT INTO poi_visits VALUES ('u', 1, 0, 1200, 4, 0);",
+        " f.db: it is not a store: its table poi_properties is not the schema's",
     ),
-    "version-1 unparsable triple": (
-        VERSION_1_SCHEMA
-        + "INSERT INTO poi_properties VALUES ('u', 1, 'aa:00:00:00:00:01:-50.0:4', 0);"
-        "INSERT INTO poi_properties VALUES ('u', 2, 'aa:00:00:00:00:01,-50.0,4', 0);",
-        " f.db: its version-1 fingerprint of user 'u', POI 2, holds 'aa:00:00:00:00:01,-50.0,4'",
+    "layout-2 store": (
+        f"{RawStore.SCHEMA['mac']}; {RawStore.SCHEMA['raw_scans']};"
+        f" {RawStore.SCHEMA['poi_properties']};"
+        " CREATE TABLE poi_readings (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
+        " mac TEXT NOT NULL, sum INTEGER NOT NULL, count INTEGER NOT NULL,"
+        " PRIMARY KEY (user, poi_id, mac),"
+        " FOREIGN KEY (user, poi_id) REFERENCES poi_properties (user, poi_id)) WITHOUT ROWID;"
+        f" {RawStore.SCHEMA['poi_visits']}; PRAGMA user_version = 2;"
+        " INSERT INTO poi_properties VALUES ('u', 1, 0);"
+        " INSERT INTO poi_readings VALUES ('u', 1, 'aa:00:00:00:00:01', -200, 4);"
+        " INSERT INTO poi_visits VALUES ('u', 1, 0, 1200, 4, 0);",
+        " f.db: it is not a store: its table poi_readings is not the schema's",
     ),
 }
 
@@ -640,8 +652,8 @@ class TestStoreOpen:
         if (kind, command) != ("0-byte", "ingest")  # ingest makes its store there
     ])
     def test_store_with_the_old_raw_layout_exits_three(self, workdir, capsys, kind, argv):
-        """Every command refuses a file that is not a store, or a version-1 store whose
-        fingerprints have no exact integer sums, and leaves it byte-identical."""
+        """Every command refuses a file that is not a store, or a store of an earlier
+        layout, and leaves it byte-identical."""
         (workdir / "u.scan").write_bytes(b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n')
         script, message = NOT_A_STORE[kind]
         (workdir / "f.db").write_bytes(b"")
@@ -724,28 +736,6 @@ def office_users(workdir, users):
     return paths
 
 
-def test_a_version_1_store_continues_as_the_store_it_was_copied_from(workdir):
-    """A version-1 copy, written by the reference writer, upgrades on open to the same registry."""
-    alice, bob = office_users(workdir, ["alice", "bob"])
-    assert run("ingest", "--store", "poi.db", alice, bob) == 0
-    assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY) == 0
-    version_1_copy(workdir / "poi.db", workdir / "v1.db")
-    outputs = {}
-    for store in ("poi.db", "v1.db"):
-        assert run("extract", "--store", store, "--user", "bob", "--day", DAY,
-                   "--out", f"bob-{store}.csv") == 0
-        assert run("communities", "--store", store, "--communities-out", f"c-{store}.csv",
-                   "--sweep-out", f"s-{store}.csv", "--edges-out", f"e-{store}.txt") == 0
-        with SummaryStore(workdir / store) as opened:
-            assert store_invariant_faults(opened) == []
-            outputs[store] = registry_tables(opened.conn), [
-                (workdir / f"{name}-{store}.{ext}").read_bytes()
-                for name, ext in (("bob", "csv"), ("c", "csv"), ("s", "csv"), ("e", "txt"))
-            ]
-    assert outputs["v1.db"] == outputs["poi.db"]
-    assert len(outputs["poi.db"][0]["poi_properties"]) == 8
-
-
 _MAIN = "import sys; from wifipoi.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -783,6 +773,58 @@ def test_racing_commands_leave_the_registry_of_a_serial_run(workdir):
         assert raced.users() == ["c", "d"]
 
 
+def test_racing_re_extracts_after_a_late_batch_leave_the_registry_of_a_serial_order(workdir):
+    """A late batch of two users' day lands while three processes extract that day again.
+
+    Each user's day was extracted from its early batch. Each re-extract
+    replaces the day, so the registry is that of some serial order of
+    the four calls: each user's day as extracted from the early batch,
+    or from both.
+    """
+    early, late = [], []
+    for path in office_users(workdir, ["a", "b"]):
+        log = decode_log(gzip.decompress(path.read_bytes()), path.name.split(".")[0])
+        middle = log.entries[len(log.entries) // 2].timestamp
+        for parts, name, keep in ((early, "early", lambda t: t < middle),
+                                  (late, "late", lambda t: t >= middle)):
+            (workdir / name).mkdir(exist_ok=True)
+            parts.append(workdir / name / f"{log.user}.scan")
+            scans = tuple(scan for scan in log.entries if keep(scan.timestamp))
+            parts[-1].write_bytes(encode_log(ScanLog(log.user, log.device, scans)))
+    extract = [["extract", "--user", user, "--day", DAY, "--out", f"{user}.csv"] for user in "ab"]
+    calls = [["ingest", *late], extract[0], extract[1], extract[0]]
+    # a user's registry depends only on whether its last extract follows the ingest
+    orders = [calls, [calls[1], calls[2], calls[3], calls[0]],
+              [calls[2], calls[0], calls[1], calls[3]], [calls[1], calls[3], calls[0], calls[2]]]
+
+    def registry_after(store, order):
+        """The registry once the early batches are extracted and `order` has run."""
+        for argv in [["ingest", *early], *extract, *order]:
+            assert run(*argv, "--store", store) == 0
+        with SummaryStore(workdir / store) as opened:
+            return registry_tables(opened.conn)
+
+    serial = [registry_after(f"serial{k}.db", order) for k, order in enumerate(orders)]
+    assert len({repr(tables) for tables in serial}) == 4  # the four orders differ
+    registry_after("raced.db", [])
+    src = Path(__file__).resolve().parent.parent / "src"
+    procs = [  # four processes, never more
+        subprocess.Popen(
+            [sys.executable, "-c", _MAIN, *map(str, argv), "--store", "raced.db"],
+            cwd=workdir, env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in calls
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    with SummaryStore(workdir / "raced.db") as raced:
+        assert store_invariant_faults(raced) == []
+        assert raced.check_integrity()
+        assert registry_tables(raced.conn) in serial
+
+
 class TestBadPath:
     """A path that cannot be read or written exits 2, not with a traceback."""
 
@@ -808,7 +850,7 @@ class TestBadPath:
             fp = Fingerprint(sums={"aa:00:00:00:00:01": -200}, counts={"aa:00:00:00:00:01": 4})
             with SummaryStore(workdir / "poi.db") as store:
                 for user in ("u", "v"):
-                    upsert_day(store, user, [(fp, [VisitInterval(1, 0, 1200, 4)])])
+                    upsert_day(store, user, (0, 86400), [(fp, [VisitInterval(1, 0, 1200, 4)])])
         files = sorted(workdir.rglob("*"))
         capsys.readouterr()
         assert run(*argv, "--store", "poi.db") == 2
@@ -876,7 +918,7 @@ class TestConfigPrecedence:
             for user, rssi in (("u", -50), ("v", -52), ("w", -60)):
                 fp = Fingerprint(sums={"aa:00:00:00:00:01": 4 * rssi, "bb:00:00:00:00:02": -280},
                                  counts={"aa:00:00:00:00:01": 4, "bb:00:00:00:00:02": 4})
-                upsert_day(store, user, [(fp, [VisitInterval(1, 0, 1200, 4)])])
+                upsert_day(store, user, (0, 86400), [(fp, [VisitInterval(1, 0, 1200, 4)])])
         cfg = workdir / "pipeline.ini"
         cfg.write_text("[pipeline]\ncommunity_thresholds = 0.25 0.75\n")
         assert run("communities", "--store", "poi.db", "--config", cfg) == 0

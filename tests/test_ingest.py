@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import VERSION_1_SCHEMA, day_rows, encode_fingerprint_v1, scan_columns
+from oracles import day_rows, scan_columns
 from wifipoi.errors import (
     CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure,
 )
@@ -34,7 +34,7 @@ from wifipoi.ingest import (
     upload_of,
 )
 from wifipoi import ingest
-from wifipoi.model import T_MAX, T_MIN, Fingerprint, ScanLog, ScanResult, build_log
+from wifipoi.model import T_MAX, T_MIN, ScanLog, ScanResult, build_log
 from wifipoi.registry import SummaryStore
 from wifipoi.similarity import _score_blocks, mac_matrix
 from wifipoi.simgen import (
@@ -756,7 +756,7 @@ class TestRoundTrip:
         empty = path.stat().st_size
         with RawStore(path) as store:
             (report,) = store_raw(store, [upload_of(log)])
-            assert store.conn.execute("PRAGMA user_version").fetchone() == (2,)
+            assert store.conn.execute("PRAGMA user_version").fetchone() == (3,)
         assert report == IngestReport(added=readings(log.entries), skipped=0)
         assert path.stat().st_size - empty <= 16 * report.added
 
@@ -805,7 +805,7 @@ REOPEN = ["SELECT type, name, sql FROM sqlite_master", "PRAGMA journal_mode = TR
           "PRAGMA foreign_keys = ON"]
 
 # Files whose first open leaves a store whose CREATE text is not SCHEMA's: SQLite
-# keeps each file's own text, and DROP COLUMN cuts a column out of it.
+# keeps each file's own text.
 EARLIER_LAYOUTS = {
     # the layout a raw-only open wrote before the store had one schema, spaced by hand
     "raw-only": """
@@ -816,11 +816,6 @@ EARLIER_LAYOUTS = {
         ) WITHOUT ROWID;
         PRAGMA user_version = 1;
         """,
-    "version-1": VERSION_1_SCHEMA,
-    # with the unused label column, its poi_properties written on one line
-    "version-1-label": "CREATE TABLE poi_properties (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
-                       " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL, label TEXT,"
-                       " PRIMARY KEY (user, poi_id));" + VERSION_1_SCHEMA,
 }
 
 TOKEN = re.compile(r"\w+|[^\w\s]")
@@ -864,7 +859,7 @@ class TestStoreOpen:
         if layout in EARLIER_LAYOUTS:
             write_file(path, EARLIER_LAYOUTS[layout])
         (RawStore if layout == "new RawStore" else SummaryStore)(path).close()
-        assert tables(path) == (STORE_TABLES, 2)
+        assert tables(path) == (STORE_TABLES, 3)
         # only a new store keeps SCHEMA's text, so an exact-text rule would refuse the others
         assert (stored_tables(path) == RawStore.SCHEMA) == (layout not in EARLIER_LAYOUTS)
         before = path.read_bytes()
@@ -881,7 +876,7 @@ class TestStoreOpen:
         opener = data.draw(st.sampled_from([RawStore, SummaryStore]))
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "s.db"
-            write_file(path, script + "PRAGMA user_version = 2;")
+            write_file(path, script + "PRAGMA user_version = 3;")
             before = path.read_bytes()
             with tracing() as issued:
                 opener(path).close()
@@ -931,7 +926,7 @@ class TestStoreOpen:
 
     def test_new_store_holds_the_whole_layout(self, tmp_path):
         SummaryStore(tmp_path / "store.db").close()
-        assert tables(tmp_path / "store.db") == (STORE_TABLES, 2)
+        assert tables(tmp_path / "store.db") == (STORE_TABLES, 3)
 
     def test_store_with_only_the_raw_tables_gains_the_poi_tables(self, tmp_path):
         # the layout a raw-only open wrote before the store had one schema
@@ -950,7 +945,7 @@ class TestStoreOpen:
                          (np.array([7], "<u4").tobytes(), np.array([-50], np.int8).tobytes()))
         conn.close()
         SummaryStore(path).close()
-        assert tables(path) == (STORE_TABLES, 2)
+        assert tables(path) == (STORE_TABLES, 3)
         with RawStore(path) as store:
             assert day_rows(store.load_day("u", *ALL_TIME)) == [(100, {A: -50})]
 
@@ -975,59 +970,7 @@ class TestStoreOpen:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert tables(path) == (STORE_TABLES, 2)
-
-    def test_threads_that_open_one_version_1_store_at_once_upgrade_it_once(
-            self, tmp_path, monkeypatch):
-        # version 1 stored means as floats; -506 / 7 times 7 is -506.00000000000006
-        # and -509 / 7 times 7 is -508.99999999999994, so only rounding gives the sums
-        fingerprints = {
-            ("u", 1): Fingerprint({A: -506, B: -61}, {A: 7, B: 1}),
-            ("u", 2): Fingerprint({B: -1000}, {B: 13}),
-            ("v", 1): Fingerprint({A: -509}, {A: 7}),
-        }
-        path = tmp_path / "v1.db"
-        with sqlite3.connect(path) as conn:
-            conn.executescript(VERSION_1_SCHEMA)
-            conn.executemany("INSERT INTO poi_properties VALUES (?, ?, ?, 0)", [
-                (user, poi_id, encode_fingerprint_v1(fp.rssi, fp.counts))
-                for (user, poi_id), fp in fingerprints.items()
-            ])
-        conn.close()
-        issued = []
-        real_connect = sqlite3.connect
-
-        def traced_connect(*args, **kwargs):
-            conn = real_connect(*args, **kwargs)
-            conn.set_trace_callback(issued.append)
-            return conn
-
-        monkeypatch.setattr(sqlite3, "connect", traced_connect)
-        start = threading.Barrier(4)
-        errors = []
-
-        def open_store(store_class):
-            start.wait()
-            try:
-                store_class(path).close()
-            except Exception as exc:  # noqa: BLE001 - reported by the assert below
-                errors.append(exc)
-
-        classes = [RawStore, SummaryStore] * 2
-        threads = [threading.Thread(target=open_store, args=(c,)) for c in classes]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        monkeypatch.undo()
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert [sql for sql in issued if sql.startswith("ALTER TABLE")] == [
-            "ALTER TABLE poi_properties DROP COLUMN fingerprint"]
-        assert tables(path) == (STORE_TABLES, 2)
-        with SummaryStore(path) as store:
-            assert store.fingerprints() == fingerprints
-            assert store.check_integrity()
+        assert tables(path) == (STORE_TABLES, 3)
 
 
 # One process's uploads: store_raw once per upload k, in the given order.

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    MAC_POOL, VERSION_1_SCHEMA, disjoint_places_day, encode_fingerprint_v1, naive_fingerprint,
-    reference_upsert_day, registry_tables, store_invariant_faults,
+    MAC_POOL, disjoint_places_day, naive_fingerprint, reference_upsert_day, registry_tables,
+    store_invariant_faults, utc_day,
 )
 from wifipoi.clustering import VisitInterval, dbscan, segment_visits
 from wifipoi.errors import EmptyCluster, EmptyFingerprint, EmptyLog, StorageFailure
@@ -39,6 +39,16 @@ D = "dd:00:00:00:00:04"
 
 DAY = "2026-03-02"
 DAY_START = day_window(DAY)[0]
+
+
+def window(k=0):
+    """The UTC day k days after DAY, as day_window gives it."""
+    return DAY_START + 86400 * k, DAY_START + 86400 * (k + 1)
+
+
+def window_of(log):
+    """The UTC day of a log's first scan."""
+    return utc_day(log.entries[0].timestamp)
 
 
 def scan(t, obs):
@@ -135,7 +145,7 @@ class TestMergeFingerprints:
         assert merged.rssi == {A: -50.0, B: -60.0}
 
     def test_a_merge_chain_equals_the_rebuild(self):
-        # the days of one POI, merged one by one as upsert_day does; a
+        # the clusters of one POI, merged one by one as upsert_day does; a
         # weighted mean of means missed the rebuild's last bits on about
         # 1 in 70 means of these draws
         rnd = random.Random(12)
@@ -178,38 +188,39 @@ class TestMatchPoi:
 class TestUpsert:
     def test_first_cluster_gets_id_one(self):
         with SummaryStore() as store:
-            assert upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])[0] == 1
+            assert upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])[0] == 1
 
     def test_same_fingerprint_twice_reuses_id(self):
         with SummaryStore() as store:
-            one = upsert_day(store, "u", [(fp({A: -50.0, B: -60.0}), [visit(0, 20)])])[0]
-            two = upsert_day(store, "u", [(fp({A: -50.0, B: -60.0}), [visit(60, 80)])])[0]
+            one = upsert_day(store, "u", window(), [(fp({A: -50.0, B: -60.0}), [visit(0, 20)])])[0]
+            two = upsert_day(store, "u", window(1),
+                             [(fp({A: -50.0, B: -60.0}), [visit(1500, 1520)])])[0]
             assert one == two
             assert len(store.records("u")[0].visits) == 2
 
     def test_rerunning_a_day_is_a_noop(self):
         with SummaryStore() as store:
             fp1 = fp({A: -50.0, B: -60.0})
-            upsert_day(store, "u", [(fp1, [visit(0, 20)])])
-            before = store.records("u")
-            upsert_day(store, "u", [(fp1, [visit(0, 20)])])
-            assert store.records("u") == before
+            upsert_day(store, "u", window(), [(fp1, [visit(0, 20)])])
+            before = registry_tables(store.conn)
+            upsert_day(store, "u", window(), [(fp1, [visit(0, 20)])])
+            assert registry_tables(store.conn) == before
 
     def test_two_rooms_get_distinct_ids(self):
         with SummaryStore() as store:
-            first = upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])[0]
-            second = upsert_day(store, "u", [(fp({B: -60.0}), [visit(60, 80)])])[0]
+            first = upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])[0]
+            second = upsert_day(store, "u", window(1), [(fp({B: -60.0}), [visit(1500, 1520)])])[0]
             assert (first, second) == (1, 2)
 
     def test_ids_are_scoped_per_user(self):
         with SummaryStore() as store:
-            assert upsert_day(store, "u1", [(fp({A: -50.0}), [visit(0, 20)])])[0] == 1
-            assert upsert_day(store, "u2", [(fp({B: -60.0}), [visit(0, 20)])])[0] == 1
+            assert upsert_day(store, "u1", window(), [(fp({A: -50.0}), [visit(0, 20)])])[0] == 1
+            assert upsert_day(store, "u2", window(), [(fp({B: -60.0}), [visit(0, 20)])])[0] == 1
 
     def test_refresh_takes_count_weighted_mean(self):
         with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}, {A: 4}), [visit(0, 20)])])
-            upsert_day(store, "u", [(fp({A: -60.0}, {A: 4}), [visit(60, 80)])])
+            upsert_day(store, "u", window(), [(fp({A: -50.0}, {A: 4}), [visit(0, 20)])])
+            upsert_day(store, "u", window(1), [(fp({A: -60.0}, {A: 4}), [visit(1500, 1520)])])
             assert store.records("u")[0].fingerprint.rssi == {A: -55.0}
             assert store.records("u")[0].fingerprint.counts == {A: 8}
 
@@ -219,8 +230,8 @@ class TestUpsert:
             lo, hi = -70, -45
             for k in range(10):
                 level = float(rnd.randint(lo, hi))
-                upsert_day(store, "u", [(fp({A: level}, {A: rnd.randint(1, 6)}),
-                                         [visit(30 * k, 30 * k + 20)])])
+                upsert_day(store, "u", window(k), [(fp({A: level}, {A: rnd.randint(1, 6)}),
+                                                    [visit(1440 * k, 1440 * k + 20)])])
             merged = store.records("u")[0].fingerprint.rssi[A]
             assert lo <= merged <= hi
 
@@ -229,19 +240,40 @@ class TestUpsert:
             issued = []
             store.conn.set_trace_callback(issued.append)
             with pytest.raises(EmptyFingerprint, match="user 'u'"):
-                upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)]),
-                                        (Fingerprint({}, {}), [visit(60, 80)])])
+                upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)]),
+                                                  (Fingerprint({}, {}), [visit(60, 80)])])
             store.conn.set_trace_callback(None)
             assert issued == []
             assert store.users() == [] and store.fingerprints() == {}
 
-    def test_reads_no_visit_rows(self):
+    @pytest.mark.parametrize("day, visits, message", [
+        (window(), [], "a cluster has no visit"),
+        (window(), [visit(0, 20), visit(1440, 1460)], "outside"),
+        (window(), [visit(-20, -10)], "outside"),
+        ((DAY_START, DAY_START + 3600), [visit(0, 20)], "is not a UTC day"),
+        ((DAY_START + 60, DAY_START + 86460), [visit(0, 20)], "is not a UTC day"),
+    ], ids=["no visit", "a visit the next day", "a visit the day before", "an hour window",
+            "a window a minute late"])
+    def test_a_cluster_outside_a_utc_day_is_refused_before_any_statement(
+            self, day, visits, message):
+        # the replace rule deletes by the window, and created_at takes the first visit
         with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
             issued = []
             store.conn.set_trace_callback(issued.append)
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(60, 80)]),
-                                    (fp({B: -60.0}), [visit(120, 140)])])
+            with pytest.raises(ValueError, match=message):
+                upsert_day(store, "u", day, [(fp({A: -50.0}), [visit(100, 120)]),
+                                             (fp({B: -50.0}), visits)])
+            store.conn.set_trace_callback(None)
+            assert issued == []
+
+    def test_reads_no_visit_rows(self):
+        # a day's first registration; a replaced day's POI delete reads them
+        with SummaryStore() as store:
+            upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
+            issued = []
+            store.conn.set_trace_callback(issued.append)
+            upsert_day(store, "u", window(1), [(fp({A: -50.0}), [visit(1500, 1520)]),
+                                               (fp({B: -60.0}), [visit(1560, 1580)])])
             store.conn.set_trace_callback(None)
             reads = [sql for sql in issued if sql.lstrip().upper().startswith("SELECT")]
             assert reads and not any("poi_visits" in sql for sql in reads)
@@ -298,7 +330,7 @@ class FaultyConn:
 
 def test_orphan_visit_fails_the_integrity_check():
     with SummaryStore() as store:
-        upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
+        upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
         assert store.check_integrity()
         store.conn.execute("PRAGMA foreign_keys = OFF")
         store.conn.execute("INSERT INTO poi_visits VALUES ('u', 2, 60, 80, 4, 0)")
@@ -308,36 +340,36 @@ def test_orphan_visit_fails_the_integrity_check():
 class TestAtomicity:
     def test_injected_failure_rolls_back_whole_upsert(self):
         store = SummaryStore()
-        upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-        before = store.records("u")
+        upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
+        before = registry_tables(store.conn)
         real = store.conn
-        # the new POI row and the first visit are written; failing on the
-        # second visit leaves a half-done upsert that the transaction must
-        # roll back
-        store.conn = FaultyConn(real, "INSERT OR IGNORE INTO poi_visits", 2)
+        # the day's old visit, reading and POI are deleted, the new POI row
+        # and the first visit written; failing on the second visit leaves
+        # a half-done upsert that the transaction must roll back
+        store.conn = FaultyConn(real, "INSERT INTO poi_visits", 2)
         with pytest.raises(StorageFailure):
-            upsert_day(store, "u", [(fp({B: -60.0}),
-                                     [visit(60, 80), visit(120, 140), visit(180, 200)])])
+            upsert_day(store, "u", window(), [(fp({B: -60.0}),
+                                               [visit(60, 80), visit(120, 140), visit(180, 200)])])
         assert store.conn.fired
         store.conn = real
-        assert store.records("u") == before
+        assert registry_tables(store.conn) == before
         assert store.users() == ["u"]
         assert store.check_integrity()
         store.close()
 
     def test_failure_on_last_cluster_rolls_back_the_day(self):
         store = SummaryStore()
-        upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
+        upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
         before = store.records("u")
         real = store.conn
         # per cluster a POI row, one visit and one reading; the upsert's
         # last statement, the third cluster's reading, fails
-        store.conn = FaultyConn(real, "INSERT OR REPLACE INTO poi_readings", 3)
+        store.conn = FaultyConn(real, "INSERT INTO poi_readings", 3)
         with pytest.raises(StorageFailure):
-            upsert_day(store, "u", [
-                (fp({B: -60.0}), [visit(60, 80)]),
-                (fp({C: -60.0}), [visit(120, 140)]),
-                (fp({"dd:00:00:00:00:04": -60.0}), [visit(180, 200)]),
+            upsert_day(store, "u", window(1), [
+                (fp({B: -60.0}), [visit(1500, 1520)]),
+                (fp({C: -60.0}), [visit(1560, 1580)]),
+                (fp({"dd:00:00:00:00:04": -60.0}), [visit(1620, 1640)]),
             ])
         assert store.conn.fired
         store.conn = real
@@ -360,7 +392,8 @@ fp = Fingerprint(sums={"aa:00:00:00:00:01": -200, "bb:00:00:00:00:02": -240},
 with SummaryStore(path) as store:
     for day in range(first, 8, 2):
         start = 1_700_000_000 + 86400 * day
-        upsert_day(store, "u", [(fp, [VisitInterval(1, start, start + 1200, 4)])])
+        upsert_day(store, "u", (start - start % 86400, start - start % 86400 + 86400),
+                   [(fp, [VisitInterval(1, start, start + 1200, 4)])])
 """
 
 
@@ -368,7 +401,7 @@ class TestConcurrentWriters:
     def test_writer_waits_for_a_day_in_flight(self, tmp_path):
         place = fp({A: -50.0, B: -60.0}, {A: 4, B: 4})
         with SummaryStore(tmp_path / "reg.db") as setup:
-            upsert_day(setup, "u", [(place, [visit(0, 20)])])
+            upsert_day(setup, "u", window(), [(place, [visit(0, 20)])])
         a = SummaryStore(tmp_path / "reg.db")
         b = SummaryStore(tmp_path / "reg.db")
         a.conn.execute("PRAGMA busy_timeout = 0")
@@ -380,14 +413,14 @@ class TestConcurrentWriters:
             # B has read the registry; A must not land a day under it
             candidates = read_registry(user, macs)
             with pytest.raises(StorageFailure, match="database is locked"):
-                upsert_day(a, "u", day_a)
+                upsert_day(a, "u", window(1), day_a)
             raced.append(user)
             return candidates
 
         b.candidates = read_then_race
-        assert upsert_day(b, "u", [(place, [visit(2880, 2900)])]) == [1]
+        assert upsert_day(b, "u", window(2), [(place, [visit(2880, 2900)])]) == [1]
         assert raced == ["u"]
-        assert upsert_day(a, "u", day_a) == [1]
+        assert upsert_day(a, "u", window(1), day_a) == [1]
         [record] = a.records("u")
         assert len(record.visits) == 3
         assert record.fingerprint.counts == {A: 12, B: 12}
@@ -444,7 +477,7 @@ macs = ["%02x:%02x:00:00:00:00" % (k // 256, k % 256) for k in range(4000)]
 clusters = [
     (Fingerprint({m: -50 for m in macs[100 * k:100 * k + 100]},
                  {m: 1 for m in macs[100 * k:100 * k + 100]}),
-     [VisitInterval(1, 1_700_000_000 + 3600 * k, 1_700_000_000 + 3600 * k + 1200, 4)])
+     [VisitInterval(1, 1_699_920_000 + 1800 * k, 1_699_920_000 + 1800 * k + 1200, 4)])
     for k in range(40)
 ]
 store = SummaryStore(sys.argv[1])
@@ -458,7 +491,7 @@ def die_on_the_last_cluster(*args):
     return match_poi(*args)
 
 registry.match_poi = die_on_the_last_cluster
-upsert_day(store, "u", clusters)
+upsert_day(store, "u", (1_699_920_000, 1_699_920_000 + 86400), clusters)
 """
 
 
@@ -469,7 +502,7 @@ class TestJournal:
         path = tmp_path / "reg.db"
         journal = tmp_path / "reg.db-journal"
         with SummaryStore(path) as store:
-            upsert_day(store, "u", [(fp({A: -50.0, B: -60.0}), [visit(0, 20)])])
+            upsert_day(store, "u", window(), [(fp({A: -50.0, B: -60.0}), [visit(0, 20)])])
             before = registry_tables(store.conn)
         assert journal.stat().st_size == 0
         stored = path.read_bytes()
@@ -487,39 +520,20 @@ class TestJournal:
             assert registry_tables(store.conn) == before
             assert store.check_integrity()
             assert not journal.exists() or journal.stat().st_size == 0
-            upsert_day(store, "u", [(fp({A: -50.0, B: -60.0}), [visit(1440, 1460)])])
+            upsert_day(store, "u", window(1), [(fp({A: -50.0, B: -60.0}), [visit(1440, 1460)])])
         assert path.read_bytes() != stored
         assert journal.stat().st_size == 0
 
 
 class TestUpsertDay:
-    def test_equals_successive_one_cluster_days(self):
-        rnd = random.Random(31)
-        new = revisit = shared = 0
-        for trial in range(40):
-            days = random_days(rnd, n_days=5, places=rnd.randint(2, 8))
-            threshold = rnd.choice([0.5, 0.7, 0.9])
-            with SummaryStore() as batch, SummaryStore() as single:
-                for clusters in days:
-                    known = {r.poi_id for r in batch.records("u")}
-                    got = upsert_day(batch, "u", clusters, threshold)
-                    want = [upsert_day(single, "u", [(f, v)], threshold)[0] for f, v in clusters]
-                    assert got == want
-                    assert batch.records("u") == single.records("u")
-                    new += len(set(got) - known)
-                    revisit += sum(1 for i in got if i in known)
-                    shared += len(got) - len(set(got))
-        # the seeded days exercise new POI, revisits and same-day matches
-        assert min(new, revisit, shared) > 20
-
     def test_second_cluster_sees_the_merged_fingerprint(self):
         # {B, C} shares nothing with POI 1's {A} but scores exactly 0.5
         # against {A, B}, the fingerprint after the first cluster's merge
         with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-            ids = upsert_day(store, "u", [
-                (fp({A: -50.0, B: -50.0}), [visit(60, 80)]),
-                (fp({B: -50.0, C: -50.0}), [visit(120, 140)]),
+            upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
+            ids = upsert_day(store, "u", window(1), [
+                (fp({A: -50.0, B: -50.0}), [visit(1500, 1520)]),
+                (fp({B: -50.0, C: -50.0}), [visit(1560, 1580)]),
             ])
             assert ids == [1, 1]
             (record,) = store.records("u")
@@ -532,7 +546,8 @@ class TestUpsertDay:
         runs = []
         for _ in range(2):
             with SummaryStore() as store:
-                runs.append([upsert_day(store, "u", clusters) for clusters in days])
+                runs.append([upsert_day(store, "u", window(d), clusters)
+                             for d, clusters in enumerate(days)])
         assert runs[0] == runs[1]
         seen = 0
         for ids in runs[0]:
@@ -544,27 +559,68 @@ class TestUpsertDay:
 
     def test_empty_day_writes_nothing(self):
         with SummaryStore() as store:
-            assert upsert_day(store, "u", []) == []
+            assert upsert_day(store, "u", window(), []) == []
             assert store.users() == []
 
-    def test_empty_day_issues_no_statement(self):
-        # no write lock and no journal sync for a day with no clusters
+    def test_empty_day_deletes_only_that_day(self):
+        # an all-noise re-extract leaves the day as if it had never been registered
         with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-            issued = []
-            store.conn.set_trace_callback(issued.append)
-            assert upsert_day(store, "u", []) == []
-            store.conn.set_trace_callback(None)
-            assert issued == []
+            upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
+            upsert_day(store, "u", window(1), [(fp({A: -50.0}), [visit(1500, 1520)]),
+                                               (fp({B: -60.0}), [visit(1560, 1580)])])
+            assert upsert_day(store, "u", window(1), []) == []
+            assert store.fingerprints() == {("u", 1): fp({A: -50.0})}
+            assert [record.visits for record in store.records("u")] == [(visit(0, 20),)]
 
     def test_one_commit_per_day(self, commit_counter):
         macs = (A, B, C, "dd:00:00:00:00:04", "ee:00:00:00:00:05")
         clusters = [(fp({m: -50.0}), [visit(60 * k, 60 * k + 20)]) for k, m in enumerate(macs)]
         with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 10)])])
+            upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 10)])])
             commit_counter.attach(store.conn)
-            assert upsert_day(store, "u", clusters) == [1, 2, 3, 4, 5]
+            assert upsert_day(store, "u", window(), clusters) == [1, 2, 3, 4, 5]
             assert commit_counter.commits == 1
+
+
+class TestReplace:
+    """A day registered again replaces what the user's earlier call registered in it."""
+
+    def test_a_day_again_keeps_only_its_last_visits_and_readings(self):
+        with SummaryStore() as store:
+            upsert_day(store, "u", window(), [(fp({A: -50.0}, {A: 4}), [visit(0, 20)])])
+            upsert_day(store, "u", window(1), [(fp({A: -60.0}, {A: 2}), [visit(1500, 1520)])])
+            assert upsert_day(store, "u", window(), [
+                (fp({A: -52.0}, {A: 6}), [visit(0, 30)])]) == [1]
+            (record,) = store.records("u")
+            assert record.visits == (visit(0, 30), visit(1500, 1520))
+            assert record.fingerprint == Fingerprint({A: -432}, {A: 8})
+            assert store.conn.execute("SELECT day, sum, count FROM poi_readings ORDER BY day"
+                                      ).fetchall() == [(window()[0], -312, 6), (window(1)[0], -120, 2)]
+
+    def test_a_poi_only_the_day_held_goes_and_its_cluster_takes_the_next_id(self):
+        with SummaryStore() as store:
+            assert upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])]) == [1]
+            assert upsert_day(store, "u", window(1), [(fp({B: -50.0}), [visit(1500, 1520)])]) == [2]
+            # POI 1 is dropped before matching, so the same place comes back as 3
+            assert upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])]) == [3]
+            assert sorted(store.fingerprints()) == [("u", 2), ("u", 3)]
+            assert store.check_integrity()
+
+    def test_the_day_registered_last_again_keeps_every_id(self):
+        days = random_days(random.Random(37), n_days=4, places=5)
+        with SummaryStore() as store:
+            ids = [upsert_day(store, "u", window(d), clusters) for d, clusters in enumerate(days)]
+            before = registry_tables(store.conn)
+            assert upsert_day(store, "u", window(3), days[3]) == ids[3]
+            assert registry_tables(store.conn) == before
+
+    def test_another_user_s_day_is_untouched(self):
+        with SummaryStore() as store:
+            upsert_day(store, "v", window(), [(fp({A: -50.0}), [visit(0, 20)])])
+            before = registry_tables(store.conn)
+            upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
+            upsert_day(store, "u", window(), [])
+            assert registry_tables(store.conn) == before
 
 
 def office_days():
@@ -593,7 +649,7 @@ def reference_extract(store, log, params):
             s.observations for s, l in zip(log.entries, labels) if l == label)), by_label[label])
         for label in sorted(by_label)
     ]
-    ids = upsert_day(store, log.user, clusters)
+    ids = upsert_day(store, log.user, window_of(log), clusters)
     return [(poi_id, visits) for poi_id, (_, visits) in zip(ids, clusters)]
 
 
@@ -605,7 +661,9 @@ class RowCounter:
         self.rows = 0
 
     def execute(self, *args):
-        rows = Rows(self._conn.execute(*args).fetchall())
+        cursor = self._conn.execute(*args)
+        rows = Rows(cursor.fetchall())
+        rows.rowcount = cursor.rowcount
         self.rows += len(rows)
         return rows
 
@@ -628,28 +686,36 @@ class TestCandidateRead:
     """upsert_day reads only the POI that share a MAC with the day, and that changes nothing."""
 
     def test_equals_matching_against_the_whole_registry(self):
-        """Random days of two users that share MACs, against oracles.reference_upsert_day."""
+        """Random days of two users that share MACs, some registered again, against
+        oracles.reference_upsert_day."""
         rnd = random.Random(36)
-        skipped = 0
+        skipped = new = revisit = shared = 0
         for _ in range(30):
             threshold = rnd.choice([0.5, 0.7, 0.9])
             places = rnd.randint(2, 12)
             days = {user: random_days(rnd, n_days=6, places=places) for user in ("u", "v")}
             with SummaryStore() as got, SummaryStore() as want:
-                for d in range(6):
+                for d in [*range(6), *rnd.sample(range(6), 3)]:  # three days again
                     for user in ("u", "v"):
                         clusters = days[user][d]
+                        known = {poi_id for _, poi_id in got.fingerprints(user)}
                         macs = {mac for f, _ in clusters for mac in f.sums}
                         skipped += sum(1 for f in got.fingerprints(user).values()
                                        if not macs & set(f.sums))
-                        assert (upsert_day(got, user, clusters, threshold)
-                                == reference_upsert_day(want.conn, user, clusters, threshold))
+                        ids = upsert_day(got, user, window(d), clusters, threshold)
+                        assert ids == reference_upsert_day(
+                            want.conn, user, window(d), clusters, threshold)
                         assert registry_tables(got.conn) == registry_tables(want.conn)
+                        new += len(set(ids) - known)
+                        revisit += sum(1 for i in ids if i in known)
+                        shared += len(ids) - len(set(ids))
         assert skipped > 300  # POI the read left out and the reference scored
+        # the seeded days exercise new POI, revisits and same-day matches
+        assert min(new, revisit, shared) > 20
 
     def registry_of_three(self, store):
         # POI 1 at {A}, 2 at {B, C}, 3 at {D}: no two share a MAC
-        assert upsert_day(store, "u", [
+        assert upsert_day(store, "u", window(), [
             (fp({A: -50.0}), [visit(0, 20)]),
             (fp({B: -50.0, C: -60.0}), [visit(60, 80)]),
             (fp({D: -70.0}), [visit(120, 140)]),
@@ -660,17 +726,17 @@ class TestCandidateRead:
             self.registry_of_three(store)
             fresh = fp({"ee:00:00:00:00:05": -50.0})
             assert store.candidates("u", [A, "ee:00:00:00:00:05"]).keys() == {1}
-            assert upsert_day(store, "u", [(fp({A: -50.0}), [visit(1440, 1460)]),
-                                           (fresh, [visit(1500, 1520)])]) == [1, 4]
-            assert upsert_day(store, "u", [(fp({"ff:00:00:00:00:06": -50.0}),
-                                            [visit(2880, 2900)])]) == [5]
+            assert upsert_day(store, "u", window(1), [(fp({A: -50.0}), [visit(1440, 1460)]),
+                                                      (fresh, [visit(1500, 1520)])]) == [1, 4]
+            assert upsert_day(store, "u", window(2), [(fp({"ff:00:00:00:00:06": -50.0}),
+                                                       [visit(2880, 2900)])]) == [5]
 
     def test_a_second_cluster_matches_the_poi_the_first_one_created(self):
         with SummaryStore() as store:
             self.registry_of_three(store)
             fresh = fp({"ee:00:00:00:00:05": -50.0})
-            assert upsert_day(store, "u", [(fresh, [visit(1440, 1460)]),
-                                           (fresh, [visit(1500, 1520)])]) == [4, 4]
+            assert upsert_day(store, "u", window(1), [(fresh, [visit(1440, 1460)]),
+                                                      (fresh, [visit(1500, 1520)])]) == [4, 4]
             record = store.records("u")[3]
             assert len(record.visits) == 2 and record.fingerprint.counts == {
                 "ee:00:00:00:00:05": 2}
@@ -682,20 +748,20 @@ class TestCandidateRead:
                  (fp({A: -50.0, C: -50.0}), [visit(120, 140)])]
         day = [(fp({A: -50.0}), [visit(1440, 1460)])]  # 1/sqrt(2) against POI 2 and 3
         with SummaryStore() as store, SummaryStore() as want:
-            assert upsert_day(store, "u", setup, 0.9) == [1, 2, 3]
-            reference_upsert_day(want.conn, "u", setup, 0.9)
+            assert upsert_day(store, "u", window(), setup, 0.9) == [1, 2, 3]
+            reference_upsert_day(want.conn, "u", window(), setup, 0.9)
             assert store.candidates("u", [A]).keys() == {2, 3}
-            assert upsert_day(store, "u", day, 0.7) == [2] == reference_upsert_day(
-                want.conn, "u", day, 0.7)
+            assert upsert_day(store, "u", window(1), day, 0.7) == [2] == reference_upsert_day(
+                want.conn, "u", window(1), day, 0.7)
             assert registry_tables(store.conn) == registry_tables(want.conn)
 
     def test_reads_only_the_rows_of_poi_that_share_a_mac(self):
         with SummaryStore() as store:
             self.registry_of_three(store)
             counter = store.conn = RowCounter(store.conn)
-            assert upsert_day(store, "u", [(fp({B: -50.0}), [visit(1440, 1460)]),
-                                           (fp({"ee:00:00:00:00:05": -50.0}),
-                                            [visit(1500, 1520)])]) == [2, 4]
+            assert upsert_day(store, "u", window(1), [(fp({B: -50.0}), [visit(1440, 1460)]),
+                                                      (fp({"ee:00:00:00:00:05": -50.0}),
+                                                       [visit(1500, 1520)])]) == [2, 4]
             # POI 2's two rows and the highest poi_id, not the four rows of all three POI
             assert counter.rows == 3
             store.conn = counter._conn
@@ -706,7 +772,7 @@ class TestCandidateRead:
             store.conn.set_trace_callback(issued.append)
             for threshold in (0.0, -0.5, 1.5):
                 with pytest.raises(ValueError, match="outside"):
-                    upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])], threshold)
+                    upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])], threshold)
             store.conn.set_trace_callback(None)
             assert issued == []
 
@@ -716,7 +782,7 @@ class TestExtractDay:
         logs, params = office_days()
         with SummaryStore() as got, SummaryStore() as want:
             for log in logs:
-                registered = extract_day(got, upload_of(log), params)
+                registered = extract_day(got, upload_of(log), window_of(log), params)
                 assert registered == reference_extract(want, log, params)
                 assert len(registered) > 1
                 assert got.records(log.user) == want.records(log.user)
@@ -725,7 +791,7 @@ class TestExtractDay:
         # three scans with nothing in common: no scan has min_pts neighbours
         log = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
         with SummaryStore() as store:
-            assert extract_day(store, upload_of(log), ClusterParams()) == []
+            assert extract_day(store, upload_of(log), window_of(log), ClusterParams()) == []
             assert store.users() == []
             assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (0,)
 
@@ -734,9 +800,9 @@ class TestExtractDay:
         with SummaryStore() as store, SummaryStore() as want:
             store_raw(store, [upload_of(log) for log in logs])
             for log in logs:
-                window = (log.entries[0].timestamp, log.entries[-1].timestamp + 1)
-                day = store.load_day(log.user, *window)
-                assert extract_day(store, day, params) == extract_day(want, upload_of(log), params)
+                day = store.load_day(log.user, *window_of(log))
+                assert (extract_day(store, day, window_of(log), params)
+                        == extract_day(want, upload_of(log), window_of(log), params))
             assert store.records(logs[0].user) == want.records(logs[0].user)
 
     def test_users_are_those_with_a_poi_and_the_raw_users_those_with_scans(self, tmp_path):
@@ -750,7 +816,7 @@ class TestExtractDay:
     def test_empty_log_raises(self):
         with SummaryStore() as store:
             with pytest.raises(EmptyLog):
-                extract_day(store, upload_of(build_log("u", "d", [])), ClusterParams())
+                extract_day(store, upload_of(build_log("u", "d", [])), window(), ClusterParams())
 
 
 class TestStoreInvariant:
@@ -769,15 +835,15 @@ class TestStoreInvariant:
                         store_raw(store, [upload_of(build_log(user, "d", scans))])
                         days.append((user, start))
                 for user, start in days:
-                    extract_day(store, store.load_day(user, start, start + 86400), ClusterParams())
+                    day = (start, start + 86400)
+                    extract_day(store, store.load_day(user, *day), day, ClusterParams())
                 assert len(store.fingerprints()) > 2
                 assert store_invariant_faults(store) == []
 
-    @pytest.mark.xfail(strict=True, reason="a re-extracted day's earlier scans are counted twice;"
-                                           " replacing the day's visits will mend it")
     def test_holds_after_a_late_upload_splits_the_day(self):
         # office-day alice: ingest up to the middle of her second visit,
-        # extract, ingest the rest, extract the day again
+        # extract, ingest the rest, extract the day again; the registry is
+        # then that of one extract of the whole day
         scenario = load_scenario("office-day")
         log, truth = generate_trace(scenario.env, scenario.itineraries["alice"],
                                     scenario.scan_interval, np.random.default_rng([0, 0]),
@@ -785,12 +851,15 @@ class TestStoreInvariant:
         middle = (truth[1].start + truth[1].end) // 2
         params = ClusterParams(scan_interval=scenario.scan_interval)
         window = day_window(time.strftime("%Y-%m-%d", time.gmtime(middle)))
-        with SummaryStore() as store:
+        with SummaryStore() as store, SummaryStore() as once:
             for part in ([s for s in log.entries if s.timestamp < middle],
                          [s for s in log.entries if s.timestamp >= middle]):
                 store_raw(store, [upload_of(build_log("alice", "d", part))])
-                extract_day(store, store.load_day("alice", *window), params)
+                extract_day(store, store.load_day("alice", *window), window, params)
             assert store_invariant_faults(store) == []
+            extract_day(once, upload_of(log), window, params)
+            assert registry_tables(store.conn) == registry_tables(once.conn)
+            assert sum(store.fingerprints()["alice", 1].counts.values()) == 1204
 
 
 class TestFingerprints:
@@ -798,8 +867,8 @@ class TestFingerprints:
         rnd = random.Random(33)
         with SummaryStore() as store:
             for user in ("u2", "u10", "U1", "u1"):
-                for clusters in random_days(rnd, n_days=3, places=4):
-                    upsert_day(store, user, clusters)
+                for d, clusters in enumerate(random_days(rnd, n_days=3, places=4)):
+                    upsert_day(store, user, window(d), clusters)
             want = [
                 ((user, record.poi_id), record.fingerprint)
                 for user in store.users()
@@ -812,8 +881,8 @@ class TestFingerprints:
         rnd = random.Random(34)
         with SummaryStore() as store:
             for user in ("u2", "u10", "u1"):
-                for clusters in random_days(rnd, n_days=3, places=4):
-                    upsert_day(store, user, clusters)
+                for d, clusters in enumerate(random_days(rnd, n_days=3, places=4)):
+                    upsert_day(store, user, window(d), clusters)
             every = store.fingerprints()
             for user in ("u1", "u10", "u2", "ghost"):
                 got = store.fingerprints(user)
@@ -828,8 +897,9 @@ class TestDailySummary:
         # the store holds a visit on DAY, but an all-noise run registers none
         noise = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
         with SummaryStore() as store:
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(0, 20)])])
-            assert summary_rows(extract_day(store, upload_of(noise), ClusterParams())) == []
+            upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
+            assert summary_rows(
+                extract_day(store, upload_of(noise), window_of(noise), ClusterParams())) == []
 
     def test_rows_ordered_with_hhmm_rendering(self):
         rows = summary_rows([(1, [visit(0, 20), visit(9 * 60, 9 * 60 + 30)]), (2, [visit(120, 150)])])
@@ -839,40 +909,17 @@ class TestDailySummary:
             (1, "09:00", "09:30"),
         ]
 
-    def test_store_with_the_old_label_column_still_works(self, tmp_path):
-        # a version-1 store whose poi_properties also holds the unused label
-        # column: the open upgrades it, and both old columns go
-        with sqlite3.connect(tmp_path / "old.db") as conn:
-            conn.execute(
-                "CREATE TABLE poi_properties (user TEXT NOT NULL, poi_id INTEGER NOT NULL,"
-                " fingerprint TEXT NOT NULL, created_at INTEGER NOT NULL, label TEXT,"
-                " PRIMARY KEY (user, poi_id))"
-            )
-            conn.executescript(VERSION_1_SCHEMA)  # the other tables
-            conn.execute("INSERT INTO poi_properties VALUES ('u', 1, ?, ?, 'desk')",
-                         (encode_fingerprint_v1({A: -50.0}, {A: 4}), visit(0, 20).start))
-            conn.execute("INSERT INTO poi_visits VALUES ('u', 1, ?, ?, 4, 0)",
-                         (visit(0, 20).start, visit(0, 20).end))
-        conn.close()
-        with SummaryStore(tmp_path / "old.db") as store:
-            columns = [row[1] for row in store.conn.execute("PRAGMA table_info(poi_properties)")]
-            assert columns == ["user", "poi_id", "created_at"]
-            assert store.conn.execute("PRAGMA user_version").fetchone() == (2,)
-            upsert_day(store, "u", [(fp({A: -50.0}), [visit(60, 80)])])
-            stored = [(record.poi_id, record.visits) for record in store.records("u")]
-            assert summary_rows(stored) == [(1, "00:00", "00:20"), (1, "01:00", "01:20")]
-            assert store.fingerprints() == {("u", 1): Fingerprint({A: -250}, {A: 5})}
-
     def test_repeat_visit_structure(self):
         # a 12-POI day where ids 1, 9 and 12 recur: 17 rows total
         with SummaryStore() as store:
             macs = ["%02x:00:00:00:00:0%d" % (k, k % 10) for k in range(12)]
-            for k, mac in enumerate(macs):
-                upsert_day(store, "u", [(fp({mac: -50.0}), [visit(40 * k, 40 * k + 20)])])
+            days = [(mac, 40 * k, 40 * k + 20) for k, mac in enumerate(macs)]
             repeats = {1: [(600, 620), (700, 720)], 9: [(640, 660)], 12: [(680, 699), (730, 750)]}
-            for poi_id, windows in repeats.items():
-                for start, end in windows:
-                    upsert_day(store, "u", [(fp({macs[poi_id - 1]: -50.0}), [visit(start, end)])])
+            days += [(macs[poi_id - 1], start, end)
+                     for poi_id, spans in repeats.items() for start, end in spans]
+            for d, (mac, start, end) in enumerate(days):  # one call a day
+                upsert_day(store, "u", window(d),
+                           [(fp({mac: -50.0}), [visit(1440 * d + start, 1440 * d + end)])])
             rows = summary_rows((record.poi_id, record.visits) for record in store.records("u"))
             by_id = [r[0] for r in rows]
             assert len(by_id) == 12 + 5
