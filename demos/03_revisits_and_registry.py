@@ -24,6 +24,7 @@ for entry in scenario.itineraries[user]:
     by_day[time.strftime("%Y-%m-%d", time.gmtime(entry.arrival))].append(entry)
 
 store = SummaryStore()  # in-memory; pass a path to persist
+visits = collections.Counter()  # poi_id -> visits registered, from extract_day's returns
 for day_index, day in enumerate(sorted(by_day)):
     log, _ = generate_trace(
         scenario.env,
@@ -40,9 +41,11 @@ for day_index, day in enumerate(sorted(by_day)):
     registered = extract_day(store, upload_of(log), day_window(day), params)
     for poi_id, start, end in summary_rows(registered):
         print(f"  POI {poi_id}  {start} - {end}")
+    for poi_id, day_visits in registered:
+        visits[poi_id] += len(day_visits)
 
 print("\nregistered POI:")
-for record in store.records(user):
-    aps = len(record.fingerprint.rssi)
-    print(f"  POI {record.poi_id}: {len(record.visits)} visits, {aps} APs in fingerprint")
+for (_, poi_id), fingerprint in store.fingerprints().items():
+    aps = len(fingerprint.rssi)
+    print(f"  POI {poi_id}: {visits[poi_id]} visits, {aps} APs in fingerprint")
 store.close()

@@ -36,7 +36,7 @@ for index, user in enumerate(sorted(scenario.itineraries)):
 
 # one fingerprint per (user, poi_id): the nodes of the cross-user graph
 fps = store.fingerprints()
-print(f"{len(fps)} POI across {len(store.users())} users")
+print(f"{len(fps)} POI across {len({user for user, _ in fps})} users")
 
 # every pair is scored once; each threshold keeps the pairs at or above it
 print("\nthreshold sweep:")

@@ -54,7 +54,7 @@ store = RawStore()  # in-memory; the CLI uses a file
 first = store_raw(store, [upload])[0]
 again = store_raw(store, [upload_of(log)])[0]  # the same scans, from the in-memory log
 print(f"\ningest: {first.added} added; retry: {again.added} added, {again.skipped} skipped")
-print(f"stored users: {store.users()}")
+print(f"maria has stored scans: {store.has_user('maria')}")
 window = store.load_day("maria", T0, T0 + 3600)  # the same columns, which clustering reads
 print(f"first hour holds {len(window.times)} scans over {len(window.macs)} APs")
 store.close()

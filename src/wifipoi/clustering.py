@@ -41,18 +41,32 @@ def _reach(near: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walk(
-    counts: np.ndarray, ids: np.ndarray, rssi: np.ndarray, width: int, params: ClusterParams
-) -> tuple[np.ndarray, list[int]]:
-    """Cluster the scans with these readings: (labels, seeds).
+def _rows(day: Scans, chunk: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The day's scans `chunk` as float rows over the w MACs they hold, in day order.
 
-    seeds[k - 1] is the smallest core scan of cluster k. Builds the
-    scans' rows over `width` MAC columns, scores them into the bool
-    `near`, frees the rows and walks `near` by dbscan's rules.
+    first[i] is the position of scan i's first reading. Every product
+    of two rows is of whole dBm, so dropping the columns no row holds
+    leaves each score exact. Besides the rows, takes 33 bytes a reading
+    of the chunk and 9 bytes a MAC of the day, all freed on return.
     """
-    n = len(counts)
-    x = np.zeros((n, width))
-    x[np.repeat(np.arange(n), counts), ids] = rssi
+    counts = day.counts[chunk]
+    at = np.arange(counts.sum()) + np.repeat(first[chunk] - (np.cumsum(counts) - counts), counts)
+    ids = day.ids[at]
+    seen = np.zeros(len(day.macs), dtype=bool)
+    seen[ids] = True
+    x = np.zeros((len(chunk), np.count_nonzero(seen)))
+    x[np.repeat(np.arange(len(chunk)), counts), (np.cumsum(seen) - 1)[ids]] = day.rssi[at]
+    return x
+
+
+def _walk(x: np.ndarray, params: ClusterParams) -> tuple[np.ndarray, list[int]]:
+    """Cluster the scans of the float rows `x`: (labels, seeds).
+
+    seeds[k - 1] is the smallest core scan of cluster k. Scores the
+    rows into the bool `near`, frees them and walks `near` by dbscan's
+    rules.
+    """
+    n = len(x)
     # Readings are whole dBm, so every dot product is exact and the
     # scores are symmetric: each block's mirror fills the lower triangle,
     # and row i of `near` is also its column i.
@@ -148,40 +162,25 @@ def dbscan(day: Scans, params: ClusterParams) -> list[ClusterLabel]:
 
     Two scans that share no MAC score exactly 0, and epsilon > 0, so
     they are never neighbours. So each chunk of whole groups of
-    MAC-linked scans (_chunks) is scored and walked on its own, and its
-    clusters are renumbered into the day's order. A chunk's rows span
-    only the w MACs it holds, in day order: every product is of whole
-    dBm, so dropping the columns no row holds leaves each score exact.
-    Memory, in bytes, for a chunk of c scans: c^2 for the bool `near`;
-    while scoring, also the float rows, 8 * c * w, and _score_blocks's
-    buffer, 17 * _BLOCK * c + 16 * c; while walking, _BLOCK rows of
-    `near` at a time, _BLOCK * c, and a few c-long vectors. Building the
-    rows, before `near` exists, takes 8 bytes a reading more. A day of
-    several chunks also takes about 40 bytes a reading and a few n-long
-    vectors to group, before the first chunk; 17 bytes a reading of the
-    chunk for its readings' positions, columns and dBm; and 9 bytes a
-    MAC of the day to find the chunk's columns.
+    MAC-linked scans (_chunks) is scored and walked on its own, over
+    the MACs it holds (_rows), and its clusters are renumbered into the
+    day's order. Memory, in bytes, for a chunk of c scans over w MACs:
+    c^2 for the bool `near`; while scoring, also the float rows,
+    8 * c * w, and _score_blocks's buffer, 17 * _BLOCK * c + 16 * c;
+    while walking, _BLOCK rows of `near` at a time, _BLOCK * c, and a
+    few c-long vectors. Building the rows, before `near` exists, takes
+    what _rows states. A day of 2 * _BLOCK scans or more also takes
+    about 40 bytes a reading and a few n-long vectors to group, before
+    the first chunk; every day keeps 3 n-long vectors throughout.
     """
     n = len(day.times)
     if n == 0:
         raise EmptyLog(f"no scans to cluster for user {day.user!r}")
-    width = len(day.macs)
-    chunks = _chunks(day)
-    if len(chunks) == 1:
-        return _walk(day.counts, day.ids, day.rssi, width, params)[0].tolist()
     first_reading = np.cumsum(day.counts) - day.counts
     labels = np.empty(n, dtype=int)
     seeds: list[int] = []  # provisional cluster k's smallest core scan is seeds[k - 1]
-    for chunk in chunks:
-        counts = day.counts[chunk]
-        shift = first_reading[chunk] - (np.cumsum(counts) - counts)  # day's offset less the chunk's
-        at = np.arange(counts.sum()) + np.repeat(shift, counts)
-        # the chunk's own MACs, in day order, become its columns 0..w-1
-        ids = day.ids[at]
-        seen = np.zeros(width, dtype=bool)
-        seen[ids] = True
-        ids = (np.cumsum(seen) - 1)[ids]
-        local, local_seeds = _walk(counts, ids, day.rssi[at], np.count_nonzero(seen), params)
+    for chunk in _chunks(day):
+        local, local_seeds = _walk(_rows(day, chunk, first_reading), params)
         labels[chunk] = np.where(local == NOISE, NOISE, local + len(seeds))
         seeds += chunk[local_seeds].tolist()
     # Renumber by smallest core scan across chunks; a chunk's own clusters

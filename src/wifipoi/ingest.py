@@ -267,7 +267,9 @@ class RawStore:
     statement of one of SCHEMA's; a key's autoindex belongs to its
     table. Any other object (a user's index, view or trigger, ANALYZE's
     sqlite_stat1, a table of an earlier layout) gets the file refused
-    untouched; the old raw_observations table is named in the refusal.
+    untouched. The refusal names the old raw_observations table, and
+    says of a table with a SCHEMA name but another statement that the
+    file may be a store of an earlier layout.
     A store journals in TRUNCATE mode, so a 0-byte <store>-journal
     stays beside it. One with exactly SCHEMA's tables opens without a
     write; any other gains the tables it lacks under the open's BEGIN
@@ -350,10 +352,6 @@ class RawStore:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def users(self) -> list[str]:
-        rows = self.conn.execute("SELECT DISTINCT user FROM raw_scans ORDER BY user")
-        return [user for (user,) in rows]
-
     def has_user(self, user: str) -> bool:
         """True when any scan belongs to `user`; a primary-key prefix lookup."""
         row = self.conn.execute(
@@ -399,6 +397,10 @@ def _layout(conn: sqlite3.Connection) -> set[str]:
                              " re-ingest its uploads into a new store")
     for kind, name, sql in rows:  # sql is None for a key's autoindex, part of its table
         if sql is not None and _tokens(sql) not in _TABLES:
+            if kind == "table" and name in RawStore.SCHEMA:
+                raise StorageFailure(
+                    f"it is not a store of this layout: its table {name} is not the schema's; if"
+                    " it is a store of an earlier layout, re-ingest its uploads into a new store")
             raise StorageFailure(f"it is not a store: its {kind} {name} is not the schema's")
     return {name for _, name, sql in rows if sql is not None}
 

@@ -18,17 +18,17 @@ crash mid-day leaves the previous state intact, and a day extracted
 again replaces what it registered before. It reads only the candidate
 POI, those of the user that share a MAC with the day's clusters (any
 other scores 0, below every match threshold), and takes the next free
-poi_id from the user's highest one; it reads no visit history
-(records() and PoiRecord expose that for inspection, and fingerprints()
-every POI). extract_day is the whole per-user-day step: cluster,
-segment, fingerprint, register.
+poi_id from the user's highest one; it reads no visit history.
+fingerprints() reads every POI, the nodes of the cross-user graph.
+A POI's created_at is the start of its earliest stored visit.
+extract_day is the whole per-user-day step: cluster, segment,
+fingerprint, register.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -73,17 +73,6 @@ def merge_fingerprints(old: Fingerprint, new: Fingerprint) -> Fingerprint:
     return Fingerprint(sums, counts)
 
 
-@dataclass(frozen=True)
-class PoiRecord:
-    """One registered POI: identity, fingerprint, visit history."""
-
-    poi_id: int
-    user: str
-    fingerprint: Fingerprint
-    created_at: int
-    visits: tuple[VisitInterval, ...] = ()
-
-
 def match_poi(
     fp: Fingerprint, registry: Mapping[int, Fingerprint], threshold: float = MATCH_THRESHOLD
 ) -> int | None:
@@ -116,48 +105,9 @@ class SummaryStore(RawStore):
     user-day, so concurrent writers take turns.
     """
 
-    def users(self) -> list[str]:
-        """Users with a registered POI; overrides RawStore.users, users with scans."""
-        rows = self.conn.execute(
-            "SELECT DISTINCT user FROM poi_properties ORDER BY user"
-        )
-        return [user for (user,) in rows]
-
-    def records(self, user: str) -> list[PoiRecord]:
-        """All POI registered for one user, visits included, by poi_id.
-
-        Three queries whatever the registry size: fingerprints,
-        properties, then every visit of the user grouped by poi_id here.
-        """
-        fps = self.fingerprints(user)
-        props = self.conn.execute(
-            "SELECT poi_id, created_at FROM poi_properties WHERE user = ? ORDER BY poi_id",
-            (user,),
-        ).fetchall()
-        visits: dict[int, list[VisitInterval]] = {}
-        for poi_id, start, end, scans, sub in self.conn.execute(
-            "SELECT poi_id, start_ts, end_ts, scans, sub_minimal FROM poi_visits"
-            " WHERE user = ? ORDER BY poi_id, start_ts, end_ts",
-            (user,),
-        ):
-            visits.setdefault(poi_id, []).append(
-                VisitInterval(poi_id, start, end, scans, bool(sub))
-            )
-        return [
-            PoiRecord(
-                poi_id=poi_id,
-                user=user,
-                fingerprint=fps[user, poi_id],
-                created_at=created_at,
-                visits=tuple(visits.get(poi_id, ())),
-            )
-            for poi_id, created_at in props
-        ]
-
-    def fingerprints(self, user: str | None = None) -> dict[tuple[str, int], Fingerprint]:
-        """POI fingerprints by (user, poi_id) in that order, of all users or one; no visits."""
-        where, params = ("", ()) if user is None else ("WHERE user = ?", (user,))
-        return self._read_fingerprints(where, params)
+    def fingerprints(self) -> dict[tuple[str, int], Fingerprint]:
+        """Every POI's fingerprint by (user, poi_id), in that order; no visits."""
+        return self._read_fingerprints("", ())
 
     def candidates(self, user: str, macs: Iterable[str]) -> dict[int, Fingerprint]:
         """The user's POI that hold at least one of `macs`, by poi_id; SQLite picks them.
@@ -212,9 +162,14 @@ def upsert_day(
     added to the day's rows of that POI (two clusters can match one).
     Only the candidates are read, the POI that hold a MAC of some
     cluster, plus the highest poi_id: a POI sharing no MAC scores 0,
-    below `threshold`. The write transaction opens (BEGIN IMMEDIATE)
-    before the deletes and reads, so concurrent writers queue on the
-    busy timeout. A threshold outside (0, 1], a window that is not a UTC
+    below `threshold`; an empty day reads nothing. Last, when the call
+    changed any visit, each POI whose created_at is lo or later has it
+    set to its earliest visit's start: only those can have gained or
+    lost their earliest visit, as created_at is that start before the
+    call and no visit before lo is touched. The transaction's
+    first statement is the visit DELETE, which takes the write lock
+    before any read, so concurrent writers queue on the busy timeout.
+    A threshold outside (0, 1], a window that is not a UTC
     day, a cluster with no visit or with one that starts outside the
     window (ValueError) and an empty fingerprint (EmptyFingerprint)
     raise before any statement. On failure the store is left exactly as
@@ -233,7 +188,6 @@ def upsert_day(
     try:
         ids = []
         with store.conn:
-            store.conn.execute("BEGIN IMMEDIATE")
             replaced = store.conn.execute(
                 "DELETE FROM poi_visits WHERE user = ? AND start_ts >= ? AND start_ts < ?",
                 (user, lo, hi),
@@ -245,10 +199,11 @@ def upsert_day(
                     " (SELECT poi_id FROM poi_visits WHERE user = ?)",
                     (user, user),
                 )
-            registry = store.candidates(user, {mac for fp, _ in clusters for mac in fp.sums})
-            (last_id,) = store.conn.execute(
-                "SELECT coalesce(max(poi_id), 0) FROM poi_properties WHERE user = ?", (user,)
-            ).fetchone()
+            if clusters:  # an all-noise day reads nothing
+                registry = store.candidates(user, {mac for fp, _ in clusters for mac in fp.sums})
+                (last_id,) = store.conn.execute(
+                    "SELECT coalesce(max(poi_id), 0) FROM poi_properties WHERE user = ?", (user,)
+                ).fetchone()
             for fp, visits in clusters:
                 poi_id = match_poi(fp, registry, threshold)
                 if poi_id is None:
@@ -272,6 +227,13 @@ def upsert_day(
                     [(user, poi_id, mac, lo, n, fp.counts[mac]) for mac, n in fp.sums.items()],
                 )
                 ids.append(poi_id)
+            if replaced or clusters:  # a first visit before lo is untouched by the day
+                store.conn.execute(
+                    "UPDATE poi_properties SET created_at = (SELECT min(start_ts) FROM poi_visits"
+                    " AS v WHERE v.user = poi_properties.user AND v.poi_id = poi_properties.poi_id)"
+                    " WHERE user = ? AND created_at >= ?",
+                    (user, lo),
+                )
         return ids
     except sqlite3.Error as exc:
         raise StorageFailure(f"upsert for user {user!r} failed: {exc}") from exc

@@ -498,7 +498,8 @@ def store_invariant_faults(store) -> list[str]:
     For every POI and UTC day, the sums and counts stored for that day
     must equal a dict-loop sum over the raw readings of the scans inside
     the POI's visits that start in that day, as load_day reads them.
-    Every POI must hold a visit, and no two visits of a user may overlap.
+    Every POI must hold a visit, its created_at must be the start of its
+    earliest visit, and no two visits of a user may overlap.
     """
     stored: dict[tuple, tuple[dict[str, int], dict[str, int]]] = defaultdict(lambda: ({}, {}))
     for user, poi_id, mac, day, total, count in store.conn.execute(
@@ -516,9 +517,16 @@ def store_invariant_faults(store) -> list[str]:
         for key in sorted(set(stored) | set(scans))
         if stored.get(key) != naive_fingerprint(scans.get(key, []))
     ]
-    visited = {(user, poi_id) for user, poi_id, _, _ in visits}
-    faults += [f"POI {key}: no visit" for key in store.conn.execute(
-        "SELECT user, poi_id FROM poi_properties ORDER BY user, poi_id") if key not in visited]
+    first: dict[tuple, int] = {}
+    for user, poi_id, start, _ in visits:  # by start, so a POI's first is its earliest
+        first.setdefault((user, poi_id), start)
+    for user, poi_id, created_at in store.conn.execute(
+            "SELECT user, poi_id, created_at FROM poi_properties ORDER BY user, poi_id"):
+        if (user, poi_id) not in first:
+            faults.append(f"POI {(user, poi_id)}: no visit")
+        elif created_at != first[user, poi_id]:
+            faults.append(f"POI {(user, poi_id)}: created_at {created_at} is not its first"
+                          f" visit's start {first[user, poi_id]}")
     for (user, _, _, end), (other, poi_id, start, _) in zip(visits, visits[1:]):
         if user == other and start <= end:
             faults.append(f"user {user!r}: POI {poi_id}'s visit at {start} overlaps the one before")
@@ -538,6 +546,8 @@ def reference_upsert_day(conn, user: str, window, clusters, threshold: float) ->
     score at or above `threshold`, the lowest poi_id on a tie, takes the
     cluster's visits and readings; otherwise the cluster becomes POI
     max(poi_id) + 1. The day's readings are summed here and written once.
+    Last, each POI of the user takes its earliest visit's start as
+    created_at.
     """
     lo, hi = window
     ids = []
@@ -587,4 +597,10 @@ def reference_upsert_day(conn, user: str, window, clusters, threshold: float) ->
         conn.executemany("INSERT INTO poi_readings VALUES (?, ?, ?, ?, ?, ?)",
                          [(user, poi_id, mac, lo, total, count)
                           for (poi_id, mac), (total, count) in day.items()])
+        for (poi_id,) in conn.execute(
+                "SELECT poi_id FROM poi_properties WHERE user = ?", (user,)).fetchall():
+            (start,) = conn.execute("SELECT min(start_ts) FROM poi_visits WHERE user = ? AND"
+                                    " poi_id = ?", (user, poi_id)).fetchone()
+            conn.execute("UPDATE poi_properties SET created_at = ? WHERE user = ? AND poi_id = ?",
+                         (start, user, poi_id))
     return ids

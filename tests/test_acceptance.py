@@ -21,6 +21,7 @@ from oracles import (
     planted_edges,
     random_fingerprint,
     random_scan_instance,
+    registry_tables,
     utc_day,
 )
 from wifipoi.clustering import NOISE, VisitInterval, dbscan
@@ -144,19 +145,19 @@ def test_acceptance_4_office_day_structure():
     params = ClusterParams(epsilon=0.5, min_pts=4, scan_interval=scenario.scan_interval)
     with SummaryStore() as store:
         extract_day(store, upload_of(log), utc_day(log.entries[0].timestamp), params)
-        records = store.records(user)
-    visits = [(v, r.poi_id) for r in records for v in r.visits]
-    visits.sort(key=lambda pair: pair[0].start)
+        tables = registry_tables(store.conn)
+    # stored visit rows are (user, poi_id, start_ts, end_ts, scans, sub_minimal)
+    visits = sorted(tables["poi_visits"], key=lambda row: row[2])
     assert len(visits) == 6
-    assert len(records) == 4
-    ids = [poi_id for _, poi_id in visits]
+    assert len(tables["poi_properties"]) == 4
+    ids = [poi_id for _, poi_id, *_ in visits]
     # home opens and closes the day; office is visited twice in between
     assert ids[0] == ids[5] and ids[1] == ids[4]
     assert len(set(ids)) == 4
     assert len(truth) == 6
-    for (visit, _), t in zip(visits, truth):
-        assert abs(visit.start - t.start) <= params.scan_interval
-        assert abs(visit.end - t.end) <= params.scan_interval
+    for (_, _, start, end, _, _), t in zip(visits, truth):
+        assert abs(start - t.start) <= params.scan_interval
+        assert abs(end - t.end) <= params.scan_interval
     elapsed = time.monotonic() - t_start
     assert elapsed < 5.0
     report(4, f"office day: 6 intervals over 4 POI, revisits stable, boundaries within one scan interval ({elapsed:.1f}s)")
@@ -210,17 +211,16 @@ def test_acceptance_6_three_day_revisit_accuracy():
                 user=user,
             )
             extract_day(store, upload_of(log), day_window(day), params, threshold=0.5)
-            day_visits = [
-                (v, r.poi_id)
-                for r in store.records(user)
-                for v in r.visits
-                if truth[0].start <= v.start <= truth[-1].end
+            day_visits = [  # by poi_id, then start
+                (poi_id, start, end)
+                for _, poi_id, start, end, _, _ in registry_tables(store.conn)["poi_visits"]
+                if truth[0].start <= start <= truth[-1].end
             ]
             for t in truth:
                 overlapping = [
                     poi_id
-                    for v, poi_id in day_visits
-                    if max(v.start, t.start) <= min(v.end, t.end)
+                    for poi_id, start, end in day_visits
+                    if max(start, t.start) <= min(end, t.end)
                 ]
                 assert overlapping, f"truth visit to {t.place} has no extracted interval"
                 assignments.append((t.place, overlapping[0]))
@@ -391,7 +391,7 @@ def test_acceptance_9_persistence_integrity_under_crashes(tmp_path):
             # a fresh fingerprint makes 6 writes or more (the day's visit
             # delete, poi row, 2 visits and a reading per MAC, of 2 or more);
             # visit_clock is 800 s past a half hour, so both visits start on its day
-            before = {u: summary.records(u) for u in summary.users()}
+            before = registry_tables(summary.conn)
             real = summary.conn
             summary.conn = _FlakyConn(real, fail_on_write=rnd.randint(1, 5))
             try:
@@ -403,7 +403,7 @@ def test_acceptance_9_persistence_integrity_under_crashes(tmp_path):
                         ])])
             finally:
                 summary.conn = real
-            assert {u: summary.records(u) for u in summary.users()} == before
+            assert registry_tables(summary.conn) == before
         else:
             scans = [
                 ScanResult(

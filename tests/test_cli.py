@@ -126,7 +126,7 @@ class TestIngest:
         assert f"{bad}: line 2: not a 48-bit MAC address" in captured.err
         assert "rows added" not in captured.out
         with RawStore(workdir / "poi.db") as store:
-            assert rows_in(store) == 0
+            assert rows_in(store, "alice", "bob") == 0
 
     def test_refused_content_creates_no_store(self, workdir, capsys):
         bad = workdir / "bob.scan"
@@ -171,7 +171,7 @@ class TestIngest:
             " from the stored one\n"
         )
         with RawStore(workdir / "poi.db") as store:
-            assert store.users() == ["bob"]
+            assert not store.has_user("carol")
             assert day_rows(store.load_day("bob", 0, 1000)) == before
 
     def test_files_that_disagree_create_no_store(self, workdir, capsys):
@@ -201,7 +201,7 @@ class TestIngest:
         assert commit_counter.commits == 1
         out = capsys.readouterr().out.splitlines()
         with RawStore(workdir / "poi.db") as store:
-            rows = rows_in(store)
+            rows = rows_in(store, "alice", "copy")
         assert out == [
             f"{sim / 'alice.scan.gz'}: {rows // 2} rows added, 0 skipped",
             f"copy.scan.gz: {rows // 2} rows added, 0 skipped",
@@ -219,7 +219,7 @@ class TestIngest:
             " [-62135596800, 253402300799] (0001-01-01 to 9999-12-31)\n"
         )
         with RawStore(workdir / "poi.db") as store:
-            assert store.users() == []
+            assert not store.has_user("carol") and not store.has_user("bob")
 
     def test_first_and_last_day_yyyy_mm_dd_names_reach_extract(self, workdir, capsys):
         line = b'{"t":%d,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
@@ -240,7 +240,7 @@ class TestIngest:
         monkeypatch.setattr(ingest, "_decode_line", refuse)
         assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz") == 0
         with RawStore(workdir / "poi.db") as store:
-            assert rows_in(store) > 0
+            assert rows_in(store, "alice") > 0
 
     def test_stored_bytes_are_pinned(self, workdir, capsys):
         # Two users over two calls: u01's day in hourly uploads, two of
@@ -278,11 +278,11 @@ class TestIngest:
         assert h.hexdigest()[:16] == "23eb52b5c50d69df"
 
 
-def rows_in(store):
-    """The readings stored for every user, counted through load_day."""
+def rows_in(store, *users):
+    """The readings stored for these users, counted through load_day."""
     return sum(
         len(row)
-        for user in store.users()
+        for user in users
         for _, row in day_rows(store.load_day(user, -(2**63), 2**63 - 1))
     )
 
@@ -311,7 +311,7 @@ class TestExtract:
                     store.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
                     for table in ("poi_properties", "poi_visits")
                 ]
-                return store.records("alice"), counts
+                return registry_tables(store.conn), counts
 
         sim = simulate_office(workdir)
         run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
@@ -355,7 +355,7 @@ class TestExtract:
         assert "only noise" in capsys.readouterr().out
         assert read_csv(workdir / f"alice_{DAY}.csv") == [["poi_id", "label", "start", "end"]]
         with SummaryStore(workdir / "poi.db") as store:
-            assert store.users() == []
+            assert store.fingerprints() == {}
 
     @pytest.mark.parametrize("day", ["2026-3-2", "2026-03-2", "02/03/2026", *BAD_DATES])
     def test_day_must_be_yyyy_mm_dd(self, workdir, capsys, day):
@@ -370,7 +370,7 @@ class TestExtract:
         assert err == f"error: --day {day!r}: expected a real YYYY-MM-DD date ({reason})\n"
         assert list(workdir.glob("alice_*")) == []
         with SummaryStore(workdir / "poi.db") as store:
-            assert store.users() == []
+            assert store.fingerprints() == {}
 
     def test_missing_out_directory_writes_nothing(self, workdir, capsys):
         sim = simulate_office(workdir)
@@ -379,7 +379,7 @@ class TestExtract:
                    "--out", "missing/alice.csv") == 2
         assert "missing" in capsys.readouterr().err
         with SummaryStore(workdir / "poi.db") as store:
-            assert store.users() == []
+            assert store.fingerprints() == {}
 
     def test_poi_count_is_the_distinct_ids_written(self, workdir, capsys):
         sim = simulate_office(workdir, seed=0)
@@ -576,16 +576,19 @@ NOT_A_STORE = {
     ),
     "foreign poi_properties": (
         "CREATE TABLE poi_properties (user TEXT);",
-        " f.db: it is not a store: its table poi_properties is not the schema's",
+        " f.db: it is not a store of this layout: its table poi_properties is not the schema's"
+        "; if it is a store of an earlier layout, re-ingest its uploads into a new store",
     ),
     "misshapen raw tables": (
         "CREATE TABLE mac (x); CREATE TABLE raw_scans (y);",
-        " f.db: it is not a store: its table mac is not the schema's",
+        " f.db: it is not a store of this layout: its table mac is not the schema's"
+        "; if it is a store of an earlier layout, re-ingest its uploads into a new store",
     ),
     "store raw tables and a foreign poi_properties": (
         f"{RawStore.SCHEMA['mac']}; {RawStore.SCHEMA['raw_scans']};"
         " CREATE TABLE poi_properties (note TEXT);",
-        " f.db: it is not a store: its table poi_properties is not the schema's",
+        " f.db: it is not a store of this layout: its table poi_properties is not the schema's"
+        "; if it is a store of an earlier layout, re-ingest its uploads into a new store",
     ),
     "store and a foreign table": (
         ";".join(RawStore.SCHEMA.values()) + "; CREATE TABLE notes (x); PRAGMA user_version = 3;",
@@ -599,7 +602,8 @@ NOT_A_STORE = {
         f" {RawStore.SCHEMA['poi_visits']}; PRAGMA user_version = 1;"
         " INSERT INTO poi_properties VALUES ('u', 1, 'aa:00:00:00:00:01:-50.0:4', 0);"
         " INSERT INTO poi_visits VALUES ('u', 1, 0, 1200, 4, 0);",
-        " f.db: it is not a store: its table poi_properties is not the schema's",
+        " f.db: it is not a store of this layout: its table poi_properties is not the schema's"
+        "; if it is a store of an earlier layout, re-ingest its uploads into a new store",
     ),
     "layout-2 store": (
         f"{RawStore.SCHEMA['mac']}; {RawStore.SCHEMA['raw_scans']};"
@@ -612,7 +616,8 @@ NOT_A_STORE = {
         " INSERT INTO poi_properties VALUES ('u', 1, 0);"
         " INSERT INTO poi_readings VALUES ('u', 1, 'aa:00:00:00:00:01', -200, 4);"
         " INSERT INTO poi_visits VALUES ('u', 1, 0, 1200, 4, 0);",
-        " f.db: it is not a store: its table poi_readings is not the schema's",
+        " f.db: it is not a store of this layout: its table poi_readings is not the schema's"
+        "; if it is a store of an earlier layout, re-ingest its uploads into a new store",
     ),
 }
 
@@ -683,7 +688,9 @@ class TestStoreOpen:
         before = (workdir / "s.db").read_bytes()
         assert run(*argv, "--store", "s.db") == 3
         assert capsys.readouterr().err == (
-            "error: cannot open store s.db: it is not a store: its table mac is not the schema's\n")
+            "error: cannot open store s.db: it is not a store of this layout: its table mac is not"
+            " the schema's; if it is a store of an earlier layout, re-ingest its uploads into a"
+            " new store\n")
         assert (workdir / "s.db").read_bytes() == before
         assert sorted(p.name for p in workdir.iterdir()) == ["s.db", "u.scan"]
 
@@ -692,7 +699,7 @@ class TestStoreOpen:
         (workdir / "f.db").write_bytes(b"")
         assert run("ingest", "--store", "f.db", "u.scan") == 0
         with RawStore(workdir / "f.db") as store:
-            assert store.users() == ["u"]
+            assert store.has_user("u")
 
     def test_communities_leaves_a_store_that_ingest_made_byte_identical(self, workdir, capsys):
         sim = simulate_office(workdir, seed=1)
@@ -742,9 +749,10 @@ _MAIN = "import sys; from wifipoi.cli import main; sys.exit(main(sys.argv[1:]))"
 def test_racing_commands_leave_the_registry_of_a_serial_run(workdir):
     """Two ingests and two extracts, one process each, race on one store file.
 
-    Every write transaction opens with BEGIN IMMEDIATE, and a process
-    that finds the file locked waits on SQLite's busy timeout, 5 s in
-    Python's sqlite3.connect, so the calls take turns.
+    Every write transaction takes the write lock before its first read
+    (ingest with BEGIN IMMEDIATE, extract with its first DELETE), and a
+    process that finds the file locked waits on SQLite's busy timeout,
+    5 s in Python's sqlite3.connect, so the calls take turns.
     """
     paths = office_users(workdir, ["a", "b", "c", "d"])
     calls = [["ingest", paths[0]], ["ingest", paths[1]],
@@ -769,8 +777,8 @@ def test_racing_commands_leave_the_registry_of_a_serial_run(workdir):
     with SummaryStore(workdir / "serial.db") as serial, SummaryStore(workdir / "raced.db") as raced:
         assert registry_tables(raced.conn) == registry_tables(serial.conn)
         assert store_invariant_faults(raced) == []
-        assert RawStore.users(raced) == ["a", "b", "c", "d"]
-        assert raced.users() == ["c", "d"]
+        assert all(map(raced.has_user, "abcd"))
+        assert {user for user, _ in raced.fingerprints()} == {"c", "d"}
 
 
 def test_racing_re_extracts_after_a_late_batch_leave_the_registry_of_a_serial_order(workdir):

@@ -220,9 +220,9 @@ class TestDbscanByGroup:
         widths = []
         walk = clustering._walk
 
-        def recording(counts, ids, rssi, width, params):
-            widths.append(width)
-            return walk(counts, ids, rssi, width, params)
+        def recording(x, params):
+            widths.append(x.shape[1])
+            return walk(x, params)
 
         monkeypatch.setattr(clustering, "_walk", recording)
         labels = dbscan(day, ClusterParams())
@@ -278,11 +278,11 @@ class TestDbscanByGroup:
         n, w = len(day.times), len(desks[0])
         c = max(map(len, clustering._chunks(day)))
         assert (c, w) == (600, 8)
-        # the chunk's bound, its rows over its own w MACs, plus its 8 * c
-        # readings' positions, columns and dBm (17 bytes each) and the
-        # day's bookkeeping (3 n-long vectors)
+        # the chunk's bound, its rows over its own w MACs, plus the day's
+        # bookkeeping (3 n-long vectors); the rows' building blocks are
+        # freed before `near` exists
         bound = c * c + 8 * c * w + 17 * _BLOCK * c + 16 * c
-        assert peak <= bound + 17 * 8 * c + 24 * n + 64 * 1024 < n * n / 4
+        assert peak <= bound + 24 * n + 64 * 1024 < n * n / 4
         first = sorted(range(4), key=places.index)
         assert labels == [1 + first.index(k) for k in places]
 

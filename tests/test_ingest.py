@@ -521,7 +521,8 @@ class TestRawStore:
             store_raw(store, [upload_of(log_u)])
             report = store_raw(store, [upload_of(log_v)])[0]
             assert report.added == 6
-            assert store.users() == ["u", "v"]
+            u, v = (day_rows(store.load_day(user, *ALL_TIME)) for user in "uv")
+            assert u == v
 
     def test_has_user_is_an_indexed_lookup(self):
         with RawStore() as store:
@@ -529,7 +530,7 @@ class TestRawStore:
             uv = ScanLog(user="uv", device="d", entries=small_log().entries)
             store_raw(store, [upload_of(uv)])
             for name in ("u", "uv", "v", "", "U"):
-                assert store.has_user(name) == (name in store.users())
+                assert store.has_user(name) == (name in ("u", "uv"))
             issued = []
             store.conn.set_trace_callback(issued.append)
             store.has_user("u")
@@ -677,10 +678,11 @@ class TestCheckAgree:
 
 
 def rows_of(store):
-    """Every stored reading as (user, t, mac, rssi), read back through load_day."""
+    """Every stored reading of users u and v, the users these tests store, as (user, t,
+    mac, rssi), read back through load_day."""
     return {
         (user, t, mac, rssi)
-        for user in store.users()
+        for user in ("u", "v")
         for t, row in day_rows(store.load_day(user, *ALL_TIME))
         for mac, rssi in row.items()
     }
@@ -902,7 +904,9 @@ class TestStoreOpen:
             with pytest.raises(StorageFailure) as refused:
                 opener(path)
             assert str(refused.value) == (
-                f"cannot open store {path}: it is not a store: its table {name} is not the schema's")
+                f"cannot open store {path}: it is not a store of this layout: its table {name} is not"
+                " the schema's; if it is a store of an earlier layout, re-ingest its uploads into a"
+                " new store")
             assert path.read_bytes() == before
             assert os.listdir(directory) == ["s.db"]
 

@@ -71,6 +71,16 @@ def visit(start_min, end_min, label=1, scans=4):
     return VisitInterval(label, DAY_START + 60 * start_min, DAY_START + 60 * end_min, scans)
 
 
+def statements(issued):
+    """Each traced statement's first three words, its verb and table."""
+    return [" ".join(sql.split()[:3]) for sql in issued]
+
+
+def visit_row(poi_id, v, user="u"):
+    """The poi_visits row that registers visit v under (user, poi_id)."""
+    return (user, poi_id, v.start, v.end, v.scans, int(v.sub_minimal))
+
+
 class TestBuildFingerprint:
     def test_two_point_mean(self):
         got = matrix_fp([scan(0, [(A, -50)]), scan(300, [(A, -60)])])
@@ -196,7 +206,8 @@ class TestUpsert:
             two = upsert_day(store, "u", window(1),
                              [(fp({A: -50.0, B: -60.0}), [visit(1500, 1520)])])[0]
             assert one == two
-            assert len(store.records("u")[0].visits) == 2
+            assert registry_tables(store.conn)["poi_visits"] == [
+                visit_row(one, visit(0, 20)), visit_row(one, visit(1500, 1520))]
 
     def test_rerunning_a_day_is_a_noop(self):
         with SummaryStore() as store:
@@ -221,8 +232,8 @@ class TestUpsert:
         with SummaryStore() as store:
             upsert_day(store, "u", window(), [(fp({A: -50.0}, {A: 4}), [visit(0, 20)])])
             upsert_day(store, "u", window(1), [(fp({A: -60.0}, {A: 4}), [visit(1500, 1520)])])
-            assert store.records("u")[0].fingerprint.rssi == {A: -55.0}
-            assert store.records("u")[0].fingerprint.counts == {A: 8}
+            assert store.fingerprints()["u", 1].rssi == {A: -55.0}
+            assert store.fingerprints()["u", 1].counts == {A: 8}
 
     def test_refresh_stays_in_observation_range(self):
         rnd = random.Random(8)
@@ -232,7 +243,7 @@ class TestUpsert:
                 level = float(rnd.randint(lo, hi))
                 upsert_day(store, "u", window(k), [(fp({A: level}, {A: rnd.randint(1, 6)}),
                                                     [visit(1440 * k, 1440 * k + 20)])])
-            merged = store.records("u")[0].fingerprint.rssi[A]
+            merged = store.fingerprints()["u", 1].rssi[A]
             assert lo <= merged <= hi
 
     def test_empty_fingerprint_is_refused_before_any_statement(self):
@@ -244,7 +255,7 @@ class TestUpsert:
                                                   (Fingerprint({}, {}), [visit(60, 80)])])
             store.conn.set_trace_callback(None)
             assert issued == []
-            assert store.users() == [] and store.fingerprints() == {}
+            assert store.fingerprints() == {}
 
     @pytest.mark.parametrize("day, visits, message", [
         (window(), [], "a cluster has no visit"),
@@ -353,17 +364,16 @@ class TestAtomicity:
         assert store.conn.fired
         store.conn = real
         assert registry_tables(store.conn) == before
-        assert store.users() == ["u"]
         assert store.check_integrity()
         store.close()
 
     def test_failure_on_last_cluster_rolls_back_the_day(self):
         store = SummaryStore()
         upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
-        before = store.records("u")
+        before = registry_tables(store.conn)
         real = store.conn
-        # per cluster a POI row, one visit and one reading; the upsert's
-        # last statement, the third cluster's reading, fails
+        # per cluster a POI row, one visit and one reading; the third
+        # cluster's reading fails
         store.conn = FaultyConn(real, "INSERT INTO poi_readings", 3)
         with pytest.raises(StorageFailure):
             upsert_day(store, "u", window(1), [
@@ -373,7 +383,7 @@ class TestAtomicity:
             ])
         assert store.conn.fired
         store.conn = real
-        assert store.records("u") == before
+        assert registry_tables(store.conn) == before
         assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (1,)
         assert store.check_integrity()
         store.close()
@@ -421,9 +431,9 @@ class TestConcurrentWriters:
         assert upsert_day(b, "u", window(2), [(place, [visit(2880, 2900)])]) == [1]
         assert raced == ["u"]
         assert upsert_day(a, "u", window(1), day_a) == [1]
-        [record] = a.records("u")
-        assert len(record.visits) == 3
-        assert record.fingerprint.counts == {A: 12, B: 12}
+        assert len(registry_tables(a.conn)["poi_visits"]) == 3
+        assert a.fingerprints().keys() == {("u", 1)}
+        assert a.fingerprints()["u", 1].counts == {A: 12, B: 12}
         a.close()
         b.close()
 
@@ -441,9 +451,9 @@ class TestConcurrentWriters:
             _, err = proc.communicate(timeout=60)
             assert proc.returncode == 0, err
         with SummaryStore(path) as store:
-            [record] = store.records("u")
-            assert len(record.visits) == 8
-            assert record.fingerprint.counts == {A: 32, B: 32}
+            assert len(registry_tables(store.conn)["poi_visits"]) == 8
+            assert store.fingerprints().keys() == {("u", 1)}
+            assert store.fingerprints()["u", 1].counts == {A: 32, B: 32}
 
 
 def random_days(rnd, n_days, places):
@@ -536,10 +546,10 @@ class TestUpsertDay:
                 (fp({B: -50.0, C: -50.0}), [visit(1560, 1580)]),
             ])
             assert ids == [1, 1]
-            (record,) = store.records("u")
-            assert record.fingerprint.rssi == {A: -50.0, B: -50.0, C: -50.0}
-            assert record.fingerprint.counts == {A: 2, B: 2, C: 1}
-            assert len(record.visits) == 3
+            assert store.fingerprints().keys() == {("u", 1)}
+            assert store.fingerprints()["u", 1].rssi == {A: -50.0, B: -50.0, C: -50.0}
+            assert store.fingerprints()["u", 1].counts == {A: 2, B: 2, C: 1}
+            assert len(registry_tables(store.conn)["poi_visits"]) == 3
 
     def test_ids_are_deterministic(self):
         days = random_days(random.Random(32), n_days=6, places=5)
@@ -558,9 +568,14 @@ class TestUpsertDay:
         assert seen > 1
 
     def test_empty_day_writes_nothing(self):
+        # an all-noise first extract reads nothing and deletes nothing
         with SummaryStore() as store:
+            issued = []
+            store.conn.set_trace_callback(issued.append)
             assert upsert_day(store, "u", window(), []) == []
-            assert store.users() == []
+            store.conn.set_trace_callback(None)
+            assert statements(issued) == ["BEGIN", "DELETE FROM poi_visits", "COMMIT"]
+            assert store.fingerprints() == {}
 
     def test_empty_day_deletes_only_that_day(self):
         # an all-noise re-extract leaves the day as if it had never been registered
@@ -568,9 +583,15 @@ class TestUpsertDay:
             upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
             upsert_day(store, "u", window(1), [(fp({A: -50.0}), [visit(1500, 1520)]),
                                                (fp({B: -60.0}), [visit(1560, 1580)])])
+            issued = []
+            store.conn.set_trace_callback(issued.append)
             assert upsert_day(store, "u", window(1), []) == []
+            store.conn.set_trace_callback(None)
+            assert statements(issued) == [
+                "BEGIN", "DELETE FROM poi_visits", "DELETE FROM poi_readings",
+                "DELETE FROM poi_properties", "UPDATE poi_properties SET", "COMMIT"]
             assert store.fingerprints() == {("u", 1): fp({A: -50.0})}
-            assert [record.visits for record in store.records("u")] == [(visit(0, 20),)]
+            assert registry_tables(store.conn)["poi_visits"] == [visit_row(1, visit(0, 20))]
 
     def test_one_commit_per_day(self, commit_counter):
         macs = (A, B, C, "dd:00:00:00:00:04", "ee:00:00:00:00:05")
@@ -591,9 +612,9 @@ class TestReplace:
             upsert_day(store, "u", window(1), [(fp({A: -60.0}, {A: 2}), [visit(1500, 1520)])])
             assert upsert_day(store, "u", window(), [
                 (fp({A: -52.0}, {A: 6}), [visit(0, 30)])]) == [1]
-            (record,) = store.records("u")
-            assert record.visits == (visit(0, 30), visit(1500, 1520))
-            assert record.fingerprint == Fingerprint({A: -432}, {A: 8})
+            assert registry_tables(store.conn)["poi_visits"] == [
+                visit_row(1, visit(0, 30)), visit_row(1, visit(1500, 1520))]
+            assert store.fingerprints() == {("u", 1): Fingerprint({A: -432}, {A: 8})}
             assert store.conn.execute("SELECT day, sum, count FROM poi_readings ORDER BY day"
                                       ).fetchall() == [(window()[0], -312, 6), (window(1)[0], -120, 2)]
 
@@ -621,6 +642,39 @@ class TestReplace:
             upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(0, 20)])])
             upsert_day(store, "u", window(), [])
             assert registry_tables(store.conn) == before
+
+
+class TestCreatedAt:
+    """A POI's created_at is the start of its earliest stored visit, whatever the call order."""
+
+    def test_a_replace_moves_it_to_the_first_visit_left(self):
+        # A on day 0 (+3600 s), A on day 1, then day 0 again with only B
+        with SummaryStore() as store:
+            upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(60, 80)])])
+            upsert_day(store, "u", window(1), [(fp({A: -50.0}), [visit(1500, 1520)])])
+            assert upsert_day(store, "u", window(), [(fp({B: -50.0}), [visit(60, 80)])]) == [2]
+            assert registry_tables(store.conn)["poi_properties"] == [
+                ("u", 1, visit(1500, 1520).start), ("u", 2, visit(60, 80).start)]
+
+    def test_an_earlier_day_registered_later_moves_it_back(self):
+        with SummaryStore() as store:
+            upsert_day(store, "u", window(1), [(fp({A: -50.0}), [visit(1500, 1520)])])
+            assert upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(60, 80)])]) == [1]
+            assert registry_tables(store.conn)["poi_properties"] == [("u", 1, visit(60, 80).start)]
+
+    def test_an_all_noise_replace_moves_it_to_the_first_visit_left(self):
+        with SummaryStore() as store:
+            upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(60, 80)])])
+            upsert_day(store, "u", window(1), [(fp({A: -50.0}), [visit(1500, 1520)])])
+            assert upsert_day(store, "u", window(), []) == []
+            assert registry_tables(store.conn)["poi_properties"] == [
+                ("u", 1, visit(1500, 1520).start)]
+
+    def test_a_later_cluster_with_an_earlier_visit_moves_it_back(self):
+        with SummaryStore() as store:
+            assert upsert_day(store, "u", window(), [(fp({A: -50.0}), [visit(120, 140)]),
+                                                     (fp({A: -50.0}), [visit(60, 80)])]) == [1, 1]
+            assert registry_tables(store.conn)["poi_properties"] == [("u", 1, visit(60, 80).start)]
 
 
 def office_days():
@@ -698,16 +752,16 @@ class TestCandidateRead:
                 for d in [*range(6), *rnd.sample(range(6), 3)]:  # three days again
                     for user in ("u", "v"):
                         clusters = days[user][d]
-                        known = {poi_id for _, poi_id in got.fingerprints(user)}
+                        mine = {poi_id: f for (owner, poi_id), f in got.fingerprints().items()
+                                if owner == user}
                         macs = {mac for f, _ in clusters for mac in f.sums}
-                        skipped += sum(1 for f in got.fingerprints(user).values()
-                                       if not macs & set(f.sums))
+                        skipped += sum(1 for f in mine.values() if not macs & set(f.sums))
                         ids = upsert_day(got, user, window(d), clusters, threshold)
                         assert ids == reference_upsert_day(
                             want.conn, user, window(d), clusters, threshold)
                         assert registry_tables(got.conn) == registry_tables(want.conn)
-                        new += len(set(ids) - known)
-                        revisit += sum(1 for i in ids if i in known)
+                        new += len(set(ids) - mine.keys())
+                        revisit += sum(1 for i in ids if i in mine)
                         shared += len(ids) - len(set(ids))
         assert skipped > 300  # POI the read left out and the reference scored
         # the seeded days exercise new POI, revisits and same-day matches
@@ -737,9 +791,9 @@ class TestCandidateRead:
             fresh = fp({"ee:00:00:00:00:05": -50.0})
             assert upsert_day(store, "u", window(1), [(fresh, [visit(1440, 1460)]),
                                                       (fresh, [visit(1500, 1520)])]) == [4, 4]
-            record = store.records("u")[3]
-            assert len(record.visits) == 2 and record.fingerprint.counts == {
-                "ee:00:00:00:00:05": 2}
+            assert [row for row in registry_tables(store.conn)["poi_visits"] if row[1] == 4] == [
+                visit_row(4, visit(1440, 1460)), visit_row(4, visit(1500, 1520))]
+            assert store.fingerprints()["u", 4].counts == {"ee:00:00:00:00:05": 2}
 
     def test_a_tie_between_two_candidates_breaks_to_the_lower_id(self):
         # POI 2 and 3 score 0.5 against each other, below 0.9, so both are kept
@@ -785,14 +839,14 @@ class TestExtractDay:
                 registered = extract_day(got, upload_of(log), window_of(log), params)
                 assert registered == reference_extract(want, log, params)
                 assert len(registered) > 1
-                assert got.records(log.user) == want.records(log.user)
+                assert registry_tables(got.conn) == registry_tables(want.conn)
 
     def test_all_noise_day_writes_nothing(self):
         # three scans with nothing in common: no scan has min_pts neighbours
         log = build_log("u", "d", [scan(300 * k, [(mac, -50)]) for k, mac in enumerate((A, B, C))])
         with SummaryStore() as store:
             assert extract_day(store, upload_of(log), window_of(log), ClusterParams()) == []
-            assert store.users() == []
+            assert store.fingerprints() == {}
             assert store.conn.execute("SELECT COUNT(*) FROM poi_visits").fetchone() == (0,)
 
     def test_one_store_handle_lands_loads_and_registers_each_day(self):
@@ -803,15 +857,7 @@ class TestExtractDay:
                 day = store.load_day(log.user, *window_of(log))
                 assert (extract_day(store, day, window_of(log), params)
                         == extract_day(want, upload_of(log), window_of(log), params))
-            assert store.records(logs[0].user) == want.records(logs[0].user)
-
-    def test_users_are_those_with_a_poi_and_the_raw_users_those_with_scans(self, tmp_path):
-        with SummaryStore(tmp_path / "store.db") as store:
-            store_raw(store, [upload_of(build_log("u", "d", [scan(0, [(A, -50)])]))])
-            assert store.users() == []
-            assert RawStore.users(store) == ["u"]
-        with RawStore(tmp_path / "store.db") as raw:
-            assert raw.users() == ["u"]
+            assert registry_tables(store.conn) == registry_tables(want.conn)
 
     def test_empty_log_raises(self):
         with SummaryStore() as store:
@@ -863,31 +909,20 @@ class TestStoreInvariant:
 
 
 class TestFingerprints:
-    def test_order_equals_users_then_records(self):
+    def test_order_is_the_registry_key_order(self):
         rnd = random.Random(33)
         with SummaryStore() as store:
             for user in ("u2", "u10", "U1", "u1"):
                 for d, clusters in enumerate(random_days(rnd, n_days=3, places=4)):
                     upsert_day(store, user, window(d), clusters)
-            want = [
-                ((user, record.poi_id), record.fingerprint)
-                for user in store.users()
-                for record in store.records(user)
-            ]
-            assert list(store.fingerprints().items()) == want
-            assert len({user for (user, _), _ in want}) == 4
-
-    def test_user_filter_is_that_users_slice(self):
-        rnd = random.Random(34)
-        with SummaryStore() as store:
-            for user in ("u2", "u10", "u1"):
-                for d, clusters in enumerate(random_days(rnd, n_days=3, places=4)):
-                    upsert_day(store, user, window(d), clusters)
-            every = store.fingerprints()
-            for user in ("u1", "u10", "u2", "ghost"):
-                got = store.fingerprints(user)
-                assert list(got.items()) == [(k, f) for k, f in every.items() if k[0] == user]
-                assert list(got) == sorted(got)  # one user, so in poi_id order
+            tables = registry_tables(store.conn)
+            days = collections.defaultdict(lambda: ({}, {}))  # each POI's days, summed per MAC
+            for user, poi_id, mac, _, total, count in tables["poi_readings"]:
+                sums, counts = days[user, poi_id]
+                sums[mac], counts[mac] = sums.get(mac, 0) + total, counts.get(mac, 0) + count
+            keys = [(user, poi_id) for user, poi_id, _ in tables["poi_properties"]]
+            assert list(store.fingerprints().items()) == [(k, Fingerprint(*days[k])) for k in keys]
+            assert len({user for user, _ in keys}) == 4
 
 
 class TestDailySummary:
@@ -917,10 +952,12 @@ class TestDailySummary:
             repeats = {1: [(600, 620), (700, 720)], 9: [(640, 660)], 12: [(680, 699), (730, 750)]}
             days += [(macs[poi_id - 1], start, end)
                      for poi_id, spans in repeats.items() for start, end in spans]
+            registered = []
             for d, (mac, start, end) in enumerate(days):  # one call a day
-                upsert_day(store, "u", window(d),
-                           [(fp({mac: -50.0}), [visit(1440 * d + start, 1440 * d + end)])])
-            rows = summary_rows((record.poi_id, record.visits) for record in store.records("u"))
+                visits = [visit(1440 * d + start, 1440 * d + end)]
+                (poi_id,) = upsert_day(store, "u", window(d), [(fp({mac: -50.0}), visits)])
+                registered.append((poi_id, visits))
+            rows = summary_rows(registered)
             by_id = [r[0] for r in rows]
             assert len(by_id) == 12 + 5
             for poi_id in (1, 9, 12):
