@@ -6,12 +6,12 @@ Scan logs travel as line-delimited JSON, one scan per line:
 
 Field order is fixed and MACs are canonical, so encoding is
 byte-reproducible and a partial upload fails at line granularity.
-decode_log is the reference decoder: it checks a line's JSON shape, the
+decode_log is the one JSON decoder: it checks a line's JSON shape, the
 scan goes through validate_scan, as in build_log, and any fault is one
-MalformedLine. decode_upload, the server's decoder, reads an upload into
-columns (times, MAC ids, int8 readings) with no object per reading and
-checks the same policy over the whole upload at once; an upload it
-refuses goes through decode_log, which names the line and the reason.
+MalformedLine. decode_upload, the server's decoder, reads canonical bytes
+into columns (times, MAC ids, int8 readings) with no object per reading,
+checking the same policy over the whole upload at once; any other upload
+goes through decode_log, which names a bad line, and is then re-encoded.
 Batches gzip-compress very well because MAC strings repeat in nearly
 every line. RawStore, the store file that the registry's SummaryStore
 extends, keeps one row per (user, t) scan, its MACs as ids into a
@@ -35,24 +35,29 @@ from __future__ import annotations
 
 import gzip
 import json
+import re
 import sqlite3
-import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, TypeVar
 
 import numpy as np
 
 from .errors import CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, StorageFailure
-from .model import (
-    RSSI_MAX, RSSI_MIN, T_MAX, T_MIN, ScanLog, ScanResult, Scans, parse_mac, validate_scan,
-)
+from .model import RSSI_MAX, RSSI_MIN, T_MAX, T_MIN, ScanLog, ScanResult, Scans, validate_scan
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
 
 _FIELDS = ("t", "dev", "aps")
-_KEYS = frozenset(_FIELDS)
+# A canonical line's start: json.dumps(record, separators=(",", ":")) where
+# t has at most 12 digits and dev is printable ASCII without '"', '\' or '['.
+_HEAD = re.compile(rb'\{"t":(0|-?[1-9][0-9]{0,11}),"dev":"([ !#-Z\]-~]*)","aps":\[')
+# A byte's code: a lowercase hex digit's value, punctuation 16 to 23, else 255.
+_CODES = bytes(b'0123456789abcdef[":,-]}\n'.find(c) % 256 for c in range(256))
+_READING = np.frombuffer(b'["00:00:00:00:00:00",-'.translate(_CODES), np.uint8)  # 0: any hex
+_FIXED = np.flatnonzero(_READING > 15)
+_OPEN, _QUOTE, _COMMA, _CLOSE, _BRACE, _BREAK = b'[",]}\n'.translate(_CODES)
 
 
 def _encode_line(device: str, scan: ScanResult) -> str:
@@ -118,82 +123,87 @@ def decode_log(data: bytes, user: str = "") -> ScanLog:
     return ScanLog(user=user, device=device, entries=entries)
 
 
-def _columns(text: str, user: str) -> Scans | None:
-    """The upload as Scans, or None when decode_log would refuse it.
+def _canonical(data: bytes, user: str) -> Scans | None:
+    """The upload as Scans if each line is as encode_log writes it, else None.
 
-    Each line's fields go onto flat lists, each MAC spelling kept once
-    and the readings packed as int8, so a line's own objects are freed
-    as soon as it is read; the policy
-    is then checked over the whole upload. The readings are put in
-    time order, and by MAC within a scan, with one sort, which also
-    brings a MAC seen twice in a scan next to itself.
+    A line is a _HEAD header and readings '["hh:hh:hh:hh:hh:hh",-' plus
+    one to three digits (no leading zero) and ']', each followed by ','
+    and the next or by ']}\\n' and its line's end: every byte is read,
+    with no object per reading. Then decode_log's policy is checked over
+    the whole upload; a MAC's nibbles, as an int, sort as its spelling.
     """
-    times: list = []
-    devices: list = []
-    counts: list[int] = []
-    spellings: list = []
-    packed = bytearray()
-    seen: dict = {}
-    for line in text.split("\n"):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if type(record) is not dict or record.keys() != _KEYS:
-            return None
-        aps = record["aps"]
-        if type(aps) is not list:
-            return None
-        # raises unless aps holds entries of two items each; an entry that
-        # is not a list (a two-character string, a two-key object) puts a
-        # str among the RSS
-        spelled, levels = zip(*aps, strict=True)
-        times.append(record["t"])
-        devices.append(record["dev"])
-        counts.append(len(aps))
-        spellings.extend(map(seen.setdefault, spelled, spelled))
-        # struct.error unless each reading is an int (or a bool) in [-128, 127]
-        packed += struct.pack(f"{len(levels)}b", *levels)
-    # at most one named device; "" leaves a line unnamed
-    if (not set(map(type, devices)) <= {str} or len(set(devices) - {""}) > 1
-            or not set(map(type, times)) <= {int} or len(set(times)) != len(times)
-            or not set(map(type, seen)) <= {str}):
+    if not data:
+        none = np.zeros(0, np.int64)
+        return Scans(user, none, none, (), none, np.zeros(0, np.int8))
+    if not data.endswith(b"\n"):
         return None
-    at = np.array(times, np.int64)  # an int past int64 raises OverflowError
-    rssi = np.frombuffer(packed, np.int8)  # a bool went in as 1 or 0, out of range
-    if ((at < T_MIN) | (at > T_MAX)).any() or ((rssi < RSSI_MIN) | (rssi > RSSI_MAX)).any():
+    code = np.frombuffer((data + bytes(27)).translate(_CODES), np.uint8)  # room for any window
+    breaks = np.flatnonzero(code == _BREAK)
+    heads = [_HEAD.match(data, p) for p in [0, *(breaks[:-1] + 1).tolist()]]
+    starts = np.flatnonzero(code == _OPEN)
+    starts = starts[code[starts + 1] == _QUOTE]
+    if None in heads or not len(starts) or not (code[breaks - 1] == _BRACE).all():
         return None
-    canonical = {spelling: parse_mac(spelling) for spelling in seen}
-    macs = sorted(set(canonical.values()))
-    index = {mac: i for i, mac in enumerate(macs)}
-    column = {spelling: index[mac] for spelling, mac in canonical.items()}
-    ids = np.fromiter(map(column.__getitem__, spellings), np.int64, len(spellings))
+    # each byte opens one 27-byte item, so the gather copies whole windows
+    w = np.ndarray(len(code) - 26, "V27", code, 0, (1,))[starts].view(np.uint8).reshape(-1, 27)
+    del code
+    hi, lo = w[:, 2:20:3], w[:, 3:20:3]  # each octet's nibbles
+    close = w[:, 23:26] == _CLOSE  # after one, two or three digits
+    digit = w[:, 23:25] < 10
+    if not ((w[:, _FIXED] == _READING[_FIXED]).all() and ((hi | lo) < 16).all()
+            and ((w[:, 22] > 0) & (w[:, 22] < 10) & (close[:, 0] | digit[:, 0] & (
+                close[:, 1] | digit[:, 1] & close[:, 2]))).all()):
+        return None
+    two, three = ~close[:, 0], ~close[:, 0] & ~close[:, 1]
+    d = w[:, 22:25].astype(np.int16)
+    rssi = -np.where(three, d[:, 0] * 100 + d[:, 1] * 10 + d[:, 2],
+                     np.where(two, d[:, 0] * 10 + d[:, 1], d[:, 0]))
+    end = starts + 24 + two + three  # just past the reading's ']'
+    follow = np.where(three, w[:, 26], np.where(two, w[:, 25], w[:, 24]))
+    mac = np.zeros((len(starts), 8), np.uint8)
+    mac[:, 2:] = hi << 4 | lo
+    del w, hi, lo, d
+    last = follow == _CLOSE  # then '}\n', as `breaks` checks
+    closing = np.flatnonzero(last)
+    first = np.concatenate(([0], closing[:-1] + 1))  # each line's first reading
+    if not (len(closing) == len(heads) and last[-1] and (end[closing] + 2 == breaks).all()
+            and (last[:-1] | (follow[:-1] == _COMMA) & (starts[1:] == end[:-1] + 1)).all()
+            and (starts[first] == [m.end() for m in heads]).all()
+            and ((rssi >= RSSI_MIN) & (rssi <= RSSI_MAX)).all()):
+        return None
+    at = np.array([int(m[1]) for m in heads], np.int64)
     by_time = np.argsort(at)
-    rank = np.empty_like(by_time)
-    rank[by_time] = np.arange(len(at))
-    n = np.array(counts, np.int64)
-    key = np.repeat(rank, n) * len(macs) + ids
-    order = np.argsort(key, kind="stable")
+    times = at[by_time]
+    if (times[0] < T_MIN or times[-1] > T_MAX or (times[1:] == times[:-1]).any()
+            or len({m[2] for m in heads} - {b""}) > 1):  # "" leaves a line unnamed
+        return None
+    macs, ids = np.unique(mac.view(">u8")[:, 0], return_inverse=True)
+    spelled = np.empty(len(macs), np.int64)
+    spelled[ids] = starts
+    counts = closing + 1 - first
+    key = np.repeat(np.argsort(by_time), counts) * len(macs) + ids
+    order = np.argsort(key)  # the readings in time order, and by MAC within a scan
     key = key[order]
     if np.any(key[1:] == key[:-1]):  # a MAC twice in one scan
         return None
-    return Scans(user, at[by_time], n[by_time], tuple(macs), ids[order], rssi[order])
+    names = tuple(data[s + 2:s + 19].decode() for s in spelled.tolist())
+    return Scans(user, times, counts[by_time], names, ids[order], rssi[order].astype(np.int8))
 
 
 def decode_upload(data: bytes, user: str = "") -> Scans:
     """Parse wire bytes into Scans for `user`; decode_log's policy, in columns.
 
     Accepts exactly what decode_log accepts, with the same scans; the
-    device is checked, then dropped, since the raw store keeps none. An
-    upload the column check refuses goes through decode_log, which
-    raises the MalformedLine that names the first bad line and its
-    reason.
+    device is checked, then dropped, since the raw store keeps none.
+    Canonical bytes are read straight into columns; any other upload
+    goes through decode_log, which raises the MalformedLine that names
+    the first bad line, and is read back from its canonical encoding.
     """
-    try:
-        upload = _columns(data.decode("utf-8"), user)
-    except (ValueError, TypeError, OverflowError, RecursionError, struct.error, PoiError):
-        upload = None
+    upload = _canonical(data, user)
     if upload is None:
-        decode_log(data, user)
+        log = decode_log(data, user)
+        upload = _canonical(encode_log(replace(log, device="")), user)
+    if upload is None:
         raise RuntimeError("decode_upload refused an upload that decode_log accepts")
     return upload
 

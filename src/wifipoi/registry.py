@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -281,10 +281,15 @@ def day_window(day: str) -> tuple[int, int]:
     Raises ValueError for any other form, 2026-3-2 included: the files
     named after it would not pair with those of 2026-03-02.
     """
-    start = datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    if start.date().isoformat() != day:  # strftime's %Y may drop a year's leading zeros
+    try:  # unlike strptime, date.fromisoformat imports nothing on its first call
+        start = date.fromisoformat(day)
+    except ValueError:
+        start = None
+    if start is None or start.isoformat() != day:  # fromisoformat also reads 20260302
+        datetime.strptime(day, "%Y-%m-%d")  # raises with strptime's reason, if it has one
         raise ValueError(f"time data {day!r} does not match format '%Y-%m-%d'")
-    return int(start.timestamp()), int(start.timestamp()) + 86400
+    lo = (start - date(1970, 1, 1)).days * 86400
+    return lo, lo + 86400
 
 
 def summary_rows(

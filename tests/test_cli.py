@@ -892,6 +892,17 @@ def test_module_runs_the_cli(tmp_path):
     assert "missing.csv" in proc.stderr
 
 
+def test_a_day_is_read_without_importing_strptime():
+    # the first strptime call in a process imports _strptime, which cost
+    # every extract call a few milliseconds
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from wifipoi.registry import day_window; day_window('2026-03-02');"
+            " sys.exit('_strptime' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestConfigPrecedence:
     def test_config_file_sets_epsilon_and_store(self, workdir):
         sim = simulate_office(workdir)

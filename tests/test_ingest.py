@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -375,6 +376,39 @@ def wire_upload_st(draw):
     return b"\n".join(lines)
 
 
+# A valid log whose encode_log bytes are then edited, and the bytes an
+# edit inserts or writes.
+canonical_log_st = st.builds(
+    lambda scans, device: build_log("u", device, scans),
+    st.lists(st.builds(scan, st.sampled_from([T_MIN, T_MAX]) | st.integers(-10**6, 2 * 10**9),
+                       st.dictionaries(mac_st, st.integers(-100, -1), min_size=1, max_size=4)
+                       .map(lambda d: list(d.items()))),
+             max_size=6, unique_by=lambda s: s.timestamp),
+    st.sampled_from(["", "d", "dev1"]))
+EDIT_BYTES = b'{}[]":,-0123456789abcdef \n\\'
+
+
+@st.composite
+def edited_upload_st(draw):
+    """encode_log's bytes for a valid log, with one to three bytes inserted, deleted or replaced."""
+    data = bytearray(encode_log(draw(canonical_log_st)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"] if at < len(data) else ["insert"]))
+        if edit == "delete":
+            del data[at]
+        else:
+            data[at:at + (edit == "replace")] = bytes([draw(st.sampled_from(EDIT_BYTES))])
+    return bytes(data)
+
+
+def many_readings():
+    """Three scans of 100 readings each, every RSS from -100 to -1 in each."""
+    macs = ["%02x:%02x:ab:cd:ef:%02x" % (j, 255 - j, j) for j in range(100)]
+    return [scan(1_700_000_000 + k, [(mac, -1 - (j + k) % 100) for j, mac in enumerate(macs)])
+            for k in range(3)]
+
+
 class TestColumnDecode:
     @given(wire_upload_st())
     @settings(max_examples=600, deadline=None)
@@ -427,10 +461,52 @@ class TestColumnDecode:
             got = exc.reason
         assert got == device  # the device, or the refusal's reason
 
+    @given(edited_upload_st())
+    @settings(max_examples=1000, deadline=None)
+    def test_edited_canonical_bytes_decode_as_decode_log_decodes_them(self, data):
+        # the edits that keep a line canonical (a digit or hex digit for
+        # another) reach the column decoder; the rest the fallback
+        assert decoded(decode_upload, data) == decoded(decode_log, data)
+
+    @pytest.mark.parametrize("log", [
+        ScanLog("u", "d", ()),
+        build_log("u", "d", [scan(T_MIN, [(A, -100)]), scan(T_MAX, [(B, -1)])]),
+        build_log("u", "", [scan(0, [(A, -1), (B, -100)])]),
+        build_log("u", "phone 7", many_readings()),
+    ], ids=["empty", "t-min-and-max-one-reading", "unnamed", "many-readings"])
+    def test_the_apps_own_bytes_never_take_the_fallback(self, monkeypatch, log):
+        def fallback(data, user=""):
+            raise AssertionError("decode_upload fell back to decode_log")
+
+        monkeypatch.setattr(ingest, "decode_log", fallback)
+        upload = decode_upload(encode_log(log), log.user)
+        assert_scans(upload)
+        assert (upload.user, upload_entries(upload)) == (log.user, log.entries)
+
+    def test_decoding_peaks_below_four_times_the_upload(self):
+        # a dense-day-sized upload: 1,500 scans of 30 readings, 1.2 MB.
+        # On the largest dense-day upload (1.24 MB) decode_upload peaks at
+        # 3.0 times its length, where the per-line JSON decoder took 2.8.
+        rng = np.random.default_rng(1)
+        macs = ["02:00:00:00:%02x:%02x" % divmod(k, 256) for k in range(1200)]
+        scans = [scan(1_772_400_000 + 30 * i,
+                      [(macs[k], int(rssi)) for k, rssi in zip(
+                          rng.choice(len(macs), 30, replace=False), rng.integers(-100, 0, 30))])
+                 for i in range(1500)]
+        data = encode_log(build_log("u", "u-phone", scans))
+        tracemalloc.start()
+        try:
+            upload = decode_upload(data, "u")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(upload.rssi) == 45_000
+        assert peak < 4 * len(data), (peak, len(data))
+
     def test_a_refusal_decode_log_does_not_explain_is_a_fault(self, monkeypatch):
 
-        # the column check never hands over an upload the policy accepts
-        monkeypatch.setattr(ingest, "_columns", lambda text, user: None)
+        # the canonical decoder never refuses the canonical encoding of an upload the policy accepts
+        monkeypatch.setattr(ingest, "_canonical", lambda data, user: None)
         with pytest.raises(RuntimeError, match="refused an upload that decode_log accepts"):
             decode_upload(encode_log(small_log()))
 
