@@ -374,18 +374,28 @@ class RawStore:
 
         Only the MACs those scans name are read from the dictionary;
         reading all of it costs about a microsecond a MAC on every call.
+        A row whose blobs disagree in length, or that names a MAC id the
+        dictionary lacks, raises StorageFailure naming the user.
         """
         rows = self.conn.execute(
             "SELECT t, macs, rssi FROM raw_scans WHERE user = ? AND t >= ? AND t < ? ORDER BY t",
             (user, lo, hi),
         ).fetchall()
         times, blobs, levels = zip(*rows) if rows else ((), (), ())
+        counts = np.fromiter(map(len, levels), np.int64, len(levels))
+        bad = np.flatnonzero(np.fromiter(map(len, blobs), np.int64, len(blobs)) != 4 * counts)
+        if len(bad):
+            raise StorageFailure(f"user {user!r}: the raw scan at t={times[bad[0]]} holds"
+                                 " MAC ids and readings of different lengths")
         used, cols = np.unique(np.frombuffer(b"".join(blobs), "<u4"), return_inverse=True)
         names = dict(self.conn.execute(
             "SELECT id, mac FROM mac WHERE id IN (SELECT value FROM json_each(?))",
             (json.dumps(used.tolist()),),
         ))
-        counts = np.fromiter(map(len, levels), np.int64, len(levels))
+        if len(names) < len(used):
+            missing = sorted(set(used.tolist()) - names.keys())
+            raise StorageFailure(f"user {user!r}: raw scans name MAC ids {missing} that the"
+                                 " store's mac table does not hold")
         macs = tuple(map(names.__getitem__, used.tolist()))
         return Scans(user, np.array(times, np.int64), counts, macs, cols,
                      np.frombuffer(b"".join(levels), np.int8))

@@ -128,6 +128,23 @@ class TestIngest:
         with RawStore(workdir / "poi.db") as store:
             assert rows_in(store, "alice", "bob") == 0
 
+    @pytest.mark.parametrize("first", ["malformed", "not-gzip"])
+    def test_the_first_bad_file_in_argument_order_is_named(self, workdir, capsys, first):
+        # every file is read before the call's uploads decode; which file
+        # the refusal names does not depend on that
+        (workdir / "bob.scan").write_bytes(
+            b'{"t":100,"dev":"d","aps":[["aa:00:00:00:00:01",-50]]}\n'
+            b'{"t":400,"dev":"d","aps":[["zz:00:00:00:00:01",-50]]}\n')
+        (workdir / "carol.scan.gz").write_bytes(b"definitely not gzip")
+        errors = {"malformed": "bob.scan: line 2: not a 48-bit MAC address",
+                  "not-gzip": "carol.scan.gz: not a valid gzip stream"}
+        files = ["bob.scan", "carol.scan.gz"]
+        if first == "not-gzip":
+            files.reverse()
+        assert run("ingest", "--store", "poi.db", *files) == 2
+        assert capsys.readouterr().err.startswith(f"error: {errors[first]}")
+        assert not (workdir / "poi.db").exists()
+
     def test_refused_content_creates_no_store(self, workdir, capsys):
         bad = workdir / "bob.scan"
         bad.write_bytes(
@@ -345,6 +362,26 @@ class TestExtract:
         run("ingest", "--store", "poi.db", sim / "alice.scan.gz")
         assert run("extract", "--store", "poi.db", "--user", "bob", "--day", DAY) == 3
         assert "bob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corruption, error", [
+        ("DELETE FROM mac WHERE id = 2",
+         "raw scans name MAC ids [2] that the store's mac table does not hold"),
+        ("UPDATE raw_scans SET macs = substr(macs, 1, length(macs) - 1) WHERE t = {t}",
+         "the raw scan at t={t} holds MAC ids and readings of different lengths"),
+        ("UPDATE raw_scans SET rssi = CAST(rssi || x'c4' AS BLOB) WHERE t = {t}",
+         "the raw scan at t={t} holds MAC ids and readings of different lengths"),
+    ], ids=["unknown-mac-id", "macs-not-whole-ids", "more-readings-than-ids"])
+    def test_a_corrupt_raw_row_exits_three_naming_the_user(self, workdir, capsys, corruption,
+                                                           error):
+        sim = simulate_office(workdir)
+        assert run("ingest", "--store", "poi.db", sim / "alice.scan.gz") == 0
+        with sqlite3.connect(workdir / "poi.db") as conn:
+            t = conn.execute("SELECT min(t) FROM raw_scans").fetchone()[0]
+            conn.execute(corruption.format(t=t))
+        conn.close()
+        capsys.readouterr()
+        assert run("extract", "--store", "poi.db", "--user", "alice", "--day", DAY) == 3
+        assert capsys.readouterr().err == f"error: user 'alice': {error.format(t=t)}\n"
 
     def test_only_noise_writes_empty_summary(self, workdir, capsys):
         sim = simulate_office(workdir)
