@@ -37,7 +37,7 @@ from .community import (
 )
 from .errors import InputError, PoiError, StorageFailure, UnknownUser
 from .ingest import (
-    RawStore, check_agree, compress_batch, decode_upload, decompress_batch, encode_log, store_raw,
+    RawStore, check_agree, compress_batch, decode_uploads, decompress_batch, encode_log, store_raw,
 )
 from .model import ClusterParams, Scans
 from .registry import (
@@ -167,19 +167,33 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     Every file decodes, and the files are checked against each other,
     before the store opens, so a call refused for a file's content, or
     for two files that hold one scan with other readings, leaves no new
-    store behind.
+    store behind. Files are read as decode_uploads asks for them; a file
+    that cannot be read ends the reads, and is reported once the files
+    before it have decoded, so the refusal names the first bad file.
     """
     paths = [Path(name) for name in args.files]
     users = [_user_from_filename(path) for path in paths]
+    unread: list[Exception] = []  # why the reads stopped short, if they did
+
+    def read() -> Iterator[bytes]:
+        for path in paths:
+            try:
+                data = path.read_bytes()
+                if path.name.endswith(".gz"):
+                    data = decompress_batch(data)
+            except (InputError, OSError) as exc:
+                unread.append(exc)
+                return
+            yield data
+
     uploads: list[Scans] = []
-    for path, user in zip(paths, users):
-        try:
-            data = path.read_bytes()
-            if path.name.endswith(".gz"):
-                data = decompress_batch(data)
-            uploads.append(decode_upload(data, user=user))
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+    try:
+        for upload in decode_uploads(read(), users):
+            uploads.append(upload)
+        if unread:
+            raise unread[0]
+    except InputError as exc:  # the file after the last one decoded
+        raise InputError(f"{paths[len(uploads)]}: {exc}") from exc
 
     def in_turn() -> Iterator[tuple[str, Scans]]:
         nonlocal path

@@ -39,8 +39,9 @@ import re
 import sqlite3
 import zlib
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .errors import CorruptStream, DuplicateTimestamp, MalformedLine, PoiError, 
 from .model import RSSI_MAX, RSSI_MIN, T_MAX, T_MIN, ScanLog, ScanResult, Scans, validate_scan
 
 UPLOAD_PERIOD = 21600  # seconds; one batch every 6 hours
+PASS_BYTES = 1 << 20  # wire bytes that one decoding pass joins at most
 
 _FIELDS = ("t", "dev", "aps")
 # A canonical line's start: json.dumps(record, separators=(",", ":")) where
@@ -123,26 +125,43 @@ def decode_log(data: bytes, user: str = "") -> ScanLog:
     return ScanLog(user=user, device=device, entries=entries)
 
 
-def _canonical(data: bytes, user: str) -> Scans | None:
-    """The upload as Scans if each line is as encode_log writes it, else None.
+def _canonical(datas: Sequence[bytes], users: Sequence[str]) -> list[Scans] | None:
+    """Each upload as Scans if each of its lines is as encode_log writes it, else None.
 
     A line is a _HEAD header and readings '["hh:hh:hh:hh:hh:hh",-' plus
     one to three digits (no leading zero) and ']', each followed by ','
     and the next or by ']}\\n' and its line's end: every byte is read,
-    with no object per reading. Then decode_log's policy is checked over
-    the whole upload; a MAC's nibbles, as an int, sort as its spelling.
+    with no object per reading. The uploads are read as one: each ends
+    in '\\n', so no line spans two, and a line's upload is found from
+    where it stands. Then decode_log's policy is checked for each upload.
+    A MAC's nibbles, as an int, sort as its spelling; its upload's rank,
+    in the two bytes above them, gives each upload its own columns.
     """
-    if not data:
-        none = np.zeros(0, np.int64)
-        return Scans(user, none, none, (), none, np.zeros(0, np.int8))
-    if not data.endswith(b"\n"):
+    none = np.zeros(0, np.int64)
+    uploads = [Scans(user, none, none, (), none, np.zeros(0, np.int8)) for user in users]
+    live = [k for k, data in enumerate(datas) if data]  # the uploads that hold lines
+    texts = [datas[k] for k in live]
+    if not texts:
+        return uploads
+    # a line takes 50 bytes or more, so a pass of PASS_BYTES holds under 2**16 live uploads
+    if len(texts) >> 16 or not all(text.endswith(b"\n") for text in texts):
         return None
-    code = np.frombuffer((data + bytes(27)).translate(_CODES), np.uint8)  # room for any window
+    code = np.frombuffer(b"".join([*(text.translate(_CODES) for text in texts), bytes(27)]),
+                         np.uint8)  # room for any window
     breaks = np.flatnonzero(code == _BREAK)
-    heads = [_HEAD.match(data, p) for p in [0, *(breaks[:-1] + 1).tolist()]]
+    base = np.cumsum([0, *map(len, texts)])  # each upload's first byte
+    up = np.searchsorted(base, breaks, "right") - 1  # each line's upload
+    line_at = np.concatenate(([0], breaks[:-1] + 1)) - base[up]  # where it starts in its upload
+    heads = [_HEAD.match(texts[u], p) for u, p in zip(up.tolist(), line_at.tolist())]
+    if None in heads:
+        return None
+    at = np.array([int(m[1]) for m in heads], np.int64)
+    head_end = base[up] + [m.end() for m in heads]
+    named = {(u, m[2]) for u, m in zip(up.tolist(), heads) if m[2]}  # "" leaves a line unnamed
+    del heads, line_at
     starts = np.flatnonzero(code == _OPEN)
     starts = starts[code[starts + 1] == _QUOTE]
-    if None in heads or not len(starts) or not (code[breaks - 1] == _BRACE).all():
+    if not len(starts) or not (code[breaks - 1] == _BRACE).all():
         return None
     # each byte opens one 27-byte item, so the gather copies whole windows
     w = np.ndarray(len(code) - 26, "V27", code, 0, (1,))[starts].view(np.uint8).reshape(-1, 27)
@@ -162,32 +181,85 @@ def _canonical(data: bytes, user: str) -> Scans | None:
     follow = np.where(three, w[:, 26], np.where(two, w[:, 25], w[:, 24]))
     mac = np.zeros((len(starts), 8), np.uint8)
     mac[:, 2:] = hi << 4 | lo
-    del w, hi, lo, d
+    del w, hi, lo, d, close, digit, two, three
     last = follow == _CLOSE  # then '}\n', as `breaks` checks
     closing = np.flatnonzero(last)
     first = np.concatenate(([0], closing[:-1] + 1))  # each line's first reading
-    if not (len(closing) == len(heads) and last[-1] and (end[closing] + 2 == breaks).all()
+    if not (len(closing) == len(at) and last[-1] and (end[closing] + 2 == breaks).all()
             and (last[:-1] | (follow[:-1] == _COMMA) & (starts[1:] == end[:-1] + 1)).all()
-            and (starts[first] == [m.end() for m in heads]).all()
+            and (starts[first] == head_end).all()
             and ((rssi >= RSSI_MIN) & (rssi <= RSSI_MAX)).all()):
         return None
-    at = np.array([int(m[1]) for m in heads], np.int64)
-    by_time = np.argsort(at)
-    times = at[by_time]
-    if (times[0] < T_MIN or times[-1] > T_MAX or (times[1:] == times[:-1]).any()
-            or len({m[2] for m in heads} - {b""}) > 1):  # "" leaves a line unnamed
+    del starts, end, follow, last
+    by_time = np.lexsort((at, up))  # by upload, then time
+    times, ups = at[by_time], up[by_time]
+    if (at.min() < T_MIN or at.max() > T_MAX
+            or ((ups[1:] == ups[:-1]) & (times[1:] == times[:-1])).any()
+            or len(named) > len(dict(named))):  # an upload names one device at most
         return None
-    macs, ids = np.unique(mac.view(">u8")[:, 0], return_inverse=True)
-    spelled = np.empty(len(macs), np.int64)
-    spelled[ids] = starts
     counts = closing + 1 - first
-    key = np.repeat(np.argsort(by_time), counts) * len(macs) + ids
+    mac[:, :2] = np.repeat(up.astype(">u2"), counts).view(np.uint8).reshape(-1, 2)
+    held, ids = np.unique(mac.view(">u8")[:, 0], return_inverse=True)  # by upload, then MAC
+    del mac
+    key = np.repeat(np.argsort(by_time), counts) * len(held) + ids
     order = np.argsort(key)  # the readings in time order, and by MAC within a scan
     key = key[order]
     if np.any(key[1:] == key[:-1]):  # a MAC twice in one scan
         return None
-    names = tuple(data[s + 2:s + 19].decode() for s in spelled.tolist())
-    return Scans(user, times, counts[by_time], names, ids[order], rssi[order].astype(np.int8))
+    del key
+    macs, spelled = np.unique(held & 0xFFFF_FFFF_FFFF, return_inverse=True)
+    names = [value.to_bytes(6, "big").hex(":") for value in macs.tolist()]
+    names = list(map(names.__getitem__, spelled.tolist()))  # each upload's MACs, in turn
+    held_by = held >> 48
+    macs_at = np.searchsorted(held_by, np.arange(len(live) + 1))  # each upload's first MAC
+    ids = (np.arange(len(held)) - macs_at[held_by])[ids[order]]  # a column of its upload's
+    rssi, counts = rssi[order].astype(np.int8), counts[by_time]
+    scans_at = np.searchsorted(ups, np.arange(len(live) + 1))  # and first scan, and reading
+    reads_at = np.concatenate(([0], np.cumsum(counts)))[scans_at]
+    for k, (s0, s1), (r0, r1), (m0, m1) in zip(
+            live, pairwise(scans_at.tolist()), pairwise(reads_at.tolist()),
+            pairwise(macs_at.tolist())):
+        uploads[k] = Scans(users[k], times[s0:s1], counts[s0:s1], tuple(names[m0:m1]),
+                           ids[r0:r1], rssi[r0:r1])
+    return uploads
+
+
+def decode_uploads(datas: Iterable[bytes], users: Iterable[str]) -> Iterator[Scans]:
+    """Each upload's Scans, in order, exactly as decode_upload gives them.
+
+    Consecutive uploads are decoded together, in passes that join up to
+    PASS_BYTES of wire bytes; a larger upload is a pass of its own. The
+    policy is still checked per upload, and each upload's Scans hold
+    only its own scans and MACs. A pass that is not all canonical is
+    decoded upload by upload, so the first bad upload raises after those
+    before it are yielded. `datas` is read lazily, one upload past the
+    pass being decoded, so a caller holds no more than a pass and one
+    upload of wire bytes at once.
+    """
+    batch: list[tuple[bytes, str]] = []
+    size = 0
+    for data, user in zip(datas, users):
+        if batch and size + len(data) > PASS_BYTES:
+            yield from _decode_pass(batch)
+            batch, size = [], 0
+        batch.append((data, user))
+        size += len(data)
+    yield from _decode_pass(batch)
+
+
+def _decode_pass(batch: list[tuple[bytes, str]]) -> Iterator[Scans]:
+    uploads = _canonical([data for data, _ in batch], [user for _, user in batch])
+    if uploads is not None:
+        yield from uploads
+        return
+    for data, user in batch:
+        one = _canonical([data], [user]) if len(batch) > 1 else None
+        if one is None:
+            log = decode_log(data, user)  # raises the MalformedLine that names the first bad line
+            one = _canonical([encode_log(replace(log, device=""))], [user])
+        if one is None:
+            raise RuntimeError("decode_upload refused an upload that decode_log accepts")
+        yield one[0]
 
 
 def decode_upload(data: bytes, user: str = "") -> Scans:
@@ -198,13 +270,9 @@ def decode_upload(data: bytes, user: str = "") -> Scans:
     Canonical bytes are read straight into columns; any other upload
     goes through decode_log, which raises the MalformedLine that names
     the first bad line, and is read back from its canonical encoding.
+    The one-upload case of decode_uploads.
     """
-    upload = _canonical(data, user)
-    if upload is None:
-        log = decode_log(data, user)
-        upload = _canonical(encode_log(replace(log, device="")), user)
-    if upload is None:
-        raise RuntimeError("decode_upload refused an upload that decode_log accepts")
+    (upload,) = decode_uploads([data], [user])
     return upload
 
 

@@ -28,6 +28,7 @@ from wifipoi.ingest import (
     compress_batch,
     decode_log,
     decode_upload,
+    decode_uploads,
     decompress_batch,
     encode_log,
     plan_uploads,
@@ -402,11 +403,83 @@ def edited_upload_st(draw):
     return bytes(data)
 
 
+@st.composite
+def canonical_fault_st(draw):
+    """encode_log's bytes for a valid log and one more line, written as encode_log writes
+    lines, that may break the policy: a line sent twice, another device, a MAC twice, a
+    timestamp or RSS out of range."""
+    log = draw(canonical_log_st.filter(lambda log: log.entries))
+    lines = encode_log(log).splitlines(keepends=True)
+    kind = draw(st.sampled_from(["twice", "device", "mac-twice", "t", "rssi"]))
+    if kind == "twice":
+        line = draw(st.sampled_from(lines))
+    else:
+        t = max(s.timestamp for s in log.entries) + 1
+        aps = [[A, -50]]
+        device = draw(st.sampled_from(["", "d", "e"])) if kind == "device" else log.device
+        if kind == "mac-twice":
+            aps.append([A, -60])
+        elif kind == "t":
+            t = draw(st.sampled_from([T_MIN - 1, T_MAX + 1]))
+        elif kind == "rssi":
+            aps[0][1] = draw(st.sampled_from([-101, -999]))
+        line = (json.dumps({"t": t, "dev": device, "aps": aps}, separators=(",", ":")) + "\n")
+        line = line.encode()
+    lines.insert(draw(st.integers(0, len(lines))), line)
+    return b"".join(lines)
+
+
 def many_readings():
     """Three scans of 100 readings each, every RSS from -100 to -1 in each."""
     macs = ["%02x:%02x:ab:cd:ef:%02x" % (j, 255 - j, j) for j in range(100)]
     return [scan(1_700_000_000 + k, [(mac, -1 - (j + k) % 100) for j, mac in enumerate(macs)])
             for k in range(3)]
+
+
+def columns(upload):
+    """Everything a Scans holds, dtypes included."""
+    return (upload.user, upload.macs,
+            *((a.dtype, a.tolist()) for a in (upload.times, upload.counts, upload.ids, upload.rssi)))
+
+
+def outcomes(uploads):
+    """Each upload's columns, in turn, up to the first refusal's line and reason."""
+    out = []
+    try:
+        for upload in uploads:
+            out.append(columns(upload))
+    except MalformedLine as exc:
+        out.append((exc.line_no, exc.reason))
+    return out
+
+
+@st.composite
+def call_st(draw):
+    """One ingest call's uploads and users: canonical uploads, some sent twice, empty
+    ones, two users that share timestamps, and at most one upload that is not canonical."""
+    sent = draw(st.lists(canonical_log_st.map(encode_log), min_size=1, max_size=4))
+    datas = draw(st.lists(st.sampled_from([*sent, b""]), max_size=8))
+    odd = draw(st.none() | wire_upload_st() | edited_upload_st() | canonical_fault_st())
+    if odd is not None:
+        datas.insert(draw(st.integers(0, len(datas))), odd)
+    users = draw(st.lists(st.sampled_from(["u", "v"]), min_size=len(datas), max_size=len(datas)))
+    return datas, users
+
+
+def small_uploads(passes):
+    """`passes` passes' worth of uploads of 24 scans of 7 readings (5.3 KB, as in
+    long-history), from six users whose phones scan at the same times."""
+    rng = np.random.default_rng(1)
+    macs = ["02:00:00:00:%02x:%02x" % divmod(k, 256) for k in range(600)]
+    datas, users = [], []
+    while sum(map(len, datas)) < passes * ingest.PASS_BYTES:
+        user, t0 = f"u{len(datas) % 6}", 1_772_400_000 + 7200 * (len(datas) // 6)
+        datas.append(encode_log(build_log(user, f"{user}-phone", [
+            scan(t0 + 300 * i, [(macs[k], int(rssi)) for k, rssi in zip(
+                rng.choice(len(macs), 7, replace=False), rng.integers(-100, 0, 7))])
+            for i in range(24)])))
+        users.append(user)
+    return datas, users
 
 
 class TestColumnDecode:
@@ -461,11 +534,12 @@ class TestColumnDecode:
             got = exc.reason
         assert got == device  # the device, or the refusal's reason
 
-    @given(edited_upload_st())
+    @given(edited_upload_st() | canonical_fault_st())
     @settings(max_examples=1000, deadline=None)
     def test_edited_canonical_bytes_decode_as_decode_log_decodes_them(self, data):
         # the edits that keep a line canonical (a digit or hex digit for
-        # another) reach the column decoder; the rest the fallback
+        # another, or a whole line as encode_log writes it) reach the
+        # column decoder; the rest the fallback
         assert decoded(decode_upload, data) == decoded(decode_log, data)
 
     @pytest.mark.parametrize("log", [
@@ -502,6 +576,42 @@ class TestColumnDecode:
             tracemalloc.stop()
         assert len(upload.rssi) == 45_000
         assert peak < 4 * len(data), (peak, len(data))
+
+    @given(call_st(), st.integers(1, 1000))
+    @settings(max_examples=400, deadline=None)
+    def test_a_call_decodes_as_its_uploads_decode_one_by_one(self, call, cap):
+        # the cap moves where passes end in calls of up to about 3,000 bytes
+        datas, users = call
+        with mock.patch.object(ingest, "PASS_BYTES", cap):
+            joint = outcomes(decode_uploads(datas, users))
+        assert joint == outcomes(map(decode_upload, datas, users))
+
+    def test_a_call_of_several_passes_decodes_as_its_uploads_do(self, monkeypatch):
+        datas, users = small_uploads(2.5)
+        passes = []
+        canonical = ingest._canonical
+
+        def counted(datas, users):
+            passes.append(len(datas))
+            return canonical(datas, users)
+
+        monkeypatch.setattr(ingest, "_canonical", counted)
+        joint = outcomes(decode_uploads(datas, users))
+        assert len(passes) == 3 and sum(passes) == len(datas)  # none fell back to one by one
+        assert joint == outcomes(map(decode_upload, datas, users))
+
+    def test_a_call_of_small_uploads_peaks_below_four_times_a_pass(self):
+        # 2.5 passes of uploads, each pass's Scans dropped as they come:
+        # the peak is one pass's decoding, 2.7 times PASS_BYTES
+        datas, users = small_uploads(2.5)
+        tracemalloc.start()
+        try:
+            readings = sum(len(upload.rssi) for upload in decode_uploads(datas, users))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert readings == 24 * 7 * len(datas)
+        assert peak < 4 * ingest.PASS_BYTES, (peak, ingest.PASS_BYTES)
 
     def test_a_refusal_decode_log_does_not_explain_is_a_fault(self, monkeypatch):
 
