@@ -167,24 +167,21 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     Every file decodes, and the files are checked against each other,
     before the store opens, so a call refused for a file's content, or
     for two files that hold one scan with other readings, leaves no new
-    store behind. Files are read as decode_uploads asks for them; a file
-    that cannot be read ends the reads, and is reported once the files
-    before it have decoded, so the refusal names the first bad file.
+    store behind. A file that cannot be read is reported once the files
+    before it decode, so a refusal names the first bad file.
     """
     paths = [Path(name) for name in args.files]
     users = [_user_from_filename(path) for path in paths]
-    unread: list[Exception] = []  # why the reads stopped short, if they did
+    unread: list[Exception] = []  # what ended the reads early
 
     def read() -> Iterator[bytes]:
         for path in paths:
             try:
                 data = path.read_bytes()
-                if path.name.endswith(".gz"):
-                    data = decompress_batch(data)
+                yield decompress_batch(data) if path.name.endswith(".gz") else data
             except (InputError, OSError) as exc:
                 unread.append(exc)
                 return
-            yield data
 
     uploads: list[Scans] = []
     try:

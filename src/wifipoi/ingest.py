@@ -8,24 +8,27 @@ Field order is fixed and MACs are canonical, so encoding is
 byte-reproducible and a partial upload fails at line granularity.
 decode_log is the one JSON decoder: it checks a line's JSON shape, the
 scan goes through validate_scan, as in build_log, and any fault is one
-MalformedLine. decode_upload, the server's decoder, reads canonical bytes
-into columns (times, MAC ids, int8 readings) with no object per reading,
-checking the same policy over the whole upload at once; any other upload
-goes through decode_log, which names a bad line, and is then re-encoded.
-Batches gzip-compress very well because MAC strings repeat in nearly
-every line. RawStore, the store file that the registry's SummaryStore
-extends, keeps one row per (user, t) scan, its MACs as ids into a
-dictionary of MACs and its readings packed beside them. A scan whose
-(user, t) is stored already is skipped when its readings are identical,
-which makes re-ingestion a no-op, and refused when they differ; load_day
-reads one user's scans in a [lo, hi) window back into the same Scans
-columns that decode_upload gives. store_raw lands any number of uploads
-in one transaction, so a caller that feeds it several (the CLI's ingest
-call) keeps all or none of them; since identical scans are skipped, a
-rejected call can simply be re-run once the bad upload is taken out.
-check_agree finds the refusals that lie among the uploads themselves
-before any store is opened. upload_of turns an in-memory ScanLog into Scans by way of its wire
-bytes.
+MalformedLine. decode_uploads, the server's decoder, reads canonical
+bytes into columns (times, MAC ids, int8 readings) with no object per
+reading: one call's uploads in joined passes of up to PASS_BYTES
+(1 MiB), checking the same policy for each upload at once. Each upload
+gets its own Scans, so the store still assigns MAC ids upload by upload.
+Any other upload goes through decode_log, which names a bad line, and is
+then re-encoded; decode_upload is the one-upload case. Batches
+gzip-compress very well because MAC strings repeat in nearly every line.
+RawStore, the store file that the registry's SummaryStore extends, keeps
+one row per (user, t) scan, its MACs as ids into a dictionary of MACs
+and its readings packed beside them. A scan whose (user, t) is stored
+already is skipped when its readings are identical, which makes
+re-ingestion a no-op, and refused when they differ; load_day reads one
+user's scans in a [lo, hi) window back into the same Scans columns that
+decode_upload gives. store_raw lands any number of uploads in one
+transaction, so a caller that feeds it several (the CLI's ingest call)
+keeps all or none of them; since identical scans are skipped, a rejected
+call can simply be re-run once the bad upload is taken out. check_agree
+finds the refusals that lie among the uploads themselves before any
+store is opened. upload_of turns an in-memory ScanLog into Scans by way
+of its wire bytes.
 
 The user never appears on the wire; it is carried out of band (the CLI
 takes it from the file name) and supplied to the decoder explicitly.
@@ -137,22 +140,18 @@ def _canonical(datas: Sequence[bytes], users: Sequence[str]) -> list[Scans] | No
     A MAC's nibbles, as an int, sort as its spelling; its upload's rank,
     in the two bytes above them, gives each upload its own columns.
     """
-    none = np.zeros(0, np.int64)
-    uploads = [Scans(user, none, none, (), none, np.zeros(0, np.int8)) for user in users]
-    live = [k for k, data in enumerate(datas) if data]  # the uploads that hold lines
-    texts = [datas[k] for k in live]
-    if not texts:
-        return uploads
-    # a line takes 50 bytes or more, so a pass of PASS_BYTES holds under 2**16 live uploads
-    if len(texts) >> 16 or not all(text.endswith(b"\n") for text in texts):
-        return None
-    code = np.frombuffer(b"".join([*(text.translate(_CODES) for text in texts), bytes(27)]),
-                         np.uint8)  # room for any window
+    if not any(datas):
+        none = np.zeros(0, np.int64)
+        return [Scans(user, none, none, (), none, np.zeros(0, np.int8)) for user in users]
+    if len(datas) >> 16 or not all(data.endswith(b"\n") for data in datas if data):
+        return None  # an upload's rank must fit in the two bytes above a MAC
+    # the uploads' bytes as codes, then room for any window
+    code = np.frombuffer(b"".join([*(d.translate(_CODES) for d in datas), bytes(27)]), np.uint8)
     breaks = np.flatnonzero(code == _BREAK)
-    base = np.cumsum([0, *map(len, texts)])  # each upload's first byte
+    base = np.cumsum([0, *map(len, datas)])  # each upload's first byte
     up = np.searchsorted(base, breaks, "right") - 1  # each line's upload
     line_at = np.concatenate(([0], breaks[:-1] + 1)) - base[up]  # where it starts in its upload
-    heads = [_HEAD.match(texts[u], p) for u, p in zip(up.tolist(), line_at.tolist())]
+    heads = [_HEAD.match(datas[u], p) for u, p in zip(up.tolist(), line_at.tolist())]
     if None in heads:
         return None
     at = np.array([int(m[1]) for m in heads], np.int64)
@@ -207,34 +206,25 @@ def _canonical(datas: Sequence[bytes], users: Sequence[str]) -> list[Scans] | No
     if np.any(key[1:] == key[:-1]):  # a MAC twice in one scan
         return None
     del key
-    macs, spelled = np.unique(held & 0xFFFF_FFFF_FFFF, return_inverse=True)
-    names = [value.to_bytes(6, "big").hex(":") for value in macs.tolist()]
+    macs, spelled = np.unique(held & 0xFFFF_FFFF_FFFF, return_inverse=True)  # spelled once
+    names = [mac.to_bytes(6, "big").hex(":") for mac in macs.tolist()]
     names = list(map(names.__getitem__, spelled.tolist()))  # each upload's MACs, in turn
-    held_by = held >> 48
-    macs_at = np.searchsorted(held_by, np.arange(len(live) + 1))  # each upload's first MAC
-    ids = (np.arange(len(held)) - macs_at[held_by])[ids[order]]  # a column of its upload's
+    macs_at = np.searchsorted(held >> 48, np.arange(len(datas) + 1))  # each upload's first MAC,
+    ids = (np.arange(len(held)) - macs_at[held >> 48])[ids[order]]  # a column of its upload's
     rssi, counts = rssi[order].astype(np.int8), counts[by_time]
-    scans_at = np.searchsorted(ups, np.arange(len(live) + 1))  # and first scan, and reading
-    reads_at = np.concatenate(([0], np.cumsum(counts)))[scans_at]
-    for k, (s0, s1), (r0, r1), (m0, m1) in zip(
-            live, pairwise(scans_at.tolist()), pairwise(reads_at.tolist()),
-            pairwise(macs_at.tolist())):
-        uploads[k] = Scans(users[k], times[s0:s1], counts[s0:s1], tuple(names[m0:m1]),
-                           ids[r0:r1], rssi[r0:r1])
-    return uploads
+    scans_at = np.searchsorted(ups, np.arange(len(datas) + 1))  # scan
+    reads_at = np.concatenate(([0], np.cumsum(counts)))[scans_at]  # and reading
+    cuts = zip(*(pairwise(firsts.tolist()) for firsts in (scans_at, reads_at, macs_at)))
+    return [Scans(user, times[s0:s1], counts[s0:s1], tuple(names[m0:m1]), ids[r0:r1], rssi[r0:r1])
+            for user, ((s0, s1), (r0, r1), (m0, m1)) in zip(users, cuts)]
 
 
 def decode_uploads(datas: Iterable[bytes], users: Iterable[str]) -> Iterator[Scans]:
-    """Each upload's Scans, in order, exactly as decode_upload gives them.
+    """Each upload's Scans, in turn, as decode_upload gives them, from joined passes.
 
-    Consecutive uploads are decoded together, in passes that join up to
-    PASS_BYTES of wire bytes; a larger upload is a pass of its own. The
-    policy is still checked per upload, and each upload's Scans hold
-    only its own scans and MACs. A pass that is not all canonical is
-    decoded upload by upload, so the first bad upload raises after those
-    before it are yielded. `datas` is read lazily, one upload past the
-    pass being decoded, so a caller holds no more than a pass and one
-    upload of wire bytes at once.
+    A pass holds consecutive uploads of up to PASS_BYTES, or one larger
+    upload; `datas` is read one upload past it. An upload that is not
+    canonical makes its pass decode upload by upload, as decode_upload does.
     """
     batch: list[tuple[bytes, str]] = []
     size = 0
@@ -247,19 +237,16 @@ def decode_uploads(datas: Iterable[bytes], users: Iterable[str]) -> Iterator[Sca
     yield from _decode_pass(batch)
 
 
-def _decode_pass(batch: list[tuple[bytes, str]]) -> Iterator[Scans]:
+def _decode_pass(batch: list[tuple[bytes, str]]) -> Iterable[Scans]:
     uploads = _canonical([data for data, _ in batch], [user for _, user in batch])
-    if uploads is not None:
-        yield from uploads
-        return
-    for data, user in batch:
-        one = _canonical([data], [user]) if len(batch) > 1 else None
-        if one is None:
-            log = decode_log(data, user)  # raises the MalformedLine that names the first bad line
-            one = _canonical([encode_log(replace(log, device=""))], [user])
-        if one is None:
-            raise RuntimeError("decode_upload refused an upload that decode_log accepts")
-        yield one[0]
+    if uploads is None and len(batch) > 1:  # each upload as a pass of its own
+        return (upload for one in batch for upload in _decode_pass([one]))
+    if uploads is None:
+        log = decode_log(*batch[0])  # raises the MalformedLine that names the first bad line
+        uploads = _canonical([encode_log(replace(log, device=""))], [log.user])
+    if uploads is None:
+        raise RuntimeError("decode_upload refused an upload that decode_log accepts")
+    return uploads
 
 
 def decode_upload(data: bytes, user: str = "") -> Scans:
@@ -270,7 +257,8 @@ def decode_upload(data: bytes, user: str = "") -> Scans:
     Canonical bytes are read straight into columns; any other upload
     goes through decode_log, which raises the MalformedLine that names
     the first bad line, and is read back from its canonical encoding.
-    The one-upload case of decode_uploads.
+    The one-upload case of decode_uploads, which joins a call's uploads
+    in passes of up to 1 MiB; MAC ids are still assigned per upload.
     """
     (upload,) = decode_uploads([data], [user])
     return upload

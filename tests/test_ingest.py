@@ -559,8 +559,8 @@ class TestColumnDecode:
 
     def test_decoding_peaks_below_four_times_the_upload(self):
         # a dense-day-sized upload: 1,500 scans of 30 readings, 1.2 MB.
-        # On the largest dense-day upload (1.24 MB) decode_upload peaks at
-        # 3.0 times its length, where the per-line JSON decoder took 2.8.
+        # decode_upload peaks at 2.7 times its length; the per-line JSON
+        # decoder took 2.8 on the largest dense-day upload (1.24 MB).
         rng = np.random.default_rng(1)
         macs = ["02:00:00:00:%02x:%02x" % divmod(k, 256) for k in range(1200)]
         scans = [scan(1_772_400_000 + 30 * i,
@@ -602,7 +602,7 @@ class TestColumnDecode:
 
     def test_a_call_of_small_uploads_peaks_below_four_times_a_pass(self):
         # 2.5 passes of uploads, each pass's Scans dropped as they come:
-        # the peak is one pass's decoding, 2.7 times PASS_BYTES
+        # the peak is one pass's decoding, 3.0 times PASS_BYTES
         datas, users = small_uploads(2.5)
         tracemalloc.start()
         try:
