@@ -423,8 +423,8 @@ def canonical_fault_st(draw):
             t = draw(st.sampled_from([T_MIN - 1, T_MAX + 1]))
         elif kind == "rssi":
             aps[0][1] = draw(st.sampled_from([-101, -999]))
-        line = (json.dumps({"t": t, "dev": device, "aps": aps}, separators=(",", ":")) + "\n")
-        line = line.encode()
+        record = {"t": t, "dev": device, "aps": aps}
+        line = json.dumps(record, separators=(",", ":")).encode() + b"\n"
     lines.insert(draw(st.integers(0, len(lines))), line)
     return b"".join(lines)
 
@@ -438,8 +438,8 @@ def many_readings():
 
 def columns(upload):
     """Everything a Scans holds, dtypes included."""
-    return (upload.user, upload.macs,
-            *((a.dtype, a.tolist()) for a in (upload.times, upload.counts, upload.ids, upload.rssi)))
+    arrays = (upload.times, upload.counts, upload.ids, upload.rssi)
+    return upload.user, upload.macs, *((a.dtype, a.tolist()) for a in arrays)
 
 
 def outcomes(uploads):
